@@ -2,7 +2,7 @@
 
 Subcommands mirror the solver modules. spectrum solves the SQUID-cavity
 boundary pair, bogoliubov runs the coupled-mode ODE and tabulates mode
-occupations over time, msa integrates the resonant slow flow, moore
+occupations over time, msa solves the resonant slow flow, moore
 tabulates the conformal phase function and the stress-energy density,
 otto sweeps the cycle over stroke durations, gate sweeps the encoding
 fidelity over qubit polarizations, and crosscheck runs the coupled-mode,
@@ -100,7 +100,6 @@ def _run_msa(cfg, args):
     sl = evolve_slow(ModeBasis.build(cav), float(block["omega"]),
                      eps=None if eps is None else float(eps),
                      tau_max=float(block.get("tau_max", 1.0)),
-                     n_steps=int(block["n_steps"]) if "n_steps" in block else None,
                      n_samples=int(block.get("n_samples", 101)))
     header = ["tau"]
     for n, k in pairs:
@@ -171,8 +170,6 @@ def _run_gate(cfg, args):
     rows = _map_ordered(one, p_z, args.threads)
     header = ["p_z", "fbar_closed", "fbar_simulated", "fbar_open", "purity"]
     tol = {"n_max": params.n_max, "leak_tol": params.leak_tol}
-    if rates is not None:
-        tol["lindblad_rtol"] = 1e-9
     return [("gate_fidelity", header, rows)], tol, [], True
 
 
@@ -186,9 +183,10 @@ def _run_crosscheck(cfg, args):
     opts = cfg.get("crosscheck", {})
     beta_factor = float(opts.get("beta_factor", 5.0))
     msa_rel_tol = float(opts.get("msa_rel_tol", 0.05))
+    ode_rtol = 1e-10
 
     basis = ModeBasis.build(cav)
-    bog = extract_bogoliubov(integrate_modes(cav, traj, rtol=1e-10, t_final=t_end))
+    bog = extract_bogoliubov(integrate_modes(cav, traj, rtol=ode_rtol, t_final=t_end))
     mm = bogoliubov_from_moore(solve_moore(traj, t_end), basis, t_end)
     d_moore = float(np.abs(mm.beta - bog.beta).max())
     bound = beta_factor * eps**2
@@ -212,7 +210,7 @@ def _run_crosscheck(cfg, args):
             ["ode_vs_msa_rel_beta", rel, msa_rel_tol]]
     tables = [("crosscheck", ["comparison", "value", "bound"], rows)]
     tol = {"beta_factor": beta_factor, "msa_rel_tol": msa_rel_tol,
-           "ode_rtol": 1e-10}
+           "ode_rtol": ode_rtol}
     return tables, tol, messages, ok_moore and ok_msa
 
 

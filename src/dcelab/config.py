@@ -114,6 +114,8 @@ SCHEMA = {
                 "omega": _POS_NUM,
                 "epsilon": _POS_NUM,
                 "tau_max": _POS_NUM,
+                # accepted for older scenario files and ignored: the slow
+                # flow is solved exactly, with no step size
                 "n_steps": _POS_INT,
                 "n_samples": {"type": "integer", "minimum": 2},
                 "pairs": {"type": "array", "minItems": 1,
@@ -328,7 +330,7 @@ def build_gate(block):
 
     The target squeeze r fixes the gate duration through r = g_d eps_d
     t_gate; a rates sub-block switches on the Lindblad comparison (missing
-    rate keys fall back to the vacuum-limited defaults).
+    rate keys fall back to OpenRates.typical()).
     """
     g_d = float(block.get("g_d", 0.05))
     eps_d = float(block.get("eps_d", 0.15))

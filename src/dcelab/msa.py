@@ -5,7 +5,8 @@ limit a naive expansion to eps*Omega*t << 1.  Introducing the slow time
 tau = eps*t and keeping only the O(eps) terms whose frequency-matching
 conditions fire (Omega equal to 2 w_k, w_k + w_j, or |w_k - w_j|) reduces the
 coupled mode equations to a linear, constant-coefficient system in tau.  This
-module classifies the active channels and integrates that system.
+module classifies the active channels and solves that system exactly with a
+matrix exponential.
 
 With amplitudes normalised as Q_k = (alpha_k e^{-i w_k t} + beta_k e^{+i w_k t})
 / sqrt(2 w_k), the slow system reads
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import expm
 
 from .cavity import ModeBasis
 
@@ -162,53 +164,31 @@ class SlowAmplitudes:
 
 
 def evolve_slow(basis: ModeBasis, Omega, R0=None, eps=None, tau_max=1.0,
-                n_steps=None, n_samples=101, tol=DEFAULT_TOL):
-    """Integrate the slow system over tau in [0, tau_max] from alpha=I, beta=0.
+                n_samples=101, tol=DEFAULT_TOL):
+    """Solve the slow system on linspace(0, tau_max, n_samples) from alpha=I, beta=0.
 
-    Fixed-step classical RK4; the system is linear and smooth, so the step
-    only needs to resolve the growth rate. Default step is tau_max/1000.
-    R0 overrides the basis length (the generators scale with the frequencies
-    at R0); eps is recorded for lab-time bookkeeping only.
+    The generator is constant, so the row block [alpha beta] at tau is
+    [I 0] exp(tau K) with K = [[Gs^T, Gc^T], [Gc^T, Gs^T]]; one exp(h K) at
+    the sample spacing h carries each sample to the next. R0 overrides the
+    basis length (the generators scale with the frequencies at R0); eps is
+    recorded for lab-time bookkeeping only.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 to span [0, tau_max], got {n_samples}")
     if R0 is not None and not np.isclose(R0, basis.spec.length):
         from .cavity import CavitySpec
         basis = ModeBasis.build(CavitySpec(length=float(R0), n_modes=basis.spec.n_modes))
     Gc, Gs = slow_generators(basis, Omega, tol=tol)
-    GcT, GsT = Gc.T.copy(), Gs.T.copy()
     N = basis.omega.size
 
-    if n_steps is None:
-        n_steps = 1000
-    n_samples = int(min(n_samples, n_steps + 1))
-    # land samples on step boundaries
-    per = max(1, int(round(n_steps / max(n_samples - 1, 1))))
-    n_steps = per * max(n_samples - 1, 1)
-    h = tau_max / n_steps
-
-    def deriv(a, b):
-        return b @ GcT + a @ GsT, a @ GcT + b @ GsT
-
-    a = np.eye(N, dtype=complex)
-    b = np.zeros((N, N), dtype=complex)
-    taus = np.empty(n_samples)
-    alphas = np.empty((n_samples, N, N), dtype=complex)
-    betas = np.empty((n_samples, N, N), dtype=complex)
-    taus[0], alphas[0], betas[0] = 0.0, a, b
-    isamp = 1
-    for step in range(1, n_steps + 1):
-        k1a, k1b = deriv(a, b)
-        k2a, k2b = deriv(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = deriv(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = deriv(a + h * k3a, b + h * k3b)
-        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if step % per == 0:
-            taus[isamp] = step * h
-            alphas[isamp] = a
-            betas[isamp] = b
-            isamp += 1
-    return SlowAmplitudes(tau=taus, alpha=alphas, beta=betas, Omega=float(Omega),
-                          omega=basis.omega.copy(),
+    taus = np.linspace(0.0, tau_max, n_samples)
+    step = expm(taus[1] * np.block([[Gs.T, Gc.T], [Gc.T, Gs.T]]))
+    ab = np.empty((n_samples, N, 2 * N), dtype=complex)
+    ab[0] = np.hstack([np.eye(N), np.zeros((N, N))])
+    for i in range(1, n_samples):
+        ab[i] = ab[i - 1] @ step
+    return SlowAmplitudes(tau=taus, alpha=ab[:, :, :N], beta=ab[:, :, N:],
+                          Omega=float(Omega), omega=basis.omega.copy(),
                           eps=None if eps is None else float(eps))

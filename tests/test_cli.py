@@ -216,6 +216,20 @@ class TestMsaRun:
         assert all(a < b for a, b in zip(b11, b11[1:]))
         assert rows[-1][0] == 0.5
 
+    def test_n_steps_is_accepted_and_ignored(self, tmp_path):
+        doc = {"cavity": {"length": 3.141592653589793, "n_modes": 8},
+               "msa": {"omega": 3.0, "tau_max": 0.9, "n_samples": 51,
+                       "pairs": [[1, 2]]}}
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "steps").mkdir()
+        code, out = run(tmp_path / "plain", "msa", doc)
+        assert code == 0
+        doc["msa"]["n_steps"] = 1000
+        code, out_steps = run(tmp_path / "steps", "msa", doc)
+        assert code == 0
+        assert (out / "slow_amplitudes.csv").read_bytes() == \
+            (out_steps / "slow_amplitudes.csv").read_bytes()
+
     def test_pair_beyond_truncation_exits_2(self, tmp_path):
         doc = {"cavity": {"length": 3.141592653589793, "n_modes": 4},
                "msa": {"omega": 2.0, "pairs": [[1, 9]]}}

@@ -119,6 +119,20 @@ class TestEvolveSlow:
         with pytest.raises(ValueError):
             _ = evolve_slow(BASIS16, 2.0, tau_max=0.1).lab_time
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            evolve_slow(BASIS16, 2.0, tau_max=0.5, n_samples=n_samples)
+
+    def test_sample_grid_is_exactly_the_requested_linspace(self):
+        sl = evolve_slow(BASIS16, 2.0, tau_max=0.7, n_samples=1500)
+        assert sl.alpha.shape == (1500, 16, 16) and sl.beta.shape == (1500, 16, 16)
+        npt.assert_array_equal(sl.tau, np.linspace(0.0, 0.7, 1500))
+        assert sl.tau[-1] == 0.7
+        a_ex, b_ex = exact_slow_solution(BASIS16, 2.0, 0.7)
+        npt.assert_allclose(sl.alpha_final, a_ex, atol=1e-12)
+        npt.assert_allclose(sl.beta_final, b_ex, atol=1e-12)
+
 
 class TestCrossSolver:
     def test_degenerate_resonance_matches_full_ode(self):
