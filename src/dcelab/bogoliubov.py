@@ -12,6 +12,12 @@ matrix, column n = mode that starts as a pure positive-frequency solution).
 Once the wall is static again, Q_k^(n) = (alpha_nk e^{-i omega_k t}
 + beta_nk e^{+i omega_k t}) / sqrt(2 omega_k) defines the Bogoliubov
 matrices; beta != 0 is particle creation.
+
+The system is linear with real coefficients. When the wall declares a
+period (harmonic drives do), whole periods are applied as powers of one
+monodromy matrix, the real 2N x 2N fundamental matrix over one period, so
+the cost no longer grows with the drive length; aperiodic walls are
+integrated directly.
 """
 
 from __future__ import annotations
@@ -92,6 +98,14 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None
                     dense_output=False):
     """Integrate the coupled-mode system over the driving window.
 
+    When traj.period is set and the driven part of the window spans more
+    than one period, the real 2N x 2N fundamental matrix is integrated over
+    one period only and whole periods are applied as powers of that
+    monodromy matrix M; only the remainder and the static tail are
+    integrated directly, so the cost no longer grows with the drive length.
+    M must be symplectic in the canonical variables (Q, field momentum) to
+    within 1e3 * rtol before it is powered.
+
     Parameters
     ----------
     spec : CavitySpec
@@ -103,11 +117,12 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None
     amps0 : ModeAmplitudes, optional
         Continue from a previous state instead of vacuum-matched data.
     dense_output : bool
-        Also return the solver's interpolant (for time series sampling).
+        Also return a callable y(t) on [amps0.t, t_final] (for time series
+        sampling): the stacked (Q, dQ/dt) state, raveled.
 
     Returns
     -------
-    ModeAmplitudes (and the OdeSolution if dense_output).
+    ModeAmplitudes (and the dense callable if dense_output).
     """
     N = spec.n_modes
     basis = ModeBasis.build(spec)
@@ -125,6 +140,8 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None
         raise ValueError("t_final precedes the initial state")
     if t_final == t0:
         return (amps0, None) if dense_output else amps0
+    if atol is None:
+        atol = rtol * 1e-2
 
     def slide(t):
         """Sliding-basis momentum shift: dQ/dt = Qdot + Rdot * M(R) Q."""
@@ -134,8 +151,9 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None
         return Rd / float(traj.position(t)) * Mhat
 
     def rhs(t, y):
-        Q = y[: N * N].reshape(N, N)
-        Qd = y[N * N:].reshape(N, N)
+        # any number of columns: (Q, dQ/dt) are the two halves of y, (N, m) each
+        Q = y[: y.size // 2].reshape(N, -1)
+        Qd = y[y.size // 2:].reshape(N, -1)
         R = traj.position(t)
         Rd = traj.velocity(t)
         Rdd = traj.acceleration(t)
@@ -148,27 +166,109 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None
                 + lam * lam * (Shat @ Q)
         return np.concatenate([Qd.ravel(), Qdd.ravel()])
 
-    Q0 = amps0.Q.astype(complex)
-    dQ0 = amps0.Qdot.astype(complex)
-    sh = slide(t0)
-    if sh is not None:
-        dQ0 = dQ0 + sh @ Q0  # field momentum -> dQ/dt on the moving side
-    y0 = np.concatenate([Q0.ravel(), dQ0.ravel()])
-    if atol is None:
-        atol = rtol * 1e-2
-    sol = solve_ivp(rhs, (t0, t_final), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense_output)
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    t_f = float(sol.t[-1])
-    Qf = yf[: N * N].reshape(N, N).copy()
-    dQf = yf[N * N:].reshape(N, N).copy()
-    sh = slide(t_f)
-    if sh is not None:
-        dQf = dQf - sh @ Qf  # back to field momentum
-    amps = ModeAmplitudes(t=t_f, Q=Qf, Qdot=dQf, R=float(traj.position(t_f)), spec=spec)
-    return (amps, sol.sol) if dense_output else amps
+    def solve(t_a, t_b, Y, dense):
+        """Integrate the stacked (Q; dQ/dt) block Y, shape (2N, m), over [t_a, t_b]."""
+        sol = solve_ivp(rhs, (t_a, t_b), Y.ravel(), method="DOP853", rtol=rtol,
+                        atol=atol, dense_output=dense)
+        if not sol.success:
+            raise RuntimeError(f"mode integration failed: {sol.message}")
+        return sol
+
+    def to_block(amps):
+        """Field momentum -> dQ/dt on the moving side, stacked under Q."""
+        Q = amps.Q.astype(complex)
+        dQ = amps.Qdot.astype(complex)
+        sh = slide(amps.t)
+        if sh is not None:
+            dQ = dQ + sh @ Q
+        return np.vstack([Q, dQ])
+
+    def to_amps(t, Y):
+        """Stacked (Q; dQ/dt) at t -> ModeAmplitudes with the field momentum."""
+        Q = Y[:N].copy()
+        dQ = Y[N:].copy()
+        sh = slide(t)
+        if sh is not None:
+            dQ = dQ - sh @ Q  # back to field momentum
+        return ModeAmplitudes(t=t, Q=Q, Qdot=dQ, R=float(traj.position(t)), spec=spec)
+
+    def direct(amps, t_b):
+        sol = solve(amps.t, t_b, to_block(amps), dense_output)
+        t_f = float(sol.t[-1])
+        return to_amps(t_f, sol.y[:, -1].reshape(2 * N, N)), sol.sol
+
+    T = traj.period
+    t_drive = float(min(t_final, traj.t_end))
+    if T is None or t0 < traj.t_start or t_drive - t0 <= T:
+        amps, dense = direct(amps0, t_final)
+        return (amps, dense) if dense_output else amps
+
+    # periodic drive: propagator over k T + s is Phi(t0 + s) M^k
+    _check_period(traj, t0, t_drive)
+    k = int((t_drive - t0) // T)
+    s = (t_drive - t0) - k * T
+    one = solve(t0, t0 + T, np.eye(2 * N), dense_output)
+    M = one.y[:, -1].reshape(2 * N, 2 * N)
+    _check_symplectic(M, slide(t0), rtol)
+    Y0 = to_block(amps0)
+    Y = np.linalg.matrix_power(M, k) @ Y0
+    if s > 0.0:
+        Y = solve(t0, t0 + s, Y, False).y[:, -1].reshape(2 * N, N)
+    amps = to_amps(t_drive, Y)
+    tail = None
+    if t_final > t_drive:
+        amps, tail = direct(amps, t_final)  # static tail past t_end
+    if not dense_output:
+        return amps
+
+    def dense(t):
+        if tail is not None and t > t_drive:
+            return tail(t)
+        j = min(int((t - t0) // T), k)
+        Phi = one.sol(t0 + (t - t0 - j * T)).reshape(2 * N, 2 * N)
+        return (Phi @ (np.linalg.matrix_power(M, j) @ Y0)).ravel()
+
+    return amps, dense
+
+
+def _check_period(traj, t_a, t_b, samples=16):
+    """Reject a declared period the law does not have on [t_a, t_b]."""
+    T = traj.period
+    # cell midpoints of [t_a, t_b - T]: t + T never rounds past t_b
+    t = t_a + (t_b - T - t_a) * (np.arange(samples) + 0.5) / samples
+    for name in ("position", "velocity", "acceleration"):
+        f = getattr(traj, name)
+        here, there = np.asarray(f(t), dtype=float), np.asarray(f(t + T), dtype=float)
+        scale = max(np.abs(here).max(), np.abs(there).max())
+        gap = np.abs(there - here).max()
+        if gap > 1e-8 * scale:
+            raise ValueError(
+                f"trajectory period {T:g} is not a period of its {name}: "
+                f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
+                "fix or drop WallTrajectory.period")
+
+
+def _check_symplectic(M, lam, rtol):
+    """M^T J M = J for the one-period matrix in canonical variables (Q, P).
+
+    M acts on (Q, dQ/dt); P = dQ/dt - lam Q with lam = (Rdot/R) Mhat at the
+    period's start, which recurs one period later, so the canonical matrix
+    is C M C^-1 with C = [[I, 0], [-lam, I]].
+    """
+    N = M.shape[0] // 2
+    Mc = M.copy()
+    if lam is not None:
+        Mc[N:] -= lam @ Mc[:N]      # C M
+        Mc[:, :N] += Mc[:, N:] @ lam  # (C M) C^-1
+    J = np.zeros_like(M)
+    J[:N, N:] = np.eye(N)
+    J[N:, :N] = -np.eye(N)
+    defect = float(np.abs(Mc.T @ J @ Mc - J).max())
+    bound = 1e3 * rtol
+    if defect > bound:
+        raise RuntimeError(
+            f"one-period monodromy matrix is not symplectic: |M^T J M - J| = "
+            f"{defect:.2e} > {bound:.2e} (1e3 * rtol); tighten rtol")
 
 
 def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:

@@ -27,7 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WallTrajectory:
-    """Wall position/velocity/acceleration as vectorized callables of time."""
+    """Wall position/velocity/acceleration as vectorized callables of time.
+
+    period, when set, declares that the law repeats with that period on
+    [t_start, t_end]; the coupled-mode solver then propagates whole periods
+    with one monodromy matrix.
+    """
 
     position: Callable
     velocity: Callable
@@ -35,10 +40,13 @@ class WallTrajectory:
     t_start: float
     t_end: float
     label: str = "custom"
+    period: float | None = None
 
     def __post_init__(self):
         if not self.t_end >= self.t_start:
             raise ValueError("t_end must be >= t_start")
+        if self.period is not None and not self.period > 0:
+            raise ValueError("period must be positive")
 
     def max_speed(self, samples=4096):
         t = np.linspace(self.t_start, self.t_end, samples)
@@ -96,7 +104,8 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
         inside = (t >= t_start) & (t <= t_end)
         return np.where(inside, -R0 * eps * Omega**2 * np.sin(Omega * (t - t_start)), 0.0)
 
-    traj = WallTrajectory(pos, vel, acc, t_start, t_end, label="harmonic")
+    traj = WallTrajectory(pos, vel, acc, t_start, t_end, label="harmonic",
+                          period=2.0 * np.pi / Omega)
     return _check_speed(traj, "harmonic_wall")
 
 
@@ -218,4 +227,5 @@ def reversed_trajectory(traj, t_start=None):
         inside = (t >= t_start) & (t <= t_end)
         return np.where(inside, traj.acceleration(off - np.clip(t, t_start, t_end)), 0.0)
 
-    return WallTrajectory(pos, vel, acc, t_start, t_end, label=f"{traj.label}-reversed")
+    return WallTrajectory(pos, vel, acc, t_start, t_end, label=f"{traj.label}-reversed",
+                          period=traj.period)

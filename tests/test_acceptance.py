@@ -246,3 +246,17 @@ def test_ac11_lab_frame_validates_branches():
     fid_rotate = np.abs(rotated[0]) ** 2  # the rotation only rephases vacuum
     assert fid_squeeze > 0.99, f"squeeze-branch fidelity {fid_squeeze:.4f}"
     assert fid_rotate > 0.99, f"rotation-branch fidelity {fid_rotate:.4f}"
+
+
+def test_ac12_long_drive_meets_the_slow_flow():
+    """At eps Omega t = 2 the slow flow is asymptotic: the coupled modes
+    must reproduce its dominant amplitudes |beta_11| and |beta_13|."""
+    eps, t_end = 1e-3, 1000.0
+    spec = CavitySpec(length=L0, n_modes=12)
+    ode = extract_bogoliubov(integrate_modes(
+        spec, harmonic_wall(L0, eps, 2.0, t_end=t_end), rtol=1e-9))
+    slow = evolve_slow(ModeBasis.build(spec), 2.0, eps=eps, tau_max=eps * t_end)
+    for n, k in ((0, 0), (0, 2)):
+        b_ode, b_msa = abs(ode.beta[n, k]), abs(slow.beta_final[n, k])
+        rel = abs(b_ode - b_msa) / b_msa
+        assert rel < 1e-2, f"slow-flow |beta_{n + 1}{k + 1}| deviation {rel:.2e}"

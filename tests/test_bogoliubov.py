@@ -4,22 +4,33 @@ The reference behaviours here are physics identities (no external numbers):
 a static wall produces the identity transformation, the per-row symplectic
 sum is conserved, photon number scales as the square of the drive amplitude,
 retracing the trajectory undoes the production at leading order, and
-resonant rows grow while detuned ones only dephase.
+resonant rows grow while detuned ones only dephase. Periodic walls are
+propagated with a one-period monodromy matrix; the same wall with its
+period dropped (direct integration) is the reference for that path.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dcelab.bogoliubov as bogoliubov
 from dcelab.bogoliubov import (
     extract_bogoliubov,
     initial_amplitudes,
     integrate_modes,
+    mode_snapshots,
     photon_spectrum,
     photon_time_series,
 )
 from dcelab.cavity import CavitySpec, thermal_occupation
-from dcelab.trajectories import harmonic_wall, reversed_trajectory, static_wall
+from dcelab.trajectories import (
+    WallTrajectory,
+    harmonic_wall,
+    reversed_trajectory,
+    static_wall,
+)
 
 
 SPEC12 = CavitySpec(length=np.pi, n_modes=12)
@@ -166,3 +177,91 @@ class TestValidation:
         traj = harmonic_wall(np.pi, 0.01, 2.0, 5.0)
         with pytest.raises(ValueError):
             photon_time_series(SPEC12, traj, np.array([2.0, 1.0]))
+
+
+@pytest.fixture
+def monodromy_solves(monkeypatch):
+    """Counts one-period matrices checked, i.e. periodic dispatches taken."""
+    calls = []
+    check = bogoliubov._check_symplectic
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return check(*args)
+    monkeypatch.setattr(bogoliubov, "_check_symplectic", counted)
+    return calls
+
+
+def _agree(periodic, direct, tol=1e-9):
+    npt.assert_allclose(periodic.Q, direct.Q, rtol=0.0, atol=tol)
+    npt.assert_allclose(extract_bogoliubov(periodic).beta,
+                        extract_bogoliubov(direct).beta, rtol=0.0, atol=tol)
+    assert periodic.t == direct.t
+
+
+class TestMonodromy:
+    SPEC = CavitySpec(length=np.pi, n_modes=8)
+
+    def both(self, traj, **kw):
+        return (integrate_modes(self.SPEC, traj, rtol=1e-11, **kw),
+                integrate_modes(self.SPEC, replace(traj, period=None), rtol=1e-11, **kw))
+
+    def test_several_periods_plus_remainder(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)  # 3 periods + 0.58
+        _agree(*self.both(traj))
+        assert monodromy_solves == [(16, 16)]
+
+    def test_late_start(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.02, 2.0, t_end=13.7, t_start=1.3)
+        _agree(*self.both(traj))
+        assert len(monodromy_solves) == 1
+
+    def test_state_starting_mid_window(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=15.0)
+        half = integrate_modes(self.SPEC, traj, rtol=1e-11, t_final=2.3)
+        _agree(*self.both(traj, amps0=half))
+        assert len(monodromy_solves) == 1
+
+    def test_static_tail_past_t_end(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.0 * np.pi)
+        _agree(*self.both(traj, t_final=3.0 * np.pi + 3.7))
+        assert len(monodromy_solves) == 1
+
+    def test_reversed_harmonic_wall(self, monodromy_solves):
+        fwd = harmonic_wall(np.pi, 0.01, 2.0, t_end=8.0)
+        a1 = integrate_modes(self.SPEC, fwd, rtol=1e-11)
+        _agree(*self.both(reversed_trajectory(fwd), amps0=a1))
+        assert len(monodromy_solves) == 2
+
+    def test_snapshots_on_and_off_period_boundaries(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0)
+        times = np.array([0.0, 0.7, np.pi, 4.0, 2.0 * np.pi, 3.0 * np.pi, 10.2,
+                          11.0, 12.5, 14.0])
+        periodic = mode_snapshots(self.SPEC, traj, times, rtol=1e-11)
+        direct = mode_snapshots(self.SPEC, replace(traj, period=None), times, rtol=1e-11)
+        assert len(monodromy_solves) == 1
+        for p, d in zip(periodic, direct):
+            _agree(p, d)
+            npt.assert_allclose(p.Qdot, d.Qdot, rtol=0.0, atol=1e-8)
+
+    def test_wrong_declared_period_rejected(self):
+        Omega = 2.0
+        good = harmonic_wall(np.pi, 0.01, Omega, t_end=20.0)
+        bad = WallTrajectory(good.position, good.velocity, good.acceleration,
+                             good.t_start, good.t_end, period=0.9 * 2.0 * np.pi / Omega)
+        with pytest.raises(ValueError, match="period"):
+            integrate_modes(self.SPEC, bad)
+
+    def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
+        solve_ivp = bogoliubov.solve_ivp
+        dim = 2 * self.SPEC.n_modes
+
+        def corrupted(*args, **kw):
+            sol = solve_ivp(*args, **kw)
+            if args[2].size == dim * dim:  # the fundamental-matrix solve
+                sol.y[0, -1] += 1e-4
+            return sol
+        monkeypatch.setattr(bogoliubov, "solve_ivp", corrupted)
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
+        with pytest.raises(RuntimeError, match="symplectic.*tighten rtol"):
+            integrate_modes(self.SPEC, traj, rtol=1e-9)

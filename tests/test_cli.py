@@ -326,6 +326,19 @@ class TestGateRun:
         assert 0.97 < pur < 1.0
 
 
+    def test_thread_count_does_not_change_open_gate_bytes(self, tmp_path):
+        doc = {"gate": {"r": 0.3, "p_z": [0.2, 0.7], "n_max": 12,
+                        "rates": {"tau_q": 2.0e5, "tau_r": 2.0e5,
+                                  "tau_phi": 1.0e4, "temperature_mK": 60.0}}}
+        cfg = write_cfg(tmp_path, doc)
+        blobs = []
+        for name, threads in (("s", "1"), ("p", "2")):
+            assert main(["gate", "--config", str(cfg), "--out",
+                         str(tmp_path / name), "--threads", threads]) == 0
+            blobs.append((tmp_path / name / "gate_fidelity.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 class TestCrosscheckRun:
     DOC = {"cavity": {"length": 3.141592653589793, "n_modes": 16},
            "trajectory": {"type": "harmonic", "epsilon": 0.01,

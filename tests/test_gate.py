@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import dcelab.gate as gate
 from dcelab.gate import (
     EncodedPair,
     GateParams,
@@ -443,6 +444,36 @@ class TestLabFrameValidation:
         vac[0] = 1.0
         out = lab_frame_branch(p, 0, vac, rtol=1e-9)
         assert np.abs(out[0]) ** 2 > 0.99
+
+    def test_one_period_propagator_matches_direct_integral(self, monkeypatch):
+        # 2 ns is 23 periods pi/omega_1 plus a remainder; dropping the period
+        # integrates the same branch directly
+        p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
+        rng = np.random.default_rng(3)
+        psi0 = np.zeros(17, dtype=complex)
+        psi0[:6] = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi0 /= np.linalg.norm(psi0)
+        periodic = lab_frame_branch(p, 1, psi0, rtol=1e-11)
+        monkeypatch.setattr(gate, "_lab_frame_period", lambda params, level: None)
+        direct = lab_frame_branch(p, 1, psi0, rtol=1e-11)
+        assert np.abs(periodic - direct).max() < 1e-9
+        assert np.abs(periodic - psi0).max() > 5e-3  # the drive did act
+
+    def test_non_unitary_period_propagator_rejected(self, monkeypatch):
+        p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
+        solve_ivp = gate.solve_ivp
+        dim = p.n_max + 1
+
+        def corrupted(*args, **kw):
+            sol = solve_ivp(*args, **kw)
+            if args[2].size == 2 * dim * dim:  # the one-period propagator
+                sol.y[0, -1] += 1e-4
+            return sol
+        monkeypatch.setattr(gate, "solve_ivp", corrupted)
+        vac = np.zeros(dim, dtype=complex)
+        vac[0] = 1.0
+        with pytest.raises(RuntimeError, match="unitary.*tighten rtol"):
+            lab_frame_branch(p, 1, vac, rtol=1e-9)
 
     def test_stark_correction_sign(self):
         # in its own rotating frame the |0> branch accumulates the residual

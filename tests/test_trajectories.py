@@ -56,6 +56,18 @@ class TestHarmonicWall:
         npt.assert_allclose(w.velocity(0.0), eps * Om * R0, rtol=1e-14)
         npt.assert_allclose(w.velocity(te), eps * Om * R0 * np.cos(Om * te), rtol=1e-13)
 
+    def test_declares_its_period(self):
+        w = harmonic_wall(np.pi, 0.01, 2.5, t_end=9.0, t_start=0.4)
+        assert w.period == 2.0 * np.pi / 2.5
+        assert reversed_trajectory(w).period == w.period
+        assert quintic_wall(1.0, 0.1, 2.0).period is None
+
+    def test_nonpositive_period_rejected(self):
+        w = harmonic_wall(1.0, 0.01, 2.0, t_end=5.0)
+        for bad in (0.0, -np.pi):
+            with pytest.raises(ValueError, match="period"):
+                WallTrajectory(w.position, w.velocity, w.acceleration, 0.0, 5.0, period=bad)
+
     def test_derivatives_consistent(self):
         w = harmonic_wall(1.3, 0.04, 2.7, t_end=9.0)
         for t in [0.7, 2.2, 5.9]:
