@@ -13,11 +13,13 @@ Once the wall is static again, Q_k^(n) = (alpha_nk e^{-i omega_k t}
 + beta_nk e^{+i omega_k t}) / sqrt(2 omega_k) defines the Bogoliubov
 matrices; beta != 0 is particle creation.
 
-The system is linear with real coefficients. When the wall declares a
-period (harmonic drives do), whole periods are applied as powers of one
-monodromy matrix, the real 2N x 2N fundamental matrix over one period, so
-the cost no longer grows with the drive length; aperiodic walls are
-integrated directly.
+While the wall rests (outside [t_start, t_end]) the generator is constant
+and each mode just rotates at omega_k, so those epochs are applied exactly
+and the ODE runs only while the wall moves. The system is linear with real
+coefficients: when the wall declares a period (harmonic drives do), whole
+periods are applied as powers of one monodromy matrix, the real 2N x 2N
+fundamental matrix over one period, so the cost no longer grows with the
+drive length; aperiodic walls are integrated directly.
 """
 
 from __future__ import annotations
@@ -84,151 +86,163 @@ class BogoliubovMatrices:
 
 def initial_amplitudes(spec: CavitySpec, R0=None, t0=0.0):
     """Positive-frequency data at time t0: Q_k^(n) = delta_nk e^{-i omega_k t0}/sqrt(2 omega_k)."""
-    basis = ModeBasis.build(spec)
-    omega = basis.omega if R0 is None else basis.omega_at(R0)
-    ph = np.exp(-1j * omega * t0)
-    Q = np.diag(ph / np.sqrt(2.0 * omega))
-    Qdot = np.diag(-1j * omega * ph / np.sqrt(2.0 * omega))
-    return ModeAmplitudes(t=float(t0), Q=Q, Qdot=Qdot,
-                          R=spec.length if R0 is None else R0, spec=spec)
+    N = spec.n_modes
+    return _at_rest(spec, spec.length if R0 is None else R0, t0, np.eye(N), np.zeros((N, N)))
 
 
-def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9, atol=None,
+def _at_rest(spec, R, t, alpha, beta):
+    """Mode amplitudes at t of the field with Bogoliubov matrices (alpha, beta)
+    while the wall rests at R: each mode rotates freely at omega_k(R).
+
+    This is the exact solution of the coupled-mode system for a static wall
+    and the inverse of extract_bogoliubov; the vacuum is alpha = 1, beta = 0.
+    """
+    omega = ModeBasis.build(spec).omega_at(R)[:, None]
+    ph = np.exp(-1j * omega * t)
+    pos = alpha.T * ph
+    neg = beta.T * np.conj(ph)
+    w = np.sqrt(2.0 * omega)
+    return ModeAmplitudes(t=float(t), Q=(pos + neg) / w, Qdot=-1j * omega * (pos - neg) / w,
+                          R=R, spec=spec)
+
+
+def _rotated(amps, t):
+    """amps carried to time t while the wall rests at amps.R."""
+    if t == amps.t:
+        return amps
+    bog = extract_bogoliubov(amps)
+    return _at_rest(amps.spec, amps.R, t, bog.alpha, bog.beta)
+
+
+def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
                     amps0: ModeAmplitudes | None = None, t_final=None,
                     dense_output=False):
-    """Integrate the coupled-mode system over the driving window.
+    """Evolve the mode amplitudes from amps0.t to t_final.
 
-    When traj.period is set and the driven part of the window spans more
-    than one period, the real 2N x 2N fundamental matrix is integrated over
-    one period only and whole periods are applied as powers of that
-    monodromy matrix M; only the remainder and the static tail are
-    integrated directly, so the cost no longer grows with the drive length.
-    M must be symplectic in the canonical variables (Q, field momentum) to
-    within 1e3 * rtol before it is powered.
+    The wall moves only on [traj.t_start, traj.t_end]. Outside that window
+    every mode rotates freely and the rotation is applied exactly; the
+    coupled-mode ODE runs only on the part of the window inside [amps0.t,
+    t_final]. Across each window edge the state is handed over as the field
+    momentum, converted with the velocity on the moving side, so a sudden
+    start or stop of the drive keeps the field continuous.
 
     Parameters
     ----------
     spec : CavitySpec
     traj : WallTrajectory
-        Must be static at the start; integration runs from traj.t_start to
-        t_final (default traj.t_end).
     rtol : float
-        Relative tolerance passed to the DOP853 integrator.
+        Relative tolerance of the DOP853 integrator (absolute: 1e-2 * rtol).
     amps0 : ModeAmplitudes, optional
-        Continue from a previous state instead of vacuum-matched data.
+        Initial state; defaults to vacuum-matched data at traj.t_start.
+    t_final : float, optional
+        Defaults to traj.t_end.
     dense_output : bool
-        Also return a callable y(t) on [amps0.t, t_final] (for time series
-        sampling): the stacked (Q, dQ/dt) state, raveled.
+        Also return a callable giving the ModeAmplitudes at any time in
+        [amps0.t, t_final] (for time series sampling).
 
     Returns
     -------
     ModeAmplitudes (and the dense callable if dense_output).
+    """
+    if t_final is None:
+        t_final = traj.t_end
+    if amps0 is None:
+        R_initial = float(traj.position(traj.t_start))
+        amps0 = initial_amplitudes(spec, R0=R_initial, t0=traj.t_start)
+    if t_final < amps0.t:
+        raise ValueError("t_final precedes the initial state")
+    t_a, t_b = max(amps0.t, traj.t_start), min(t_final, traj.t_end)
+    end = amps0
+    if t_b > t_a:
+        end, moving = _drive(spec, traj, _rotated(amps0, t_a), t_b, rtol, dense_output)
+    amps = _rotated(end, t_final)
+    if not dense_output:
+        return amps
+
+    def dense(t):
+        if t >= end.t:
+            return _rotated(end, t)
+        if t <= t_a:
+            return _rotated(amps0, t)
+        return moving(t)
+
+    return amps, dense
+
+
+def _drive(spec, traj, amps0, t_b, rtol, dense_output):
+    """Integrate the coupled-mode ODE from amps0.t to t_b inside the motion window.
+
+    Returns the ModeAmplitudes at t_b and, with dense_output, a callable
+    giving them at any time in between. When traj.period is set and the
+    span exceeds one period, the real 2N x 2N fundamental matrix is
+    integrated over one period only and whole periods are applied as powers
+    of that monodromy matrix M, so the cost no longer grows with the drive
+    length; M must be symplectic in the canonical variables (Q, field
+    momentum) to within 1e3 * rtol before it is powered.
     """
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     khat = np.arange(1, N + 1) * np.pi  # omega_k(R) = khat / R
     Mhat = basis.M * basis.R0           # M(R) = Mhat / R
     Shat = Mhat.T @ Mhat                # S(R) = Shat / R^2
-
-    if t_final is None:
-        t_final = traj.t_end
-    if amps0 is None:
-        R_initial = float(traj.position(traj.t_start))
-        amps0 = initial_amplitudes(spec, R0=R_initial, t0=traj.t_start)
-    t0 = amps0.t
-    if t_final < t0:
-        raise ValueError("t_final precedes the initial state")
-    if t_final == t0:
-        return (amps0, None) if dense_output else amps0
-    if atol is None:
-        atol = rtol * 1e-2
+    t_a = amps0.t
 
     def slide(t):
-        """Sliding-basis momentum shift: dQ/dt = Qdot + Rdot * M(R) Q."""
-        Rd = float(traj.velocity(t))
-        if Rd == 0.0:
-            return None
-        return Rd / float(traj.position(t)) * Mhat
+        """Sliding-basis momentum shift: dQ/dt = Qdot + slide(t) @ Q, slide = Rdot M(R)."""
+        return float(traj.velocity(t)) / float(traj.position(t)) * Mhat
 
     def rhs(t, y):
         # any number of columns: (Q, dQ/dt) are the two halves of y, (N, m) each
-        Q = y[: y.size // 2].reshape(N, -1)
-        Qd = y[y.size // 2:].reshape(N, -1)
+        Q, Qd = y.reshape(2, N, -1)
         R = traj.position(t)
         Rd = traj.velocity(t)
         Rdd = traj.acceleration(t)
         om2 = (khat / R) ** 2
-        Qdd = -om2[:, None] * Q
-        if Rd != 0.0 or Rdd != 0.0:
-            lam = Rd / R
-            # lam_dot multiplies Mhat@Q: d/dt (Rdot/R) = Rddot/R - (Rdot/R)^2
-            Qdd = Qdd + 2.0 * lam * (Mhat @ Qd) + (Rdd / R - lam * lam) * (Mhat @ Q) \
-                + lam * lam * (Shat @ Q)
+        lam = Rd / R
+        # lam_dot multiplies Mhat@Q: d/dt (Rdot/R) = Rddot/R - (Rdot/R)^2
+        Qdd = -om2[:, None] * Q + 2.0 * lam * (Mhat @ Qd) \
+            + (Rdd / R - lam * lam) * (Mhat @ Q) + lam * lam * (Shat @ Q)
         return np.concatenate([Qd.ravel(), Qdd.ravel()])
 
     def solve(t_a, t_b, Y, dense):
         """Integrate the stacked (Q; dQ/dt) block Y, shape (2N, m), over [t_a, t_b]."""
         sol = solve_ivp(rhs, (t_a, t_b), Y.ravel(), method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=dense)
+                        atol=1e-2 * rtol, dense_output=dense)
         if not sol.success:
             raise RuntimeError(f"mode integration failed: {sol.message}")
         return sol
 
-    def to_block(amps):
-        """Field momentum -> dQ/dt on the moving side, stacked under Q."""
-        Q = amps.Q.astype(complex)
-        dQ = amps.Qdot.astype(complex)
-        sh = slide(amps.t)
-        if sh is not None:
-            dQ = dQ + sh @ Q
-        return np.vstack([Q, dQ])
-
     def to_amps(t, Y):
         """Stacked (Q; dQ/dt) at t -> ModeAmplitudes with the field momentum."""
-        Q = Y[:N].copy()
-        dQ = Y[N:].copy()
-        sh = slide(t)
-        if sh is not None:
-            dQ = dQ - sh @ Q  # back to field momentum
-        return ModeAmplitudes(t=t, Q=Q, Qdot=dQ, R=float(traj.position(t)), spec=spec)
+        Q, dQ = Y.reshape(2, N, N)
+        return ModeAmplitudes(t=t, Q=Q.copy(), Qdot=dQ - slide(t) @ Q,
+                              R=float(traj.position(t)), spec=spec)
 
-    def direct(amps, t_b):
-        sol = solve(amps.t, t_b, to_block(amps), dense_output)
-        t_f = float(sol.t[-1])
-        return to_amps(t_f, sol.y[:, -1].reshape(2 * N, N)), sol.sol
-
+    # field momentum -> dQ/dt on the moving side
+    Q0 = amps0.Q.astype(complex)
+    Y0 = np.vstack([Q0, amps0.Qdot + slide(t_a) @ Q0])
     T = traj.period
-    t_drive = float(min(t_final, traj.t_end))
-    if T is None or t0 < traj.t_start or t_drive - t0 <= T:
-        amps, dense = direct(amps0, t_final)
-        return (amps, dense) if dense_output else amps
+    if T is None or t_b - t_a <= T:
+        sol = solve(t_a, t_b, Y0, dense_output)
+        return to_amps(float(t_b), sol.y[:, -1]), lambda t: to_amps(t, sol.sol(t))
 
-    # periodic drive: propagator over k T + s is Phi(t0 + s) M^k
-    _check_period(traj, t0, t_drive)
-    k = int((t_drive - t0) // T)
-    s = (t_drive - t0) - k * T
-    one = solve(t0, t0 + T, np.eye(2 * N), dense_output)
+    # periodic drive: propagator over k T + s is Phi(t_a + s) M^k
+    _check_period(traj, t_a, t_b)
+    k = int((t_b - t_a) // T)
+    s = (t_b - t_a) - k * T
+    one = solve(t_a, t_a + T, np.eye(2 * N), dense_output)
     M = one.y[:, -1].reshape(2 * N, 2 * N)
-    _check_symplectic(M, slide(t0), rtol)
-    Y0 = to_block(amps0)
+    _check_symplectic(M, slide(t_a), rtol)
     Y = np.linalg.matrix_power(M, k) @ Y0
     if s > 0.0:
-        Y = solve(t0, t0 + s, Y, False).y[:, -1].reshape(2 * N, N)
-    amps = to_amps(t_drive, Y)
-    tail = None
-    if t_final > t_drive:
-        amps, tail = direct(amps, t_final)  # static tail past t_end
-    if not dense_output:
-        return amps
+        Y = solve(t_a, t_a + s, Y, False).y[:, -1]
 
-    def dense(t):
-        if tail is not None and t > t_drive:
-            return tail(t)
-        j = min(int((t - t0) // T), k)
-        Phi = one.sol(t0 + (t - t0 - j * T)).reshape(2 * N, 2 * N)
-        return (Phi @ (np.linalg.matrix_power(M, j) @ Y0)).ravel()
+    def moving(t):
+        j = min(int((t - t_a) // T), k)
+        Phi = one.sol(t_a + (t - t_a - j * T)).reshape(2 * N, 2 * N)
+        return to_amps(t, Phi @ (np.linalg.matrix_power(M, j) @ Y0))
 
-    return amps, dense
+    return to_amps(float(t_b), Y), moving
 
 
 def _check_period(traj, t_a, t_b, samples=16):
@@ -257,12 +271,9 @@ def _check_symplectic(M, lam, rtol):
     """
     N = M.shape[0] // 2
     Mc = M.copy()
-    if lam is not None:
-        Mc[N:] -= lam @ Mc[:N]      # C M
-        Mc[:, :N] += Mc[:, N:] @ lam  # (C M) C^-1
-    J = np.zeros_like(M)
-    J[:N, N:] = np.eye(N)
-    J[N:, :N] = -np.eye(N)
+    Mc[N:] -= lam @ Mc[:N]      # C M
+    Mc[:, :N] += Mc[:, N:] @ lam  # (C M) C^-1
+    J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
     defect = float(np.abs(Mc.T @ J @ Mc - J).max())
     bound = 1e3 * rtol
     if defect > bound:
@@ -309,36 +320,20 @@ def photon_spectrum(bog: BogoliubovMatrices, n_in=None):
 def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9):
     """ModeAmplitudes at each requested time from one dense integration.
 
-    Samples before traj.t_start (or an entirely static trajectory) return
-    the free evolution of the initial conditions; samples past the end of
-    the integration window are clamped to the final state.
+    The field starts in the vacuum at the earlier of times[0] and
+    traj.t_start; integrate_modes gives every sample, rotating it exactly
+    wherever the wall rests.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted")
-    t_final = float(times[-1])
-    amps, dense = integrate_modes(spec, traj, rtol=rtol, t_final=max(t_final, traj.t_start),
-                                  dense_output=True)
-    N = spec.n_modes
-    Mhat = ModeBasis.build(spec).M * spec.length
-    snaps = []
-    for t in times:
-        if dense is None or t <= traj.t_start:
-            snap = initial_amplitudes(spec, R0=float(traj.position(traj.t_start)), t0=float(t))
-        else:
-            ts = float(min(t, amps.t))
-            y = dense(ts)
-            Q = y[: N * N].reshape(N, N)
-            dQ = y[N * N:].reshape(N, N)
-            Rd = float(traj.velocity(ts))
-            if Rd != 0.0:
-                # dQ/dt -> expansion of the field's time derivative
-                dQ = dQ - (Rd / float(traj.position(ts))) * (Mhat @ Q)
-            snap = ModeAmplitudes(t=ts, Q=Q, Qdot=dQ, R=float(traj.position(ts)), spec=spec)
-        snaps.append(snap)
-    return snaps
+    t0 = min(float(times[0]), traj.t_start)
+    amps0 = initial_amplitudes(spec, R0=float(traj.position(t0)), t0=t0)
+    _, dense = integrate_modes(spec, traj, rtol=rtol, amps0=amps0,
+                               t_final=float(times[-1]), dense_output=True)
+    return [dense(float(t)) for t in times]
 
 
 def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9,

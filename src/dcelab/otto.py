@@ -104,9 +104,8 @@ class CycleSpec:
     """One Otto cycle: geometry, baths, stroke duration and wall shape.
 
     beta_A (cold) thermalizes at length L0, beta_C (hot) at L1 = L0(1-eps).
-    delta/delta_dot default to the quintic ramp; a custom delta without an
-    analytic derivative gets a central finite difference (the friction
-    quadrature only needs ~1e-8 relative accuracy from it).
+    delta and delta_dot, callables of (t, tau), are given together; both
+    default to the quintic ramp.
     """
 
     L0: float
@@ -135,23 +134,15 @@ class CycleSpec:
             d1 = float(self.delta(self.tau, self.tau))
             if abs(d0) > 1e-8 or abs(d1 - 1.0) > 1e-8:
                 raise ValueError("delta must ramp from 0 at t=0 to 1 at t=tau")
+        if (self.delta is None) != (self.delta_dot is None):
+            raise ValueError("give delta and delta_dot together, or neither "
+                             "for the quintic ramp")
 
     def shape(self):
         """(delta, delta_dot) callables, filling in defaults."""
         if self.delta is None:
             return quintic_trajectory, quintic_trajectory_dot
-        if self.delta_dot is not None:
-            return self.delta, self.delta_dot
-        h = 1e-6 * self.tau
-        tau = self.tau
-
-        def fd(t, _tau):
-            hi = np.minimum(np.asarray(t, dtype=float) + h, tau)
-            lo = np.maximum(hi - 2.0 * h, 0.0)
-            hi = lo + 2.0 * h
-            return (self.delta(hi, tau) - self.delta(lo, tau)) / (2.0 * h)
-
-        return self.delta, fd
+        return self.delta, self.delta_dot
 
     @property
     def L1(self):
@@ -269,14 +260,14 @@ def friction_energy(spec: CycleSpec, beta, check_convergence=False):
 
 def _friction_energy(spec: CycleSpec, beta):
     omega, nbar, pref, pair, scatter = _kernel_weights(spec, beta)
-    a_sum = omega[:, None] + omega[None, :]
-    a_dif = np.abs(omega[:, None] - omega[None, :])
-    a_all = np.unique(np.concatenate([2.0 * omega, a_sum.ravel(), a_dif.ravel()]))
-    C2 = np.abs(velocity_transform(spec, a_all)) ** 2
-    c2_sq = C2[np.searchsorted(a_all, 2.0 * omega)]
-    c2_sum = C2[np.searchsorted(a_all, a_sum)]
-    c2_dif = C2[np.searchsorted(a_all, a_dif)]
-    off = ~np.eye(spec.n_modes, dtype=bool)
+    # every frequency is m pi / L0 with m = 2k, j + k or |j - k|
+    n = spec.n_modes
+    C2 = np.abs(velocity_transform(spec, np.arange(2 * n + 1) * np.pi / spec.L0)) ** 2
+    j = np.arange(1, n + 1)
+    c2_sq = C2[2 * j]
+    c2_sum = C2[j[:, None] + j[None, :]]
+    c2_dif = C2[np.abs(j[:, None] - j[None, :])]
+    off = ~np.eye(n, dtype=bool)
     per_k = pref * (2.0 * nbar + 1.0) * c2_sq
     per_k = per_k + np.sum((pair * c2_sum + scatter * c2_dif) * off, axis=0)
     return 0.25 * spec.eps**2 * np.sum(omega * per_k)

@@ -1,8 +1,9 @@
 """Wall trajectories R(t) with analytic derivatives.
 
-Trajectories are static outside [t_start, t_end]; the factories clamp the
-law accordingly so solvers can extract asymptotic quantities at any time
-past t_end. Velocities must stay subluminal (|Rdot| < 1) for the conformal
+Trajectories are static outside [t_start, t_end]: every factory states only
+its law on that window, and one constructor clamps the position and zeroes
+velocity and acceleration outside it, so solvers can treat any time outside
+the window as a wall at rest. Velocities must stay subluminal (|Rdot| < 1) for the conformal
 solver to be well posed; the factories enforce it at construction.
 """
 
@@ -53,12 +54,30 @@ class WallTrajectory:
         return float(np.max(np.abs(self.velocity(t)))) if samples else 0.0
 
 
-def _check_speed(traj, where):
+def _windowed(pos, vel, acc, t_start, t_end, label, period=None):
+    """WallTrajectory that follows the law (pos, vel, acc) on [t_start, t_end].
+
+    Outside the window the wall rests: the position is clamped to the
+    window and velocity and acceleration are zero. Both edges belong to the
+    window, so they report the moving-side values that solvers use to hand
+    momenta across a sudden start or stop. Superluminal laws are rejected.
+    """
+
+    def position(t):
+        return pos(np.clip(np.asarray(t, dtype=float), t_start, t_end))
+
+    def moving(f):
+        def g(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t >= t_start) & (t <= t_end), f(t), 0.0)
+        return g
+
+    traj = WallTrajectory(position, moving(vel), moving(acc), t_start, t_end,
+                          label=label, period=period)
     v = traj.max_speed()
     if v >= 1.0:
         raise ValueError(
-            f"{where}: wall speed reaches |Rdot| = {v:.3g} >= 1 (superluminal)"
-        )
+            f"{label} wall: speed reaches |Rdot| = {v:.3g} >= 1 (superluminal)")
     return traj
 
 
@@ -67,13 +86,10 @@ def static_wall(R0):
     if R0 <= 0:
         raise ValueError("R0 must be positive")
 
-    def pos(t):
-        return R0 + 0.0 * np.asarray(t, dtype=float)
-
     def zero(t):
-        return 0.0 * np.asarray(t, dtype=float)
+        return 0.0 * t
 
-    return WallTrajectory(pos, zero, zero, 0.0, 0.0, label="static")
+    return _windowed(lambda t: R0 + zero(t), zero, zero, 0.0, 0.0, "static")
 
 
 def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
@@ -90,23 +106,10 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
     if abs(eps) >= 1:
         raise ValueError("|eps| must be < 1")
 
-    def pos(t):
-        tc = np.clip(np.asarray(t, dtype=float), t_start, t_end)
-        return R0 * (1.0 + eps * np.sin(Omega * (tc - t_start)))
-
-    def vel(t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, R0 * eps * Omega * np.cos(Omega * (t - t_start)), 0.0)
-
-    def acc(t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, -R0 * eps * Omega**2 * np.sin(Omega * (t - t_start)), 0.0)
-
-    traj = WallTrajectory(pos, vel, acc, t_start, t_end, label="harmonic",
-                          period=2.0 * np.pi / Omega)
-    return _check_speed(traj, "harmonic_wall")
+    return _windowed(lambda t: R0 * (1.0 + eps * np.sin(Omega * (t - t_start))),
+                     lambda t: R0 * eps * Omega * np.cos(Omega * (t - t_start)),
+                     lambda t: -R0 * eps * Omega**2 * np.sin(Omega * (t - t_start)),
+                     t_start, t_end, "harmonic", period=2.0 * np.pi / Omega)
 
 
 def quintic_ramp(s):
@@ -139,26 +142,11 @@ def quintic_wall(L0, eps, tau, t_start=0.0):
         raise ValueError("tau must be positive")
     if not -1.0 < eps < 1.0:
         raise ValueError("|eps| must be < 1")
-    t_end = t_start + tau
 
-    def pos(t):
-        s = np.clip((np.asarray(t, dtype=float) - t_start) / tau, 0.0, 1.0)
-        return L0 * (1.0 - eps * quintic_ramp(s))
-
-    def vel(t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - t_start) / tau, 0.0, 1.0)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, -L0 * eps * quintic_ramp_dot(s) / tau, 0.0)
-
-    def acc(t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - t_start) / tau, 0.0, 1.0)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, -L0 * eps * _quintic_ramp_ddot(s) / tau**2, 0.0)
-
-    traj = WallTrajectory(pos, vel, acc, t_start, t_end, label="quintic")
-    return _check_speed(traj, "quintic_wall")
+    return _windowed(lambda t: L0 * (1.0 - eps * quintic_ramp((t - t_start) / tau)),
+                     lambda t: -L0 * eps * quintic_ramp_dot((t - t_start) / tau) / tau,
+                     lambda t: -L0 * eps * _quintic_ramp_ddot((t - t_start) / tau) / tau**2,
+                     t_start, t_start + tau, "quintic")
 
 
 def tabulated_wall(t, R, k=5):
@@ -178,26 +166,8 @@ def tabulated_wall(t, R, k=5):
     if np.any(R <= 0):
         raise ValueError("wall positions must be positive")
     spl = make_interp_spline(t, R, k=k)
-    d1 = spl.derivative(1)
-    d2 = spl.derivative(2)
-    t0, t1 = float(t[0]), float(t[-1])
-
-    def pos(tt):
-        tc = np.clip(np.asarray(tt, dtype=float), t0, t1)
-        return spl(tc)
-
-    def vel(tt):
-        tt = np.asarray(tt, dtype=float)
-        inside = (tt >= t0) & (tt <= t1)
-        return np.where(inside, d1(np.clip(tt, t0, t1)), 0.0)
-
-    def acc(tt):
-        tt = np.asarray(tt, dtype=float)
-        inside = (tt >= t0) & (tt <= t1)
-        return np.where(inside, d2(np.clip(tt, t0, t1)), 0.0)
-
-    traj = WallTrajectory(pos, vel, acc, t0, t1, label="tabulated")
-    return _check_speed(traj, "tabulated_wall")
+    return _windowed(spl, spl.derivative(1), spl.derivative(2),
+                     float(t[0]), float(t[-1]), "tabulated")
 
 
 def reversed_trajectory(traj, t_start=None):
@@ -208,24 +178,10 @@ def reversed_trajectory(traj, t_start=None):
     """
     if t_start is None:
         t_start = traj.t_end
-    span = traj.t_end - traj.t_start
-    t_end = t_start + span
     # mirror: t in [t_start, t_end] maps to traj.t_end - (t - t_start)
     off = traj.t_end + t_start
-
-    def pos(t):
-        tc = np.clip(np.asarray(t, dtype=float), t_start, t_end)
-        return traj.position(off - tc)
-
-    def vel(t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, -traj.velocity(off - np.clip(t, t_start, t_end)), 0.0)
-
-    def acc(t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= t_start) & (t <= t_end)
-        return np.where(inside, traj.acceleration(off - np.clip(t, t_start, t_end)), 0.0)
-
-    return WallTrajectory(pos, vel, acc, t_start, t_end, label=f"{traj.label}-reversed",
-                          period=traj.period)
+    return _windowed(lambda t: traj.position(off - t),
+                     lambda t: -traj.velocity(off - t),
+                     lambda t: traj.acceleration(off - t),
+                     t_start, t_start + (traj.t_end - traj.t_start),
+                     f"{traj.label}-reversed", period=traj.period)

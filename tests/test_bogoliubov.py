@@ -28,6 +28,7 @@ from dcelab.cavity import CavitySpec, thermal_occupation
 from dcelab.trajectories import (
     WallTrajectory,
     harmonic_wall,
+    quintic_wall,
     reversed_trajectory,
     static_wall,
 )
@@ -265,3 +266,58 @@ class TestMonodromy:
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
         with pytest.raises(RuntimeError, match="symplectic.*tighten rtol"):
             integrate_modes(self.SPEC, traj, rtol=1e-9)
+
+
+@pytest.fixture
+def ode_spans(monkeypatch):
+    """Records the time span of every ODE solve."""
+    spans = []
+    solve_ivp = bogoliubov.solve_ivp
+
+    def spy(fun, t_span, *args, **kw):
+        spans.append(tuple(t_span))
+        return solve_ivp(fun, t_span, *args, **kw)
+    monkeypatch.setattr(bogoliubov, "solve_ivp", spy)
+    return spans
+
+
+class TestMotionWindow:
+    """The ODE runs only while the wall moves; static epochs rotate exactly."""
+
+    SPEC = CavitySpec(length=np.pi, n_modes=8)
+
+    @staticmethod
+    def inside(spans, traj):
+        assert spans
+        for a, b in spans:
+            assert traj.t_start <= min(a, b) and max(a, b) <= traj.t_end
+
+    def test_static_wall_makes_no_ode_call(self, ode_spans):
+        amps = integrate_modes(CavitySpec(length=np.pi, n_modes=20), static_wall(np.pi),
+                               t_final=50.0)
+        assert ode_spans == [] and amps.t == 50.0
+        bog = extract_bogoliubov(amps)
+        npt.assert_allclose(bog.alpha, np.eye(20), rtol=0.0, atol=1e-13)
+        npt.assert_allclose(bog.beta, 0.0, rtol=0.0, atol=1e-13)
+
+    def test_tail_past_t_end(self, ode_spans):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.0 * np.pi)
+        times = traj.t_end + np.array([0.0, 0.5, 3.7, 20.0])
+        snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-10)
+        self.inside(ode_spans, traj)
+        # once the wall is static again |beta| is a constant of motion
+        b = [np.abs(extract_bogoliubov(a).beta) for a in snaps]
+        assert np.abs(b - b[0]).max() < 1e-12 and b[0].max() > 0.04
+        for t, a in zip(times, snaps):
+            assert a.t == t
+            end = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=t)
+            npt.assert_allclose(end.Q, a.Q, rtol=0.0, atol=1e-13)
+
+    def test_state_handed_in_before_t_start(self, ode_spans):
+        traj = quintic_wall(np.pi, 0.1, 3.0, t_start=2.0)
+        amps0 = initial_amplitudes(self.SPEC, t0=0.5)
+        amps = integrate_modes(self.SPEC, traj, rtol=1e-10, amps0=amps0, t_final=7.0)
+        self.inside(ode_spans, traj)
+        late = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=7.0)
+        npt.assert_allclose(amps.Q, late.Q, rtol=0.0, atol=1e-12)
+        npt.assert_allclose(amps.Qdot, late.Qdot, rtol=0.0, atol=1e-12)

@@ -400,6 +400,23 @@ class TestOpenEvolve:
         out = open_evolve(rho, p, rates, p.t_gate)
         assert np.max(np.abs(out - expected)) < 1e-12
 
+    def test_independent_of_the_global_random_stream(self):
+        # the sparse exponential estimates a matrix 1-norm with random sign
+        # vectors drawn from np.random; the --threads byte identity of the
+        # gate tables rests on the result not depending on that stream
+        p = default_cqed_params(n_max=16)
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 16)).ravel()
+        rho = np.outer(psi, psi.conj())
+        outs = set()
+        state = np.random.get_state()
+        try:
+            for seed in (0, 1, 2, 3, 12345, 2**32 - 1):
+                np.random.seed(seed)
+                outs.add(open_evolve(rho, p, OpenRates.typical(), p.t_gate).tobytes())
+        finally:
+            np.random.set_state(state)
+        assert len(outs) == 1
+
     def test_negative_eigenvalue_detected(self):
         p = default_cqed_params(eps_d=0.0, n_max=10)
         rho = np.zeros((22, 22), dtype=complex)

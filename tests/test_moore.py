@@ -212,6 +212,18 @@ class TestCrossSolverAgreement:
         # the comparison is nontrivial: resonance has built up real mixing
         assert abs(mo.beta[0, 0]) > 0.04
 
+    def test_beta_matches_coupled_modes_after_switch_off(self):
+        # the drive stops with a velocity jump; the field momentum, not
+        # dQ/dt, is continuous there, so beta read in the static tail must
+        # keep the agreement reached at t_end
+        eps, t_end, N = 0.01, 10.0, 16
+        traj = harmonic_wall(np.pi, eps, 2.0, t_end=t_end)
+        spec = CavitySpec(length=np.pi, n_modes=N)
+        t = t_end + 3.0
+        mm = bogoliubov_from_moore(solve_moore(traj, t), ModeBasis.build(spec), t)
+        mo = extract_bogoliubov(integrate_modes(spec, traj, t_final=t, rtol=1e-10))
+        assert np.abs(mm.beta - mo.beta).max() < 5e-4
+
     def test_beta_disagreement_scales_as_eps_squared(self):
         tf, N = 10.0, 16
         gaps = {}

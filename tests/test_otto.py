@@ -173,6 +173,12 @@ class TestAdiabaticCycle:
         with pytest.raises(ValueError, match="ramp"):
             base_spec(delta=lambda t, tau: 2.0 * np.asarray(t) / tau)
 
+    def test_shape_needs_delta_and_delta_dot_together(self):
+        d, dd = quintic_trajectory, quintic_trajectory_dot
+        for lone in (dict(delta=d), dict(delta_dot=dd)):
+            with pytest.raises(ValueError, match="delta and delta_dot"):
+                base_spec(**lone)
+
 
 class TestNonadiabaticCycle:
     def test_friction_lowers_efficiency(self):

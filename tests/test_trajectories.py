@@ -127,3 +127,36 @@ class TestReversal:
     def test_max_speed_preserved(self):
         w = harmonic_wall(1.0, 0.03, 2.0, t_end=5.0)
         npt.assert_allclose(reversed_trajectory(w).max_speed(), w.max_speed(), rtol=1e-6)
+
+
+FACTORIES = {
+    "static": lambda: static_wall(2.5),
+    "harmonic": lambda: harmonic_wall(1.3, 0.04, 2.7, t_end=9.0, t_start=1.1),
+    "quintic": lambda: quintic_wall(2.0, 0.3, 1.7),
+    "tabulated": lambda: tabulated_wall(np.linspace(0.5, 5.5, 41),
+                                        1.0 + 0.02 * np.sin(np.linspace(0.0, 6.0, 41))),
+    "reversed": lambda: reversed_trajectory(harmonic_wall(1.0, 0.03, 2.0, t_end=5.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+class TestMotionWindow:
+    """Every factory rests outside [t_start, t_end] and moves on its closed window."""
+
+    def test_rests_outside_window(self, name):
+        w = FACTORIES[name]()
+        before = w.t_start - np.array([5.0, 1.0, 1e-9])
+        after = w.t_end + np.array([1e-9, 1.0, 5.0])
+        assert np.all(w.position(before) == w.position(w.t_start))
+        assert np.all(w.position(after) == w.position(w.t_end))
+        for t in (before, after):
+            assert np.all(w.velocity(t) == 0.0) and np.all(w.acceleration(t) == 0.0)
+            assert w.velocity(float(t[-1])) == 0.0
+
+    def test_edges_take_the_moving_side(self, name):
+        w = FACTORIES[name]()
+        h = 1e-7 * (w.t_end - w.t_start)
+        for edge, inside in ((w.t_start, w.t_start + h), (w.t_end, w.t_end - h)):
+            for f in (w.position, w.velocity, w.acceleration):
+                npt.assert_allclose(f(edge), f(inside), rtol=0.0, atol=1e-5)
+                npt.assert_array_equal(f(np.array([edge])), [f(edge)])
