@@ -14,9 +14,11 @@ a quantum analogue of friction. The kernel F_k has a self-squeeze term
 oscillating at 2 w_k and intermode terms at w_j +- w_k; every term carries
 ddelta/dt at both times, so E_F factorizes exactly through the velocity
 transform C(a) = int ddelta/dt e^{i a t} dt as a sum of |C|^2 weights.
-friction_energy uses that factorization (it is the tensor-product
-quadrature of the double integral, done analytically in the oscillatory
-direction); friction_kernel exposes the raw integrand for cross-checks.
+friction_energy uses that factorization; friction_kernel exposes the raw
+integrand for cross-checks. The stroke shapes are PolynomialRamps, whose
+transform has a closed form evaluated for every frequency at once;
+nonadiabatic_cycle computes it once and shares it between both strokes.
+Any other shape callable goes through composite Gauss-Legendre quadrature.
 
 Conventions: hbar = 1; beta_A is the cold bath attached at full length L0,
 beta_C the hot bath at compressed length L1, so engine operation needs
@@ -27,6 +29,7 @@ efficiency meets Carnot.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
 from .cavity import (
@@ -42,6 +45,7 @@ __all__ = [
     "CycleSpec",
     "CycleResult",
     "PowerCurve",
+    "PolynomialRamp",
     "quintic_trajectory",
     "quintic_trajectory_dot",
     "random_admissible_trajectory",
@@ -54,49 +58,47 @@ __all__ = [
 ]
 
 
-def quintic_trajectory(t, tau):
-    """Lowest-order polynomial ramp with delta = ddelta = dddelta = 0 at t=0
-    and delta = 1, ddelta = dddelta = 0 at t=tau."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12 * tau) or np.any(t > tau * (1 + 1e-12)):
-        raise ValueError("t outside [0, tau]")
-    return quintic_ramp(np.clip(t / tau, 0.0, 1.0))
+class PolynomialRamp:
+    """Stroke shape p(s) = 10 s^3 - 15 s^4 + 6 s^5 + s^3 (1-s)^3 q(s), s = t/tau.
+
+    q holds the bump coefficients in increasing powers of s (q = 0 is the
+    quintic); value, velocity and acceleration are pinned at both ends for
+    every q. Called with (t, tau) it gives delta for t in [0, tau], or with
+    derivative=True the velocity p'(t/tau)/tau, zero outside. coeffs holds
+    p, or p' for the velocity, in increasing powers of s; velocity_transform
+    integrates them in closed form.
+    """
+
+    def __init__(self, q=(0.0,), derivative=False):
+        self.q, self.derivative = np.asarray(q, dtype=float), derivative
+        p = P.polyadd([0, 0, 0, 10, -15, 6], P.polymul([0, 0, 0, 1, -3, 3, -1], self.q))
+        self.coeffs = P.polyder(p) if derivative else p
+
+    def __call__(self, t, tau):
+        t = np.asarray(t, dtype=float)
+        s = np.clip(t / tau, 0.0, 1.0)
+        w, q = s**3 * (1.0 - s) ** 3, P.polyval(s, self.q)
+        if self.derivative:
+            dw = 3.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s)
+            return (quintic_ramp_dot(s) + (dw * q + w * P.polyval(s, P.polyder(self.q)))) / tau
+        if np.any(t < -1e-12 * tau) or np.any(t > tau * (1 + 1e-12)):
+            raise ValueError("t outside [0, tau]")
+        return quintic_ramp(s) + w * q
 
 
-def quintic_trajectory_dot(t, tau):
-    """Analytic time derivative of quintic_trajectory."""
-    t = np.asarray(t, dtype=float)
-    return quintic_ramp_dot(np.clip(t / tau, 0.0, 1.0)) / tau
+quintic_trajectory = PolynomialRamp()
+quintic_trajectory_dot = PolynomialRamp(derivative=True)
 
 
 def random_admissible_trajectory(rng, amplitude=1.0, order=2):
     """Random shape meeting all endpoint constraints of the friction theory.
 
-    Adds s^3 (1-s)^3 * q(s) to the quintic ramp with a random polynomial q,
-    which keeps value, velocity and acceleration pinned at both ends.
-    Returns (delta, delta_dot) callables with signature (t, tau).
+    A PolynomialRamp whose bump q has order + 1 coefficients drawn uniformly
+    from 64 * [-amplitude, amplitude]. Returns the (delta, delta_dot) pair
+    of callables of (t, tau), whose velocity transform is the closed form.
     """
-    coeffs = rng.uniform(-amplitude, amplitude, size=order + 1) * 64.0
-
-    def bump(s):
-        return s**3 * (1.0 - s) ** 3 * np.polynomial.polynomial.polyval(s, coeffs)
-
-    def bump_dot(s):
-        q = np.polynomial.polynomial.polyval(s, coeffs)
-        dq = np.polynomial.polynomial.polyval(s, np.polynomial.polynomial.polyder(coeffs))
-        w = s**3 * (1.0 - s) ** 3
-        dw = 3.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s)
-        return dw * q + w * dq
-
-    def delta(t, tau):
-        s = np.clip(np.asarray(t, dtype=float) / tau, 0.0, 1.0)
-        return quintic_ramp(s) + bump(s)
-
-    def delta_dot(t, tau):
-        s = np.clip(np.asarray(t, dtype=float) / tau, 0.0, 1.0)
-        return (quintic_ramp_dot(s) + bump_dot(s)) / tau
-
-    return delta, delta_dot
+    q = rng.uniform(-amplitude, amplitude, size=order + 1) * 64.0
+    return PolynomialRamp(q), PolynomialRamp(q, derivative=True)
 
 
 @dataclass(frozen=True)
@@ -173,19 +175,38 @@ class CycleResult:
 
 
 _GL_X, _GL_W = leggauss(16)
+_S32, _W32 = 0.5 * (leggauss(32)[0] + 1.0), 0.5 * leggauss(32)[1]  # on [0, 1]
 
 
 def velocity_transform(spec: CycleSpec, a_values):
     """C(a) = int_0^tau ddelta/dt e^{i a t} dt for each requested frequency.
 
-    Composite 16-point Gauss-Legendre with panel width <= 3 radians of the
-    oscillation, which is machine accurate for smooth shapes. C(0) = 1 by
-    the ramp endpoints.
+    For a PolynomialRamp, C(a) = int_0^1 g(s) e^{ixs} ds with x = a tau and
+    g = p' is exact: integration by parts ends after deg g + 1 terms and
+    gives z (G_0(z) - e^{ix} G_1(z)) with z = i/x and G_b(z) = sum_k
+    g^(k)(b) z^k, for all frequencies at once. That sum cancels for
+    |x| < 8, where a 32-node Gauss-Legendre rule on [0, 1] is exact to
+    rounding instead. Any other callable goes through composite 16-point
+    Gauss-Legendre with panel width <= 3 radians of the oscillation, which
+    is machine accurate for smooth shapes. C(0) = 1 by the ramp endpoints.
     """
     _, ddot = spec.shape()
     tau = spec.tau
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     out = np.empty(a_values.shape, dtype=complex)
+    if isinstance(ddot, PolynomialRamp):
+        g = ddot.coeffs * (1.0 if ddot.derivative else tau)
+        j = np.arange(g.size)
+        falling = np.cumprod(np.vstack([np.ones(g.size), j - j[:-1, None]]), axis=0)
+        x = a_values * tau
+        small = np.abs(x) < 8.0
+        out[small] = np.exp(1j * np.outer(x[small], _S32)) @ (_W32 * P.polyval(_S32, g))
+        x = x[~small]
+        z = 1j / x
+        # g^(k)(0) = k! g_k and g^(k)(1) = sum_j g_j j! / (j - k)!
+        G0, G1 = P.polyval(z, np.diag(falling) * g), P.polyval(z, falling @ g)
+        out[~small] = z * (G0 - np.exp(1j * x) * G1)
+        return out
     for i, a in enumerate(a_values):
         n_panels = max(4, int(np.ceil(abs(a) * tau / 3.0)))
         edges = np.linspace(0.0, tau, n_panels + 1)
@@ -242,27 +263,39 @@ def friction_energy(spec: CycleSpec, beta, check_convergence=False):
 
     Factorizes the double time integral exactly: each cos(a(t1-t2)) block
     contributes |C(a)|^2 with the velocity transform C, so only the 1-d
-    oscillatory integrals are quadrature. With check_convergence the mode
+    oscillatory integrals remain (see velocity_transform). With check_convergence the mode
     sum is repeated at twice the truncation and a drift above 0.1% raises
     (reporting both partial sums); the thermal factors decay exponentially
     but fast strokes populate modes up to ~1/(w_1 tau).
     """
-    val = _friction_energy(spec, beta)
-    if check_convergence:
-        wide = _friction_energy(replace(spec, n_modes=2 * spec.n_modes), beta)
-        if abs(wide - val) > 1e-3 * max(abs(wide), 1e-300):
-            raise RuntimeError(
-                f"friction mode sum not converged: E_F = {val:.6e} at "
-                f"n_modes = {spec.n_modes}, {wide:.6e} at {2 * spec.n_modes}")
-        val = wide
-    return val
+    return _friction_energies(spec, [beta], check_convergence)[0]
 
 
-def _friction_energy(spec: CycleSpec, beta):
-    omega, nbar, pref, pair, scatter = _kernel_weights(spec, beta)
-    # every frequency is m pi / L0 with m = 2k, j + k or |j - k|
+def _friction_energies(spec: CycleSpec, betas, check_convergence):
+    # every frequency of an n-mode sum is m pi / L0 with m = 2k, j + k or
+    # |j - k| <= 2n; |C|^2 does not depend on the bath, so all baths share
+    # one transform, taken up to m = 4n when the sum is repeated at 2n modes
     n = spec.n_modes
-    C2 = np.abs(velocity_transform(spec, np.arange(2 * n + 1) * np.pi / spec.L0)) ** 2
+    m = np.arange(2 * (2 * n if check_convergence else n) + 1)
+    C2 = np.abs(velocity_transform(spec, m * np.pi / spec.L0)) ** 2
+    out = []
+    for beta in betas:
+        val = _friction_energy(spec, beta, C2)
+        if check_convergence:
+            wide = _friction_energy(replace(spec, n_modes=2 * n), beta, C2)
+            if abs(wide - val) > 1e-3 * max(abs(wide), 1e-300):
+                raise RuntimeError(
+                    f"friction mode sum not converged: E_F = {val:.6e} at "
+                    f"n_modes = {n}, {wide:.6e} at {2 * n}")
+            val = wide
+        out.append(val)
+    return out
+
+
+def _friction_energy(spec: CycleSpec, beta, C2):
+    """E_F of the spec's n-mode sum from |C(m pi / L0)|^2, m = 0 .. >= 2n."""
+    omega, nbar, pref, pair, scatter = _kernel_weights(spec, beta)
+    n = spec.n_modes
     j = np.arange(1, n + 1)
     c2_sq = C2[2 * j]
     c2_sum = C2[j[:, None] + j[None, :]]
@@ -324,8 +357,8 @@ def nonadiabatic_cycle(spec: CycleSpec, check_convergence=False) -> CycleResult:
     """
     E_A, E_B, E_C, E_D = _corner_energies(spec)
     Q_otto = E_C - E_B
-    ef_cold = friction_energy(spec, spec.beta_A, check_convergence)
-    ef_hot = friction_energy(spec, spec.beta_C, check_convergence)
+    ef_cold, ef_hot = _friction_energies(
+        spec, (spec.beta_A, spec.beta_C), check_convergence)
     return _assemble(spec, E_A, E_B + ef_cold, E_C, E_D + ef_hot,
                      Q_otto, ef_cold + ef_hot)
 

@@ -1,13 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy.integrate import simpson
 
+import dcelab.otto as otto
 from dcelab.cavity import CavitySpec, dirichlet_spectrum, thermal_occupation
 from dcelab.trajectories import quintic_wall
 from dcelab.bogoliubov import integrate_modes, extract_bogoliubov, photon_spectrum
 from dcelab.otto import (
     CycleSpec,
+    PolynomialRamp,
     adiabatic_cycle,
     friction_energy,
     friction_kernel,
@@ -132,6 +136,84 @@ class TestFrictionEnergy:
 
     def test_transform_endpoint_value(self):
         assert velocity_transform(base_spec(), 0.0)[0] == pytest.approx(1.0, abs=1e-13)
+
+
+class TestClosedFormTransform:
+    # a tau from 0 to 2.2e4, with points on both sides of the |a tau| = 8
+    # switch between the 32-node rule and the integration-by-parts sum
+    X = np.concatenate([[0.0, 1e-3, 0.5, 3.0, 7.9, 7.999999, 8.0, 8.000001, 8.1],
+                        np.geomspace(9.0, 2.2e4, 40)])
+
+    def shapes(self):
+        rng = np.random.default_rng(17)
+        return [(quintic_trajectory, quintic_trajectory_dot)] + [
+            random_admissible_trajectory(rng, order=o) for o in (0, 1, 2, 3, 4)]
+
+    def test_matches_composite_quadrature(self):
+        for d, dd in self.shapes():
+            for tau in (0.2, 1.0, 300.0):
+                ramp = base_spec(tau=tau, delta=d, delta_dot=dd)
+                plain = base_spec(tau=tau, delta=lambda t, tau: d(t, tau),
+                                  delta_dot=lambda t, tau: dd(t, tau))
+                a = self.X / tau
+                closed = velocity_transform(ramp, a)
+                quad = velocity_transform(plain, a)
+                np.testing.assert_allclose(closed, quad, rtol=0.0, atol=1e-13)
+
+    def test_ramp_is_never_sampled(self, monkeypatch):
+        spec = base_spec(tau=2.0)
+        expected = velocity_transform(spec, self.X / 2.0)
+
+        def sampled(ramp, t, tau):
+            raise AssertionError("closed form sampled the ramp")
+        monkeypatch.setattr(PolynomialRamp, "__call__", sampled)
+        np.testing.assert_array_equal(velocity_transform(spec, self.X / 2.0), expected)
+
+    def test_other_callables_take_the_quadrature(self):
+        calls = []
+
+        def sine_dot(t, tau):
+            calls.append(np.size(t))
+            return 0.5 * np.pi / tau * np.sin(np.pi * np.asarray(t) / tau)
+        spec = base_spec(
+            tau=2.0, delta=lambda t, tau: 0.5 - 0.5 * np.cos(np.pi * np.asarray(t) / tau),
+            delta_dot=sine_dot)
+        a = np.array([0.0, 3.0, 50.0])
+        C = velocity_transform(spec, a)
+        assert len(calls) == a.size
+        # int_0^tau (pi / 2 tau) sin(pi t / tau) e^{i a t} dt
+        x = a * spec.tau
+        exact = 0.5 * np.pi**2 * (1.0 + np.exp(1j * x)) / (np.pi**2 - x**2)
+        np.testing.assert_allclose(C, exact, rtol=0.0, atol=1e-14)
+
+
+class TestOneTransformPerCycle:
+    @pytest.mark.parametrize("check, n_freq", [(False, 61), (True, 121)])
+    def test_both_strokes_share_one_transform(self, monkeypatch, check, n_freq):
+        calls = []
+        transform = otto.velocity_transform
+
+        def spy(spec, a_values):
+            calls.append(np.size(a_values))
+            return transform(spec, a_values)
+        monkeypatch.setattr(otto, "velocity_transform", spy)
+        spec = base_spec(tau=3.0, beta_C=1.0, n_modes=30)
+        r = nonadiabatic_cycle(spec, check_convergence=check)
+        assert calls == [n_freq]
+        monkeypatch.undo()
+        # each stroke gets the same loss as friction_energy at its own bath
+        r0 = adiabatic_cycle(spec)
+        assert r.E_B == r0.E_B + friction_energy(spec, spec.beta_A, check)
+        assert r.E_D == r0.E_D + friction_energy(spec, spec.beta_C, check)
+
+    def test_long_stroke_stays_cheap(self):
+        # the composite quadrature would need about 2e6 panels per frequency
+        spec = base_spec(tau=1e5, n_modes=30)
+        start = time.perf_counter()
+        r = nonadiabatic_cycle(spec)
+        elapsed = time.perf_counter() - start
+        assert abs(r.eta - spec.eps) < 1e-8
+        assert elapsed < 0.25
 
 
 class TestAdiabaticCycle:
