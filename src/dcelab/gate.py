@@ -27,12 +27,12 @@ density matrices are square over the flattened index. hbar = 1, time in ns,
 angular frequencies in rad/ns, temperatures in mK.
 """
 
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _HBAR_OVER_KB = 7.638232  # mK ns (so x = _HBAR_OVER_KB * omega / T)
+_NP_RANDOM_LOCK = threading.Lock()  # one save/restore of np.random at a time
 
 
 @dataclass(frozen=True)
@@ -454,7 +455,12 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
         raise ValueError("input density matrix must have unit trace")
     H = _joint_hamiltonian(params, params.theta if theta is None else theta)
     L = _liouvillian(H, _collapse_operators(params, rates))
-    out = expm_multiply(duration * L, rho.ravel()).reshape(dim, dim)
+    with _NP_RANDOM_LOCK:  # its 1-norm estimate draws from the caller's np.random
+        state = np.random.get_state()
+        try:
+            out = expm_multiply(duration * L, rho.ravel()).reshape(dim, dim)
+        finally:
+            np.random.set_state(state)
     out = 0.5 * (out + out.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-8:
@@ -506,74 +512,68 @@ def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates):
     return float(fbar), purity
 
 
-def _lab_frame_period(params: GateParams, qubit_level):
-    """Common period of every term of the branch Hamiltonian, or None.
+def _expm_traceless(x):
+    """exp X = cosh s I + (sinh s / s) X, s^2 = -det X, for x of shape (3, m)."""
+    s = np.sqrt(x[0] ** 2 + x[1] * x[2])
+    c, k = np.cosh(s), np.sinc(1j * s / np.pi)  # sinc(i s / pi) = sinh s / s
+    return np.stack([c + k * x[0], k * x[1], k * x[2], c - k * x[0]], -1).reshape(-1, 2, 2)
 
-    On the |1> branch the drive runs at omega_d = 2 omega_1 exactly, so the
-    drive and the e^{+-2i omega_1 t} factors all repeat after pi / omega_1.
-    The |0> branch mixes 2 omega_0 with omega_d and has no short period.
-    """
-    return np.pi / params.omega_1 if qubit_level == 1 else None
+
+def _magnus_product(params: GateParams, wb, n_steps):
+    """(u, conj v) propagator over [0, t_gate]: n_steps sixth-order Magnus steps (Blanes,
+    Casas & Ros, BIT 40, 434 (2000)) multiplied pairwise in batches of 2048."""
+    def bracket(x, y):  # [X, Y] for X = [[x0, x1], [x2, -x0]] held as (x0, x1, x2)
+        return np.stack([x[1] * y[2] - x[2] * y[1], 2.0 * (x[0] * y[1] - x[1] * y[0]),
+                         2.0 * (x[2] * y[0] - x[0] * y[2])])
+    h, prod = params.t_gate / n_steps, np.eye(2, dtype=complex)
+    nodes = 0.5 + np.sqrt(0.15) * np.array([[-1.0], [0.0], [1.0]])  # Gauss on [0, 1]
+    for start in range(0, n_steps, 2048):
+        t = h * (np.arange(start, min(start + 2048, n_steps)) + nodes)
+        f = 2j * params.drive_rate * np.sin(params.omega_d * t - params.theta)
+        w = np.exp(2j * wb * t)
+        a1, a2, a3 = np.stack([-f, -f * w, f / w], axis=1)  # A(t) at each node
+        b1, b2 = h * a2, (np.sqrt(15.0) * h / 3.0) * (a3 - a1)
+        b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+        c1 = bracket(b1, b2)
+        c2 = bracket(b1, 2.0 * b3 + c1) / -60.0
+        e = _expm_traceless(b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+        while len(e) > 1:  # later steps act on the left; an unpaired last one waits
+            e = np.concatenate([e[1::2] @ e[:-1:2], e[2 * (len(e) // 2):]])
+        prod = e[0] @ prod
+    return prod
 
 
 def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     """Full time-dependent drive on one qubit branch, no RWA.
 
-    Integrates the interaction-picture Schroedinger equation at the branch
-    frequency (omega_0 or omega_1), keeping the counter-rotating and
-    number-shift terms the rotating-wave gate drops. Returns the final
-    resonator state in the branch rotating frame, directly comparable with
-    S(r_gate, theta + pi) for |1> or the Stark-shifted rotation for |0>.
-
-    The |1> branch Hamiltonian has period pi / omega_1 (about 2,400 periods
-    in a 200 ns gate): its one-period propagator U is integrated once,
-    checked unitary to within 1e3 * rtol and powered to the whole periods,
-    and only the remainder is integrated directly, so the cost no longer
-    grows with t_gate. The |0> branch is integrated directly.
+    Returns the final resonator state in the frame rotating at the branch
+    frequency wb (omega_0 or omega_1), comparable with S(r_gate, theta + pi)
+    for |1> or the Stark-shifted rotation for |0>. The branch Hamiltonian is
+    quadratic, so a(t) = u a + v a^dag exactly: d/dt (u, conj v) = 2i f [[-1,
+    -e^{2i wb t}], [e^{-2i wb t}, 1]] (u, conj v), f = g_d eps_d sin(omega_d t
+    - theta), with no Fock truncation. Magnus steps start at 8 per period of
+    omega_d + 2 wb and double until two products agree to rtol * max|U|;
+    four doublings without that, or ||u|^2 - |v|^2 - 1| > rtol, raise
+    RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s + phi)} sinh r
+    and phi = -arg u (principal branch), the state is e^{-i phi/2} S(r,
+    theta_s) R(phi) psi0, the phase being the zero-point part of the rotation.
     """
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
     wb = params.omega_1 if qubit_level == 1 else params.omega_0
-    dim = params.n_max + 1
-    n = np.arange(dim, dtype=float)
-    a = lowering_operator(params.n_max)
-    a2 = a @ a
-    a2d = a2.conj().T
-    diag = (2.0 * n + 1.0)[:, None]
-    g = params.g_d * params.eps_d
-
-    def rhs(t, y):
-        # any number of columns: (Re psi, Im psi) are the two halves of y
-        psi = (y[: y.size // 2] + 1j * y[y.size // 2:]).reshape(dim, -1)
-        drive = g * np.sin(params.omega_d * t - params.theta)
-        hpsi = drive * (np.exp(-2j * wb * t) * (a2 @ psi)
-                        + np.exp(2j * wb * t) * (a2d @ psi)
-                        + diag * psi)
-        dpsi = (-1j * hpsi).ravel()
-        return np.concatenate([dpsi.real, dpsi.imag])
-
-    def solve(t_end, psi):
-        """Propagate the columns of psi, shape (dim, m), from 0 to t_end."""
-        y0 = np.concatenate([psi.real.ravel(), psi.imag.ravel()])
-        sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=1e-12)
-        if not sol.success:
-            raise RuntimeError(f"lab-frame integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        return (y[: y.size // 2] + 1j * y[y.size // 2:]).reshape(dim, -1)
-
-    psi = np.asarray(psi0, dtype=complex).reshape(dim, 1)
-    T = _lab_frame_period(params, qubit_level)
-    if T is None or params.t_gate <= T:
-        return solve(params.t_gate, psi)[:, 0]
-    k = int(params.t_gate // T)
-    s = params.t_gate - k * T
-    U = solve(T, np.eye(dim, dtype=complex))
-    defect = float(np.abs(U.conj().T @ U - np.eye(dim)).max())
-    if defect > 1e3 * rtol:
-        raise RuntimeError(
-            f"one-period lab-frame propagator is not unitary: |U^dag U - I| = "
-            f"{defect:.2e} > {1e3 * rtol:.2e} (1e3 * rtol); tighten rtol")
-    psi = np.linalg.matrix_power(U, k) @ psi
-    if s > 0.0:
-        psi = solve(s, psi)
-    return psi[:, 0]
+    n_steps = int(np.ceil(8.0 * params.t_gate * (params.omega_d + 2.0 * wb) / (2.0 * np.pi)))
+    U = _magnus_product(params, wb, n_steps)
+    for n_steps in n_steps * 2 ** np.arange(1, 5):
+        coarse, U = U, _magnus_product(params, wb, n_steps)
+        if (err := np.abs(U - coarse).max()) <= rtol * np.abs(U).max():
+            break
+    else:
+        raise RuntimeError(f"lab-frame Magnus product not converged: step-doubling "
+                           f"estimate {err:.2e} > rtol {rtol:.1e} * max|U| at {n_steps} steps")
+    u, v = U[0, 0], np.conj(U[1, 0])
+    if (defect := abs(abs(u) ** 2 - abs(v) ** 2 - 1.0)) > rtol:
+        raise RuntimeError(f"lab-frame propagator violates |u|^2 - |v|^2 = 1 by "
+                           f"{defect:.2e} > rtol {rtol:.1e}")
+    phi = -np.angle(u)
+    S = squeeze_operator(np.arcsinh(abs(v)), np.angle(-v) - phi, params.n_max)
+    return np.exp(-0.5j * phi) * (S @ (rotation_operator(phi, params.n_max) * psi0))

@@ -1,7 +1,11 @@
 """Controlled-squeeze gate: states, protocol, measurement, open system."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import dcelab.gate as gate
@@ -49,6 +53,25 @@ NMAX_FOR_R = {0.5: 80, 1.0: 80, 1.5: 160, 2.0: 260}
 def params_for(r, **kw):
     kw.setdefault("n_max", NMAX_FOR_R.get(r, 80))
     return default_cqed_params(t_gate=r / 0.0075, **kw)
+
+
+def fock_lab_frame(p, qubit_level, psi0):
+    """Reference for lab_frame_branch: DOP853 at rtol 1e-12 on the truncated
+    Fock-space Schroedinger equation of one branch,
+    i dpsi/dt = f(t) [e^{-2i wb t} a^2 + e^{2i wb t} a^dag 2 + 2n + 1] psi."""
+    wb = p.omega_1 if qubit_level == 1 else p.omega_0
+    a = lowering_operator(p.n_max)
+    a2 = a @ a
+    diag = 2.0 * np.arange(p.n_max + 1) + 1.0
+
+    def rhs(t, psi):
+        f = p.drive_rate * np.sin(p.omega_d * t - p.theta)
+        return -1j * f * (np.exp(-2j * wb * t) * (a2 @ psi)
+                          + np.exp(2j * wb * t) * (a2.T @ psi) + diag * psi)
+    sol = solve_ivp(rhs, (0.0, p.t_gate), psi0.astype(complex), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1]
 
 
 class TestParams:
@@ -417,6 +440,42 @@ class TestOpenEvolve:
             np.random.set_state(state)
         assert len(outs) == 1
 
+    def test_leaves_the_global_random_stream_untouched(self):
+        p = default_cqed_params(n_max=16)
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 16)).ravel()
+        rho = np.outer(psi, psi.conj())
+        state = np.random.get_state()
+        try:
+            np.random.seed(0)
+            expected = np.random.random()
+            np.random.seed(0)
+            open_evolve(rho, p, OpenRates.typical(), p.t_gate)
+            assert np.random.random() == expected
+        finally:
+            np.random.set_state(state)
+
+    def test_random_stream_restored_under_concurrent_calls(self):
+        # a save in one thread between another thread's save and restore
+        # would leave the stream advanced once both have restored
+        p = default_cqed_params(n_max=6)
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 6)).ravel()
+        rho = np.outer(psi, psi.conj())
+        state, interval = np.random.get_state(), sys.getswitchinterval()
+        try:
+            np.random.seed(0)
+            expected = np.random.random()
+            np.random.seed(0)
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(open_evolve, rho, p, OpenRates.typical(), p.t_gate)
+                           for _ in range(16)]
+                for future in futures:
+                    future.result(timeout=60)
+            assert np.random.random() == expected
+        finally:
+            sys.setswitchinterval(interval)
+            np.random.set_state(state)
+
     def test_negative_eigenvalue_detected(self):
         p = default_cqed_params(eps_d=0.0, n_max=10)
         rho = np.zeros((22, 22), dtype=complex)
@@ -462,35 +521,57 @@ class TestLabFrameValidation:
         out = lab_frame_branch(p, 0, vac, rtol=1e-9)
         assert np.abs(out[0]) ** 2 > 0.99
 
-    def test_one_period_propagator_matches_direct_integral(self, monkeypatch):
-        # 2 ns is 23 periods pi/omega_1 plus a remainder; dropping the period
-        # integrates the same branch directly
+    def test_both_branches_match_the_fock_space_equation(self):
+        # 2 ns of drive on a random state of the lowest six levels; the
+        # reference solves the branch Schroedinger equation in the Fock basis,
+        # so the global phase is compared too
         p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
         rng = np.random.default_rng(3)
         psi0 = np.zeros(17, dtype=complex)
         psi0[:6] = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi0 /= np.linalg.norm(psi0)
-        periodic = lab_frame_branch(p, 1, psi0, rtol=1e-11)
-        monkeypatch.setattr(gate, "_lab_frame_period", lambda params, level: None)
-        direct = lab_frame_branch(p, 1, psi0, rtol=1e-11)
-        assert np.abs(periodic - direct).max() < 1e-9
-        assert np.abs(periodic - psi0).max() > 5e-3  # the drive did act
+        for level in (0, 1):
+            out = lab_frame_branch(p, level, psi0)
+            assert np.abs(out - fock_lab_frame(p, level, psi0)).max() < 1e-10
+            assert np.abs(out - psi0).max() > 5e-3  # the drive did act
 
-    def test_non_unitary_period_propagator_rejected(self, monkeypatch):
+    def test_corrupted_step_exponential_rejected(self, monkeypatch):
+        # a step scaled off the group passes the step-doubling comparison,
+        # since both grids carry the same factor, but not the invariant
         p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
-        solve_ivp = gate.solve_ivp
-        dim = p.n_max + 1
+        exact = gate._expm_traceless
 
-        def corrupted(*args, **kw):
-            sol = solve_ivp(*args, **kw)
-            if args[2].size == 2 * dim * dim:  # the one-period propagator
-                sol.y[0, -1] += 1e-4
-            return sol
-        monkeypatch.setattr(gate, "solve_ivp", corrupted)
-        vac = np.zeros(dim, dtype=complex)
+        def corrupted(x):
+            e = exact(x)
+            e[0] *= 1.0 + 1e-6
+            return e
+        monkeypatch.setattr(gate, "_expm_traceless", corrupted)
+        vac = np.zeros(17, dtype=complex)
         vac[0] = 1.0
-        with pytest.raises(RuntimeError, match="unitary.*tighten rtol"):
+        with pytest.raises(RuntimeError, match=r"\|u\|\^2 - \|v\|\^2 = 1 by 2\.00e-06"):
             lab_frame_branch(p, 1, vac, rtol=1e-9)
+
+    def test_unreachable_tolerance_raises_after_four_doublings(self):
+        p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
+        vac = np.zeros(17, dtype=complex)
+        vac[0] = 1.0
+        for level, wb in ((0, p.omega_0), (1, p.omega_1)):
+            n0 = int(np.ceil(8.0 * p.t_gate * (p.omega_d + 2.0 * wb) / (2.0 * np.pi)))
+            with pytest.raises(RuntimeError, match=rf"step-doubling estimate \S+ > rtol "
+                                                   rf"1\.0e-18 \* max\|U\| at {16 * n0} steps"):
+                lab_frame_branch(p, level, vac, rtol=1e-18)
+
+    def test_magnus_steps_are_sixth_order(self):
+        # a drive comparable with the branch frequency makes A(t) at
+        # different times far from commuting, so every commutator term of
+        # the step counts: halving the step must cut the error by ~2^6
+        with pytest.warns(UserWarning, match="detuning"):
+            p = GateParams(omega=1.0, omega_q=3.0, chi=0.2, g_d=1.0, eps_d=0.6,
+                           t_gate=3.0, theta=0.4, n_max=4)
+        ref = gate._magnus_product(p, p.omega_0, 6400)
+        err = [np.abs(gate._magnus_product(p, p.omega_0, n) - ref).max() for n in (50, 100, 200)]
+        assert err[0] > 1e-10
+        assert all(50.0 < a / b < 80.0 for a, b in zip(err, err[1:]))
 
     def test_stark_correction_sign(self):
         # in its own rotating frame the |0> branch accumulates the residual
