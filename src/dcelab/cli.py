@@ -129,11 +129,10 @@ def _run_moore(cfg, args):
     # rectangular (x, t) grid: keep x inside the cavity at every sampled t
     r_min = float(np.min(traj.position(np.linspace(0.0, t_max, 2048))))
     x = np.linspace(0.0, r_min, int(block.get("n_x", 41)))
-    e_rows = []
-    for tj in np.linspace(0.0, t_max, int(block.get("n_t", 41))):
-        dens = energy_density(F, temperature, x, float(tj))
-        e_rows.extend([[float(xi), float(tj), float(di)]
-                       for xi, di in zip(x, dens)])
+    ts = np.linspace(0.0, t_max, int(block.get("n_t", 41)))
+    dens = energy_density(F, temperature, x, ts[:, None])  # [t, x]
+    e_rows = [[float(xi), float(tj), float(di)]
+              for tj, row in zip(ts, dens) for xi, di in zip(x, row)]
     tables = [("moore_function", ["z", "F"], f_rows),
               ("energy_density", ["x", "t", "T_tt"], e_rows)]
     return tables, {"points_per_length": ppl}, [], True

@@ -10,17 +10,20 @@ the final overlap integrals.
 F is evaluated backwards along characteristics: for z beyond the static
 region, the unique bounce time t with t + R(t) = z (unique because |Rdot| < 1)
 maps z to the two-units-lower argument t - R(t). The recursion terminates
-because each step decreases z by 2 R(t) >= 2 min(R) > 0. Differentiating the
-backstep map b(z) = t(z) - R(t(z)) gives exact first and second derivatives
-as running products of Doppler factors,
+because each step decreases z by 2 R(t) >= 2 min(R) > 0. The backstep map
+b(z) = t(z) - R(t(z)) has closed-form derivatives in the wall's velocity,
+acceleration and jerk,
 
-    b'(z) = (1 - Rdot)/(1 + Rdot),    b''(z) = -2 Rddot / (1 + Rdot)^3,
+    b' = (1 - Rdot)/(1 + Rdot),    b'' = -2 Rddot/(1 + Rdot)^3,
+    b''' = -2 Rdddot/(1 + Rdot)^4 + 6 Rddot^2/(1 + Rdot)^5,
 
-so no interpolation enters F, F' or F''. That matters for drives that start
-or stop with a velocity jump: F' is then only piecewise continuous, and any
-global smooth interpolant rings at the kink images. F''' (needed for the
-energy density) uses a central difference of the exact F''; trajectories do
-not carry a third derivative.
+composed hop by hop as (b o c)' = b' c', (b o c)'' = b'' c'^2 + b' c'' and
+(b o c)''' = b''' c'^3 + 3 b'' c' c'' + b' c''', so one descent gives F, F',
+F'' and F''' exactly: neither interpolation nor finite differences enter. That
+matters for drives that start or stop with a velocity jump: F' is then only
+piecewise continuous, and a smooth interpolant or a difference stencil rings
+at the kink images. Callers descend both null rays t + x and t - x of all
+their points at once.
 """
 
 from dataclasses import dataclass, field
@@ -89,17 +92,18 @@ class MooreFunction:
     def z_max(self):
         return float(self.z[-1])
 
-    def _descend(self, z, order):
-        """Walk each z down to the static region, tracking chain derivatives."""
-        zf = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(zf > self.z_max * (1 + 1e-12) + 1e-9):
+    def _descend(self, z):
+        """Walk each z down to the static region; returns F, F', F'', F'''."""
+        if self.traj.jerk is None:
+            raise ValueError("the exact F''' needs the wall's jerk (third derivative); "
+                             "build the wall with a dcelab.trajectories factory")
+        cur = np.array(z, dtype=float, ndmin=1)
+        if np.any(cur > self.z_max * (1 + 1e-12) + 1e-9):
             raise ValueError(
                 f"Moore function solved up to z = {self.z_max:.6g}; "
-                f"requested {float(np.max(zf)):.6g}")
-        cur = zf.copy()
+                f"requested {float(np.max(cur)):.6g}")
         hops = np.zeros_like(cur)
-        d1 = np.ones_like(cur)
-        d2 = np.zeros_like(cur)
+        d1, d2, d3 = np.ones_like(cur), np.zeros_like(cur), np.zeros_like(cur)
         active = cur > self.z_lin
         depth = 0
         while np.any(active):
@@ -108,47 +112,39 @@ class MooreFunction:
                 raise RuntimeError("characteristic recursion failed to terminate")
             t = _bounce_times(self.traj, cur[active], self.traj.t_start)
             Rd = np.asarray(self.traj.velocity(t))
+            Rdd = np.asarray(self.traj.acceleration(t))
             D = (1.0 - Rd) / (1.0 + Rd)
-            if order >= 2:
-                Rdd = np.asarray(self.traj.acceleration(t))
-                b2 = -2.0 * Rdd / (1.0 + Rd) ** 3
-                d2[active] = b2 * d1[active] ** 2 + D * d2[active]
-            d1[active] = D * d1[active]
+            b2 = -2.0 * Rdd / (1.0 + Rd) ** 3
+            b3 = (-2.0 * np.asarray(self.traj.jerk(t))
+                  + 6.0 * Rdd**2 / (1.0 + Rd)) / (1.0 + Rd) ** 4
+            c1, c2 = d1[active], d2[active]
+            d3[active] = b3 * c1**3 + 3.0 * b2 * c1 * c2 + D * d3[active]
+            d2[active] = b2 * c1**2 + D * c2
+            d1[active] = D * c1
             cur[active] = t - np.asarray(self.traj.position(t))
             hops[active] += 1.0
             active = cur > self.z_lin
-        F = 2.0 * hops + cur / self.R0
-        return F, d1 / self.R0, d2 / self.R0
+        return 2.0 * hops + cur / self.R0, d1 / self.R0, d2 / self.R0, d3 / self.R0
 
-    def _shape(self, out, z):
-        return out.reshape(np.shape(z)) if np.ndim(z) else float(out[0])
+    def _rays(self, t, x):
+        """(F, F', F'', F''') on each null ray t + x and t - x, from one descent."""
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        out = self._descend(np.stack([t + x, t - x]).ravel())
+        return tuple(zip(*(d.reshape((2,) + t.shape) for d in out)))
 
     def __call__(self, z):
-        F, _, _ = self._descend(z, order=0)
-        return self._shape(F, z)
+        return self.deriv(z, 0)
 
     def deriv(self, z, order=1):
-        if order == 1:
-            _, d1, _ = self._descend(z, order=1)
-            return self._shape(d1, z)
-        if order == 2:
-            _, _, d2 = self._descend(z, order=2)
-            return self._shape(d2, z)
-        if order == 3:
-            h = 1e-5 * self.R0
-            zf = np.asarray(z, dtype=float)
-            hi = np.minimum(zf + h, self.z_max)  # stay inside the solved window
-            lo = hi - 2.0 * h
-            _, _, d2p = self._descend(hi, order=2)
-            _, _, d2m = self._descend(lo, order=2)
-            return self._shape((d2p - d2m) / (2.0 * h), z)
-        raise ValueError("derivative order must be 1, 2 or 3")
+        if order not in (0, 1, 2, 3):
+            raise ValueError("derivative order must be 0 (F itself), 1, 2 or 3")
+        out = self._descend(z)[order]
+        return out.reshape(np.shape(z)) if np.ndim(z) else float(out[0])
 
     def residual(self, t):
         """Defining-equation residual F(t+R(t)) - F(t-R(t)) - 2 at times t."""
-        t = np.asarray(t, dtype=float)
-        R = np.asarray(self.traj.position(t))
-        return self(t + R) - self(t - R) - 2.0
+        plus, minus = self._rays(t, self.traj.position(np.asarray(t, dtype=float)))
+        return plus[0] - minus[0] - 2.0
 
 
 def solve_moore(traj: WallTrajectory, t_max, points_per_length=512):
@@ -191,19 +187,15 @@ def moore_modes(F: MooreFunction, n, x, t):
     """
     if n < 1:
         raise ValueError("mode index starts at 1")
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
+    plus, minus = F._rays(t, x)
     pref = 1j / np.sqrt(4.0 * np.pi * n)
-    return pref * (np.exp(-1j * n * np.pi * F(t + x)) - np.exp(-1j * n * np.pi * F(t - x)))
+    return pref * (np.exp(-1j * n * np.pi * plus[0]) - np.exp(-1j * n * np.pi * minus[0]))
 
 
-def _density_profile(F: MooreFunction, z, t_d0):
-    """f(z): the null-ray component of the energy density."""
-    d1 = F.deriv(z, 1)
-    d2 = F.deriv(z, 2)
-    d3 = F.deriv(z, 3)
+def _density_profile(ray, const):
+    """f(z): the null-ray component of the energy density, from (F, F', F'', F''')."""
+    _, d1, d2, d3 = ray
     schwarz = d3 / d1 - 1.5 * (d2 / d1) ** 2
-    const = -np.pi / 24.0 + thermal_image_sum(t_d0)
     return -schwarz / (24.0 * np.pi) + 0.5 * d1**2 * const
 
 
@@ -212,6 +204,8 @@ def energy_density(F: MooreFunction, T, x, t):
 
     Sum of the two null-ray profiles f(t+x) + f(t-x); for linear F this is
     the static value (-pi/24 + Z(T d0)) / d0^2 with d0 the initial length.
+    x and t broadcast (a column of times gives an (n_t, n_x) grid), and all
+    points of both rays are evaluated in one descent.
 
     Trajectories with velocity jumps radiate delta-like bursts along the
     bounce images of the jump; the pointwise values stay finite off those
@@ -220,10 +214,10 @@ def energy_density(F: MooreFunction, T, x, t):
     """
     if T < 0:
         raise ValueError("temperature must be >= 0")
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    t_d0 = T * F.R0
-    return _density_profile(F, t + x, t_d0) + _density_profile(F, t - x, t_d0)
+    plus, minus = F._rays(t, x)
+    const = -np.pi / 24.0 + thermal_image_sum(T * F.R0)
+    rho = _density_profile(plus, const) + _density_profile(minus, const)
+    return rho if rho.ndim else float(rho)
 
 
 def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
@@ -248,8 +242,7 @@ def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
     N = basis.n_modes
     omega = basis.omega_at(R)
 
-    if n_quad % 2:
-        n_quad += 1
+    n_quad += n_quad % 2
     x = np.linspace(0.0, R, n_quad + 1)
     wts = np.ones(n_quad + 1)
     wts[1:-1:2] = 4.0
@@ -257,10 +250,7 @@ def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
     wts *= (x[1] - x[0]) / 3.0
 
     ns = np.arange(1, N + 1)
-    Fp = F(t_slice + x)
-    Fm = F(t_slice - x)
-    dFp = F.deriv(t_slice + x, 1)
-    dFm = F.deriv(t_slice - x, 1)
+    (Fp, dFp, _, _), (Fm, dFm, _, _) = F._rays(t_slice, x)
     pref = 1j / np.sqrt(4.0 * np.pi * ns)[:, None]
     ep = np.exp(-1j * np.pi * np.outer(ns, Fp))
     em = np.exp(-1j * np.pi * np.outer(ns, Fm))

@@ -1,10 +1,10 @@
-"""Wall trajectories R(t) with analytic derivatives.
+"""Wall trajectories R(t) with analytic derivatives up to the third (jerk).
 
 Trajectories are static outside [t_start, t_end]: every factory states only
 its law on that window, and one constructor clamps the position and zeroes
-velocity and acceleration outside it, so solvers can treat any time outside
-the window as a wall at rest. Velocities must stay subluminal (|Rdot| < 1) for the conformal
-solver to be well posed; the factories enforce it at construction.
+every derivative outside it, so solvers can treat any time outside the
+window as a wall at rest. Velocities must stay subluminal (|Rdot| < 1) for
+the conformal solver to be well posed; the factories enforce it at construction.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WallTrajectory:
-    """Wall position/velocity/acceleration as vectorized callables of time.
+    """Wall position and its first three derivatives as vectorized callables.
 
     period, when set, declares that the law repeats with that period on
     [t_start, t_end]; the coupled-mode solver then propagates whole periods
-    with one monodromy matrix.
+    with one monodromy matrix. jerk (the third derivative) gives the conformal
+    solver its exact F''', so it refuses a wall without one. Every factory
+    supplies it, except tabulated_wall for splines of degree k < 3.
     """
 
     position: Callable
@@ -42,6 +44,7 @@ class WallTrajectory:
     t_end: float
     label: str = "custom"
     period: float | None = None
+    jerk: Callable | None = None
 
     def __post_init__(self):
         if not self.t_end >= self.t_start:
@@ -54,11 +57,11 @@ class WallTrajectory:
         return float(np.max(np.abs(self.velocity(t)))) if samples else 0.0
 
 
-def _windowed(pos, vel, acc, t_start, t_end, label, period=None):
-    """WallTrajectory that follows the law (pos, vel, acc) on [t_start, t_end].
+def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None):
+    """WallTrajectory that follows the law (pos, vel, acc, jerk) on [t_start, t_end].
 
     Outside the window the wall rests: the position is clamped to the
-    window and velocity and acceleration are zero. Both edges belong to the
+    window and every derivative is zero. Both edges belong to the
     window, so they report the moving-side values that solvers use to hand
     momenta across a sudden start or stop. Superluminal laws are rejected.
     """
@@ -73,7 +76,8 @@ def _windowed(pos, vel, acc, t_start, t_end, label, period=None):
         return g
 
     traj = WallTrajectory(position, moving(vel), moving(acc), t_start, t_end,
-                          label=label, period=period)
+                          label=label, period=period,
+                          jerk=None if jerk is None else moving(jerk))
     v = traj.max_speed()
     if v >= 1.0:
         raise ValueError(
@@ -89,7 +93,7 @@ def static_wall(R0):
     def zero(t):
         return 0.0 * t
 
-    return _windowed(lambda t: R0 + zero(t), zero, zero, 0.0, 0.0, "static")
+    return _windowed(lambda t: R0 + zero(t), zero, zero, zero, 0.0, 0.0, "static")
 
 
 def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
@@ -109,6 +113,7 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
     return _windowed(lambda t: R0 * (1.0 + eps * np.sin(Omega * (t - t_start))),
                      lambda t: R0 * eps * Omega * np.cos(Omega * (t - t_start)),
                      lambda t: -R0 * eps * Omega**2 * np.sin(Omega * (t - t_start)),
+                     lambda t: -R0 * eps * Omega**3 * np.cos(Omega * (t - t_start)),
                      t_start, t_end, "harmonic", period=2.0 * np.pi / Omega)
 
 
@@ -126,8 +131,11 @@ def quintic_ramp_dot(s):
 
 
 def _quintic_ramp_ddot(s):
-    s = np.asarray(s, dtype=float)
     return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
+def _quintic_ramp_dddot(s):
+    return 60.0 * (1.0 - 6.0 * s + 6.0 * s**2)
 
 
 def quintic_wall(L0, eps, tau, t_start=0.0):
@@ -146,6 +154,7 @@ def quintic_wall(L0, eps, tau, t_start=0.0):
     return _windowed(lambda t: L0 * (1.0 - eps * quintic_ramp((t - t_start) / tau)),
                      lambda t: -L0 * eps * quintic_ramp_dot((t - t_start) / tau) / tau,
                      lambda t: -L0 * eps * _quintic_ramp_ddot((t - t_start) / tau) / tau**2,
+                     lambda t: -L0 * eps * _quintic_ramp_dddot((t - t_start) / tau) / tau**3,
                      t_start, t_start + tau, "quintic")
 
 
@@ -166,7 +175,8 @@ def tabulated_wall(t, R, k=5):
     if np.any(R <= 0):
         raise ValueError("wall positions must be positive")
     spl = make_interp_spline(t, R, k=k)
-    return _windowed(spl, spl.derivative(1), spl.derivative(2),
+    jerk = spl.derivative(3) if k >= 3 else None  # a quadratic spline has no R'''
+    return _windowed(spl, spl.derivative(1), spl.derivative(2), jerk,
                      float(t[0]), float(t[-1]), "tabulated")
 
 
@@ -183,5 +193,6 @@ def reversed_trajectory(traj, t_start=None):
     return _windowed(lambda t: traj.position(off - t),
                      lambda t: -traj.velocity(off - t),
                      lambda t: traj.acceleration(off - t),
+                     None if traj.jerk is None else lambda t: -traj.jerk(off - t),
                      t_start, t_start + (traj.t_end - traj.t_start),
                      f"{traj.label}-reversed", period=traj.period)

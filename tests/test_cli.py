@@ -259,6 +259,25 @@ class TestMooreRun:
             assert t == 0.0
             assert abs(u - static) < 1e-10
 
+    def test_reruns_write_identical_tables(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "cavity": {"length": 3.141592653589793, "n_modes": 4},
+            "trajectory": {"type": "harmonic", "epsilon": 0.05,
+                           "omega": 2.0, "t_end": 6.0},
+            "moore": {"t_max": 8.0, "n_z": 9, "n_x": 7, "n_t": 5,
+                      "temperature": 0.4}})
+        for run_dir in ("a", "b"):
+            assert main(["moore", "--config", str(cfg),
+                         "--out", str(tmp_path / run_dir)]) == 0
+        for name in ("moore_function.csv", "energy_density.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+        # one grid-wide evaluation, written t outer and x inner
+        _, rows = read_table(tmp_path / "a" / "energy_density.csv")
+        ts = [r[1] for r in rows]
+        assert ts == sorted(ts) and len(set(ts)) == 5
+        assert [r[0] for r in rows[:7]] == [r[0] for r in rows[7:14]]
+
 
 class TestOttoRun:
     def test_efficiency_approaches_compression_ratio(self, tmp_path):

@@ -7,10 +7,15 @@ coupled-mode integration are truncation-limited and use the O(eps^2)
 tolerances that the two-method agreement actually supports.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import brentq
+
+from dcelab import moore
 
 from dcelab.bogoliubov import extract_bogoliubov, integrate_modes, photon_spectrum
 from dcelab.cavity import CavitySpec, ModeBasis
@@ -20,7 +25,14 @@ from dcelab.moore import (
     moore_modes,
     solve_moore,
 )
-from dcelab.trajectories import harmonic_wall, quintic_wall, static_wall
+from dcelab.trajectories import (
+    WallTrajectory,
+    harmonic_wall,
+    quintic_wall,
+    reversed_trajectory,
+    static_wall,
+    tabulated_wall,
+)
 
 # frozen sums of the thermal image series (see test_cavity for the oracle)
 Z_HALF = 0.00589969389957472
@@ -244,3 +256,94 @@ class TestCrossSolverAgreement:
         basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=16))
         mm = bogoliubov_from_moore(F, basis, 10.0)
         assert np.abs(mm.symplectic_defect()[:8]).max() < 5e-3
+
+
+def _edge_image_gap(traj, z):
+    """Distance of z's descent chain from the bounce images of the window edges.
+
+    F''' jumps where a hop of the descent lands on t_start or t_end, since
+    the wall's velocity, acceleration or jerk jumps there.
+    """
+    edges = [t + float(traj.position(t)) for t in (traj.t_start, traj.t_end)]
+    gap, cur = np.inf, z
+    while True:
+        gap = min(gap, *(abs(cur - e) for e in edges))
+        if cur <= edges[0]:
+            return gap
+        t = brentq(lambda u: u + float(traj.position(u)) - cur, traj.t_start, cur)
+        cur = t - float(traj.position(t))
+
+
+def _richardson_third_derivative(F, z, hs=(4e-3, 2e-3, 1e-3, 5e-4)):
+    """Central differences of the exact F'', extrapolated in h^2 (step ratio 2)."""
+    D = [(F.deriv(z + h, 2) - F.deriv(z - h, 2)) / (2.0 * h) for h in hs]
+    for k in range(1, len(D)):
+        D = [(4**k * D[i + 1] - D[i]) / (4**k - 1) for i in range(len(D) - 1)]
+    return D[0]
+
+
+THIRD_DERIVATIVE_WALLS = {
+    "harmonic": lambda: harmonic_wall(np.pi, 0.05, 2.0, t_end=12.0),
+    "quintic": lambda: quintic_wall(np.pi, 0.05, 3.0),
+    "tabulated": lambda: tabulated_wall(
+        np.linspace(0.0, 6.0, 61),
+        np.pi * (1.0 + 0.04 * np.sin(np.linspace(0.0, np.pi, 61)) ** 2)),
+    "reversed": lambda: reversed_trajectory(quintic_wall(np.pi, 0.05, 3.0)),
+}
+
+
+class TestExactThirdDerivative:
+    @pytest.mark.parametrize("name", sorted(THIRD_DERIVATIVE_WALLS))
+    def test_matches_richardson_difference_of_exact_second(self, name):
+        traj = THIRD_DERIVATIVE_WALLS[name]()
+        F = solve_moore(traj, traj.t_end + 8.0)
+        z = np.linspace(F.z_lin + 0.1, F.z_max - 0.1, 60)
+        z = z[[_edge_image_gap(traj, zi) > 0.05 for zi in z]]
+        exact = F.deriv(z, 3)
+        assert np.count_nonzero(np.abs(exact) > 1e-3) >= 20  # the drive bends F
+        npt.assert_allclose(exact, _richardson_third_derivative(F, z), rtol=1e-7)
+
+    def test_wall_without_jerk_is_refused(self):
+        w = harmonic_wall(np.pi, 0.01, 2.0, t_end=5.0)
+        bare = WallTrajectory(w.position, w.velocity, w.acceleration, w.t_start, w.t_end)
+        with pytest.raises(ValueError, match="jerk"):
+            solve_moore(bare, 8.0)
+        F = replace(solve_moore(w, 8.0), traj=bare)
+        with pytest.raises(ValueError, match="jerk"):
+            energy_density(F, 0.0, 0.5, 6.0)
+
+
+class TestGridEvaluation:
+    def setup_method(self):
+        self.traj = harmonic_wall(np.pi, 0.05, 2.0, t_end=12.0)
+        self.F = solve_moore(self.traj, 18.0)
+        self.x = np.linspace(0.0, 0.95 * np.pi, 23)
+        self.t = np.linspace(0.0, 18.0, 31)
+
+    def test_grid_matches_row_by_row(self):
+        grid = energy_density(self.F, 0.3, self.x, self.t[:, None])
+        rows = np.array([energy_density(self.F, 0.3, self.x, float(t)) for t in self.t])
+        assert grid.shape == (self.t.size, self.x.size)
+        npt.assert_allclose(grid, rows, rtol=0.0, atol=1e-12 * np.abs(rows).max())
+
+    def test_scalar_point_returns_float(self):
+        rho = energy_density(self.F, 0.3, 1.1, 7.5)
+        assert isinstance(rho, float)
+        assert rho == pytest.approx(
+            float(energy_density(self.F, 0.3, np.array([1.1]), 7.5)[0]), rel=1e-12)
+
+    def test_grid_descends_once_per_hop_level(self, monkeypatch):
+        calls = []
+        real = moore._bounce_times
+
+        def spy(traj, z, t_lo):
+            calls.append(np.size(z))
+            return real(traj, z, t_lo)
+
+        monkeypatch.setattr(moore, "_bounce_times", spy)
+        energy_density(self.F, 0.0, self.x, self.t[:, None])
+        levels = len(calls)
+        calls.clear()
+        self.F.deriv(float(self.t.max() + self.x.max()), 1)  # deepest ray alone
+        assert levels == len(calls) > 1
+        assert levels < 4 * 2 * self.t.size

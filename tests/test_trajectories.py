@@ -160,3 +160,38 @@ class TestMotionWindow:
             for f in (w.position, w.velocity, w.acceleration):
                 npt.assert_allclose(f(edge), f(inside), rtol=0.0, atol=1e-5)
                 npt.assert_array_equal(f(np.array([edge])), [f(edge)])
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+class TestJerk:
+    """Every factory supplies the third derivative R''' under the same window rule."""
+
+    def test_matches_difference_of_acceleration(self, name):
+        w = FACTORIES[name]()
+        t = w.t_start + (w.t_end - w.t_start) * np.array([0.13, 0.37, 0.61, 0.89])
+        scale = max(np.abs(w.jerk(np.linspace(w.t_start, w.t_end, 101))).max(), 1e-300)
+        npt.assert_allclose(w.jerk(t), central_diff(w.acceleration, t),
+                            rtol=1e-6, atol=1e-7 * scale)
+
+    def test_zero_outside_window(self, name):
+        w = FACTORIES[name]()
+        outside = np.concatenate([w.t_start - np.array([5.0, 1.0, 1e-9]),
+                                  w.t_end + np.array([1e-9, 1.0, 5.0])])
+        assert np.all(w.jerk(outside) == 0.0)
+
+    def test_edges_take_the_moving_side(self, name):
+        w = FACTORIES[name]()
+        h = 1e-7 * (w.t_end - w.t_start)
+        for edge, inside in ((w.t_start, w.t_start + h), (w.t_end, w.t_end - h)):
+            npt.assert_allclose(w.jerk(edge), w.jerk(inside), rtol=1e-5, atol=0.0)
+            if name != "static":
+                assert w.jerk(edge) != 0.0  # the law's value, not the resting zero
+
+
+def test_quadratic_spline_wall_has_no_jerk():
+    # k = 2 still builds a wall for the coupled-mode solver; only the
+    # conformal solver, which needs R''', refuses it
+    w = tabulated_wall(np.linspace(0.0, 5.0, 11), 1.0 + 0.01 * np.sin(np.linspace(0.0, 5.0, 11)),
+                       k=2)
+    assert w.jerk is None
+    assert np.isfinite(w.acceleration(1.0))
