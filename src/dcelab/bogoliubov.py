@@ -1,14 +1,20 @@
 """Coupled-mode integration of the field in a cavity with a moving wall.
 
 Each out-mode v_n is expanded over the instantaneous Dirichlet basis,
-v_n(x,t) = sum_k Q_k^(n)(t) psi_k(x, R(t)), which turns the wave equation
-into the coupled system
+v_n(x,t) = sum_k Q_k^(n)(t) psi_k(x, R(t)), and its time derivative as
+sum_k P_k^(n)(t) psi_k(x, R(t)). P is the momentum conjugate to Q in the
+effective Hamiltonian of the moving-mirror cavity (Law, PRA 49, 433 (1994);
+Schuetzhold, Plunien & Soff, PRA 57, 2311 (1998)), and the wave equation
+becomes the canonical linear system
 
-    Qdd_k = -omega_k^2(t) Q_k + 2 Rdot sum_j M_kj Qd_j
-            + Rddot sum_j M_kj Q_j + Rdot^2 sum_j S_kj Q_j
+    dQ/dt = P + lam Mhat Q,    dP/dt = -omega_k^2(t) Q + lam Mhat P,
 
-integrated for all initial conditions n at once (Q is an N x N complex
-matrix, column n = mode that starts as a pure positive-frequency solution).
+with lam = Rdot/R, omega_k = k pi / R and Mhat = R M(R) the antisymmetric
+coupling of cavity.coupling_M. Only R and Rdot enter. Eliminating P gives
+Qdd = -omega^2 Q + 2 lam Mhat Qd + lamdot Mhat Q + lam^2 Mhat^T Mhat Q,
+where lamdot = Rddot/R - lam^2. Q is an N x N complex matrix integrated for
+all initial conditions n at once (column n = mode that starts as a pure
+positive-frequency solution).
 Once the wall is static again, Q_k^(n) = (alpha_nk e^{-i omega_k t}
 + beta_nk e^{+i omega_k t}) / sqrt(2 omega_k) defines the Bogoliubov
 matrices; beta != 0 is particle creation.
@@ -49,11 +55,11 @@ class ModeAmplitudes:
     """State of the coupled-mode system at time t.
 
     Q[k, n] is the coefficient of instantaneous mode k in out-mode n, and
-    Qdot[k, n] the expansion of the field's time derivative over the same
-    basis. While the wall moves these differ from dQ/dt by the sliding-basis
-    term Rdot * (M Q); storing the field quantities makes the state
-    unambiguous across sudden starts/stops of the drive (where dQ/dt jumps
-    but the field does not). R is the wall position at t.
+    Qdot[k, n] the momentum P conjugate to Q: the expansion of the field's
+    time derivative over the same basis. While the wall moves P differs
+    from dQ/dt by the sliding-basis term Rdot * (M Q). P is continuous across
+    sudden starts/stops of the drive (where dQ/dt jumps but the field does
+    not), so the state is unambiguous there. R is the wall position at t.
     """
 
     t: float
@@ -122,9 +128,9 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
     The wall moves only on [traj.t_start, traj.t_end]. Outside that window
     every mode rotates freely and the rotation is applied exactly; the
     coupled-mode ODE runs only on the part of the window inside [amps0.t,
-    t_final]. Across each window edge the state is handed over as the field
-    momentum, converted with the velocity on the moving side, so a sudden
-    start or stop of the drive keeps the field continuous.
+    t_final]. Its state is the canonical pair (Q, P) that ModeAmplitudes
+    stores, and P is continuous across a sudden start or stop of the drive,
+    so nothing is converted at the window edges.
 
     Parameters
     ----------
@@ -170,42 +176,34 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
 
 
 def _drive(spec, traj, amps0, t_b, rtol, dense_output):
-    """Integrate the coupled-mode ODE from amps0.t to t_b inside the motion window.
+    """Integrate the canonical pair (Q, P) from amps0.t to t_b inside the motion window.
 
     Returns the ModeAmplitudes at t_b and, with dense_output, a callable
-    giving them at any time in between. When traj.period is set and the
-    span exceeds one period, the real 2N x 2N fundamental matrix is
-    integrated over one period only and whole periods are applied as powers
-    of that monodromy matrix M, so the cost no longer grows with the drive
-    length; M must be symplectic in the canonical variables (Q, field
-    momentum) to within 1e3 * rtol before it is powered.
+    giving them at any time in between. P is continuous across a sudden
+    start or stop, so nothing is converted at the window edges. When
+    traj.period is set and the span exceeds one period, the real 2N x 2N
+    fundamental matrix is integrated over one period only and whole periods
+    are applied as powers of that monodromy matrix M, so the cost no longer
+    grows with the drive length; M must be symplectic to within 1e3 * rtol
+    before it is powered.
     """
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     khat = np.arange(1, N + 1) * np.pi  # omega_k(R) = khat / R
     Mhat = basis.M * basis.R0           # M(R) = Mhat / R
-    Shat = Mhat.T @ Mhat                # S(R) = Shat / R^2
     t_a = amps0.t
 
-    def slide(t):
-        """Sliding-basis momentum shift: dQ/dt = Qdot + slide(t) @ Q, slide = Rdot M(R)."""
-        return float(traj.velocity(t)) / float(traj.position(t)) * Mhat
-
     def rhs(t, y):
-        # any number of columns: (Q, dQ/dt) are the two halves of y, (N, m) each
-        Q, Qd = y.reshape(2, N, -1)
+        # any number of columns: (Q, P) are the two halves of y, (N, m) each
+        Q, P = y.reshape(2, N, -1)
         R = traj.position(t)
-        Rd = traj.velocity(t)
-        Rdd = traj.acceleration(t)
-        om2 = (khat / R) ** 2
-        lam = Rd / R
-        # lam_dot multiplies Mhat@Q: d/dt (Rdot/R) = Rddot/R - (Rdot/R)^2
-        Qdd = -om2[:, None] * Q + 2.0 * lam * (Mhat @ Qd) \
-            + (Rdd / R - lam * lam) * (Mhat @ Q) + lam * lam * (Shat @ Q)
-        return np.concatenate([Qd.ravel(), Qdd.ravel()])
+        lam = traj.velocity(t) / R
+        dQ = P + lam * (Mhat @ Q)
+        dP = -((khat / R) ** 2)[:, None] * Q + lam * (Mhat @ P)
+        return np.concatenate([dQ.ravel(), dP.ravel()])
 
     def solve(t_a, t_b, Y, dense):
-        """Integrate the stacked (Q; dQ/dt) block Y, shape (2N, m), over [t_a, t_b]."""
+        """Integrate the stacked (Q; P) block Y, shape (2N, m), over [t_a, t_b]."""
         sol = solve_ivp(rhs, (t_a, t_b), Y.ravel(), method="DOP853", rtol=rtol,
                         atol=1e-2 * rtol, dense_output=dense)
         if not sol.success:
@@ -213,14 +211,10 @@ def _drive(spec, traj, amps0, t_b, rtol, dense_output):
         return sol
 
     def to_amps(t, Y):
-        """Stacked (Q; dQ/dt) at t -> ModeAmplitudes with the field momentum."""
-        Q, dQ = Y.reshape(2, N, N)
-        return ModeAmplitudes(t=t, Q=Q.copy(), Qdot=dQ - slide(t) @ Q,
-                              R=float(traj.position(t)), spec=spec)
+        Q, P = Y.reshape(2, N, N).copy()
+        return ModeAmplitudes(t=t, Q=Q, Qdot=P, R=float(traj.position(t)), spec=spec)
 
-    # field momentum -> dQ/dt on the moving side
-    Q0 = amps0.Q.astype(complex)
-    Y0 = np.vstack([Q0, amps0.Qdot + slide(t_a) @ Q0])
+    Y0 = np.vstack([amps0.Q, amps0.Qdot])
     T = traj.period
     if T is None or t_b - t_a <= T:
         sol = solve(t_a, t_b, Y0, dense_output)
@@ -232,7 +226,7 @@ def _drive(spec, traj, amps0, t_b, rtol, dense_output):
     s = (t_b - t_a) - k * T
     one = solve(t_a, t_a + T, np.eye(2 * N), dense_output)
     M = one.y[:, -1].reshape(2 * N, 2 * N)
-    _check_symplectic(M, slide(t_a), rtol)
+    _check_symplectic(M, rtol)
     Y = np.linalg.matrix_power(M, k) @ Y0
     if s > 0.0:
         Y = solve(t_a, t_a + s, Y, False).y[:, -1]
@@ -262,19 +256,11 @@ def _check_period(traj, t_a, t_b, samples=16):
                 "fix or drop WallTrajectory.period")
 
 
-def _check_symplectic(M, lam, rtol):
-    """M^T J M = J for the one-period matrix in canonical variables (Q, P).
-
-    M acts on (Q, dQ/dt); P = dQ/dt - lam Q with lam = (Rdot/R) Mhat at the
-    period's start, which recurs one period later, so the canonical matrix
-    is C M C^-1 with C = [[I, 0], [-lam, I]].
-    """
+def _check_symplectic(M, rtol):
+    """M^T J M = J for the one-period matrix of the canonical pair (Q, P)."""
     N = M.shape[0] // 2
-    Mc = M.copy()
-    Mc[N:] -= lam @ Mc[:N]      # C M
-    Mc[:, :N] += Mc[:, N:] @ lam  # (C M) C^-1
     J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
-    defect = float(np.abs(Mc.T @ J @ Mc - J).max())
+    defect = float(np.abs(M.T @ J @ M - J).max())
     bound = 1e3 * rtol
     if defect > bound:
         raise RuntimeError(

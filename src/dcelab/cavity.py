@@ -160,9 +160,11 @@ def thermal_image_sum(t_d0, rtol=1e-18, min_terms=60, max_terms=200000):
 class ModeBasis:
     """Spectrum and couplings of the instantaneous Dirichlet basis at rest length R0.
 
-    The time-dependent quantities scale simply: omega(R) = omega0 * R0/R,
-    M(R) = M0 * R0/R, S(R) = S0 * (R0/R)^2; the solvers use those scalings
-    instead of rebuilding matrices each step.
+    The time-dependent quantities scale simply: omega(R) = omega0 * R0/R and
+    M(R) = M0 * R0/R; the solvers use those scalings instead of rebuilding
+    matrices each step. S = M^T M = -M^2 (S(R) = S0 * (R0/R)^2) is kept for
+    reference, but no solver uses it: the canonical coupled-mode system
+    needs only omega and M.
     """
 
     spec: CavitySpec

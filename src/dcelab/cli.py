@@ -97,10 +97,11 @@ def _run_msa(cfg, args):
         if n > cav.n_modes or k > cav.n_modes:
             raise ConfigError(f"msa pair ({n}, {k}) exceeds n_modes = {cav.n_modes}")
     eps = block.get("epsilon")
+    tol = _msa.DEFAULT_TOL
     sl = evolve_slow(ModeBasis.build(cav), float(block["omega"]),
                      eps=None if eps is None else float(eps),
                      tau_max=float(block.get("tau_max", 1.0)),
-                     n_samples=int(block.get("n_samples", 101)))
+                     n_samples=int(block.get("n_samples", 101)), tol=tol)
     header = ["tau"]
     for n, k in pairs:
         header += [f"abs_alpha_{n}_{k}", f"abs_beta_{n}_{k}"]
@@ -111,8 +112,7 @@ def _run_msa(cfg, args):
             row += [float(abs(sl.alpha[i, n - 1, k - 1])),
                     float(abs(sl.beta[i, n - 1, k - 1]))]
         rows.append(row)
-    tol = {"resonance_tol": _msa.DEFAULT_TOL}
-    return [("slow_amplitudes", header, rows)], tol, [], True
+    return [("slow_amplitudes", header, rows)], {"resonance_tol": tol}, [], True
 
 
 def _run_moore(cfg, args):

@@ -163,23 +163,19 @@ class SlowAmplitudes:
         return (a2 - b2).sum(axis=1) - 1.0
 
 
-def evolve_slow(basis: ModeBasis, Omega, R0=None, eps=None, tau_max=1.0,
-                n_samples=101, tol=DEFAULT_TOL):
+def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
+                tol=DEFAULT_TOL):
     """Solve the slow system on linspace(0, tau_max, n_samples) from alpha=I, beta=0.
 
     The generator is constant, so the row block [alpha beta] at tau is
     [I 0] exp(tau K) with K = [[Gs^T, Gc^T], [Gc^T, Gs^T]]; one exp(h K) at
-    the sample spacing h carries each sample to the next. R0 overrides the
-    basis length (the generators scale with the frequencies at R0); eps is
-    recorded for lab-time bookkeeping only.
+    the sample spacing h carries each sample to the next. eps is recorded
+    for lab-time bookkeeping only.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 to span [0, tau_max], got {n_samples}")
-    if R0 is not None and not np.isclose(R0, basis.spec.length):
-        from .cavity import CavitySpec
-        basis = ModeBasis.build(CavitySpec(length=float(R0), n_modes=basis.spec.n_modes))
     Gc, Gs = slow_generators(basis, Omega, tol=tol)
     N = basis.omega.size
 

@@ -19,6 +19,7 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -80,17 +81,17 @@ def write_table(path, header, rows, fmt="csv"):
 
 def read_table(path):
     """(header, rows) back from a CSV or JSON table written by write_table."""
-    path = str(path)
-    if path.endswith(".json"):
-        payload = json.loads(open(path).read())
+    path = Path(path)
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
         return list(payload["columns"]), [list(r) for r in payload["rows"]]
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return header, [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
 
 
 def sha256_of_file(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass

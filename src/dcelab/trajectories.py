@@ -61,9 +61,9 @@ def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None):
     """WallTrajectory that follows the law (pos, vel, acc, jerk) on [t_start, t_end].
 
     Outside the window the wall rests: the position is clamped to the
-    window and every derivative is zero. Both edges belong to the
-    window, so they report the moving-side values that solvers use to hand
-    momenta across a sudden start or stop. Superluminal laws are rejected.
+    window and every derivative is zero. Both edges belong to the window
+    and report the moving side, so an ODE integrating up to an edge sees
+    the moving law. Superluminal laws are rejected.
     """
 
     def position(t):

@@ -321,3 +321,37 @@ class TestMotionWindow:
         late = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=7.0)
         npt.assert_allclose(amps.Q, late.Q, rtol=0.0, atol=1e-12)
         npt.assert_allclose(amps.Qdot, late.Qdot, rtol=0.0, atol=1e-12)
+
+
+class TestCanonicalState:
+    """The ODE state is the canonical pair (Q, P): R and Rdot are all it reads."""
+
+    SPEC = CavitySpec(length=np.pi, n_modes=8)
+
+    @pytest.mark.parametrize("traj", [
+        quintic_wall(np.pi, 0.1, 3.0, t_start=1.0),
+        replace(harmonic_wall(np.pi, 0.01, 2.0, t_end=6.0), period=None),
+    ], ids=["quintic", "harmonic-direct"])
+    def test_acceleration_is_never_read(self, traj):
+        def no_acceleration(t):
+            raise AssertionError("the coupled-mode ODE read the acceleration")
+        ref = integrate_modes(self.SPEC, traj, rtol=1e-10)
+        amps = integrate_modes(self.SPEC, replace(traj, acceleration=no_acceleration),
+                               rtol=1e-10)
+        assert np.array_equal(amps.Q, ref.Q)
+        assert np.array_equal(amps.Qdot, ref.Qdot)
+
+    def test_monodromy_matrix_is_symplectic_as_integrated(self, monkeypatch):
+        seen = []
+        check = bogoliubov._check_symplectic
+
+        def spy(*args):
+            seen.append(args[0])
+            return check(*args)
+        monkeypatch.setattr(bogoliubov, "_check_symplectic", spy)
+        rtol, N = 1e-10, 12
+        integrate_modes(CavitySpec(length=np.pi, n_modes=N),
+                        harmonic_wall(np.pi, 0.01, 2.0, t_end=30.0), rtol=rtol)
+        (M,) = seen
+        J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
+        assert np.abs(M.T @ J @ M - J).max() <= 1e3 * rtol

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import yaml
 
 from dcelab.cli import main
 from dcelab.config import ConfigError, load_config
-from dcelab.output import read_table, write_table
+from dcelab.output import read_table, sha256_of_file, write_table
 
 
 def write_cfg(tmp_path, doc, name="scenario.yaml"):
@@ -145,6 +147,17 @@ class TestTableFormats:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             write_table(tmp_path / "bad", ["a"], [], "xml")
+
+    def test_reading_closes_every_file(self, tmp_path):
+        csv = write_table(tmp_path / "t", ["a"], [[1.0]], "csv")
+        js = write_table(tmp_path / "t", ["a"], [[1.0]], "json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read_table(csv)
+            read_table(js)
+            sha256_of_file(csv)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSpectrumRun:
