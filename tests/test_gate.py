@@ -5,8 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import dcelab.gate as gate
 from dcelab.gate import (
@@ -36,7 +38,7 @@ from dcelab.gate import (
     squeeze_state,
     thermal_nbar,
 )
-from dcelab.gate import _collapse_operators, _joint_hamiltonian
+from dcelab.gate import _collapse_operators, _expm_action, _joint_hamiltonian, _liouvillian
 
 # Frozen closed-form constants, from independent arithmetic on
 # cosh 3 = 10.067661995777765 (r = 1.5 throughout).
@@ -417,16 +419,21 @@ class TestOpenEvolve:
 
         units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
         sup = np.column_stack([lindblad(u).ravel() for u in units])
-        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 5)).ravel()
-        rho = np.outer(psi, psi.conj())
-        expected = (expm(p.t_gate * sup) @ rho.ravel()).reshape(dim, dim)
-        out = open_evolve(rho, p, rates, p.t_gate)
-        assert np.max(np.abs(out - expected)) < 1e-12
+        vacuum = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 5))
+        # resonator in (|0> + |1>)/sqrt2: both photon-parity sectors populated
+        superposed = vacuum.copy()
+        superposed[:, 1] = superposed[:, 0]
+        superposed /= np.sqrt(2.0)
+        for psi in (vacuum.ravel(), superposed.ravel()):
+            rho = np.outer(psi, psi.conj())
+            expected = (expm(p.t_gate * sup) @ rho.ravel()).reshape(dim, dim)
+            out = open_evolve(rho, p, rates, p.t_gate)
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_independent_of_the_global_random_stream(self):
-        # the sparse exponential estimates a matrix 1-norm with random sign
-        # vectors drawn from np.random; the --threads byte identity of the
-        # gate tables rests on the result not depending on that stream
+        # the sparse exponential draws no random numbers (its 1-norm is
+        # exact); the --threads byte identity of the gate tables rests on
+        # the result not depending on the np.random stream
         p = default_cqed_params(n_max=16)
         psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 16)).ravel()
         rho = np.outer(psi, psi.conj())
@@ -476,6 +483,18 @@ class TestOpenEvolve:
             sys.setswitchinterval(interval)
             np.random.set_state(state)
 
+    def test_liouvillian_preserves_photon_parity(self):
+        # every channel on, thermal excitation included: no stored entry may
+        # couple a coordinate with j + k even to one with j + k odd
+        p = default_cqed_params(n_max=7)
+        ls = _collapse_operators(p, OpenRates.typical())
+        assert len(ls) == 5  # a, a^dag, sigma_-, sigma_+, sigma_z
+        coo = _liouvillian(_joint_hamiltonian(p, 0.3), ls).tocoo()
+        photons = np.arange(2 * (p.n_max + 1)) % (p.n_max + 1)
+        parity = ((photons[:, None] + photons[None, :]) % 2).ravel()
+        assert np.all(coo.data[parity[coo.row] != parity[coo.col]] == 0)
+        assert np.any(coo.data[parity[coo.row] == 1] != 0)  # the odd block is not empty
+
     def test_negative_eigenvalue_detected(self):
         p = default_cqed_params(eps_d=0.0, n_max=10)
         rho = np.zeros((22, 22), dtype=complex)
@@ -483,6 +502,32 @@ class TestOpenEvolve:
         rho[1, 1] = -0.02
         with pytest.raises(RuntimeError, match="negative eigenvalue"):
             open_evolve(rho, p, OpenRates(), 1.0)
+
+
+class TestExpmAction:
+    def test_zero_duration_returns_input(self):
+        p = default_cqed_params(n_max=6)
+        L = _liouvillian(_joint_hamiltonian(p, 0.0), _collapse_operators(p, OpenRates.typical()))
+        b = np.array([1.0, 1j]) @ np.random.default_rng(5).standard_normal((2, L.shape[0]))
+        assert np.array_equal(_expm_action(L, b, 0.0), b)
+
+    def test_zero_generator(self):
+        b = np.array([1.0, 1j]) @ np.random.default_rng(6).standard_normal((2, 12))
+        zero = sparse.csr_array((12, 12), dtype=complex)
+        assert np.array_equal(_expm_action(zero, b, 3.0), b)
+
+    def test_matches_scipy_at_the_gate_open_design_point(self):
+        # configs/gate_open.yaml: r = 0.5 at g_d eps_d = 7.5e-3 rad/ns,
+        # n_max 40, typical rates at 60 mK; the full vec(rho), both sectors
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=40)
+        L = _liouvillian(_joint_hamiltonian(p, p.theta),
+                         _collapse_operators(p, OpenRates.typical()))
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 40))
+        psi[:, 1] = 0.5 * psi[:, 0]
+        psi /= np.linalg.norm(psi)
+        b = np.outer(psi.ravel(), psi.ravel().conj()).ravel()
+        expected = expm_multiply(p.t_gate * L, b)
+        assert np.max(np.abs(_expm_action(L, b, p.t_gate) - expected)) < 1e-13
 
 
 class TestOpenProtocol:
