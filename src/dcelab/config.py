@@ -16,6 +16,7 @@ the cavity blocks, nanoseconds / rad/ns / mK for the gate block.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,12 @@ def _need(block, key, context):
     return block[key]
 
 
+def _given(block, **casts):
+    """The keys of `block` named in `casts`, each cast (the schema accepts 20.0
+    as an integer); absent keys are left to the receiving dataclass's default."""
+    return {key: cast(block[key]) for key, cast in casts.items() if key in block}
+
+
 def build_cavity(block):
     return CavitySpec(length=float(block["length"]), n_modes=int(block["n_modes"]))
 
@@ -291,7 +298,7 @@ def build_trajectory(block, length):
 
 def build_squid(block):
     params = SquidCavityParams(chi0=float(block["chi0"]), b0L=float(block["b0L"]),
-                               b0R=float(block["b0R"]), d=float(block.get("d", 1.0)))
+                               b0R=float(block["b0R"]), **_given(block, d=float))
     return params, int(block["n_max"])
 
 
@@ -304,8 +311,7 @@ def build_otto(block):
     """
     spec = CycleSpec(L0=float(block["length"]), eps=float(block["epsilon"]),
                      beta_A=float(block["beta_A"]), beta_C=float(block["beta_C"]),
-                     tau=1.0, n_modes=int(block.get("n_modes", 30)),
-                     include_casimir=bool(block.get("include_casimir", False)))
+                     tau=1.0, **_given(block, n_modes=int, include_casimir=bool))
     has_range = any(k in block for k in ("tau_min", "tau_max", "n_tau"))
     if "tau_values" in block:
         if has_range:
@@ -328,26 +334,17 @@ def build_otto(block):
 def build_gate(block):
     """(GateParams, P_z grid, OpenRates or None) from a gate block.
 
-    The target squeeze r fixes the gate duration through r = g_d eps_d
-    t_gate; a rates sub-block switches on the Lindblad comparison (missing
-    rate keys fall back to OpenRates.typical()).
+    Absent keys take the defaults of default_cqed_params and GateParams; the
+    target squeeze r fixes t_gate through r = g_d eps_d t_gate. A rates block
+    switches on the Lindblad comparison, absent keys from OpenRates.typical().
     """
-    g_d = float(block.get("g_d", 0.05))
-    eps_d = float(block.get("eps_d", 0.15))
-    r = float(block["r"])
-    params = default_cqed_params(
-        g_d=g_d, eps_d=eps_d, t_gate=r / (g_d * eps_d),
-        theta=float(block.get("theta", 0.0)),
-        n_max=int(block.get("n_max", 80)),
-        leak_tol=float(block.get("leak_tol", 1e-3)))
+    params = default_cqed_params(**_given(block, theta=float, n_max=int, leak_tol=float,
+                                          g_d=float, eps_d=float))
+    params = replace(params, t_gate=float(block["r"]) / params.drive_rate)
     p_z = np.sort(np.asarray(block["p_z"], dtype=float))
     rates = None
     if "rates" in block:
-        typical = OpenRates.typical()
-        rb = block["rates"]
-        rates = OpenRates(
-            tau_q=float(rb.get("tau_q", typical.tau_q)),
-            tau_r=float(rb.get("tau_r", typical.tau_r)),
-            tau_phi=float(rb.get("tau_phi", typical.tau_phi)),
-            temperature_mK=float(rb.get("temperature_mK", typical.temperature_mK)))
+        rates = replace(OpenRates.typical(),
+                        **_given(block["rates"], tau_q=float, tau_r=float, tau_phi=float,
+                                 temperature_mK=float))
     return params, p_z, rates

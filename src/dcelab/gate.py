@@ -16,11 +16,11 @@ an arbitrary qubit state into superpositions of oppositely squeezed states
 
 which occupy the 4n (chi_+) and 4n+2 (chi_-) photon sectors, so losing one
 photon flips the parity and is detectable. The second gate must counter the
-free rotation of the first: with the conventions above its angle is
-theta - 2 phi + pi, and the encoded pair sits at theta_tilde = theta - 2
-phi + pi. (A drive of phase theta_d produces the gate angle theta_d + pi in
-this squeeze convention; all encoding figures of merit are independent of
-the angle.)
+free rotation of the first: with the conventions above its angle
+GateParams.theta_tilde is theta shifted by pi - 2 phi, and the encoded pair
+sits at that same angle. (A drive of phase theta_d produces the gate angle
+theta_d + pi in this squeeze convention; all encoding figures of merit are
+independent of the angle.)
 
 Pure joint states are arrays of shape (2, n_max+1), qubit index first;
 density matrices are square over the flattened index. hbar = 1, time in ns,
@@ -67,6 +67,8 @@ __all__ = [
 
 _HBAR_OVER_KB = 7.638232  # mK ns (so x = _HBAR_OVER_KB * omega / T)
 _THETA_55 = 9.9  # largest |t A|_1 per step for a degree-55 Taylor step at 2^-53
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,11 @@ class GateParams:
     @property
     def phi_gate(self):
         return self.delta_tilde * self.t_gate
+
+    @property
+    def theta_tilde(self):
+        # second gate angle: undoes the 2 phi the first |0> branch rotated by
+        return self.theta - 2.0 * self.phi_gate + np.pi
 
 
 def default_cqed_params(**overrides):
@@ -254,8 +261,7 @@ def joint_vacuum(alpha, beta, n_max):
 
 
 def hadamard_qubit(state):
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return h @ state
+    return _HADAMARD @ state
 
 
 def flip_qubit(state):
@@ -274,26 +280,22 @@ def controlled_squeeze(state, r, theta, phi):
 def encoding_protocol(alpha, beta, params: GateParams):
     """Encode the qubit (alpha, beta) into the resonator.
 
-    Hadamard, U(r, theta, phi), qubit flip, U(r, theta - 2 phi + pi, phi),
-    qubit flip, Hadamard. The second gate angle cancels the rotation the
-    first branch picked up, leaving the encoded pair at theta_tilde =
-    theta - 2 phi + pi (encoded_target builds the same state directly).
+    Hadamard, U(r, theta, phi), qubit flip, U(r, theta_tilde, phi), qubit
+    flip, Hadamard, with theta_tilde = GateParams.theta_tilde. The second
+    gate angle cancels the rotation the first branch picked up, leaving the
+    encoded pair at theta_tilde (encoded_target builds the same state
+    directly).
     """
-    r, th, phi = params.r_gate, params.theta, params.phi_gate
-    psi = joint_vacuum(alpha, beta, params.n_max)
-    psi = hadamard_qubit(psi)
-    psi = controlled_squeeze(psi, r, th, phi)
-    psi = flip_qubit(psi)
-    psi = controlled_squeeze(psi, r, th - 2.0 * phi + np.pi, phi)
-    psi = flip_qubit(psi)
-    psi = hadamard_qubit(psi)
-    return psi
+    psi = hadamard_qubit(joint_vacuum(alpha, beta, params.n_max))
+    for theta in (params.theta, params.theta_tilde):
+        psi = flip_qubit(controlled_squeeze(psi, params.r_gate, theta, params.phi_gate))
+    return hadamard_qubit(psi)
 
 
 def encoded_target(alpha, beta, params: GateParams):
-    """The ideal output of encoding_protocol, assembled from chi_pm."""
-    pair = chi_states(params.r_gate, params.theta - 2.0 * params.phi_gate + np.pi,
-                      params.n_max, params.leak_tol)
+    """The ideal output of encoding_protocol, assembled from chi_pm at
+    GateParams.theta_tilde."""
+    pair = chi_states(params.r_gate, params.theta_tilde, params.n_max, params.leak_tol)
     psi = np.empty((2, params.n_max + 1), dtype=complex)
     psi[0] = (alpha * pair.c_plus * pair.chi_plus
               + beta * pair.c_minus * pair.chi_minus) / np.sqrt(2.0)
@@ -361,8 +363,7 @@ def average_fidelity(r, P_z):
 
 
 def _target_states(alpha, beta, params):
-    pair = chi_states(params.r_gate, params.theta - 2.0 * params.phi_gate + np.pi,
-                      params.n_max, params.leak_tol)
+    pair = chi_states(params.r_gate, params.theta_tilde, params.n_max, params.leak_tol)
     t_plus = alpha * pair.chi_plus + beta * pair.chi_minus
     t_minus = alpha * pair.chi_minus + beta * pair.chi_plus
     return t_plus, t_minus
@@ -393,25 +394,18 @@ def _joint_hamiltonian(params, theta):
 
 
 def _collapse_operators(params, rates: OpenRates):
-    n = params.n_max + 1
-    eye_q, eye_r = np.eye(2), np.eye(n)
-    a = lowering_operator(params.n_max)
+    eye_r = np.eye(params.n_max + 1)
+    # |0> is the qubit ground state; relaxation drives |1> -> |0>
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])
     ops = []
-    if np.isfinite(rates.tau_r):
-        kappa = 1.0 / rates.tau_r
-        nbar = thermal_nbar(params.omega, rates.temperature_mK)
-        A = np.kron(eye_q, a)
-        ops.append(np.sqrt(kappa * (nbar + 1.0)) * A)
-        if nbar > 0.0:
-            ops.append(np.sqrt(kappa * nbar) * A.conj().T)
-    if np.isfinite(rates.tau_q):
-        gamma = 1.0 / rates.tau_q
-        nbar = thermal_nbar(params.omega_q, rates.temperature_mK)
-        # |0> is the qubit ground state; relaxation drives |1> -> |0>
-        sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), eye_r)
-        ops.append(np.sqrt(gamma * (nbar + 1.0)) * sm)
-        if nbar > 0.0:
-            ops.append(np.sqrt(gamma * nbar) * sm.conj().T)
+    for tau, omega, A in [(rates.tau_r, params.omega,
+                           np.kron(np.eye(2), lowering_operator(params.n_max))),
+                          (rates.tau_q, params.omega_q, np.kron(sm, eye_r))]:
+        if np.isfinite(tau):
+            nbar = thermal_nbar(omega, rates.temperature_mK)
+            ops.append(np.sqrt(1.0 / tau * (nbar + 1.0)) * A)
+            if nbar > 0.0:
+                ops.append(np.sqrt(1.0 / tau * nbar) * A.conj().T)
     if np.isfinite(rates.tau_phi):
         sz = np.kron(np.diag([1.0, -1.0]), eye_r)
         ops.append(np.sqrt(0.5 / rates.tau_phi) * sz)
@@ -517,22 +511,17 @@ def _unitary_sandwich(rho, u_qubit, n):
 def open_encoding_protocol(alpha, beta, params: GateParams, rates: OpenRates):
     """The six-step encoding with dissipation during both gate segments.
 
-    Qubit gates are instantaneous; each controlled-squeeze segment evolves
-    under the Lindblad generator for t_gate. Returns the final joint
-    density matrix.
+    Qubit gates are instantaneous; the controlled-squeeze segments at
+    params.theta and GateParams.theta_tilde each evolve under the Lindblad
+    generator for t_gate. Returns the final joint density matrix.
     """
     n = params.n_max + 1
-    psi = joint_vacuum(alpha, beta, params.n_max)
-    psi = hadamard_qubit(psi).ravel()
+    psi = hadamard_qubit(joint_vacuum(alpha, beta, params.n_max)).ravel()
     rho = np.outer(psi, psi.conj())
-    rho = open_evolve(rho, params, rates, params.t_gate, theta=params.theta)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rho = _unitary_sandwich(rho, x, n)
-    rho = open_evolve(rho, params, rates, params.t_gate,
-                      theta=params.theta - 2.0 * params.phi_gate + np.pi)
-    rho = _unitary_sandwich(rho, x, n)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return _unitary_sandwich(rho, h, n)
+    for theta in (params.theta, params.theta_tilde):
+        rho = _unitary_sandwich(open_evolve(rho, params, rates, params.t_gate, theta=theta),
+                                _FLIP, n)
+    return _unitary_sandwich(rho, _HADAMARD, n)
 
 
 def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates):

@@ -81,6 +81,17 @@ class ResonanceReport:
         return len(self.entries)
 
 
+def _channels(w, Omega, tol):
+    """Matching masks (deg, pair, lo, hi) for Omega = 2 w_k, Omega = w_k + w_j,
+    w_j = w_k - Omega and w_j = w_k + Omega, each to within tol * w_1."""
+    cut = tol * w[0]
+    deg = np.abs(Omega - 2.0 * w) < cut
+    pair = np.abs(Omega - (w[:, None] + w[None, :])) < cut
+    lo = np.abs(w[None, :] - (w[:, None] - Omega)) < cut
+    hi = np.abs(w[None, :] - (w[:, None] + Omega)) < cut
+    return deg, pair, lo, hi
+
+
 def classify_resonances(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
     """Test every mode and mode pair against the three matching conditions.
 
@@ -89,39 +100,23 @@ def classify_resonances(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
     """
     if Omega <= 0:
         raise ValueError("Omega must be positive")
-    w = basis.omega
-    cut = tol * w[0]
-    entries = []
-    for k in range(w.size):
-        if abs(Omega - 2.0 * w[k]) < cut:
-            entries.append(Resonance(ResonanceKind.DEGENERATE, (k + 1,), Omega))
-    for k in range(w.size):
-        for j in range(k + 1, w.size):
-            if abs(Omega - (w[k] + w[j])) < cut:
-                entries.append(Resonance(ResonanceKind.SUM, (k + 1, j + 1), Omega))
-    for k in range(w.size):
-        for j in range(k + 1, w.size):
-            if abs(Omega - (w[j] - w[k])) < cut:
-                entries.append(Resonance(ResonanceKind.DIFFERENCE, (k + 1, j + 1), Omega))
+    deg, pair, _, hi = _channels(basis.omega, Omega, tol)
+    entries = [Resonance(ResonanceKind.DEGENERATE, (int(k) + 1,), Omega)
+               for k in np.flatnonzero(deg)]
+    entries += [Resonance(kind, (int(k) + 1, int(j) + 1), Omega)
+                for kind, mask in ((ResonanceKind.SUM, pair), (ResonanceKind.DIFFERENCE, hi))
+                for k, j in np.argwhere(np.triu(mask, 1))]
     return ResonanceReport(Omega=float(Omega), tol=float(tol), entries=tuple(entries))
 
 
 def slow_generators(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
     """Constant generators (Gc, Gs) of the slow flow; see module docstring."""
     w = basis.omega
-    N = w.size
     mhat = basis.M * basis.spec.length
-    cut = tol * w[0]
     K = (0.5 * Omega) * mhat / np.sqrt(np.outer(w, w))
-
-    Gc = np.zeros((N, N))
-    deg = np.abs(Omega - 2.0 * w) < cut
-    Gc[np.diag_indices(N)] = np.where(deg, -0.5 * w, 0.0)
-    sum_mask = np.abs(Omega - (w[:, None] + w[None, :])) < cut
-    Gc += np.where(sum_mask, K * (0.5 * Omega - w[None, :]), 0.0)
-
-    lo = np.abs(w[None, :] - (w[:, None] - Omega)) < cut
-    hi = np.abs(w[None, :] - (w[:, None] + Omega)) < cut
+    deg, pair, lo, hi = _channels(w, Omega, tol)
+    Gc = np.diag(np.where(deg, -0.5 * w, 0.0))
+    Gc += np.where(pair, K * (0.5 * Omega - w[None, :]), 0.0)
     Gs = np.where(lo, K * (w[None, :] + 0.5 * Omega), 0.0) \
         + np.where(hi, K * (w[None, :] - 0.5 * Omega), 0.0)
     return Gc, Gs

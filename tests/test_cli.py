@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 import yaml
 
+from dataclasses import fields, replace
+
 from dcelab.cli import main
-from dcelab.config import ConfigError, load_config
+from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
+from dcelab.gate import OpenRates, default_cqed_params
+from dcelab.otto import CycleSpec
 from dcelab.output import read_table, sha256_of_file, write_table
 
 
@@ -369,6 +373,51 @@ class TestGateRun:
                          str(tmp_path / name), "--threads", threads]) == 0
             blobs.append((tmp_path / name / "gate_fidelity.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestBuilders:
+    """The builders cast what a scenario gives and leave every other field
+    to the default of the dataclass it feeds."""
+
+    @pytest.mark.parametrize("subcommand, doc, table, key, value", [
+        ("gate", {"gate": {"r": 0.3, "p_z": [0.0, 0.5]}}, "gate_fidelity.csv",
+         "n_max", 20),
+        ("otto", OTTO_DOC, "otto_cycle.csv", "n_modes", 10),
+    ])
+    def test_integral_float_spelling_writes_the_same_bytes(self, tmp_path, subcommand,
+                                                           doc, table, key, value):
+        # the schema accepts 20.0 where it asks for an integer
+        blobs = []
+        for spelling in (value, float(value)):
+            block = dict(doc[subcommand], **{key: spelling})
+            case = tmp_path / type(spelling).__name__
+            case.mkdir()
+            code, out = run(case, subcommand, {subcommand: block})
+            assert code == 0
+            blobs.append((out / table).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_gate_defaults_come_from_the_library(self):
+        params, p_z, rates = build_gate({"r": 0.5, "p_z": [0.0]})
+        expected = default_cqed_params(t_gate=0.5 / 0.0075)
+        for field in fields(expected):
+            assert getattr(params, field.name) == getattr(expected, field.name), field.name
+        assert p_z.tolist() == [0.0] and rates is None
+
+    def test_missing_rates_come_from_typical(self):
+        _, _, rates = build_gate({"r": 0.5, "p_z": [0.0], "rates": {"tau_q": 1.0e5}})
+        assert rates == replace(OpenRates.typical(), tau_q=1e5)
+
+    def test_otto_mode_count_defaults_to_the_cycle_spec(self):
+        doc = {k: v for k, v in OTTO_DOC["otto"].items() if k != "n_modes"}
+        spec, _ = build_otto(doc)
+        default = CycleSpec(L0=1.0, eps=0.01, beta_A=6.0, beta_C=2.0, tau=1.0)
+        assert spec.n_modes == default.n_modes
+        assert spec.include_casimir == default.include_casimir
+
+    def test_squid_length_defaults_to_one(self):
+        params, n_max = build_squid(SPECTRUM_DOC["squid"])
+        assert params.d == 1.0 and n_max == 4
 
 
 class TestCrosscheckRun:

@@ -225,8 +225,8 @@ class TestControlledSqueeze:
 
 class TestEncodingProtocol:
     def test_matches_direct_construction(self):
-        # the two routes share no code: six matrix-product steps versus
-        # assembling chi_pm from analytic Fock amplitudes
+        # the two routes share only GateParams.theta_tilde: six matrix-product
+        # steps versus assembling chi_pm from analytic Fock amplitudes
         p = default_cqed_params(n_max=220)
         psi = encoding_protocol(0.6, 0.8, p)
         target = encoded_target(0.6, 0.8, p)

@@ -53,6 +53,18 @@ class TestClassification:
         assert not rep.creates_photons
         assert (1, 2) in [r.modes for r in rep.of_kind(ResonanceKind.DIFFERENCE)]
 
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_entries_match_the_generator_patterns(self, m):
+        Omega = 0.5 * m * BASIS16.omega[0]
+        rep = classify_resonances(BASIS16, Omega)
+        Gc, Gs = slow_generators(BASIS16, Omega)
+        assert all(type(k) is int for r in rep.entries for k in r.modes)
+        assert [r.modes for r in rep.of_kind(ResonanceKind.DEGENERATE)] == \
+            [(k + 1,) for k in np.flatnonzero(np.diag(Gc))]
+        for kind, G in ((ResonanceKind.SUM, Gc), (ResonanceKind.DIFFERENCE, Gs)):
+            assert [r.modes for r in rep.of_kind(kind)] == \
+                [(k + 1, j + 1) for k, j in np.argwhere(np.triu(G, 1))]
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
             classify_resonances(BASIS16, 0.0)
