@@ -29,11 +29,14 @@ angular frequencies in rad/ns, temperatures in mK.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import gammaln
+
+from .magnus import GAUSS_NODES, magnus6
 
 __all__ = [
     "GateParams",
@@ -144,6 +147,13 @@ class GateParams:
     def theta_tilde(self):
         # second gate angle: undoes the 2 phi the first |0> branch rotated by
         return self.theta - 2.0 * self.phi_gate + np.pi
+
+    @cached_property
+    def _squeezes(self):
+        """S(r_gate, theta) and S(r_gate, theta_tilde): the two dense squeezes of
+        the closed protocol, built once per parameter set."""
+        return tuple(squeeze_operator(self.r_gate, theta, self.n_max)
+                     for theta in (self.theta, self.theta_tilde))
 
 
 def default_cqed_params(**overrides):
@@ -270,10 +280,14 @@ def flip_qubit(state):
 
 def controlled_squeeze(state, r, theta, phi):
     """U(r, theta, phi): squeeze the |1> branch, rotate the |0> branch."""
-    n_max = state.shape[1] - 1
+    return _controlled(state, squeeze_operator(r, theta, state.shape[1] - 1), phi)
+
+
+def _controlled(state, S, phi):
+    """controlled_squeeze with the squeeze matrix S given."""
     out = np.empty_like(state)
-    out[0] = rotation_operator(phi, n_max) * state[0]
-    out[1] = squeeze_operator(r, theta, n_max) @ state[1]
+    out[0] = rotation_operator(phi, state.shape[1] - 1) * state[0]
+    out[1] = S @ state[1]
     return out
 
 
@@ -287,8 +301,8 @@ def encoding_protocol(alpha, beta, params: GateParams):
     directly).
     """
     psi = hadamard_qubit(joint_vacuum(alpha, beta, params.n_max))
-    for theta in (params.theta, params.theta_tilde):
-        psi = flip_qubit(controlled_squeeze(psi, params.r_gate, theta, params.phi_gate))
+    for S in params._squeezes:
+        psi = flip_qubit(_controlled(psi, S, params.phi_gate))
     return hadamard_qubit(psi)
 
 
@@ -545,23 +559,18 @@ def _expm_traceless(x):
 
 
 def _magnus_product(params: GateParams, wb, n_steps):
-    """(u, conj v) propagator over [0, t_gate]: n_steps sixth-order Magnus steps (Blanes,
-    Casas & Ros, BIT 40, 434 (2000)) multiplied pairwise in batches of 2048."""
+    """(u, conj v) propagator over [0, t_gate]: n_steps sixth-order Magnus steps
+    (magnus.magnus6) multiplied pairwise in batches of 2048."""
     def bracket(x, y):  # [X, Y] for X = [[x0, x1], [x2, -x0]] held as (x0, x1, x2)
         return np.stack([x[1] * y[2] - x[2] * y[1], 2.0 * (x[0] * y[1] - x[1] * y[0]),
                          2.0 * (x[2] * y[0] - x[0] * y[2])])
     h, prod = params.t_gate / n_steps, np.eye(2, dtype=complex)
-    nodes = 0.5 + np.sqrt(0.15) * np.array([[-1.0], [0.0], [1.0]])  # Gauss on [0, 1]
     for start in range(0, n_steps, 2048):
-        t = h * (np.arange(start, min(start + 2048, n_steps)) + nodes)
+        t = h * (np.arange(start, min(start + 2048, n_steps)) + GAUSS_NODES[:, None])
         f = 2j * params.drive_rate * np.sin(params.omega_d * t - params.theta)
         w = np.exp(2j * wb * t)
         a1, a2, a3 = np.stack([-f, -f * w, f / w], axis=1)  # A(t) at each node
-        b1, b2 = h * a2, (np.sqrt(15.0) * h / 3.0) * (a3 - a1)
-        b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
-        c1 = bracket(b1, b2)
-        c2 = bracket(b1, 2.0 * b3 + c1) / -60.0
-        e = _expm_traceless(b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+        e = _expm_traceless(magnus6(a1, a2, a3, h, bracket))
         while len(e) > 1:  # later steps act on the left; an unpaired last one waits
             e = np.concatenate([e[1::2] @ e[:-1:2], e[2 * (len(e) // 2):]])
         prod = e[0] @ prod

@@ -6,7 +6,8 @@ sum is conserved, photon number scales as the square of the drive amplitude,
 retracing the trajectory undoes the production at leading order, and
 resonant rows grow while detuned ones only dephase. Periodic walls are
 propagated with a one-period monodromy matrix; the same wall with its
-period dropped (direct integration) is the reference for that path.
+period dropped (direct integration) is the reference for that path. The
+accuracy reference is scipy's DOP853 on the same canonical system.
 """
 
 from dataclasses import replace
@@ -14,9 +15,11 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import solve_ivp
 
 import dcelab.bogoliubov as bogoliubov
 from dcelab.bogoliubov import (
+    ModeAmplitudes,
     extract_bogoliubov,
     initial_amplitudes,
     integrate_modes,
@@ -24,17 +27,45 @@ from dcelab.bogoliubov import (
     photon_spectrum,
     photon_time_series,
 )
-from dcelab.cavity import CavitySpec, thermal_occupation
+from dcelab.cavity import CavitySpec, ModeBasis, thermal_occupation
 from dcelab.trajectories import (
     WallTrajectory,
     harmonic_wall,
     quintic_wall,
     reversed_trajectory,
     static_wall,
+    tabulated_wall,
 )
 
 
 SPEC12 = CavitySpec(length=np.pi, n_modes=12)
+
+
+def dop853_bogoliubov(spec, traj, rtol):
+    """Bogoliubov matrices at traj.t_end from DOP853 on dQ/dt = P + lam Mhat Q,
+    dP/dt = -(khat/R)^2 Q + lam Mhat P, started in the vacuum at traj.t_start."""
+    N = spec.n_modes
+    basis = ModeBasis.build(spec)
+    khat, Mhat = np.arange(1, N + 1) * np.pi, basis.M * basis.R0
+
+    def rhs(t, y):
+        Q, P = y.reshape(2, N, N)
+        R = traj.position(t)
+        lam = traj.velocity(t) / R
+        return np.concatenate([(P + lam * (Mhat @ Q)).ravel(),
+                               (-((khat / R) ** 2)[:, None] * Q + lam * (Mhat @ P)).ravel()])
+    a0 = initial_amplitudes(spec, R0=float(traj.position(traj.t_start)), t0=traj.t_start)
+    sol = solve_ivp(rhs, (traj.t_start, traj.t_end), np.vstack([a0.Q, a0.Qdot]).ravel(),
+                    method="DOP853", rtol=rtol, atol=1e-2 * rtol)
+    assert sol.success
+    Q, P = sol.y[:, -1].reshape(2, N, N)
+    return extract_bogoliubov(ModeAmplitudes(t=traj.t_end, Q=Q, Qdot=P,
+                                             R=float(traj.position(traj.t_end)), spec=spec))
+
+
+def bogoliubov_error(bog, ref):
+    """Largest entry error over both Bogoliubov matrices."""
+    return max(np.abs(bog.alpha - ref.alpha).max(), np.abs(bog.beta - ref.beta).max())
 
 
 class TestStaticWall:
@@ -67,14 +98,17 @@ class TestSymplecticIdentity:
         # even the worst truncated row stays small
         assert defect.max() < 1e-5
 
-    def test_defect_tracks_integrator_tolerance(self):
+    def test_defect_at_rounding_while_error_tracks_rtol(self):
+        # the Magnus product is symplectic at any rtol; rtol sets its accuracy
         spec = CavitySpec(length=np.pi, n_modes=10)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=6.0)
-        loose = np.abs(extract_bogoliubov(
-            integrate_modes(spec, traj, rtol=1e-7)).symplectic_defect())[:5].max()
-        tight = np.abs(extract_bogoliubov(
-            integrate_modes(spec, traj, rtol=1e-11)).symplectic_defect())[:5].max()
-        assert tight < loose
+        ref = dop853_bogoliubov(spec, traj, rtol=1e-13)
+        errors = []
+        for rtol in (1e-7, 1e-11):
+            bog = extract_bogoliubov(integrate_modes(spec, traj, rtol=rtol))
+            assert np.abs(bog.symplectic_defect()).max() < 1e-12
+            errors.append(bogoliubov_error(bog, ref))
+        assert errors[1] < errors[0] < 1e-7
 
 
 class TestResonantDrive:
@@ -254,35 +288,35 @@ class TestMonodromy:
             integrate_modes(self.SPEC, bad)
 
     def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
-        solve_ivp = bogoliubov.solve_ivp
+        propagate = bogoliubov._propagate
         dim = 2 * self.SPEC.n_modes
 
-        def corrupted(*args, **kw):
-            sol = solve_ivp(*args, **kw)
-            if args[2].size == dim * dim:  # the fundamental-matrix solve
-                sol.y[0, -1] += 1e-4
-            return sol
-        monkeypatch.setattr(bogoliubov, "solve_ivp", corrupted)
+        def corrupted(A, edges, Y0, *args):
+            at_edges, grid = propagate(A, edges, Y0, *args)
+            if Y0.shape == (dim, dim):  # the one-period fundamental matrix
+                at_edges[-1, 0, 0] += 1e-4
+            return at_edges, grid
+        monkeypatch.setattr(bogoliubov, "_propagate", corrupted)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
-        with pytest.raises(RuntimeError, match="symplectic.*tighten rtol"):
+        with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
             integrate_modes(self.SPEC, traj, rtol=1e-9)
 
 
 @pytest.fixture
-def ode_spans(monkeypatch):
-    """Records the time span of every ODE solve."""
+def step_spans(monkeypatch):
+    """Records the time span covered by every batch of Magnus steps."""
     spans = []
-    solve_ivp = bogoliubov.solve_ivp
+    exponentials = bogoliubov._exponentials
 
-    def spy(fun, t_span, *args, **kw):
-        spans.append(tuple(t_span))
-        return solve_ivp(fun, t_span, *args, **kw)
-    monkeypatch.setattr(bogoliubov, "solve_ivp", spy)
+    def spy(A, t0, h):
+        spans.append((float(np.minimum(t0, t0 + h).min()), float(np.maximum(t0, t0 + h).max())))
+        return exponentials(A, t0, h)
+    monkeypatch.setattr(bogoliubov, "_exponentials", spy)
     return spans
 
 
 class TestMotionWindow:
-    """The ODE runs only while the wall moves; static epochs rotate exactly."""
+    """The propagator steps only while the wall moves; static epochs rotate exactly."""
 
     SPEC = CavitySpec(length=np.pi, n_modes=8)
 
@@ -292,19 +326,19 @@ class TestMotionWindow:
         for a, b in spans:
             assert traj.t_start <= min(a, b) and max(a, b) <= traj.t_end
 
-    def test_static_wall_makes_no_ode_call(self, ode_spans):
+    def test_static_wall_makes_no_ode_call(self, step_spans):
         amps = integrate_modes(CavitySpec(length=np.pi, n_modes=20), static_wall(np.pi),
                                t_final=50.0)
-        assert ode_spans == [] and amps.t == 50.0
+        assert step_spans == [] and amps.t == 50.0
         bog = extract_bogoliubov(amps)
         npt.assert_allclose(bog.alpha, np.eye(20), rtol=0.0, atol=1e-13)
         npt.assert_allclose(bog.beta, 0.0, rtol=0.0, atol=1e-13)
 
-    def test_tail_past_t_end(self, ode_spans):
+    def test_tail_past_t_end(self, step_spans):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.0 * np.pi)
         times = traj.t_end + np.array([0.0, 0.5, 3.7, 20.0])
         snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-10)
-        self.inside(ode_spans, traj)
+        self.inside(step_spans, traj)
         # once the wall is static again |beta| is a constant of motion
         b = [np.abs(extract_bogoliubov(a).beta) for a in snaps]
         assert np.abs(b - b[0]).max() < 1e-12 and b[0].max() > 0.04
@@ -313,11 +347,11 @@ class TestMotionWindow:
             end = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=t)
             npt.assert_allclose(end.Q, a.Q, rtol=0.0, atol=1e-13)
 
-    def test_state_handed_in_before_t_start(self, ode_spans):
+    def test_state_handed_in_before_t_start(self, step_spans):
         traj = quintic_wall(np.pi, 0.1, 3.0, t_start=2.0)
         amps0 = initial_amplitudes(self.SPEC, t0=0.5)
         amps = integrate_modes(self.SPEC, traj, rtol=1e-10, amps0=amps0, t_final=7.0)
-        self.inside(ode_spans, traj)
+        self.inside(step_spans, traj)
         late = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=7.0)
         npt.assert_allclose(amps.Q, late.Q, rtol=0.0, atol=1e-12)
         npt.assert_allclose(amps.Qdot, late.Qdot, rtol=0.0, atol=1e-12)
@@ -355,3 +389,45 @@ class TestCanonicalState:
         (M,) = seen
         J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
         assert np.abs(M.T @ J @ M - J).max() <= 1e3 * rtol
+
+
+class TestMagnusAccuracy:
+    """Accuracy against DOP853, sample placement and step control of the propagator."""
+
+    SPEC = CavitySpec(length=np.pi, n_modes=8)
+    _t = np.linspace(0.0, 4.0, 21)
+
+    @pytest.mark.parametrize("traj", [
+        quintic_wall(np.pi, 0.1, 3.0),
+        tabulated_wall(_t, np.pi * (1.0 + 0.05 * np.sin(np.pi * _t / 4.0) ** 2)),
+        replace(harmonic_wall(np.pi, 0.01, 2.0, t_end=4.0), period=None),
+    ], ids=["quintic", "tabulated", "harmonic-direct"])
+    def test_error_no_larger_than_dop853(self, traj):
+        ref = dop853_bogoliubov(self.SPEC, traj, rtol=1e-13)
+        magnus = extract_bogoliubov(integrate_modes(self.SPEC, traj, rtol=1e-9))
+        dop853 = dop853_bogoliubov(self.SPEC, traj, rtol=1e-9)
+        assert bogoliubov_error(magnus, ref) <= bogoliubov_error(dop853, ref)
+
+    def test_sample_times_are_step_boundaries(self, monkeypatch):
+        starts = []
+        exponentials = bogoliubov._exponentials
+
+        def spy(A, t0, h):
+            starts.extend(t0)
+            return exponentials(A, t0, h)
+        monkeypatch.setattr(bogoliubov, "_exponentials", spy)
+        traj = quintic_wall(np.pi, 0.1, 3.0, t_start=0.5)
+        times = np.array([0.0, 0.9, 1.7, 2.2, 3.0, 4.0])
+        snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-10)
+        assert set(times[1:-2]) <= set(starts)
+        # a dense query off the grid takes one partial step from the nearest boundary
+        _, dense = integrate_modes(self.SPEC, traj, rtol=1e-10, dense_output=True)
+        for t, snap in zip(times[1:-2], snaps[1:-2]):
+            end = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=t)
+            npt.assert_allclose(snap.Q, end.Q, rtol=0.0, atol=1e-10)
+            npt.assert_allclose(dense(t).Q, end.Q, rtol=0.0, atol=1e-10)
+
+    def test_unreachable_rtol_rejected(self):
+        with pytest.raises(RuntimeError, match="not converged: step-doubling estimate"):
+            integrate_modes(CavitySpec(length=np.pi, n_modes=4), quintic_wall(np.pi, 0.1, 1.0),
+                            rtol=1e-15)

@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import yaml
 
 from dataclasses import fields, replace
 
+import dcelab
 from dcelab.cli import main
 from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
 from dcelab.gate import OpenRates, default_cqed_params
@@ -343,6 +348,16 @@ class TestGateRun:
             assert fo == fs and pur == 1.0
         assert rows[0][1] == 1.0 and rows[-1][1] == 1.0
 
+    def test_closed_run_builds_two_squeezes(self, tmp_path, monkeypatch):
+        # one per gate angle, shared by every P_z of the run
+        import dcelab.gate as gate
+        calls = []
+        expm = gate.expm
+        monkeypatch.setattr(gate, "expm", lambda a: calls.append(a.shape) or expm(a))
+        doc = {"gate": {"r": 0.5, "p_z": [-1.0, -0.5, 0.0, 0.5, 1.0], "n_max": 40}}
+        code, _ = run(tmp_path, "gate", doc)
+        assert code == 0 and calls == [(41, 41)] * 2
+
     def test_rows_sorted_by_polarization(self, tmp_path):
         doc = {"gate": {"r": 0.4, "p_z": [0.5, -0.5, 0.0], "n_max": 40}}
         code, out = run(tmp_path, "gate", doc)
@@ -475,3 +490,13 @@ class TestOutputBlockDefaults:
                      str(tmp_path / "flag"), "--format", "csv"]) == 0
         assert (tmp_path / "flag" / "spectrum.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = ("import sys, dcelab.cli; "
+                "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+        src = str(Path(dcelab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
