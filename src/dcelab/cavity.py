@@ -162,15 +162,13 @@ class ModeBasis:
 
     The time-dependent quantities scale simply: omega(R) = omega0 * R0/R and
     M(R) = M0 * R0/R; the solvers use those scalings instead of rebuilding
-    matrices each step. S = M^T M = -M^2 (S(R) = S0 * (R0/R)^2) is kept for
-    reference, but no solver uses it: the canonical coupled-mode system
-    needs only omega and M.
+    matrices each step. The canonical coupled-mode system needs only omega
+    and M.
     """
 
     spec: CavitySpec
     omega: np.ndarray = field(repr=False)
     M: np.ndarray = field(repr=False)
-    S: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, spec: CavitySpec) -> "ModeBasis":
@@ -178,7 +176,6 @@ class ModeBasis:
             spec=spec,
             omega=dirichlet_spectrum(spec.n_modes, spec.length),
             M=coupling_M(spec.n_modes, spec.length),
-            S=coupling_S(spec.n_modes, spec.length),
         )
 
     @property

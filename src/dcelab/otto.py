@@ -15,10 +15,16 @@ oscillating at 2 w_k and intermode terms at w_j +- w_k; every term carries
 ddelta/dt at both times, so E_F factorizes exactly through the velocity
 transform C(a) = int ddelta/dt e^{i a t} dt as a sum of |C|^2 weights.
 friction_energy uses that factorization; friction_kernel exposes the raw
-integrand for cross-checks. The stroke shapes are PolynomialRamps, whose
-transform has a closed form evaluated for every frequency at once;
-nonadiabatic_cycle computes it once and shares it between both strokes.
-Any other shape callable goes through composite Gauss-Legendre quadrature.
+integrand for cross-checks. The stroke shapes are the delta/delta_dot
+pairs of trajectories.PolynomialRamp, whose wall() the field solvers
+integrate. Their transform has a closed form, taken once per cycle for both
+strokes; any other shape callable goes through Gauss-Legendre quadrature.
+
+Range of validity: the kernel's phases run at w_k(L0) while the true
+frequencies drift by eps w_k during a stroke. This secular phase error
+makes the relative gap of E_F to the exact coupled-mode evolution linear in
+eps, with a coefficient of about -7 at w_1 tau = 0.5, -2 at 2, +6 at 10 and
++32 at 30: E_F is 7% off at tau = 0.5 and eps = 0.01.
 
 Conventions: hbar = 1; beta_A is the cold bath attached at full length L0,
 beta_C the hot bath at compressed length L1, so engine operation needs
@@ -39,13 +45,12 @@ from .cavity import (
     static_casimir_energy,
     thermal_occupation,
 )
-from .trajectories import quintic_ramp, quintic_ramp_dot
+from .trajectories import PolynomialRamp
 
 __all__ = [
     "CycleSpec",
     "CycleResult",
     "PowerCurve",
-    "PolynomialRamp",
     "quintic_trajectory",
     "quintic_trajectory_dot",
     "random_admissible_trajectory",
@@ -58,47 +63,20 @@ __all__ = [
 ]
 
 
-class PolynomialRamp:
-    """Stroke shape p(s) = 10 s^3 - 15 s^4 + 6 s^5 + s^3 (1-s)^3 q(s), s = t/tau.
-
-    q holds the bump coefficients in increasing powers of s (q = 0 is the
-    quintic); value, velocity and acceleration are pinned at both ends for
-    every q. Called with (t, tau) it gives delta for t in [0, tau], or with
-    derivative=True the velocity p'(t/tau)/tau, zero outside. coeffs holds
-    p, or p' for the velocity, in increasing powers of s; velocity_transform
-    integrates them in closed form.
-    """
-
-    def __init__(self, q=(0.0,), derivative=False):
-        self.q, self.derivative = np.asarray(q, dtype=float), derivative
-        p = P.polyadd([0, 0, 0, 10, -15, 6], P.polymul([0, 0, 0, 1, -3, 3, -1], self.q))
-        self.coeffs = P.polyder(p) if derivative else p
-
-    def __call__(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        s = np.clip(t / tau, 0.0, 1.0)
-        w, q = s**3 * (1.0 - s) ** 3, P.polyval(s, self.q)
-        if self.derivative:
-            dw = 3.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s)
-            return (quintic_ramp_dot(s) + (dw * q + w * P.polyval(s, P.polyder(self.q)))) / tau
-        if np.any(t < -1e-12 * tau) or np.any(t > tau * (1 + 1e-12)):
-            raise ValueError("t outside [0, tau]")
-        return quintic_ramp(s) + w * q
-
-
-quintic_trajectory = PolynomialRamp()
-quintic_trajectory_dot = PolynomialRamp(derivative=True)
+_QUINTIC = PolynomialRamp()
+quintic_trajectory = _QUINTIC.delta
+quintic_trajectory_dot = _QUINTIC.delta_dot
 
 
 def random_admissible_trajectory(rng, amplitude=1.0, order=2):
     """Random shape meeting all endpoint constraints of the friction theory.
 
     A PolynomialRamp whose bump q has order + 1 coefficients drawn uniformly
-    from 64 * [-amplitude, amplitude]. Returns the (delta, delta_dot) pair
+    from 64 * [-amplitude, amplitude]. Returns its (delta, delta_dot) pair
     of callables of (t, tau), whose velocity transform is the closed form.
     """
-    q = rng.uniform(-amplitude, amplitude, size=order + 1) * 64.0
-    return PolynomialRamp(q), PolynomialRamp(q, derivative=True)
+    ramp = PolynomialRamp(rng.uniform(-amplitude, amplitude, size=order + 1) * 64.0)
+    return ramp.delta, ramp.delta_dot
 
 
 @dataclass(frozen=True)
@@ -181,10 +159,10 @@ _S32, _W32 = 0.5 * (leggauss(32)[0] + 1.0), 0.5 * leggauss(32)[1]  # on [0, 1]
 def velocity_transform(spec: CycleSpec, a_values):
     """C(a) = int_0^tau ddelta/dt e^{i a t} dt for each requested frequency.
 
-    For a PolynomialRamp, C(a) = int_0^1 g(s) e^{ixs} ds with x = a tau and
-    g = p' is exact: integration by parts ends after deg g + 1 terms and
-    gives z (G_0(z) - e^{ix} G_1(z)) with z = i/x and G_b(z) = sum_k
-    g^(k)(b) z^k, for all frequencies at once. That sum cancels for
+    For a PolynomialRamp's delta_dot, C(a) = int_0^1 g(s) e^{ixs} ds with
+    x = a tau and g = p' is exact: integration by parts ends after deg g + 1
+    terms and gives z (G_0(z) - e^{ix} G_1(z)) with z = i/x and G_b(z) =
+    sum_k g^(k)(b) z^k, for all frequencies at once. That sum cancels for
     |x| < 8, where a 32-node Gauss-Legendre rule on [0, 1] is exact to
     rounding instead. C(0) = 1 by the ramp endpoints.
 
@@ -192,15 +170,15 @@ def velocity_transform(spec: CycleSpec, a_values):
     with panel width <= 3 radians of the oscillation. Its absolute error
     grows like |a tau| 1e-16 int |ddelta/dt| dt, from rounding in the
     phases a t: at a tau = 4394 and tau = 0.2, where |C| = 5e-9, it is
-    1.5e-5 relative. PolynomialRamps take the closed form and do not have
-    this error.
+    1.5e-5 relative. Ramps take the closed form, free of this error.
     """
     _, ddot = spec.shape()
     tau = spec.tau
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     out = np.empty(a_values.shape, dtype=complex)
-    if isinstance(ddot, PolynomialRamp):
-        g = ddot.coeffs * (1.0 if ddot.derivative else tau)
+    ramp = getattr(ddot, "__self__", None)
+    if isinstance(ramp, PolynomialRamp):
+        g = ramp.coeffs[1:] * np.arange(1, ramp.coeffs.size)  # p', as P.polyder, minus its cost
         j = np.arange(g.size)
         falling = np.cumprod(np.vstack([np.ones(g.size), j - j[:-1, None]]), axis=0)
         x = a_values * tau

@@ -172,25 +172,19 @@ def resonance_frequencies(roots, kinds=None, d=1.0, tol=1e-9):
 
     Enumerates 2 k_n (degenerate), k_n + k_m (pair creation) and |k_n - k_m|
     (scattering) for the supplied roots, deduplicated within tol and sorted.
-    With d = 1 the values are in kd units (Omega * d).
+    kinds selects a subset of those three names. With d = 1 the values are
+    in kd units (Omega * d).
     """
     k = np.array([r.kd for r in roots], dtype=float) / d
-    if k.size == 0:
-        return np.empty(0)
-    if kinds is None:
-        kinds = ("degenerate", "sum", "difference")
-    vals = []
-    if "degenerate" in kinds:
-        vals.extend(2.0 * k)
-    for i in range(k.size):
-        for j in range(i + 1, k.size):
-            if "sum" in kinds:
-                vals.append(k[i] + k[j])
-            if "difference" in kinds:
-                vals.append(abs(k[j] - k[i]))
-    vals = np.sort(np.asarray(vals))
+    i, j = np.triu_indices(k.size, 1)
+    lines = {"degenerate": 2.0 * k, "sum": k[i] + k[j], "difference": np.abs(k[j] - k[i])}
+    kinds = lines if kinds is None else kinds
+    unknown = sorted(set(kinds) - set(lines))
+    if unknown:
+        raise ValueError(f"unknown resonance kinds {unknown}; choose from {list(lines)}")
+    vals = np.sort(np.concatenate([np.empty(0)] + [lines[kind] for kind in kinds]))
     keep = np.ones(vals.size, dtype=bool)
-    keep[1:] = np.diff(vals) > tol * max(1.0, vals[-1])
+    keep[1:] = np.diff(vals) > tol * np.max(vals, initial=1.0)
     return vals[keep]
 
 

@@ -10,9 +10,11 @@ the conformal solver to be well posed; the factories enforce it at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "WallTrajectory",
@@ -21,8 +23,7 @@ __all__ = [
     "quintic_wall",
     "tabulated_wall",
     "reversed_trajectory",
-    "quintic_ramp",
-    "quintic_ramp_dot",
+    "PolynomialRamp",
 ]
 
 
@@ -117,45 +118,72 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
                      t_start, t_end, "harmonic", period=2.0 * np.pi / Omega)
 
 
-def quintic_ramp(s):
-    """Smoothstep 10 s^3 - 15 s^4 + 6 s^5 on [0,1]; value/slope/curvature vanish at 0,
-    value 1 with zero slope/curvature at 1."""
-    s = np.asarray(s, dtype=float)
-    return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+# orders 0 to 3 of the smoothstep 10 s^3 - 15 s^4 + 6 s^5 and of the bump window
+# s^3 (1 - s)^3, factored so that the values pinned at the ends are exact zeros
+_SMOOTHSTEP = (lambda s: s**3 * (10.0 - 15.0 * s + 6.0 * s**2),
+               lambda s: 30.0 * s**2 * (1.0 - s) ** 2,
+               lambda s: 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s),
+               lambda s: 60.0 * (1.0 - 6.0 * s + 6.0 * s**2))
+_WINDOW = (lambda s: s**3 * (1.0 - s) ** 3,
+           lambda s: 3.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s),
+           lambda s: 6.0 * s * (1.0 - s) * (1.0 - 5.0 * s + 5.0 * s**2),
+           lambda s: 6.0 * (1.0 - 12.0 * s + 30.0 * s**2 - 20.0 * s**3))
 
 
-def quintic_ramp_dot(s):
-    """First derivative of the quintic smoothstep w.r.t. its argument."""
-    s = np.asarray(s, dtype=float)
-    return 30.0 * s**2 * (1.0 - s) ** 2
+class PolynomialRamp:
+    """Ramp p(s) = 10 s^3 - 15 s^4 + 6 s^5 + s^3 (1-s)^3 q(s) from p(0) = 0 to p(1) = 1.
 
+    q holds the bump coefficients in increasing powers of s (q = 0 is the
+    quintic) and coeffs those of p; slope and curvature vanish at both ends.
+    delta(t, tau) = p(t/tau) is a stroke of duration tau, delta_dot its rate.
+    """
 
-def _quintic_ramp_ddot(s):
-    return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+    def __init__(self, q=(0.0,)):
+        self.q = np.asarray(q, dtype=float)
+        self.coeffs = P.polyadd([0, 0, 0, 10, -15, 6],
+                                P.polymul([0, 0, 0, 1, -3, 3, -1], self.q))
 
+    def derivative(self, s, order=0):
+        """p^(order)(s) for order 0 (the value) up to 3 (the jerk)."""
+        s = np.asarray(s, dtype=float)
+        out = _SMOOTHSTEP[order](s)
+        if self.q.any():  # Leibniz rule on the window times q
+            out = out + sum(comb(order, j) * _WINDOW[order - j](s)
+                            * P.polyval(s, P.polyder(self.q, j)) for j in range(order + 1))
+        return out
 
-def _quintic_ramp_dddot(s):
-    return 60.0 * (1.0 - 6.0 * s + 6.0 * s**2)
+    def delta(self, t, tau):
+        """p(t/tau) for t in [0, tau]."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < -1e-12 * tau) or np.any(t > tau * (1 + 1e-12)):
+            raise ValueError("t outside [0, tau]")
+        return self.derivative(np.clip(t / tau, 0.0, 1.0))
+
+    def delta_dot(self, t, tau):
+        """d/dt p(t/tau) = p'(t/tau) / tau, zero outside [0, tau]."""
+        return self.derivative(np.clip(np.asarray(t, dtype=float) / tau, 0.0, 1.0), 1) / tau
+
+    def wall(self, L0, eps, tau, t_start=0.0):
+        """Compression L(t) = L0 (1 - eps p((t - t_start)/tau)): L0 -> L0 (1 - eps)."""
+        if L0 <= 0:
+            raise ValueError("L0 must be positive")
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        if not -1.0 < eps < 1.0:
+            raise ValueError("|eps| must be < 1")
+
+        def law(order):
+            return lambda t: -L0 * eps * self.derivative((t - t_start) / tau, order) / tau**order
+
+        return _windowed(lambda t: L0 * (1.0 - eps * self.derivative((t - t_start) / tau)),
+                         law(1), law(2), law(3), t_start, t_start + tau,
+                         "ramp" if self.q.any() else "quintic")
 
 
 def quintic_wall(L0, eps, tau, t_start=0.0):
-    """Compression L(t) = L0 (1 - eps * ramp((t - t_start)/tau)): L0 -> L0(1 - eps).
-
-    C^2 at both endpoints, so the coupled-mode source terms switch on and
-    off smoothly (the Otto work strokes use this shape).
-    """
-    if L0 <= 0:
-        raise ValueError("L0 must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if not -1.0 < eps < 1.0:
-        raise ValueError("|eps| must be < 1")
-
-    return _windowed(lambda t: L0 * (1.0 - eps * quintic_ramp((t - t_start) / tau)),
-                     lambda t: -L0 * eps * quintic_ramp_dot((t - t_start) / tau) / tau,
-                     lambda t: -L0 * eps * _quintic_ramp_ddot((t - t_start) / tau) / tau**2,
-                     lambda t: -L0 * eps * _quintic_ramp_dddot((t - t_start) / tau) / tau**3,
-                     t_start, t_start + tau, "quintic")
+    """The quintic PolynomialRamp's wall: C^2 at both ends, so the coupled-mode
+    source terms switch on and off smoothly (the Otto work strokes use it)."""
+    return PolynomialRamp().wall(L0, eps, tau, t_start)
 
 
 def tabulated_wall(t, R, k=5):

@@ -106,7 +106,6 @@ class TestModeBasis:
         basis = ModeBasis.build(spec)
         npt.assert_allclose(basis.omega, dirichlet_spectrum(7, 1.4))
         npt.assert_allclose(basis.M, coupling_M(7, 1.4))
-        npt.assert_allclose(basis.S, coupling_S(7, 1.4))
         assert basis.R0 == 1.4 and basis.n_modes == 7
 
     def test_omega_at_scales(self):

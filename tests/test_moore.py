@@ -26,6 +26,7 @@ from dcelab.moore import (
     solve_moore,
 )
 from dcelab.trajectories import (
+    PolynomialRamp,
     WallTrajectory,
     harmonic_wall,
     quintic_wall,
@@ -289,6 +290,8 @@ THIRD_DERIVATIVE_WALLS = {
         np.linspace(0.0, 6.0, 61),
         np.pi * (1.0 + 0.04 * np.sin(np.linspace(0.0, np.pi, 61)) ** 2)),
     "reversed": lambda: reversed_trajectory(quintic_wall(np.pi, 0.05, 3.0)),
+    "ramp": lambda: PolynomialRamp(np.random.default_rng(31).uniform(-64.0, 64.0, 3)).wall(
+        np.pi, 0.02, 3.0),
 }
 
 

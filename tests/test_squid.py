@@ -152,6 +152,17 @@ class TestResonances:
         dif = resonance_frequencies(roots, kinds=("difference",))
         assert np.allclose(dif, [np.pi])
 
+    def test_no_line_of_the_requested_kind(self):
+        # one root has no pair, so it has no sum or difference line
+        freqs = resonance_frequencies([SpectrumRoot(np.pi, 0.0)], kinds=("sum",))
+        assert freqs.shape == (0,)
+        assert resonance_frequencies([]).shape == (0,)
+
+    def test_unknown_kind_rejected(self):
+        roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(2 * np.pi, 0.0)]
+        with pytest.raises(ValueError, match="unknown resonance kinds"):
+            resonance_frequencies(roots, kinds=("degenerate", "sums"))
+
     def test_coincident_lines_deduplicated(self):
         # roots {pi, 3pi}: 2k = {2pi, 6pi}, sum = 4pi, diff = 2pi (coincides)
         roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(3 * np.pi, 0.0)]

@@ -5,10 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from dcelab.trajectories import (
+    PolynomialRamp,
     WallTrajectory,
     harmonic_wall,
-    quintic_ramp,
-    quintic_ramp_dot,
     quintic_wall,
     reversed_trajectory,
     static_wall,
@@ -81,9 +80,10 @@ class TestHarmonicWall:
 
 class TestQuinticWall:
     def test_ramp_endpoints(self):
-        assert quintic_ramp(0.0) == 0.0 and quintic_ramp(1.0) == 1.0
-        assert quintic_ramp_dot(0.0) == 0.0 and quintic_ramp_dot(1.0) == 0.0
-        npt.assert_allclose(quintic_ramp(0.5), 0.5, rtol=1e-15)
+        p = PolynomialRamp().derivative
+        assert p(0.0) == 0.0 and p(1.0) == 1.0
+        assert p(0.0, 1) == 0.0 and p(1.0, 1) == 0.0
+        npt.assert_allclose(p(0.5), 0.5, rtol=1e-15)
 
     def test_wall_boundary_conditions(self):
         L0, eps, tau = 1.0, 0.1, 2.0
@@ -133,6 +133,9 @@ FACTORIES = {
     "static": lambda: static_wall(2.5),
     "harmonic": lambda: harmonic_wall(1.3, 0.04, 2.7, t_end=9.0, t_start=1.1),
     "quintic": lambda: quintic_wall(2.0, 0.3, 1.7),
+    # a random admissible bump on the quintic, as the Otto strokes draw them
+    "ramp": lambda: PolynomialRamp(np.random.default_rng(29).uniform(-64.0, 64.0, 3)).wall(
+        2.0, 0.02, 1.7, t_start=0.4),
     "tabulated": lambda: tabulated_wall(np.linspace(0.5, 5.5, 41),
                                         1.0 + 0.02 * np.sin(np.linspace(0.0, 6.0, 41))),
     "reversed": lambda: reversed_trajectory(harmonic_wall(1.0, 0.03, 2.0, t_end=5.0)),
