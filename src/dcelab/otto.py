@@ -79,13 +79,21 @@ def random_admissible_trajectory(rng, amplitude=1.0, order=2):
     return ramp.delta, ramp.delta_dot
 
 
+def _ramp_of(f):
+    """The PolynomialRamp whose bound method f is, else None."""
+    ramp = getattr(f, "__self__", None)
+    return ramp if isinstance(ramp, PolynomialRamp) else None
+
+
 @dataclass(frozen=True)
 class CycleSpec:
     """One Otto cycle: geometry, baths, stroke duration and wall shape.
 
     beta_A (cold) thermalizes at length L0, beta_C (hot) at L1 = L0(1-eps).
     delta and delta_dot, callables of (t, tau), are given together; both
-    default to the quintic ramp.
+    default to the quintic ramp. A PolynomialRamp method given as delta_dot
+    must be delta's rate: it is checked against a central difference of
+    delta at three interior points.
     """
 
     L0: float
@@ -117,6 +125,18 @@ class CycleSpec:
         if (self.delta is None) != (self.delta_dot is None):
             raise ValueError("give delta and delta_dot together, or neither "
                              "for the quintic ramp")
+        if _ramp_of(self.delta_dot) is not None:
+            # the closed form reads only the ramp's coefficients, never the
+            # values of the method given, so check that it is delta's rate
+            t, h = self.tau * np.array([0.25, 0.5, 0.75]), 1e-6 * self.tau
+            rate = (np.asarray(self.delta(t + h, self.tau), dtype=float)
+                    - np.asarray(self.delta(t - h, self.tau), dtype=float)) / (2.0 * h)
+            given = np.asarray(self.delta_dot(t, self.tau), dtype=float)
+            gap = np.abs(given - rate).max()
+            if not gap <= 1e-6 * max(1.0 / self.tau, np.abs(rate).max()):
+                raise ValueError(
+                    f"delta_dot is not the rate of delta: it differs from a central "
+                    f"difference of delta by {gap:.2e} inside the stroke")
 
     def shape(self):
         """(delta, delta_dot) callables, filling in defaults."""
@@ -176,8 +196,8 @@ def velocity_transform(spec: CycleSpec, a_values):
     tau = spec.tau
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     out = np.empty(a_values.shape, dtype=complex)
-    ramp = getattr(ddot, "__self__", None)
-    if isinstance(ramp, PolynomialRamp):
+    ramp = _ramp_of(ddot)
+    if ramp is not None:
         g = ramp.coeffs[1:] * np.arange(1, ramp.coeffs.size)  # p', as P.polyder, minus its cost
         j = np.arange(g.size)
         falling = np.cumprod(np.vstack([np.ones(g.size), j - j[:-1, None]]), axis=0)

@@ -16,8 +16,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import dcelab.bogoliubov as bogoliubov
+import dcelab.magnus as magnus
 from dcelab.bogoliubov import (
     ModeAmplitudes,
     extract_bogoliubov,
@@ -431,3 +433,80 @@ class TestMagnusAccuracy:
         with pytest.raises(RuntimeError, match="not converged: step-doubling estimate"):
             integrate_modes(CavitySpec(length=np.pi, n_modes=4), quintic_wall(np.pi, 0.1, 1.0),
                             rtol=1e-15)
+
+
+class TestBatchedExponential:
+    """magnus.expm_taylor and the balanced step exponentials against scipy.linalg.expm."""
+
+    @staticmethod
+    def steps(N, traj, doublings, count=40):
+        """Generator and real Magnus exponents of `count` steps from traj.t_start
+        on the base grid (10 steps per period of omega_N) refined `doublings` times."""
+        basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=N))
+        A = bogoliubov._generator(traj, np.arange(1, N + 1) * np.pi, basis.M * basis.R0)
+        omega_max = N * np.pi / traj.position(np.linspace(traj.t_start, traj.t_end, 65)).min()
+        h = np.full(count, 2.0 * np.pi / omega_max / 10.0 / 2**doublings)
+        t0 = traj.t_start + h * np.arange(count)
+        a1, a2, a3 = np.moveaxis(A(t0[:, None] + h[:, None] * magnus.GAUSS_NODES), 1, 0)
+        return A, t0, h, magnus.magnus6(a1, a2, a3, h[:, None, None],
+                                        lambda x, y: x @ y - y @ x)
+
+    @staticmethod
+    def relative_error(E, ref):
+        return (np.abs(E - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max()
+
+    @pytest.mark.parametrize("N", [4, 8, 12, 16, 20])
+    @pytest.mark.parametrize("doublings", [0, 1])
+    @pytest.mark.parametrize("traj", [harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0),
+                                      quintic_wall(np.pi, 0.2, 3.0)],
+                             ids=["harmonic", "quintic"])
+    def test_step_exponentials_match_expm(self, N, doublings, traj):
+        A, t0, h, X = self.steps(N, traj, doublings)
+        ref = expm(X)
+        E = bogoliubov._exponentials(A, t0, h)
+        assert self.relative_error(E, ref) <= 1e-13
+        # the exponent is Hamiltonian, so its exponential is symplectic
+        J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
+        assert np.abs(np.swapaxes(E, -2, -1) @ J @ E - J).max() <= 1e-13
+        # balancing is what keeps the base grid free of squarings
+        d = A.balance
+        assert magnus._degree(np.abs(X * (d[:, None] / d)).sum(axis=-2).max())[2] == 0
+
+    def test_norm_that_forces_squaring(self):
+        X = 8.0 * self.steps(12, quintic_wall(np.pi, 0.2, 3.0), 0)[3]
+        assert magnus._degree(np.abs(X).sum(axis=-2).max())[2] >= 4
+        assert self.relative_error(magnus.expm_taylor(X), expm(X)) <= 1e-13
+
+    def test_single_and_zero_slices(self):
+        X = self.steps(8, harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0), 0)[3][:1]
+        assert self.relative_error(magnus.expm_taylor(X), expm(X)) <= 1e-13
+        assert np.array_equal(magnus.expm_taylor(np.zeros((1, 6, 6))), np.eye(6)[None])
+        with pytest.raises(ValueError, match="non-finite"):
+            magnus.expm_taylor(np.full((2, 3, 3), np.nan))
+
+
+class TestPeriodicSamples:
+    """Dense samples of a periodic drive take their partial steps in batches."""
+
+    SPEC = CavitySpec(length=np.pi, n_modes=8)
+
+    def test_many_samples_match_direct_runs(self, monkeypatch):
+        sizes = []
+        exponentials = bogoliubov._exponentials
+
+        def spy(A, t0, h):
+            sizes.append(len(t0))
+            return exponentials(A, t0, h)
+        monkeypatch.setattr(bogoliubov, "_exponentials", spy)
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0)
+        boundaries = np.pi * np.arange(4.0)
+        times = np.sort(np.concatenate([np.linspace(0.0, 12.0, 90), boundaries,
+                                        boundaries[1:], [5.0, 5.0, 11.0]]))
+        assert np.count_nonzero((times > 0.0) & (times < traj.t_end)) > bogoliubov._BATCH
+        snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-12)
+        assert max(sizes) <= bogoliubov._BATCH
+        for t, snap in zip(times, snaps):
+            end = integrate_modes(self.SPEC, traj, rtol=1e-12, t_final=t)
+            assert snap.t == t
+            npt.assert_allclose(snap.Q, end.Q, rtol=0.0, atol=1e-10)
+            npt.assert_allclose(snap.Qdot, end.Qdot, rtol=0.0, atol=1e-10)

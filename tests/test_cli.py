@@ -500,3 +500,11 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+    def test_bogoliubov_import_leaves_out_scipy_linalg(self):
+        code = ("import sys, dcelab.bogoliubov; "
+                "print([m for m in sys.modules if m.startswith('scipy.linalg')])")
+        src = str(Path(dcelab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"

@@ -264,6 +264,14 @@ class TestAdiabaticCycle:
             with pytest.raises(ValueError, match="delta and delta_dot"):
                 base_spec(**lone)
 
+    def test_delta_dot_must_be_the_rate_of_delta(self):
+        r = PolynomialRamp([20.0, -10.0])
+        with pytest.raises(ValueError, match="delta_dot is not the rate of delta"):
+            base_spec(tau=2.0, delta=r.delta, delta_dot=r.delta)
+        with pytest.raises(ValueError, match="delta_dot"):
+            base_spec(tau=2.0, delta=r.delta, delta_dot=PolynomialRamp().delta_dot)
+        base_spec(tau=2.0, delta=r.delta, delta_dot=r.delta_dot)
+
 
 class TestNonadiabaticCycle:
     def test_friction_lowers_efficiency(self):
