@@ -38,9 +38,11 @@ starts at 10 steps per period of omega_N = N pi / min R and doubles until a
 step-doubling estimate meets it. When the wall declares a period (harmonic
 drives do), whole periods are applied as powers of one monodromy matrix,
 the real 2N x 2N fundamental matrix over one period, so the cost no longer
-grows with the drive length, and the partial steps of all requested
-samples are exponentiated in batches; aperiodic walls are propagated
-directly.
+grows with the drive length; aperiodic walls are propagated directly.
+Samples follow one rule on either path: the propagator keeps only the
+state at the step boundary nearest each requested time, and every sample
+is one partial Magnus step from there, exponentiated in batches, so the
+memory held does not grow with the number of steps.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ def _rotated(amps, t):
 
 
 def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
-                    amps0: ModeAmplitudes | None = None, t_final=None,
-                    dense_output=False):
+                    amps0: ModeAmplitudes | None = None, t_final=None, times=None):
     """Evolve the mode amplitudes from amps0.t to t_final.
 
     The wall moves only on [traj.t_start, traj.t_end]. Outside that window
@@ -161,15 +162,16 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
         Initial state; defaults to vacuum-matched data at traj.t_start.
     t_final : float, optional
         Defaults to traj.t_end.
-    dense_output : bool or array of times
-        Also return a callable giving the ModeAmplitudes at any time in
-        [amps0.t, t_final] (for time series sampling). An array names the
-        times to be sampled: on an aperiodic drive they become step
-        boundaries, so the callable returns them with no partial step.
+    times : sorted array of floats in [amps0.t, t_final], optional
+        Times at which the state is also sampled. Each sample inside the
+        motion window is one partial Magnus step from the nearest boundary
+        of the accepted step grid (see _propagate); the others are exact
+        rotations.
 
     Returns
     -------
-    ModeAmplitudes (and the dense callable if dense_output).
+    ModeAmplitudes at t_final, and with times also the list of
+    ModeAmplitudes at each of them.
     """
     if t_final is None:
         t_final = traj.t_end
@@ -178,41 +180,40 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
         amps0 = initial_amplitudes(spec, R0=R_initial, t0=traj.t_start)
     if t_final < amps0.t:
         raise ValueError("t_final precedes the initial state")
-    stops = np.asarray(dense_output if np.ndim(dense_output) else [], dtype=float)
-    dense_wanted = stops.size > 0 or bool(dense_output)
+    wanted = np.asarray([] if times is None else times, dtype=float)
+    if wanted.ndim != 1 or np.any(np.diff(wanted) < 0):
+        raise ValueError("times must be a sorted 1-D array")
+    outside = wanted[(wanted < amps0.t) | (wanted > t_final)]
+    if outside.size:
+        raise ValueError(f"sample time {outside[0]:g} lies outside [{amps0.t:g}, {t_final:g}], "
+                         "the span integrated from amps0.t to t_final")
+    samples, repeat = np.unique(wanted, return_inverse=True)
     t_a, t_b = max(amps0.t, traj.t_start), min(t_final, traj.t_end)
-    end = amps0
+    moves = (samples > t_a) & (samples < t_b)
+    end, moving = amps0, []
     if t_b > t_a:
-        end, moving = _drive(spec, traj, _rotated(amps0, t_a), t_b, rtol, stops, dense_wanted)
+        end, moving = _drive(spec, traj, _rotated(amps0, t_a), t_b, rtol, samples[moves])
     amps = _rotated(end, t_final)
-    if not dense_wanted:
+    if times is None:
         return amps
-
-    def dense(t):
-        if t >= end.t:
-            return _rotated(end, t)
-        if t <= t_a:
-            return _rotated(amps0, t)
-        return moving(t)
-
-    return amps, dense
+    moving = iter(moving)  # samples outside (t_a, t_b) rotate from the nearer rest state
+    snaps = [next(moving) if m else _rotated(end if t >= end.t else amps0, t)
+             for t, m in zip(samples.tolist(), moves)]
+    return amps, [snaps[i] for i in repeat]
 
 
-def _drive(spec, traj, amps0, t_b, rtol, stops, dense):
+def _drive(spec, traj, amps0, t_b, rtol, samples):
     """Propagate the canonical pair (Q, P) from amps0.t to t_b inside the motion window.
 
-    Returns the ModeAmplitudes at t_b and, with dense, a callable giving
-    them at any time in between by one partial Magnus step from the nearest
-    stored step boundary. The state is the real 2N x 2N block [Re Y, Im Y]
-    of Y = (Q; P), so every product is real. When traj.period is set and
-    the span exceeds one period, the fundamental matrix is propagated over
-    one period only and whole periods are applied as powers of that
-    monodromy matrix M, so the cost no longer grows with the drive length;
-    M must be symplectic to within 1e3 * rtol before it is powered. The
-    times in stops become step boundaries on an aperiodic drive; on a
-    periodic one their partial steps are taken inside the stored one-period
-    products, _BATCH at a time, and M^j is formed once per period as the
-    sorted samples pass it.
+    Returns the ModeAmplitudes at t_b and at each of the sorted, distinct
+    samples in (amps0.t, t_b). The state is the real 2N x 2N block
+    [Re Y, Im Y] of Y = (Q; P), so every product is real. When traj.period
+    is set and the span exceeds one period, the fundamental matrix is
+    propagated over one period only and whole periods are applied as powers
+    of that monodromy matrix M, so the cost no longer grows with the drive
+    length; M must be symplectic to within 1e3 * rtol before it is powered.
+    A sample then reads the one-period product at its offset into its
+    period, and M^j is formed once per period as the samples pass it.
     """
     N = spec.n_modes
     basis = ModeBasis.build(spec)
@@ -224,58 +225,33 @@ def _drive(spec, traj, amps0, t_b, rtol, stops, dense):
         Q, P = (Y[:, :N] + 1j * Y[:, N:]).reshape(2, N, N)
         return ModeAmplitudes(t=t, Q=Q, Qdot=P, R=float(traj.position(t)), spec=spec)
 
-    def steps_to(times, states, t):
-        """States at the times t, each one partial step from its nearest boundary."""
-        j = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
-        j -= t - times[j - 1] < times[j] - t
-        h = t - times[j]
-        out = [states[i] for i in j]
-        partial = np.flatnonzero(h)
-        for start in range(0, len(partial), _BATCH):
-            idx = partial[start:start + _BATCH]
-            for i, e in zip(idx, _exponentials(A, times[j[idx]], h[idx])):
-                out[i] = e @ out[i]
-        return out
-
     Y0 = np.vstack([amps0.Q, amps0.Qdot])
     Y0 = np.hstack([Y0.real, Y0.imag])
     T = traj.period
     if T is None or t_b - t_a <= T:
-        edges = np.unique(np.concatenate([[t_a], stops[(stops > t_a) & (stops < t_b)], [t_b]]))
-        at_edges, grid = _propagate(A, edges, Y0, rtol, omega_max, dense)
+        at_edges, sampled = _propagate(A, np.array([t_a, t_b]), Y0, rtol, omega_max, samples)
         return (to_amps(float(t_b), at_edges[-1]),
-                lambda t: to_amps(t, steps_to(*grid, np.array([t]))[0]))
+                [to_amps(t, Y) for t, Y in zip(samples.tolist(), sampled)])
 
     # periodic drive: propagator over k T + s is Phi(t_a + s) M^k
     _check_period(traj, t_a, t_b)
     k = int((t_b - t_a) // T)
     s = (t_b - t_a) - k * T
     edges = np.unique([t_a, t_a + s, t_a + T])
-    at_edges, grid = _propagate(A, edges, np.eye(2 * N), rtol, omega_max, dense)
+    periods = np.minimum((samples - t_a) // T, k).astype(int)
+    at_edges, Phis = _propagate(A, edges, np.eye(2 * N), rtol, omega_max,
+                                samples - periods * T)
     M = at_edges[-1]
     _check_symplectic(M, rtol)
     Y = np.linalg.matrix_power(M, k) @ Y0
     if t_a + s > t_a:
         Y = at_edges[np.searchsorted(edges[1:], t_a + s)] @ Y
-    if not dense:
-        return to_amps(float(t_b), Y), None
-
-    samples = np.unique(stops[(stops > t_a) & (stops < t_b)])
-    periods = np.minimum((samples - t_a) // T, k).astype(int)
-    sampled, MY, power = {}, Y0, 0  # MY = M^power Y0
-    for t, p, Phi in zip(samples.tolist(), periods, steps_to(*grid, samples - periods * T)):
+    sampled, MY, power = [], Y0, 0  # MY = M^power Y0
+    for t, p, Phi in zip(samples.tolist(), periods, Phis):
         while power < p:
             MY, power = M @ MY, power + 1
-        sampled[t] = Phi @ MY
-
-    def moving(t):
-        if t in sampled:
-            return to_amps(t, sampled[t])
-        j = min(int((t - t_a) // T), k)
-        Phi = steps_to(*grid, np.array([t - j * T]))[0]
-        return to_amps(t, Phi @ (np.linalg.matrix_power(M, j) @ Y0))
-
-    return to_amps(float(t_b), Y), moving
+        sampled.append(to_amps(t, Phi @ MY))
+    return to_amps(float(t_b), Y), sampled
 
 
 def _generator(traj, khat, Mhat):
@@ -320,7 +296,7 @@ def _exponentials(A, t0, h):
     return E
 
 
-def _propagate(A, edges, Y0, rtol, omega_max, dense):
+def _propagate(A, edges, Y0, rtol, omega_max, samples):
     """Magnus product for dY/dt = A(t) Y from edges[0], with every edge a step boundary.
 
     Each edge interval starts at 10 steps per period of omega_max, and all
@@ -328,9 +304,11 @@ def _propagate(A, edges, Y0, rtol, omega_max, dense):
     the finer product (sixth order: halving the step divides the error by
     64), taken over the states at every edge, is at most rtol * max|Y|.
     Four doublings without that raise RuntimeError. Steps are exponentiated
-    _BATCH at a time and applied to the state in turn. Returns the states at
-    edges[1:] and, with dense, (boundary times, states on them) of the
-    accepted grid, else None.
+    _BATCH at a time and applied to the state in turn; of the states passed,
+    each stage keeps only those at the edges and at the boundary nearest
+    each time in samples (ties go to the later one). Returns the states at
+    edges[1:] and at the samples, each one partial step from its kept
+    boundary, with the partial steps exponentiated _BATCH at a time.
     """
     lengths = np.diff(edges)
     base = np.ceil(10.0 * omega_max * lengths / (2.0 * np.pi)).astype(int)
@@ -340,24 +318,36 @@ def _propagate(A, edges, Y0, rtol, omega_max, dense):
         t0 = np.concatenate([a + d * np.arange(c) / c for a, d, c in zip(edges, lengths, counts)])
         h = np.repeat(lengths / counts, counts)
         ends = np.cumsum(counts)  # boundary j, after step j - 1, of each of edges[1:]
-        keep = set(ends.tolist())
-        Y, kept = Y0, [Y0]
+        times = np.append(t0, edges[-1])
+        near = np.clip(np.searchsorted(times, samples), 1, len(t0))
+        near -= samples - times[near - 1] < times[near] - samples
+        keep = set(ends.tolist()) | set(near.tolist())
+        Y, kept = Y0, {0: Y0}
         for start in range(0, len(t0), _BATCH):
             for j, e in enumerate(_exponentials(A, t0[start:start + _BATCH],
                                                 h[start:start + _BATCH]), start + 1):
                 Y = e @ Y
-                if dense or j in keep:
-                    kept.append(Y)
-        at_edges = np.array([kept[j] for j in ends] if dense else kept[1:])
+                if j in keep:
+                    kept[j] = Y
+        at_edges = np.array([kept[j] for j in ends])
         if last is not None:
             estimate = np.abs(at_edges - last).max() / 63.0
             if estimate <= rtol * np.abs(at_edges).max():
-                return at_edges, (np.append(t0, edges[-1]), kept) if dense else None
+                break
         last = at_edges
-    raise RuntimeError(
-        f"coupled-mode Magnus product not converged: step-doubling estimate {estimate:.2e} "
-        f"> rtol {rtol:.1e} * max|Y| at {len(t0)} steps; rtol is below the rounding floor "
-        "of this drive or the wall law is too rough for the step grid")
+    else:
+        raise RuntimeError(
+            f"coupled-mode Magnus product not converged: step-doubling estimate {estimate:.2e} "
+            f"> rtol {rtol:.1e} * max|Y| at {len(t0)} steps; rtol is below the rounding floor "
+            "of this drive or the wall law is too rough for the step grid")
+    step = samples - times[near]
+    sampled = [kept[j] for j in near]
+    partial = np.flatnonzero(step)
+    for start in range(0, len(partial), _BATCH):
+        idx = partial[start:start + _BATCH]
+        for i, e in zip(idx, _exponentials(A, times[near[idx]], step[idx])):
+            sampled[i] = e @ sampled[i]
+    return at_edges, sampled
 
 
 def _check_period(traj, t_a, t_b, samples=16):
@@ -427,30 +417,28 @@ def photon_spectrum(bog: BogoliubovMatrices, n_in=None):
 
 
 def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9):
-    """ModeAmplitudes at each requested time from one dense propagation.
+    """ModeAmplitudes at each of the sorted times from one propagation.
 
     The field starts in the vacuum at the earlier of times[0] and
-    traj.t_start; integrate_modes gives every sample, rotating it exactly
-    wherever the wall rests. On an aperiodic drive the sample times are
-    step boundaries of the propagator.
+    traj.t_start, and integrate_modes samples it at every time: exactly
+    rotated wherever the wall rests, else one partial Magnus step from the
+    nearest boundary of the accepted step grid, whether or not the drive
+    is periodic.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted")
     t0 = min(float(times[0]), traj.t_start)
     amps0 = initial_amplitudes(spec, R0=float(traj.position(t0)), t0=t0)
-    _, dense = integrate_modes(spec, traj, rtol=rtol, amps0=amps0,
-                               t_final=float(times[-1]), dense_output=times)
-    return [dense(float(t)) for t in times]
+    return integrate_modes(spec, traj, rtol=rtol, amps0=amps0,
+                           t_final=float(times[-1]), times=times)[1]
 
 
 def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9,
                        beta_temp=None):
     """Sample N_k(t) over `times` (instantaneous-basis occupations).
 
-    Uses one dense propagation; each sample is extracted against the wall
+    Uses one propagation (mode_snapshots); each sample is extracted against the wall
     position at that time. With beta_temp set, the in-state is thermal at
     that inverse temperature.
     """

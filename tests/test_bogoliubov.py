@@ -10,6 +10,7 @@ period dropped (direct integration) is the reference for that path. The
 accuracy reference is scipy's DOP853 on the same canonical system.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -294,10 +295,10 @@ class TestMonodromy:
         dim = 2 * self.SPEC.n_modes
 
         def corrupted(A, edges, Y0, *args):
-            at_edges, grid = propagate(A, edges, Y0, *args)
+            at_edges, sampled = propagate(A, edges, Y0, *args)
             if Y0.shape == (dim, dim):  # the one-period fundamental matrix
                 at_edges[-1, 0, 0] += 1e-4
-            return at_edges, grid
+            return at_edges, sampled
         monkeypatch.setattr(bogoliubov, "_propagate", corrupted)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
         with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
@@ -394,7 +395,7 @@ class TestCanonicalState:
 
 
 class TestMagnusAccuracy:
-    """Accuracy against DOP853, sample placement and step control of the propagator."""
+    """Accuracy against DOP853 and step control of the propagator."""
 
     SPEC = CavitySpec(length=np.pi, n_modes=8)
     _t = np.linspace(0.0, 4.0, 21)
@@ -409,25 +410,6 @@ class TestMagnusAccuracy:
         magnus = extract_bogoliubov(integrate_modes(self.SPEC, traj, rtol=1e-9))
         dop853 = dop853_bogoliubov(self.SPEC, traj, rtol=1e-9)
         assert bogoliubov_error(magnus, ref) <= bogoliubov_error(dop853, ref)
-
-    def test_sample_times_are_step_boundaries(self, monkeypatch):
-        starts = []
-        exponentials = bogoliubov._exponentials
-
-        def spy(A, t0, h):
-            starts.extend(t0)
-            return exponentials(A, t0, h)
-        monkeypatch.setattr(bogoliubov, "_exponentials", spy)
-        traj = quintic_wall(np.pi, 0.1, 3.0, t_start=0.5)
-        times = np.array([0.0, 0.9, 1.7, 2.2, 3.0, 4.0])
-        snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-10)
-        assert set(times[1:-2]) <= set(starts)
-        # a dense query off the grid takes one partial step from the nearest boundary
-        _, dense = integrate_modes(self.SPEC, traj, rtol=1e-10, dense_output=True)
-        for t, snap in zip(times[1:-2], snaps[1:-2]):
-            end = integrate_modes(self.SPEC, traj, rtol=1e-10, t_final=t)
-            npt.assert_allclose(snap.Q, end.Q, rtol=0.0, atol=1e-10)
-            npt.assert_allclose(dense(t).Q, end.Q, rtol=0.0, atol=1e-10)
 
     def test_unreachable_rtol_rejected(self):
         with pytest.raises(RuntimeError, match="not converged: step-doubling estimate"):
@@ -485,12 +467,18 @@ class TestBatchedExponential:
             magnus.expm_taylor(np.full((2, 3, 3), np.nan))
 
 
-class TestPeriodicSamples:
-    """Dense samples of a periodic drive take their partial steps in batches."""
+class TestSamples:
+    """Samples take their partial steps in batches, whether or not the drive is periodic."""
 
     SPEC = CavitySpec(length=np.pi, n_modes=8)
+    _t = np.linspace(0.0, 11.0, 45)
 
-    def test_many_samples_match_direct_runs(self, monkeypatch):
+    @pytest.mark.parametrize("traj", [
+        harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0),
+        quintic_wall(np.pi, 0.1, 11.0),
+        tabulated_wall(_t, np.pi * (1.0 + 0.05 * np.sin(np.pi * _t / 11.0) ** 2)),
+    ], ids=["harmonic", "quintic", "tabulated"])
+    def test_many_samples_match_direct_runs(self, monkeypatch, traj):
         sizes = []
         exponentials = bogoliubov._exponentials
 
@@ -498,7 +486,6 @@ class TestPeriodicSamples:
             sizes.append(len(t0))
             return exponentials(A, t0, h)
         monkeypatch.setattr(bogoliubov, "_exponentials", spy)
-        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0)
         boundaries = np.pi * np.arange(4.0)
         times = np.sort(np.concatenate([np.linspace(0.0, 12.0, 90), boundaries,
                                         boundaries[1:], [5.0, 5.0, 11.0]]))
@@ -510,3 +497,25 @@ class TestPeriodicSamples:
             assert snap.t == t
             npt.assert_allclose(snap.Q, end.Q, rtol=0.0, atol=1e-10)
             npt.assert_allclose(snap.Qdot, end.Qdot, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("traj", [quintic_wall(np.pi, 0.1, 10.0),
+                                      harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)],
+                             ids=["quintic", "harmonic"])
+    def test_times_outside_the_span_rejected(self, traj):
+        with pytest.raises(ValueError, match=r"sample time 7 lies outside \[0, 5\]"):
+            integrate_modes(self.SPEC, traj, t_final=5.0, times=[3.0, 7.0])
+        amps0 = integrate_modes(self.SPEC, traj, t_final=2.0)
+        with pytest.raises(ValueError, match=r"sample time 1 lies outside \[2, 5\]"):
+            integrate_modes(self.SPEC, traj, amps0=amps0, t_final=5.0, times=[1.0, 3.0])
+
+    def test_aperiodic_memory_does_not_grow_with_the_drive(self):
+        spec = CavitySpec(length=np.pi, n_modes=24)
+        peaks = []
+        for tau in (10.0, 40.0):
+            tracemalloc.start()
+            try:
+                mode_snapshots(spec, quintic_wall(np.pi, 0.05, tau), np.linspace(0.0, tau, 5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
