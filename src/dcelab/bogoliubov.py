@@ -24,8 +24,9 @@ and each mode just rotates at omega_k, so those epochs are applied exactly
 and the propagator runs only while the wall moves. There the system
 dY/dt = A(t) Y for Y = (Q; P) is linear with a real Hamiltonian generator
 A = [[lam Mhat, I], [-(khat/R)^2, lam Mhat]], khat = k pi. It is solved by
-a product of sixth-order Magnus exponentials (magnus.magnus6, three Gauss
-nodes per step; Blanes, Casas & Ros, BIT 40, 434 (2000)). The exponents of
+magnus.propagate, the Magnus driver the lab-frame gate branches share: a
+product of sixth-order Magnus exponentials (three Gauss nodes per step;
+Blanes, Casas & Ros, BIT 40, 434 (2000)). The exponents of
 a batch of steps are balanced by the fixed symplectic similarity
 D = diag(omega^1/2, omega^-1/2), omega = khat / R at the wall's start,
 which brings their 1-norm from 4-13 to about 0.7 on the base grid, and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavitySpec, ModeBasis, thermal_occupation
-from .magnus import GAUSS_NODES, expm_taylor, magnus6
+from .magnus import propagate
 from .trajectories import WallTrajectory
 
 __all__ = [
@@ -65,9 +66,6 @@ __all__ = [
     "mode_snapshots",
     "photon_time_series",
 ]
-
-_BATCH = 64  # Magnus steps per batched exponential; bounds the memory of one batch
-
 
 @dataclass
 class ModeAmplitudes:
@@ -157,7 +155,7 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
     rtol : float
         Step-doubling tolerance: the step count doubles until the error
         estimate of the Magnus product, |Y_2n - Y_n| / 63 over the entries
-        of the state, is at most rtol * max|Y| (see _propagate).
+        of the state, is at most rtol * max|Y| (see magnus._propagate).
     amps0 : ModeAmplitudes, optional
         Initial state; defaults to vacuum-matched data at traj.t_start.
     t_final : float, optional
@@ -165,8 +163,8 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
     times : sorted array of floats in [amps0.t, t_final], optional
         Times at which the state is also sampled. Each sample inside the
         motion window is one partial Magnus step from the nearest boundary
-        of the accepted step grid (see _propagate); the others are exact
-        rotations.
+        of the accepted step grid (see magnus._propagate); the others are
+        exact rotations.
 
     Returns
     -------
@@ -203,18 +201,9 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
 
 
 def _drive(spec, traj, amps0, t_b, rtol, samples):
-    """Propagate the canonical pair (Q, P) from amps0.t to t_b inside the motion window.
-
-    Returns the ModeAmplitudes at t_b and at each of the sorted, distinct
-    samples in (amps0.t, t_b). The state is the real 2N x 2N block
-    [Re Y, Im Y] of Y = (Q; P), so every product is real. When traj.period
-    is set and the span exceeds one period, the fundamental matrix is
-    propagated over one period only and whole periods are applied as powers
-    of that monodromy matrix M, so the cost no longer grows with the drive
-    length; M must be symplectic to within 1e3 * rtol before it is powered.
-    A sample then reads the one-period product at its offset into its
-    period, and M^j is formed once per period as the samples pass it.
-    """
+    """ModeAmplitudes at t_b and at the sorted, distinct samples in (amps0.t, t_b)
+    inside the motion window, propagated as the real block [Re Y, Im Y] of
+    Y = (Q; P); a declared period is checked against the law, then used."""
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     A = _generator(traj, np.arange(1, N + 1) * np.pi, basis.M * basis.R0)
@@ -227,31 +216,10 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
 
     Y0 = np.vstack([amps0.Q, amps0.Qdot])
     Y0 = np.hstack([Y0.real, Y0.imag])
-    T = traj.period
-    if T is None or t_b - t_a <= T:
-        at_edges, sampled = _propagate(A, np.array([t_a, t_b]), Y0, rtol, omega_max, samples)
-        return (to_amps(float(t_b), at_edges[-1]),
-                [to_amps(t, Y) for t, Y in zip(samples.tolist(), sampled)])
-
-    # periodic drive: propagator over k T + s is Phi(t_a + s) M^k
-    _check_period(traj, t_a, t_b)
-    k = int((t_b - t_a) // T)
-    s = (t_b - t_a) - k * T
-    edges = np.unique([t_a, t_a + s, t_a + T])
-    periods = np.minimum((samples - t_a) // T, k).astype(int)
-    at_edges, Phis = _propagate(A, edges, np.eye(2 * N), rtol, omega_max,
-                                samples - periods * T)
-    M = at_edges[-1]
-    _check_symplectic(M, rtol)
-    Y = np.linalg.matrix_power(M, k) @ Y0
-    if t_a + s > t_a:
-        Y = at_edges[np.searchsorted(edges[1:], t_a + s)] @ Y
-    sampled, MY, power = [], Y0, 0  # MY = M^power Y0
-    for t, p, Phi in zip(samples.tolist(), periods, Phis):
-        while power < p:
-            MY, power = M @ MY, power + 1
-        sampled.append(to_amps(t, Phi @ MY))
-    return to_amps(float(t_b), Y), sampled
+    if traj.period is not None and t_b - t_a > traj.period:
+        _check_period(traj, t_a, t_b)
+    Y, sampled = propagate(A, t_a, t_b, Y0, rtol, omega_max, traj.period, samples)
+    return to_amps(float(t_b), Y), [to_amps(t, y) for t, y in zip(samples.tolist(), sampled)]
 
 
 def _generator(traj, khat, Mhat):
@@ -280,76 +248,6 @@ def _generator(traj, khat, Mhat):
     return A
 
 
-def _exponentials(A, t0, h):
-    """exp(Omega_j) of the sixth-order Magnus steps [t0_j, t0_j + h_j], one batched exponential.
-
-    Each exponent is exponentiated balanced, as D^-1 exp(D Omega D^-1) D
-    with D = diag(A.balance), which is exact and keeps the Taylor degree
-    low with no squaring on the base grid.
-    """
-    exponent = magnus6(*np.moveaxis(A(t0[:, None] + h[:, None] * GAUSS_NODES), 1, 0),
-                       h[:, None, None], lambda x, y: x @ y - y @ x)
-    d = A.balance
-    exponent *= d[:, None] / d
-    E = expm_taylor(exponent)
-    E *= d / d[:, None]
-    return E
-
-
-def _propagate(A, edges, Y0, rtol, omega_max, samples):
-    """Magnus product for dY/dt = A(t) Y from edges[0], with every edge a step boundary.
-
-    Each edge interval starts at 10 steps per period of omega_max, and all
-    step counts double until the estimate |Y_2n - Y_n| / 63 of the error of
-    the finer product (sixth order: halving the step divides the error by
-    64), taken over the states at every edge, is at most rtol * max|Y|.
-    Four doublings without that raise RuntimeError. Steps are exponentiated
-    _BATCH at a time and applied to the state in turn; of the states passed,
-    each stage keeps only those at the edges and at the boundary nearest
-    each time in samples (ties go to the later one). Returns the states at
-    edges[1:] and at the samples, each one partial step from its kept
-    boundary, with the partial steps exponentiated _BATCH at a time.
-    """
-    lengths = np.diff(edges)
-    base = np.ceil(10.0 * omega_max * lengths / (2.0 * np.pi)).astype(int)
-    last = None
-    for doubling in range(5):
-        counts = base << doubling
-        t0 = np.concatenate([a + d * np.arange(c) / c for a, d, c in zip(edges, lengths, counts)])
-        h = np.repeat(lengths / counts, counts)
-        ends = np.cumsum(counts)  # boundary j, after step j - 1, of each of edges[1:]
-        times = np.append(t0, edges[-1])
-        near = np.clip(np.searchsorted(times, samples), 1, len(t0))
-        near -= samples - times[near - 1] < times[near] - samples
-        keep = set(ends.tolist()) | set(near.tolist())
-        Y, kept = Y0, {0: Y0}
-        for start in range(0, len(t0), _BATCH):
-            for j, e in enumerate(_exponentials(A, t0[start:start + _BATCH],
-                                                h[start:start + _BATCH]), start + 1):
-                Y = e @ Y
-                if j in keep:
-                    kept[j] = Y
-        at_edges = np.array([kept[j] for j in ends])
-        if last is not None:
-            estimate = np.abs(at_edges - last).max() / 63.0
-            if estimate <= rtol * np.abs(at_edges).max():
-                break
-        last = at_edges
-    else:
-        raise RuntimeError(
-            f"coupled-mode Magnus product not converged: step-doubling estimate {estimate:.2e} "
-            f"> rtol {rtol:.1e} * max|Y| at {len(t0)} steps; rtol is below the rounding floor "
-            "of this drive or the wall law is too rough for the step grid")
-    step = samples - times[near]
-    sampled = [kept[j] for j in near]
-    partial = np.flatnonzero(step)
-    for start in range(0, len(partial), _BATCH):
-        idx = partial[start:start + _BATCH]
-        for i, e in zip(idx, _exponentials(A, times[near[idx]], step[idx])):
-            sampled[i] = e @ sampled[i]
-    return at_edges, sampled
-
-
 def _check_period(traj, t_a, t_b, samples=16):
     """Reject a declared period the law does not have on [t_a, t_b]."""
     T = traj.period
@@ -365,20 +263,6 @@ def _check_period(traj, t_a, t_b, samples=16):
                 f"trajectory period {T:g} is not a period of its {name}: "
                 f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
                 "fix or drop WallTrajectory.period")
-
-
-def _check_symplectic(M, rtol):
-    """M^T J M = J for the one-period matrix of the canonical pair (Q, P)."""
-    N = M.shape[0] // 2
-    J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
-    defect = float(np.abs(M.T @ J @ M - J).max())
-    bound = 1e3 * rtol
-    if not defect <= bound:
-        raise RuntimeError(
-            f"one-period monodromy matrix is not symplectic: |M^T J M - J| = "
-            f"{defect:.2e} > {bound:.2e} (1e3 * rtol); a product of Magnus steps is "
-            "symplectic up to rounding, so either the bound is below the rounding floor "
-            "(loosen rtol) or the mode coupling M is not antisymmetric")
 
 
 def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:

@@ -36,7 +36,8 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .magnus import GAUSS_NODES, magnus6
+from .cavity import thermal_occupation
+from .magnus import propagate
 
 __all__ = [
     "GateParams",
@@ -188,7 +189,7 @@ def thermal_nbar(omega, temperature_mK):
         raise ValueError("temperature must be >= 0")
     if temperature_mK == 0.0:
         return 0.0
-    return 1.0 / np.expm1(_HBAR_OVER_KB * omega / temperature_mK)
+    return thermal_occupation(1.0, _HBAR_OVER_KB * omega / temperature_mK)
 
 
 def lowering_operator(n_max):
@@ -551,43 +552,19 @@ def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates):
     return float(fbar), purity
 
 
-def _expm_traceless(x):
-    """exp X = cosh s I + (sinh s / s) X, s^2 = -det X, for x of shape (3, m)."""
-    s = np.sqrt(x[0] ** 2 + x[1] * x[2])
-    c, k = np.cosh(s), np.sinc(1j * s / np.pi)  # sinc(i s / pi) = sinh s / s
-    return np.stack([c + k * x[0], k * x[1], k * x[2], c - k * x[0]], -1).reshape(-1, 2, 2)
-
-
-def _magnus_product(params: GateParams, wb, n_steps):
-    """(u, conj v) propagator over [0, t_gate]: n_steps sixth-order Magnus steps
-    (magnus.magnus6) multiplied pairwise in batches of 2048."""
-    def bracket(x, y):  # [X, Y] for X = [[x0, x1], [x2, -x0]] held as (x0, x1, x2)
-        return np.stack([x[1] * y[2] - x[2] * y[1], 2.0 * (x[0] * y[1] - x[1] * y[0]),
-                         2.0 * (x[2] * y[0] - x[0] * y[2])])
-    h, prod = params.t_gate / n_steps, np.eye(2, dtype=complex)
-    for start in range(0, n_steps, 2048):
-        t = h * (np.arange(start, min(start + 2048, n_steps)) + GAUSS_NODES[:, None])
-        f = 2j * params.drive_rate * np.sin(params.omega_d * t - params.theta)
-        w = np.exp(2j * wb * t)
-        a1, a2, a3 = np.stack([-f, -f * w, f / w], axis=1)  # A(t) at each node
-        e = _expm_traceless(magnus6(a1, a2, a3, h, bracket))
-        while len(e) > 1:  # later steps act on the left; an unpaired last one waits
-            e = np.concatenate([e[1::2] @ e[:-1:2], e[2 * (len(e) // 2):]])
-        prod = e[0] @ prod
-    return prod
-
-
 def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     """Full time-dependent drive on one qubit branch, no RWA.
 
     Returns the final resonator state in the frame rotating at the branch
     frequency wb (omega_0 or omega_1), comparable with S(r_gate, theta + pi)
-    for |1> or the Stark-shifted rotation for |0>. The branch Hamiltonian is
-    quadratic, so a(t) = u a + v a^dag exactly: d/dt (u, conj v) = 2i f [[-1,
-    -e^{2i wb t}], [e^{-2i wb t}, 1]] (u, conj v), f = g_d eps_d sin(omega_d t
-    - theta), with no Fock truncation. Magnus steps start at 8 per period of
-    omega_d + 2 wb and double until two products agree to rtol * max|U|;
-    four doublings without that, or ||u|^2 - |v|^2 - 1| > rtol, raise
+    for |1> or the Stark-shifted rotation for |0>. The branch Hamiltonian
+    wb a^dag a + f (a + a^dag)^2, f = g_d eps_d sin(omega_d t - theta), moves
+    the quadratures (x, p) by an exact real map S, d/dt (x, p) = [[0, wb],
+    [-wb - 4 f, 0]] (x, p), with no Fock truncation. S is the monodromy
+    matrix M over one drive period T (magnus.propagate) to the power k =
+    floor(t_gate / T), times the remainder. M^k carries up to k times the
+    error of M, so each period is resolved to rtol / max(1, k). In the
+    rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 - 1| > rtol raises
     RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s + phi)} sinh r
     and phi = -arg u (principal branch), the state is e^{-i phi/2} S(r,
     theta_s) R(phi) psi0, the phase being the zero-point part of the rotation.
@@ -595,16 +572,19 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
     wb = params.omega_1 if qubit_level == 1 else params.omega_0
-    n_steps = int(np.ceil(8.0 * params.t_gate * (params.omega_d + 2.0 * wb) / (2.0 * np.pi)))
-    U = _magnus_product(params, wb, n_steps)
-    for n_steps in n_steps * 2 ** np.arange(1, 5):
-        coarse, U = U, _magnus_product(params, wb, n_steps)
-        if (err := np.abs(U - coarse).max()) <= rtol * np.abs(U).max():
-            break
-    else:
-        raise RuntimeError(f"lab-frame Magnus product not converged: step-doubling "
-                           f"estimate {err:.2e} > rtol {rtol:.1e} * max|U| at {n_steps} steps")
-    u, v = U[0, 0], np.conj(U[1, 0])
+    T = 2.0 * np.pi / params.omega_d
+
+    def A(t):  # d/dt (x, p) = A (x, p) for the lab-frame quadratures
+        out = np.zeros(np.shape(t) + (2, 2))
+        out[..., 0, 1] = wb
+        out[..., 1, 0] = -wb - 4.0 * params.drive_rate * np.sin(params.omega_d * t - params.theta)
+        return out
+    A.balance = np.ones(2)
+    S = propagate(A, 0.0, params.t_gate, np.eye(2), rtol / max(1, int(params.t_gate // T)),
+                  wb + 4.0 * params.drive_rate, T)[0]
+    rot = 0.5 * np.exp(1j * wb * params.t_gate)  # rotating-frame a = e^{i wb t} (x + i p) / sqrt 2
+    u = rot * ((S[0, 0] + S[1, 1]) + 1j * (S[1, 0] - S[0, 1]))
+    v = rot * ((S[0, 0] - S[1, 1]) + 1j * (S[1, 0] + S[0, 1]))
     if (defect := abs(abs(u) ** 2 - abs(v) ** 2 - 1.0)) > rtol:
         raise RuntimeError(f"lab-frame propagator violates |u|^2 - |v|^2 = 1 by "
                            f"{defect:.2e} > rtol {rtol:.1e}")

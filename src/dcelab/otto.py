@@ -93,7 +93,9 @@ class CycleSpec:
     delta and delta_dot, callables of (t, tau), are given together; both
     default to the quintic ramp. A PolynomialRamp method given as delta_dot
     must be delta's rate: it is checked against a central difference of
-    delta at three interior points.
+    delta at three interior points. Any other delta_dot must integrate to
+    delta(tau) - delta(0) = 1: friction_energy and nonadiabatic_cycle raise
+    ValueError when its transform C(0) is off by more than 1e-6.
     """
 
     L0: float
@@ -288,7 +290,12 @@ def _friction_energies(spec: CycleSpec, betas, check_convergence):
     # one transform, taken up to m = 4n when the sum is repeated at 2n modes
     n = spec.n_modes
     m = np.arange(2 * (2 * n if check_convergence else n) + 1)
-    C2 = np.abs(velocity_transform(spec, m * np.pi / spec.L0)) ** 2
+    C = velocity_transform(spec, m * np.pi / spec.L0)
+    # C(0) = delta(tau) - delta(0) = 1 for any shape whose delta_dot is delta's rate
+    if abs(C[0] - 1.0) > 1e-6:
+        raise ValueError(f"velocity transform C(0) = {C[0].real:.6g} is not 1: delta_dot "
+                         "does not integrate to delta(tau) - delta(0), so it is not delta's rate")
+    C2 = np.abs(C) ** 2
     modes = _mode_data(spec)
     wide_modes = _mode_data(replace(spec, n_modes=2 * n)) if check_convergence else None
     out = []

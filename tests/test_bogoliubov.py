@@ -221,12 +221,12 @@ class TestValidation:
 def monodromy_solves(monkeypatch):
     """Counts one-period matrices checked, i.e. periodic dispatches taken."""
     calls = []
-    check = bogoliubov._check_symplectic
+    check = magnus._check_symplectic
 
     def counted(*args):
         calls.append(args[0].shape)
         return check(*args)
-    monkeypatch.setattr(bogoliubov, "_check_symplectic", counted)
+    monkeypatch.setattr(magnus, "_check_symplectic", counted)
     return calls
 
 
@@ -291,7 +291,7 @@ class TestMonodromy:
             integrate_modes(self.SPEC, bad)
 
     def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
-        propagate = bogoliubov._propagate
+        propagate = magnus._propagate
         dim = 2 * self.SPEC.n_modes
 
         def corrupted(A, edges, Y0, *args):
@@ -299,7 +299,7 @@ class TestMonodromy:
             if Y0.shape == (dim, dim):  # the one-period fundamental matrix
                 at_edges[-1, 0, 0] += 1e-4
             return at_edges, sampled
-        monkeypatch.setattr(bogoliubov, "_propagate", corrupted)
+        monkeypatch.setattr(magnus, "_propagate", corrupted)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
         with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
             integrate_modes(self.SPEC, traj, rtol=1e-9)
@@ -309,12 +309,12 @@ class TestMonodromy:
 def step_spans(monkeypatch):
     """Records the time span covered by every batch of Magnus steps."""
     spans = []
-    exponentials = bogoliubov._exponentials
+    exponentials = magnus._exponentials
 
     def spy(A, t0, h):
         spans.append((float(np.minimum(t0, t0 + h).min()), float(np.maximum(t0, t0 + h).max())))
         return exponentials(A, t0, h)
-    monkeypatch.setattr(bogoliubov, "_exponentials", spy)
+    monkeypatch.setattr(magnus, "_exponentials", spy)
     return spans
 
 
@@ -380,12 +380,12 @@ class TestCanonicalState:
 
     def test_monodromy_matrix_is_symplectic_as_integrated(self, monkeypatch):
         seen = []
-        check = bogoliubov._check_symplectic
+        check = magnus._check_symplectic
 
         def spy(*args):
             seen.append(args[0])
             return check(*args)
-        monkeypatch.setattr(bogoliubov, "_check_symplectic", spy)
+        monkeypatch.setattr(magnus, "_check_symplectic", spy)
         rtol, N = 1e-10, 12
         integrate_modes(CavitySpec(length=np.pi, n_modes=N),
                         harmonic_wall(np.pi, 0.01, 2.0, t_end=30.0), rtol=rtol)
@@ -430,8 +430,7 @@ class TestBatchedExponential:
         h = np.full(count, 2.0 * np.pi / omega_max / 10.0 / 2**doublings)
         t0 = traj.t_start + h * np.arange(count)
         a1, a2, a3 = np.moveaxis(A(t0[:, None] + h[:, None] * magnus.GAUSS_NODES), 1, 0)
-        return A, t0, h, magnus.magnus6(a1, a2, a3, h[:, None, None],
-                                        lambda x, y: x @ y - y @ x)
+        return A, t0, h, magnus.magnus6(a1, a2, a3, h[:, None, None])
 
     @staticmethod
     def relative_error(E, ref):
@@ -445,7 +444,7 @@ class TestBatchedExponential:
     def test_step_exponentials_match_expm(self, N, doublings, traj):
         A, t0, h, X = self.steps(N, traj, doublings)
         ref = expm(X)
-        E = bogoliubov._exponentials(A, t0, h)
+        E = magnus._exponentials(A, t0, h)
         assert self.relative_error(E, ref) <= 1e-13
         # the exponent is Hamiltonian, so its exponential is symplectic
         J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
@@ -480,18 +479,18 @@ class TestSamples:
     ], ids=["harmonic", "quintic", "tabulated"])
     def test_many_samples_match_direct_runs(self, monkeypatch, traj):
         sizes = []
-        exponentials = bogoliubov._exponentials
+        exponentials = magnus._exponentials
 
         def spy(A, t0, h):
             sizes.append(len(t0))
             return exponentials(A, t0, h)
-        monkeypatch.setattr(bogoliubov, "_exponentials", spy)
+        monkeypatch.setattr(magnus, "_exponentials", spy)
         boundaries = np.pi * np.arange(4.0)
         times = np.sort(np.concatenate([np.linspace(0.0, 12.0, 90), boundaries,
                                         boundaries[1:], [5.0, 5.0, 11.0]]))
-        assert np.count_nonzero((times > 0.0) & (times < traj.t_end)) > bogoliubov._BATCH
+        assert np.count_nonzero((times > 0.0) & (times < traj.t_end)) > magnus._BATCH
         snaps = mode_snapshots(self.SPEC, traj, times, rtol=1e-12)
-        assert max(sizes) <= bogoliubov._BATCH
+        assert max(sizes) <= magnus._BATCH
         for t, snap in zip(times, snaps):
             end = integrate_modes(self.SPEC, traj, rtol=1e-12, t_final=t)
             assert snap.t == t

@@ -1,6 +1,8 @@
 """Controlled-squeeze gate: states, protocol, measurement, open system."""
 
+import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import dcelab.gate as gate
+import dcelab.magnus as magnus
 from dcelab.gate import (
     EncodedPair,
     GateParams,
@@ -74,6 +77,53 @@ def fock_lab_frame(p, qubit_level, psi0):
                     rtol=1e-12, atol=1e-14)
     assert sol.success
     return sol.y[:, -1]
+
+
+def _expm_traceless(x):
+    """exp X = cosh s I + (sinh s / s) X, s^2 = -det X, for x of shape (3, m)."""
+    s = np.sqrt(x[0] ** 2 + x[1] * x[2])
+    c, k = np.cosh(s), np.sinc(1j * s / np.pi)  # sinc(i s / pi) = sinh s / s
+    return np.stack([c + k * x[0], k * x[1], k * x[2], c - k * x[0]], -1).reshape(-1, 2, 2)
+
+
+def _magnus6(a1, a2, a3, h):
+    """Sixth-order Magnus exponent (Blanes, Casas & Ros) of traceless 2x2
+    generators held as (x0, x1, x2) for [[x0, x1], [x2, -x0]]."""
+    def bracket(x, y):
+        return np.stack([x[1] * y[2] - x[2] * y[1], 2.0 * (x[0] * y[1] - x[1] * y[0]),
+                         2.0 * (x[2] * y[0] - x[0] * y[2])])
+    b1, b2 = h * a2, (np.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = bracket(b1, b2)
+    c2 = bracket(b1, 2.0 * b3 + c1) / -60.0
+    return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def rotating_frame_product(p, wb, n_steps):
+    """Whole-span reference for lab_frame_branch: the (u, conj v) propagator
+    of the rotating-frame equation d/dt (u, conj v) = 2i f [[-1, -e^{2i wb t}],
+    [e^{-2i wb t}, 1]] (u, conj v), f = g_d eps_d sin(omega_d t - theta),
+    as n_steps sixth-order Magnus steps over [0, t_gate], each exponentiated
+    in closed form and multiplied pairwise in batches of 2048."""
+    h, prod = p.t_gate / n_steps, np.eye(2, dtype=complex)
+    for start in range(0, n_steps, 2048):
+        t = h * (np.arange(start, min(start + 2048, n_steps)) + magnus.GAUSS_NODES[:, None])
+        f = 2j * p.drive_rate * np.sin(p.omega_d * t - p.theta)
+        w = np.exp(2j * wb * t)
+        a1, a2, a3 = np.stack([-f, -f * w, f / w], axis=1)  # A(t) at each node
+        e = _expm_traceless(_magnus6(a1, a2, a3, h))
+        while len(e) > 1:  # later steps act on the left; an unpaired last one waits
+            e = np.concatenate([e[1::2] @ e[:-1:2], e[2 * (len(e) // 2):]])
+        prod = e[0] @ prod
+    return prod
+
+
+def branch_state(p, U, psi0):
+    """e^{-i phi/2} S(r, theta_s) R(phi) psi0 from the (u, conj v) propagator U."""
+    u, v = U[0, 0], np.conj(U[1, 0])
+    phi = -np.angle(u)
+    S = squeeze_operator(np.arcsinh(abs(v)), np.angle(-v) - phi, p.n_max)
+    return np.exp(-0.5j * phi) * (S @ (rotation_operator(phi, p.n_max) * psi0))
 
 
 class TestParams:
@@ -355,6 +405,15 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_nbar(1.0, -1.0)
 
+    def test_cold_bath_is_the_cavity_bose_function_without_overflow(self):
+        omega = 2 * np.pi * 6.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in (60.0, 5.0, 1.0):
+                assert thermal_nbar(omega, T) == 1.0 / np.expm1(7.638232 * omega / T)
+            # hbar omega / k_B T = 2880: expm1 alone overflows
+            assert thermal_nbar(omega, 0.1) == 0.0
+
 
 class TestOpenEvolve:
     def test_dissipation_free_matches_closed_gate(self):
@@ -580,41 +639,80 @@ class TestLabFrameValidation:
             assert np.abs(out - fock_lab_frame(p, level, psi0)).max() < 1e-10
             assert np.abs(out - psi0).max() > 5e-3  # the drive did act
 
-    def test_corrupted_step_exponential_rejected(self, monkeypatch):
-        # a step scaled off the group passes the step-doubling comparison,
-        # since both grids carry the same factor, but not the invariant
-        p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
-        exact = gate._expm_traceless
-
-        def corrupted(x):
-            e = exact(x)
-            e[0] *= 1.0 + 1e-6
-            return e
-        monkeypatch.setattr(gate, "_expm_traceless", corrupted)
-        vac = np.zeros(17, dtype=complex)
-        vac[0] = 1.0
-        with pytest.raises(RuntimeError, match=r"\|u\|\^2 - \|v\|\^2 = 1 by 2\.00e-06"):
-            lab_frame_branch(p, 1, vac, rtol=1e-9)
-
-    def test_unreachable_tolerance_raises_after_four_doublings(self):
-        p = default_cqed_params(theta=0.7, n_max=16, t_gate=2.0)
-        vac = np.zeros(17, dtype=complex)
+    def test_long_gate_matches_a_whole_span_product(self):
+        # 66.7 ns is about 800 drive periods plus a remainder: whole periods
+        # are powers of one monodromy matrix, so each period must be resolved
+        # to rtol / 800 for the gate to meet rtol
+        p = params_for(0.5, theta=0.7, n_max=40)
+        vac = np.zeros(41, dtype=complex)
         vac[0] = 1.0
         for level, wb in ((0, p.omega_0), (1, p.omega_1)):
-            n0 = int(np.ceil(8.0 * p.t_gate * (p.omega_d + 2.0 * wb) / (2.0 * np.pi)))
-            with pytest.raises(RuntimeError, match=rf"step-doubling estimate \S+ > rtol "
-                                                   rf"1\.0e-18 \* max\|U\| at {16 * n0} steps"):
-                lab_frame_branch(p, level, vac, rtol=1e-18)
+            n_steps = 64 * int(np.ceil(p.t_gate * (p.omega_d + 2.0 * wb) / (2.0 * np.pi)))
+            ref = branch_state(p, rotating_frame_product(p, wb, n_steps), vac)
+            assert np.abs(lab_frame_branch(p, level, vac) - ref).max() < 1e-10
 
-    def test_magnus_steps_are_sixth_order(self):
+    def test_corrupted_step_exponential_rejected(self, monkeypatch):
+        # a step scaled off the group passes the step-doubling comparison,
+        # since both grids carry the same factor, but not the invariant: the
+        # monodromy check catches it in a gate of 23 drive periods, and
+        # |u|^2 - |v|^2 = 1 in one of 0.6 periods
+        exact = magnus._exponentials
+
+        def corrupted(A, t0, h):
+            e = exact(A, t0, h)
+            e[0] *= 1.0 + 1e-6
+            return e
+        monkeypatch.setattr(magnus, "_exponentials", corrupted)
+        vac = np.zeros(17, dtype=complex)
+        vac[0] = 1.0
+        for t_gate, message in ((2.0, "monodromy matrix is not symplectic"),
+                                (0.05, r"\|u\|\^2 - \|v\|\^2 = 1 by 2\.00e-06")):
+            p = default_cqed_params(theta=0.7, n_max=16, t_gate=t_gate)
+            with pytest.raises(RuntimeError, match=message):
+                lab_frame_branch(p, 1, vac, rtol=1e-9)
+
+    def test_unreachable_tolerance_raises_after_four_doublings(self):
+        vac = np.zeros(17, dtype=complex)
+        vac[0] = 1.0
+        for t_gate in (2.0, 0.05):
+            p = default_cqed_params(theta=0.7, n_max=16, t_gate=t_gate)
+            T = 2.0 * np.pi / p.omega_d
+            k = int(t_gate // T)
+            # one period split at the remainder, or the whole gate if shorter
+            spans = np.diff(np.unique([0.0, t_gate - k * T, T])) if k else [t_gate]
+            rtol = re.escape(f"{1e-18 / max(1, k):.1e}")
+            for level, wb in ((0, p.omega_0), (1, p.omega_1)):
+                omega_max = wb + 4.0 * p.drive_rate
+                n0 = sum(int(np.ceil(10.0 * omega_max * s / (2.0 * np.pi))) for s in spans)
+                with pytest.raises(RuntimeError, match=rf"step-doubling estimate \S+ > rtol "
+                                                       rf"{rtol} \* max\|Y\| at {16 * n0} steps"):
+                    lab_frame_branch(p, level, vac, rtol=1e-18)
+
+    def test_magnus_steps_are_sixth_order(self, monkeypatch):
         # a drive comparable with the branch frequency makes A(t) at
         # different times far from commuting, so every commutator term of
-        # the step counts: halving the step must cut the error by ~2^6
+        # the step counts: halving the step must cut the error by ~2^6 (200
+        # steps would reach the rounding floor of the 6400-step reference)
         with pytest.warns(UserWarning, match="detuning"):
             p = GateParams(omega=1.0, omega_q=3.0, chi=0.2, g_d=1.0, eps_d=0.6,
                            t_gate=3.0, theta=0.4, n_max=4)
-        ref = gate._magnus_product(p, p.omega_0, 6400)
-        err = [np.abs(gate._magnus_product(p, p.omega_0, n) - ref).max() for n in (50, 100, 200)]
+        generators = []  # the |0> branch generator, as lab_frame_branch passes it
+
+        def spy(A, *args):
+            generators.append(A)
+            return magnus.propagate(A, *args)
+        monkeypatch.setattr(gate, "propagate", spy)
+        lab_frame_branch(p, 0, np.eye(5)[0])
+        (A,) = generators
+
+        def product(n_steps):
+            h = np.full(n_steps, p.t_gate / n_steps)
+            S = np.eye(2)
+            for e in magnus._exponentials(A, h * np.arange(n_steps), h):
+                S = e @ S
+            return S
+        ref = product(6400)
+        err = [np.abs(product(n) - ref).max() for n in (25, 50, 100)]
         assert err[0] > 1e-10
         assert all(50.0 < a / b < 80.0 for a, b in zip(err, err[1:]))
 

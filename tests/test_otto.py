@@ -272,6 +272,17 @@ class TestAdiabaticCycle:
             base_spec(tau=2.0, delta=r.delta, delta_dot=PolynomialRamp().delta_dot)
         base_spec(tau=2.0, delta=r.delta, delta_dot=r.delta_dot)
 
+    def test_plain_pair_must_integrate_to_the_ramp(self):
+        # the quintic itself as its own rate integrates to tau / 2, so
+        # C(0) = 0.5 at tau = 1 where delta(tau) - delta(0) = 1
+        def quintic(t, tau):
+            return quintic_trajectory(t, tau)
+        spec = base_spec(tau=1.0, delta=quintic, delta_dot=quintic)
+        with pytest.raises(ValueError, match=r"C\(0\) = 0\.5 is not 1"):
+            friction_energy(spec, 2.0)
+        with pytest.raises(ValueError, match=r"C\(0\) = 0\.5 is not 1"):
+            nonadiabatic_cycle(spec)
+
 
 class TestNonadiabaticCycle:
     def test_friction_lowers_efficiency(self):
