@@ -196,11 +196,17 @@ def lowering_operator(n_max):
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
 
 
-def squeeze_operator(r, theta, n_max):
-    """Matrix of S(r, theta) = exp[(r/2)(e^{-i th} a^2 - e^{i th} a^dag 2)]."""
+def _squeeze_generator(r, theta, n_max):
+    """(r/2)(e^{-i th} a^2 - e^{i th} a^dag 2), the exponent of S(r, theta)."""
     a = lowering_operator(n_max)
     a2 = a @ a
-    return expm(0.5 * r * (np.exp(-1j * theta) * a2 - np.exp(1j * theta) * a2.conj().T))
+    return 0.5 * r * (np.exp(-1j * theta) * a2 - np.exp(1j * theta) * a2.conj().T)
+
+
+def squeeze_operator(r, theta, n_max):
+    """Matrix of S(r, theta) = exp[(r/2)(e^{-i th} a^2 - e^{i th} a^dag 2)]."""
+    return expm(_squeeze_generator(r, theta, n_max))
+
 
 def rotation_operator(phi, n_max):
     """Phase-space rotation exp(-i phi n), diagonal in the Fock basis."""
@@ -442,6 +448,32 @@ def _liouvillian(H, ls):
     return L.tocsr()
 
 
+def _hermitian_coordinates(sector):
+    """Real coordinates of a Hermitian rho on a symmetric (dim, dim) mask.
+
+    x = (Re rho_jk for j <= k, Im rho_jk for j < k) over the masked entries.
+    Returns the sparse maps T, with vec(rho) = T x for the row-major vec of
+    the masked rho, and R, with x = Re(R vec(rho)).
+    """
+    dim = sector.shape[0]
+    j, k = np.nonzero(np.triu(sector))  # j <= k: one Re coordinate each
+    off = np.flatnonzero(j < k)  # j < k: one Im coordinate each
+    n_re, n_im = len(j), len(off)
+    re, im = np.arange(n_re), n_re + np.arange(n_im)
+    jk, kj = j * dim + k, k * dim + j
+    # rho_jk = x_re + i x_im and rho_kj = x_re - i x_im
+    T = sparse.csr_array(
+        (np.concatenate([np.ones(n_re + n_im), np.full(n_im, 1j), np.full(n_im, -1j)]),
+         (np.concatenate([jk, kj[off], jk[off], kj[off]]), np.concatenate([re, re[off], im, im]))),
+        shape=(dim * dim, n_re + n_im))
+    # x_re = Re rho_jk and x_im = Re(-i rho_jk)
+    R = sparse.csr_array(
+        (np.concatenate([np.ones(n_re), np.full(n_im, -1j)]),
+         (np.concatenate([re, im]), np.concatenate([jk, jk[off]]))),
+        shape=(n_re + n_im, dim * dim))
+    return T, R
+
+
 def _expm_action(A, b, t):
     """exp(t A) b for a sparse square A by truncated Taylor steps.
 
@@ -449,7 +481,7 @@ def _expm_action(A, b, t):
     A is shifted by mu = tr(A)/n, and s = ceil(t ||A - mu I||_1 / theta_55)
     steps of degree at most 55 each stop once two successive terms fall
     below 2^-53 of the partial sum in the inf-norm. The 1-norm is exact, so
-    no random numbers are drawn.
+    no random numbers are drawn. A real A and b give a real result.
     """
     n = A.shape[0]
     mu = A.trace() / n
@@ -459,17 +491,18 @@ def _expm_action(A, b, t):
         return np.exp(t * mu) * b
     s = int(np.ceil(norm / _THETA_55))
     eta = np.exp(t * mu / s)
-    f = b
+    f = np.array(b, dtype=np.result_type(A.dtype, b.dtype))
     for _ in range(s):
         c1 = np.abs(b).max()
         for j in range(55):
-            b = (t / (s * (j + 1))) * (A @ b)
+            b = A @ b  # a new array, so b never aliases f below
+            b *= t / (s * (j + 1))
             c2 = np.abs(b).max()
-            f = f + b
+            f += b
             if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
                 break
             c1 = c2
-        f = eta * f
+        f *= eta
         b = f
     return f
 
@@ -484,12 +517,16 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     segment, so rho(duration) = exp(duration L) rho is applied exactly.
     L commutes with rho -> Pi rho Pi, Pi = I (x) (-1)^n (the a^2 terms and
     every jump preserve or flip the photon parity on both sides at once),
-    so the entries with j + k even and with j + k odd evolve apart: each
-    sector holding a non-zero entry gets its own truncated-Taylor action
-    (Al-Mohy & Higham 2011), with the step count from the exact 1-norm and
-    no random draws. Trace is monitored to 1e-8 and an eigenvalue below
-    -1e-10 raises, so truncation artifacts surface instead of leaking into
-    fidelities.
+    so the entries with j + k even and with j + k odd evolve apart. L also
+    maps Hermitian matrices to Hermitian matrices, so each sector holding a
+    non-zero entry is propagated in the real coordinates x = (Re rho_jk,
+    j <= k; Im rho_jk, j < k) of its Hermitian part: with vec(rho) = T x and
+    x = Re(R vec(rho)), the real generator is Re(R L T), and one
+    truncated-Taylor action (Al-Mohy & Higham 2011) with the step count from
+    the exact 1-norm and no random draws advances x. The input is
+    Hermitised first, and the output T x is Hermitian by construction.
+    Trace is monitored to 1e-8 and an eigenvalue below -1e-10 raises, so
+    truncation artifacts surface instead of leaking into fidelities.
     """
     dim = 2 * (params.n_max + 1)
     rho = np.asarray(rho, dtype=complex)
@@ -497,16 +534,18 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
         raise ValueError(f"density matrix must have shape {(dim, dim)}")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError("input density matrix must have unit trace")
+    vec = (0.5 * (rho + rho.conj().T)).ravel()
     H = _joint_hamiltonian(params, params.theta if theta is None else theta)
     L = _liouvillian(H, _collapse_operators(params, rates))
     j = np.arange(dim) % (params.n_max + 1)  # photon number of each row of rho
-    odd = ((j[:, None] + j[None, :]) % 2 == 1).ravel()
-    vec, out = rho.ravel(), np.zeros(dim * dim, dtype=complex)
+    odd = (j[:, None] + j[None, :]) % 2 == 1
+    out = np.zeros(dim * dim, dtype=complex)
     for sector in (~odd, odd):
-        if np.any(vec[sector]):
-            out[sector] = _expm_action(L[sector][:, sector], vec[sector], duration)
+        if np.any(vec[sector.ravel()]):
+            T, R = _hermitian_coordinates(sector)
+            x = _expm_action((R @ L @ T).real, (R @ vec).real, duration)
+            out += T @ x
     out = out.reshape(dim, dim)
-    out = 0.5 * (out + out.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-8:
         raise RuntimeError(f"trace drifted to {tr:.12f} during open evolution")
@@ -567,7 +606,9 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 - 1| > rtol raises
     RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s + phi)} sinh r
     and phi = -arg u (principal branch), the state is e^{-i phi/2} S(r,
-    theta_s) R(phi) psi0, the phase being the zero-point part of the rotation.
+    theta_s) R(phi) psi0, the phase being the zero-point part of the rotation;
+    S(r, theta_s) is applied by a truncated-Taylor action on its banded sparse
+    generator, not built as a dense exponential.
     """
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
@@ -589,5 +630,7 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
         raise RuntimeError(f"lab-frame propagator violates |u|^2 - |v|^2 = 1 by "
                            f"{defect:.2e} > rtol {rtol:.1e}")
     phi = -np.angle(u)
-    S = squeeze_operator(np.arcsinh(abs(v)), np.angle(-v) - phi, params.n_max)
-    return np.exp(-0.5j * phi) * (S @ (rotation_operator(phi, params.n_max) * psi0))
+    squeeze = sparse.csr_array(_squeeze_generator(np.arcsinh(abs(v)), np.angle(-v) - phi,
+                                                  params.n_max))
+    return np.exp(-0.5j * phi) * _expm_action(
+        squeeze, rotation_operator(phi, params.n_max) * psi0, 1.0)

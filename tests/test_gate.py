@@ -41,7 +41,13 @@ from dcelab.gate import (
     squeeze_state,
     thermal_nbar,
 )
-from dcelab.gate import _collapse_operators, _expm_action, _joint_hamiltonian, _liouvillian
+from dcelab.gate import (
+    _collapse_operators,
+    _expm_action,
+    _hermitian_coordinates,
+    _joint_hamiltonian,
+    _liouvillian,
+)
 
 # Frozen closed-form constants, from independent arithmetic on
 # cosh 3 = 10.067661995777765 (r = 1.5 throughout).
@@ -53,6 +59,24 @@ FBAR_EQUATOR_15 = 0.974518722649741
 # n_max needed for a given r so the squeezed-vacuum tail stays small; the
 # tail decays like tanh(r)^n, so large r needs disproportionately more.
 NMAX_FOR_R = {0.5: 80, 1.0: 80, 1.5: 160, 2.0: 260}
+
+
+def design_point_state():
+    """The configs/gate_open.yaml point (r = 0.5 at g_d eps_d = 7.5e-3 rad/ns,
+    n_max 40) and a pure joint state with both qubit levels and both photon
+    parities populated, as (params, psi of shape (2, 41))."""
+    p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=40)
+    psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 40))
+    psi[:, 1] = 0.5 * psi[:, 0]
+    return p, psi / np.linalg.norm(psi)
+
+
+def parity_sectors(n_max):
+    """The (dim, dim) masks of the joint-state entries with j + k even and
+    with j + k odd photons."""
+    photons = np.arange(2 * (n_max + 1)) % (n_max + 1)
+    odd = (photons[:, None] + photons[None, :]) % 2 == 1
+    return ~odd, odd
 
 
 def params_for(r, **kw):
@@ -554,6 +578,41 @@ class TestOpenEvolve:
         assert np.all(coo.data[parity[coo.row] != parity[coo.col]] == 0)
         assert np.any(coo.data[parity[coo.row] == 1] != 0)  # the odd block is not empty
 
+    def test_pure_dephasing_damps_only_the_qubit_coherences(self):
+        # sigma_z commutes with the gate generator, and its dissipator
+        # multiplies the off-diagonal qubit blocks by e^{-t/tau_phi}
+        p, psi = design_point_state()
+        n = p.n_max + 1
+        rates = OpenRates(tau_phi=100.0)
+        out = open_evolve(np.outer(psi.ravel(), psi.ravel().conj()), p, rates, p.t_gate)
+        closed = controlled_squeeze(psi, p.r_gate, p.theta, p.phi_gate).ravel()
+        expected = np.outer(closed, closed.conj())
+        expected[:n, n:] *= np.exp(-p.t_gate / rates.tau_phi)
+        expected[n:, :n] *= np.exp(-p.t_gate / rates.tau_phi)
+        assert np.abs(out - expected).max() < 1e-12
+
+    def test_relaxation_at_zero_temperature(self):
+        # sigma_- = |0><1|: the |1> block decays at 1/tau_q into |0>, the
+        # coherences at 1/(2 tau_q), both under the closed branch maps
+        p, psi = design_point_state()
+        n = p.n_max + 1
+        rates = OpenRates(tau_q=50.0)
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        out = open_evolve(rho, p, rates, p.t_gate)
+        S = squeeze_operator(p.r_gate, p.theta, p.n_max)
+        U0 = np.diag(rotation_operator(p.phi_gate, p.n_max))
+        rho11 = np.exp(-p.t_gate / rates.tau_q) * S @ rho[n:, n:] @ S.conj().T
+        rho01 = np.exp(-0.5 * p.t_gate / rates.tau_q) * U0 @ rho[:n, n:] @ S.conj().T
+        assert np.abs(out[n:, n:] - rho11).max() < 1e-12
+        assert np.abs(out[:n, n:] - rho01).max() < 1e-12
+        assert abs(np.trace(out[:n, :n]) - (1.0 - np.trace(rho11))) < 1e-12
+
+    def test_output_is_hermitian_bitwise(self):
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        out = open_evolve(rho, p, OpenRates.typical(), p.t_gate)
+        assert np.array_equal(out, out.conj().T)
+
     def test_negative_eigenvalue_detected(self):
         p = default_cqed_params(eps_d=0.0, n_max=10)
         rho = np.zeros((22, 22), dtype=complex)
@@ -563,7 +622,47 @@ class TestOpenEvolve:
             open_evolve(rho, p, OpenRates(), 1.0)
 
 
+class TestHermitianCoordinates:
+    def test_round_trip_in_each_parity_sector(self):
+        rng = np.random.default_rng(11)
+        dim = 2 * (5 + 1)
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for sector in parity_sectors(5):
+            rho = np.where(sector, z + z.conj().T, 0.0)
+            T, R = _hermitian_coordinates(sector)
+            # one real coordinate per complex entry of the sector
+            assert T.shape == (dim * dim, np.count_nonzero(sector)) == R.T.shape
+            x = (R @ rho.ravel()).real
+            assert np.array_equal(T @ x, rho.ravel())
+
+    def test_real_generator_matches_the_liouvillian(self):
+        p = default_cqed_params(n_max=7)
+        L = _liouvillian(_joint_hamiltonian(p, 0.3), _collapse_operators(p, OpenRates.typical()))
+        rng = np.random.default_rng(12)
+        dim = 2 * (p.n_max + 1)
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for sector in parity_sectors(p.n_max):
+            vec = np.where(sector, z + z.conj().T, 0.0).ravel()
+            T, R = _hermitian_coordinates(sector)
+            G = (R @ L @ T).real
+            expected = (R @ (L @ vec)).real
+            assert np.abs(G @ (R @ vec).real - expected).max() < 1e-14 * np.abs(expected).max()
+
+
 class TestExpmAction:
+    def test_real_generator_gives_a_real_result(self):
+        p, psi = design_point_state()
+        L = _liouvillian(_joint_hamiltonian(p, p.theta),
+                         _collapse_operators(p, OpenRates.typical()))
+        for sector in parity_sectors(p.n_max):
+            T, R = _hermitian_coordinates(sector)
+            G = (R @ L @ T).real
+            x = (R @ np.outer(psi.ravel(), psi.ravel().conj()).ravel()).real
+            out = _expm_action(G, x, p.t_gate)
+            assert out.dtype == np.float64
+            embedded = _expm_action(G.astype(complex), x.astype(complex), p.t_gate)
+            assert np.abs(out - embedded).max() < 1e-13
+
     def test_zero_duration_returns_input(self):
         p = default_cqed_params(n_max=6)
         L = _liouvillian(_joint_hamiltonian(p, 0.0), _collapse_operators(p, OpenRates.typical()))
@@ -650,6 +749,22 @@ class TestLabFrameValidation:
             n_steps = 64 * int(np.ceil(p.t_gate * (p.omega_d + 2.0 * wb) / (2.0 * np.pi)))
             ref = branch_state(p, rotating_frame_product(p, wb, n_steps), vac)
             assert np.abs(lab_frame_branch(p, level, vac) - ref).max() < 1e-10
+
+    def test_sparse_squeeze_matches_the_dense_exponential(self, monkeypatch):
+        # the branch applies S(r, theta_s) by a Taylor action on the banded
+        # generator; the reference exponentiates the same generator densely
+        rng = np.random.default_rng(4)
+        for r, n_max in ((0.5, 40), (1.0, 100)):
+            p = params_for(r, theta=0.7, n_max=n_max)
+            psi0 = np.zeros(n_max + 1, dtype=complex)
+            psi0[:6] = rng.normal(size=6) + 1j * rng.normal(size=6)
+            psi0 /= np.linalg.norm(psi0)
+            for level in (0, 1):
+                sparse_state = lab_frame_branch(p, level, psi0)
+                with monkeypatch.context() as m:
+                    m.setattr(gate, "_expm_action", lambda A, b, t: expm(t * A.toarray()) @ b)
+                    dense_state = lab_frame_branch(p, level, psi0)
+                assert np.abs(sparse_state - dense_state).max() < 1e-12
 
     def test_corrupted_step_exponential_rejected(self, monkeypatch):
         # a step scaled off the group passes the step-doubling comparison,
