@@ -9,13 +9,13 @@ fidelity over qubit polarizations, and crosscheck runs the coupled-mode,
 conformal and slow-flow solvers on one resonant drive and scores their
 agreement.
 
-Exit codes: 0 on success, 2 for scenario-file problems (including unknown
-keys and missing blocks), 3 for physics failures (non-convergence,
-superluminal walls, truncation leaks, crosscheck disagreement) with the
-solver's message printed verbatim. Identical scenario file and seed give
-byte-identical CSV output regardless of --threads; the seed is recorded in
-the manifest and only matters for sampling-based work, none of which feeds
-the tables below.
+Exit codes: 0 on success, 2 for scenario-file problems (unknown keys,
+missing blocks, an output directory that cannot be created), 3 for physics
+failures (non-convergence, superluminal walls, truncation leaks,
+crosscheck disagreement) with the solver's message printed verbatim.
+Identical scenario file and seed give byte-identical CSV output regardless
+of --threads; the seed is recorded in the manifest and only matters for
+sampling-based work, none of which feeds the tables below.
 """
 
 from __future__ import annotations
@@ -268,7 +268,10 @@ def main(argv=None):
         out_block = cfg.get("output", {})
         fmt = args.format or out_block.get("format", "csv")
         out_dir = Path(args.out) if args.out else Path(out_block.get("path", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         tables, tolerances, messages, ok = _RUNNERS[args.subcommand][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

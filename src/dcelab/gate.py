@@ -33,11 +33,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .cavity import thermal_occupation
-from .magnus import propagate
+from .magnus import expm_taylor, propagate
 
 __all__ = [
     "GateParams",
@@ -205,7 +203,7 @@ def _squeeze_generator(r, theta, n_max):
 
 def squeeze_operator(r, theta, n_max):
     """Matrix of S(r, theta) = exp[(r/2)(e^{-i th} a^2 - e^{i th} a^dag 2)]."""
-    return expm(_squeeze_generator(r, theta, n_max))
+    return expm_taylor(_squeeze_generator(r, theta, n_max)[None])[0]
 
 
 def rotation_operator(phi, n_max):
@@ -216,21 +214,17 @@ def rotation_operator(phi, n_max):
 def squeeze_state(r, theta, n_max, leak_tol=1e-8):
     """Squeezed vacuum S(r, theta)|0> in the Fock basis, analytic amplitudes.
 
-    Only even levels are populated: c_{2m} ~ (-e^{i theta} tanh r)^m
-    sqrt((2m)!)/(2^m m!) / sqrt(cosh r). The exactly known norm makes the
-    truncated tail computable, and a tail above leak_tol raises so silent
-    truncation can never fake fidelity.
+    Only even levels are populated, from c_0 = 1/sqrt(cosh r) by the exact
+    ratio c_{2m}/c_{2m-2} = -e^{i theta} tanh r sqrt((2m-1)/2m). The exactly
+    known norm makes the truncated tail computable, and a tail above
+    leak_tol raises so silent truncation can never fake fidelity.
     """
     if r < 0.0:
         raise ValueError("r must be >= 0 (use theta + pi for the opposite axis)")
     psi = np.zeros(n_max + 1, dtype=complex)
-    if r == 0.0:
-        psi[0] = 1.0
-        return psi
-    m = np.arange(n_max // 2 + 1)
-    log_mag = 0.5 * gammaln(2 * m + 1) - m * np.log(2.0) - gammaln(m + 1) \
-        + m * np.log(np.tanh(r)) - 0.5 * np.log(np.cosh(r))
-    psi[2 * m] = (-np.exp(1j * theta)) ** m * np.exp(log_mag)
+    m = np.arange(1, n_max // 2 + 1)
+    ratio = -np.exp(1j * theta) * np.tanh(r) * np.sqrt((2 * m - 1) / (2 * m))
+    psi[::2] = np.cumprod(np.concatenate([[1.0 / np.sqrt(np.cosh(r))], ratio]))
     tail = 1.0 - np.sum(np.abs(psi) ** 2)
     if tail > leak_tol:
         th2 = np.tanh(r) ** 2
@@ -334,6 +328,8 @@ def qubit_probabilities(state):
 
 def conditional_resonator(state, outcome):
     """Normalized resonator state after reading sigma_z = outcome (+-1)."""
+    if outcome not in (1, -1):
+        raise ValueError(f"sigma_z outcome must be +1 or -1, got {outcome!r}")
     branch = state[0] if outcome == +1 else state[1]
     norm = np.linalg.norm(branch)
     if norm == 0.0:

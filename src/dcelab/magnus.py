@@ -6,11 +6,11 @@ With A sampled at the three Gauss nodes t0 + h * GAUSS_NODES of the step
 algebra of the generator, so a product of such exponentials keeps every
 invariant the exact flow keeps (unit determinant, symplectic form) up to
 rounding; h may be an array that broadcasts against the generators, so
-many steps are formed at once. expm_taylor exponentiates a whole stack of
-real exponents with batched products only. propagate, the one driver, is
-a step-doubling product of such steps with whole periods of a periodic
-generator taken as powers of one monodromy matrix; the coupled-mode field
-(bogoliubov) and the lab-frame gate branches (gate) both call it.
+many steps are formed at once. expm_taylor, the package's one dense
+exponential, takes real or complex stacks with batched products only.
+propagate, the one driver, is a step-doubling product of such steps with
+whole periods taken as powers of one monodromy matrix; the coupled-mode
+field (bogoliubov) and the lab-frame gate branches (gate) both call it.
 """
 
 import math
@@ -58,8 +58,8 @@ def _degree(norm):
 
 
 def expm_taylor(X):
-    """exp of every matrix of a real stack X of shape (b, n, n) by one
-    scaling-and-squaring Taylor polynomial.
+    """exp of every matrix of a real or complex stack X of shape (b, n, n) by
+    one scaling-and-squaring Taylor polynomial.
 
     One degree m and one squaring count s serve the whole stack, chosen from
     its largest 1-norm, so every slice meets the 2^-53 backward-error bound of
@@ -75,7 +75,7 @@ def expm_taylor(X):
         raise ValueError("expm_taylor: the stack has a non-finite entry")
     m, q, s = _degree(norm)
     r = m // q
-    P = np.empty((q,) + X.shape)  # P[i] = Y^(i + 1)
+    P = np.empty((q,) + X.shape, dtype=X.dtype)  # P[i] = Y^(i + 1)
     np.multiply(X, 0.5 ** s, out=P[0])
     for i in range(1, q):
         np.matmul(P[i - 1], P[0], out=P[i])

@@ -29,7 +29,6 @@ their points at once.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bogoliubov import BogoliubovMatrices
 from .cavity import ModeBasis, thermal_image_sum
@@ -59,6 +58,7 @@ def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
             break
         t = np.maximum(t - f / (1.0 + np.asarray(traj.velocity(t))), t_lo)
     else:
+        from scipy.optimize import brentq
         bad = np.abs(t + np.asarray(traj.position(t)) - z) > tol * scale
         for i in np.nonzero(np.atleast_1d(bad))[0]:
             zi = float(z.flat[i])

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cavity import ModeBasis
+from .magnus import expm_taylor
 
 __all__ = [
     "ResonanceKind",
@@ -175,7 +175,7 @@ def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
     N = basis.omega.size
 
     taus = np.linspace(0.0, tau_max, n_samples)
-    step = expm(taus[1] * np.block([[Gs.T, Gc.T], [Gc.T, Gs.T]]))
+    step = expm_taylor(taus[1] * np.block([[Gs.T, Gc.T], [Gc.T, Gs.T]])[None])[0]
     ab = np.empty((n_samples, N, 2 * N), dtype=complex)
     ab[0] = np.hstack([np.eye(N), np.zeros((N, N))])
     for i in range(1, n_samples):

@@ -27,7 +27,6 @@ mirror; effective_length gives that mapping.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "SquidCavityParams",
@@ -105,6 +104,8 @@ def solve_spectrum(params: SquidCavityParams, n_max):
     branch contact) triggers one 4x refinement and then a diagnostic
     RuntimeError rather than silently renumbering the spectrum.
     """
+    from scipy.optimize import brentq
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     kd_lo, kd_hi = 1e-9, (n_max + 2) * np.pi

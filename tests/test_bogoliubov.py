@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import dcelab.bogoliubov as bogoliubov
+import dcelab.gate as gate
 import dcelab.magnus as magnus
 from dcelab.bogoliubov import (
     ModeAmplitudes,
@@ -457,6 +458,15 @@ class TestBatchedExponential:
         X = 8.0 * self.steps(12, quintic_wall(np.pi, 0.2, 3.0), 0)[3]
         assert magnus._degree(np.abs(X).sum(axis=-2).max())[2] >= 4
         assert self.relative_error(magnus.expm_taylor(X), expm(X)) <= 1e-13
+
+    def test_complex_stack(self):
+        # the closed gate's squeeze exponent at r = 1.5, n_max 160: complex, and its
+        # 1-norm forces squarings
+        X = gate._squeeze_generator(1.5, 0.7, 160)[None]
+        assert magnus._degree(np.abs(X).sum(axis=-2).max())[2] >= 4
+        E = magnus.expm_taylor(X)
+        assert E.dtype == np.complex128
+        assert self.relative_error(E, expm(X)) <= 1e-13
 
     def test_single_and_zero_slices(self):
         X = self.steps(8, harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0), 0)[3][:1]

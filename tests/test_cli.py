@@ -120,6 +120,13 @@ class TestExitCodes:
         assert code == 3
         assert "enlarge n_max" in capsys.readouterr().err
 
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_cfg(tmp_path, SPECTRUM_DOC)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(taken)]) == 2
+        assert "config error: cannot create output directory" in capsys.readouterr().err
+
     def test_success_exits_0(self, tmp_path):
         code, out = run(tmp_path, "spectrum", SPECTRUM_DOC)
         assert code == 0
@@ -352,11 +359,12 @@ class TestGateRun:
         # one per gate angle, shared by every P_z of the run
         import dcelab.gate as gate
         calls = []
-        expm = gate.expm
-        monkeypatch.setattr(gate, "expm", lambda a: calls.append(a.shape) or expm(a))
+        expm_taylor = gate.expm_taylor
+        monkeypatch.setattr(gate, "expm_taylor",
+                            lambda a: calls.append(a.shape) or expm_taylor(a))
         doc = {"gate": {"r": 0.5, "p_z": [-1.0, -0.5, 0.0, 0.5, 1.0], "n_max": 40}}
         code, _ = run(tmp_path, "gate", doc)
-        assert code == 0 and calls == [(41, 41)] * 2
+        assert code == 0 and calls == [(1, 41, 41)] * 2
 
     def test_rows_sorted_by_polarization(self, tmp_path):
         doc = {"gate": {"r": 0.4, "p_z": [0.5, -0.5, 0.0], "n_max": 40}}
@@ -493,18 +501,23 @@ class TestOutputBlockDefaults:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        code = ("import sys, dcelab.cli; "
-                "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+    @staticmethod
+    def loaded(module, *prefixes):
+        """The modules under prefixes that a fresh `import module` loads."""
+        code = (f"import sys, {module}; "
+                f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
         src = str(Path(dcelab.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        assert self.loaded("dcelab.cli", "scipy.integrate") == "[]"
+
+    def test_cli_import_leaves_out_scipy_linalg_optimize_and_special(self):
+        # the one dense exponential is magnus.expm_taylor; brentq is imported where it runs
+        assert self.loaded("dcelab.cli", "scipy.linalg", "scipy.optimize",
+                           "scipy.special") == "[]"
 
     def test_bogoliubov_import_leaves_out_scipy_linalg(self):
-        code = ("import sys, dcelab.bogoliubov; "
-                "print([m for m in sys.modules if m.startswith('scipy.linalg')])")
-        src = str(Path(dcelab.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        assert self.loaded("dcelab.bogoliubov", "scipy.linalg") == "[]"

@@ -374,6 +374,12 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="zero probability"):
             conditional_resonator(joint_vacuum(1.0, 0.0, 10), -1)
 
+    def test_outcome_must_be_plus_or_minus_one(self):
+        psi = encoding_protocol(0.6, 0.8, default_cqed_params())
+        for outcome in (0, 2, -2, 0.5):
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                conditional_resonator(psi, outcome)
+
 
 class TestAverageFidelity:
     def test_poles_perfect(self):
