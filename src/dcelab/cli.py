@@ -10,9 +10,10 @@ conformal and slow-flow solvers on one resonant drive and scores their
 agreement.
 
 Exit codes: 0 on success, 2 for scenario-file problems (unknown keys,
-missing blocks, an output directory that cannot be created), 3 for physics
-failures (non-convergence, superluminal walls, truncation leaks,
-crosscheck disagreement) with the solver's message printed verbatim.
+missing blocks, an output directory that cannot be created or a result
+file that cannot be written), 3 for physics failures (non-convergence,
+superluminal walls, truncation leaks, crosscheck disagreement) with the
+solver's message printed verbatim.
 Identical scenario file and seed give byte-identical CSV output regardless
 of --threads; the seed is recorded in the manifest and only matters for
 sampling-based work, none of which feeds the tables below.
@@ -21,6 +22,7 @@ sampling-based work, none of which feeds the tables below.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,21 +31,34 @@ from pathlib import Path
 
 import numpy as np
 
-from . import msa as _msa
-from .bogoliubov import (extract_bogoliubov, integrate_modes, mode_snapshots,
-                         photon_spectrum)
-from .cavity import ModeBasis, thermal_occupation
 from .config import (ConfigError, build_cavity, build_gate, build_otto,
                      build_squid, build_trajectory, load_config, require_block)
-from .gate import (average_fidelity, open_average_fidelity,
-                   simulated_average_fidelity)
-from .moore import bogoliubov_from_moore, energy_density, solve_moore
-from .msa import evolve_slow
-from .otto import nonadiabatic_cycle
 from .output import RunManifest, sha256_of_file, write_table
-from .squid import solve_spectrum
 
 __all__ = ["main", "build_parser"]
+
+# The solver names the runners call, by defining module. They are attributes
+# of this module that import their module on first use (__getattr__), so a
+# run loads only its own subcommand's solver, and a name bound on dcelab.cli
+# itself, such as a test's monkeypatch, is the one the runner calls.
+_SOLVERS = {
+    "bogoliubov": ("extract_bogoliubov", "integrate_modes", "mode_snapshots",
+                   "photon_spectrum"),
+    "cavity": ("ModeBasis", "thermal_occupation"),
+    "gate": ("average_fidelity", "open_average_fidelity", "simulated_average_fidelity"),
+    "moore": ("bogoliubov_from_moore", "energy_density", "solve_moore"),
+    "msa": ("evolve_slow",),
+    "otto": ("nonadiabatic_cycle",),
+    "squid": ("solve_spectrum",),
+}
+_HOME = {name: module for module, names in _SOLVERS.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_HOME[name]}"), name)
 
 
 def _map_ordered(fn, items, threads):
@@ -57,7 +72,7 @@ def _map_ordered(fn, items, threads):
 
 def _run_spectrum(cfg, args):
     params, n_max = build_squid(require_block(cfg, "squid", "spectrum"))
-    roots = solve_spectrum(params, n_max)
+    roots = _cli.solve_spectrum(params, n_max)
     rows = [[float(i + 1), r.kd, r.phi] for i, r in enumerate(roots)]
     worst = max(max(r.residuals(params)) for r in roots) if roots else 0.0
     tables = [("spectrum", ["n", "kd", "phi"], rows)]
@@ -77,13 +92,13 @@ def _run_bogoliubov(cfg, args):
                           "set trajectory.t_end")
     n_in = None
     if "beta_temp" in opts:
-        n_in = thermal_occupation(float(opts["beta_temp"]),
-                                  ModeBasis.build(cav).omega)
+        n_in = _cli.thermal_occupation(float(opts["beta_temp"]),
+                                       _cli.ModeBasis.build(cav).omega)
     times = np.linspace(0.0, horizon, n_times)
     rows = []
-    for t, snap in zip(times, mode_snapshots(cav, traj, times, rtol=rtol)):
-        bog = extract_bogoliubov(snap)
-        occ = photon_spectrum(bog, n_in)
+    for t, snap in zip(times, _cli.mode_snapshots(cav, traj, times, rtol=rtol)):
+        bog = _cli.extract_bogoliubov(snap)
+        occ = _cli.photon_spectrum(bog, n_in)
         rows.append([float(t), float(np.abs(bog.beta).max()), *occ.tolist()])
     header = ["t", "beta_max"] + [f"N_{k}" for k in range(1, cav.n_modes + 1)]
     return [("occupations", header, rows)], {"ode_rtol": rtol}, [], True
@@ -97,11 +112,11 @@ def _run_msa(cfg, args):
         if n > cav.n_modes or k > cav.n_modes:
             raise ConfigError(f"msa pair ({n}, {k}) exceeds n_modes = {cav.n_modes}")
     eps = block.get("epsilon")
-    tol = _msa.DEFAULT_TOL
-    sl = evolve_slow(ModeBasis.build(cav), float(block["omega"]),
-                     eps=None if eps is None else float(eps),
-                     tau_max=float(block.get("tau_max", 1.0)),
-                     n_samples=int(block.get("n_samples", 101)), tol=tol)
+    from .msa import DEFAULT_TOL as tol
+    sl = _cli.evolve_slow(_cli.ModeBasis.build(cav), float(block["omega"]),
+                          eps=None if eps is None else float(eps),
+                          tau_max=float(block.get("tau_max", 1.0)),
+                          n_samples=int(block.get("n_samples", 101)), tol=tol)
     header = ["tau"]
     for n, k in pairs:
         header += [f"abs_alpha_{n}_{k}", f"abs_beta_{n}_{k}"]
@@ -123,14 +138,14 @@ def _run_moore(cfg, args):
     t_max = float(block["t_max"])
     ppl = int(block.get("points_per_length", 512))
     temperature = float(block.get("temperature", 0.0))
-    F = solve_moore(traj, t_max, points_per_length=ppl)
+    F = _cli.solve_moore(traj, t_max, points_per_length=ppl)
     z = np.linspace(F.z_min, F.z_max, int(block.get("n_z", 201)))
     f_rows = [[float(zi), float(fi)] for zi, fi in zip(z, F(z))]
     # rectangular (x, t) grid: keep x inside the cavity at every sampled t
     r_min = float(np.min(traj.position(np.linspace(0.0, t_max, 2048))))
     x = np.linspace(0.0, r_min, int(block.get("n_x", 41)))
     ts = np.linspace(0.0, t_max, int(block.get("n_t", 41)))
-    dens = energy_density(F, temperature, x, ts[:, None])  # [t, x]
+    dens = _cli.energy_density(F, temperature, x, ts[:, None])  # [t, x]
     e_rows = [[float(xi), float(tj), float(di)]
               for tj, row in zip(ts, dens) for xi, di in zip(x, row)]
     tables = [("moore_function", ["z", "F"], f_rows),
@@ -141,7 +156,7 @@ def _run_moore(cfg, args):
 def _run_otto(cfg, args):
     spec, tau = build_otto(require_block(cfg, "otto", "otto"))
     tau = np.sort(np.asarray(tau, dtype=float))
-    results = _map_ordered(lambda t: nonadiabatic_cycle(replace(spec, tau=float(t))),
+    results = _map_ordered(lambda t: _cli.nonadiabatic_cycle(replace(spec, tau=float(t))),
                            tau, args.threads)
     w1 = np.pi / spec.L0
     rows = [[float(t * w1), r.eta, r.W, r.Q, r.P] for t, r in zip(tau, results)]
@@ -156,13 +171,13 @@ def _run_gate(cfg, args):
     def one(pz):
         a = np.sqrt((1.0 + pz) / 2.0)
         b = np.sqrt((1.0 - pz) / 2.0)
-        f_closed = average_fidelity(r, pz)
-        f_sim = simulated_average_fidelity(a, b, params)
+        f_closed = _cli.average_fidelity(r, pz)
+        f_sim = _cli.simulated_average_fidelity(a, b, params)
         if rates is None:
             # lossless limit: the open gate coincides with the closed one
             f_open, purity = f_sim, 1.0
         else:
-            f_open, purity = open_average_fidelity(a, b, params, rates)
+            f_open, purity = _cli.open_average_fidelity(a, b, params, rates)
         return [float(pz), float(f_closed), float(f_sim),
                 float(f_open), float(purity)]
 
@@ -184,13 +199,13 @@ def _run_crosscheck(cfg, args):
     msa_rel_tol = float(opts.get("msa_rel_tol", 0.05))
     ode_rtol = 1e-10
 
-    basis = ModeBasis.build(cav)
-    bog = extract_bogoliubov(integrate_modes(cav, traj, rtol=ode_rtol, t_final=t_end))
-    mm = bogoliubov_from_moore(solve_moore(traj, t_end), basis, t_end)
+    basis = _cli.ModeBasis.build(cav)
+    bog = _cli.extract_bogoliubov(_cli.integrate_modes(cav, traj, rtol=ode_rtol, t_final=t_end))
+    mm = _cli.bogoliubov_from_moore(_cli.solve_moore(traj, t_end), basis, t_end)
     d_moore = float(np.abs(mm.beta - bog.beta).max())
     bound = beta_factor * eps**2
 
-    sl = evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end)
+    sl = _cli.evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end)
     n, k = np.unravel_index(np.argmax(np.abs(sl.beta_final)), sl.beta_final.shape)
     b_msa = float(abs(sl.beta_final[n, k]))
     if b_msa < 1e-12:
@@ -279,14 +294,18 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    written = [write_table(out_dir / name, header, rows, fmt)
-               for name, header, rows in tables]
-    manifest = RunManifest(
-        subcommand=args.subcommand, config_path=str(args.config),
-        config_sha256=sha256_of_file(args.config), seed=args.seed,
-        tolerances=tolerances, outputs=[w.name for w in written],
-        wall_clock_s=time.perf_counter() - t0)
-    written.append(manifest.write(out_dir / f"{args.subcommand}_manifest.json"))
+    try:
+        written = [write_table(out_dir / name, header, rows, fmt)
+                   for name, header, rows in tables]
+        manifest = RunManifest(
+            subcommand=args.subcommand, config_path=str(args.config),
+            config_sha256=sha256_of_file(args.config), seed=args.seed,
+            tolerances=tolerances, outputs=[w.name for w in written],
+            wall_clock_s=time.perf_counter() - t0)
+        written.append(manifest.write(out_dir / f"{args.subcommand}_manifest.json"))
+    except OSError as exc:
+        print(f"config error: cannot write the results to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     for line in messages:
         print(line)
     for w in written:

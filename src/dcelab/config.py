@@ -23,12 +23,6 @@ import numpy as np
 import yaml
 from jsonschema import Draft202012Validator
 
-from .cavity import CavitySpec
-from .gate import OpenRates, default_cqed_params
-from .otto import CycleSpec
-from .squid import SquidCavityParams
-from .trajectories import harmonic_wall, quintic_wall, static_wall, tabulated_wall
-
 __all__ = [
     "ConfigError",
     "SCHEMA",
@@ -272,11 +266,13 @@ def _given(block, **casts):
 
 
 def build_cavity(block):
+    from .cavity import CavitySpec
     return CavitySpec(length=float(block["length"]), n_modes=int(block["n_modes"]))
 
 
 def build_trajectory(block, length):
     """WallTrajectory from a trajectory block; `length` is the rest length."""
+    from .trajectories import harmonic_wall, quintic_wall, static_wall, tabulated_wall
     kind = block["type"]
     ctx = f"trajectory type '{kind}'"
     if kind == "static":
@@ -297,6 +293,7 @@ def build_trajectory(block, length):
 
 
 def build_squid(block):
+    from .squid import SquidCavityParams
     params = SquidCavityParams(chi0=float(block["chi0"]), b0L=float(block["b0L"]),
                                b0R=float(block["b0R"]), **_given(block, d=float))
     return params, int(block["n_max"])
@@ -309,6 +306,7 @@ def build_otto(block):
     empty, producing a header-only table) or from a tau_min/tau_max/n_tau
     range with linear or log spacing.
     """
+    from .otto import CycleSpec
     spec = CycleSpec(L0=float(block["length"]), eps=float(block["epsilon"]),
                      beta_A=float(block["beta_A"]), beta_C=float(block["beta_C"]),
                      tau=1.0, **_given(block, n_modes=int, include_casimir=bool))
@@ -338,6 +336,7 @@ def build_gate(block):
     target squeeze r fixes t_gate through r = g_d eps_d t_gate. A rates block
     switches on the Lindblad comparison, absent keys from OpenRates.typical().
     """
+    from .gate import OpenRates, default_cqed_params
     params = default_cqed_params(**_given(block, theta=float, n_max=int, leak_tol=float,
                                           g_d=float, eps_d=float))
     params = replace(params, t_gate=float(block["r"]) / params.drive_rate)

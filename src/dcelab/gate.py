@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .cavity import thermal_occupation
 from .magnus import expm_taylor, propagate
@@ -436,6 +435,7 @@ def _liouvillian(H, ls):
     K = -iH - (1/2) sum_k L_k^dag L_k, the master equation reads
     d vec(rho)/dt = [K (x) I + I (x) K^* + sum_k L_k (x) L_k^*] vec(rho).
     """
+    from scipy import sparse
     K = sparse.csr_array(-1j * H - 0.5 * sum(l.conj().T @ l for l in ls))
     eye = sparse.eye_array(H.shape[0])
     L = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
@@ -451,6 +451,7 @@ def _hermitian_coordinates(sector):
     Returns the sparse maps T, with vec(rho) = T x for the row-major vec of
     the masked rho, and R, with x = Re(R vec(rho)).
     """
+    from scipy import sparse
     dim = sector.shape[0]
     j, k = np.nonzero(np.triu(sector))  # j <= k: one Re coordinate each
     off = np.flatnonzero(j < k)  # j < k: one Im coordinate each
@@ -479,6 +480,7 @@ def _expm_action(A, b, t):
     below 2^-53 of the partial sum in the inf-norm. The 1-norm is exact, so
     no random numbers are drawn. A real A and b give a real result.
     """
+    from scipy import sparse
     n = A.shape[0]
     mu = A.trace() / n
     A = A - mu * sparse.eye_array(n, format="csr")
@@ -606,6 +608,7 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     S(r, theta_s) is applied by a truncated-Taylor action on its banded sparse
     generator, not built as a dense exponential.
     """
+    from scipy import sparse
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
     wb = params.omega_1 if qubit_level == 1 else params.omega_0

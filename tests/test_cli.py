@@ -127,6 +127,14 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(cfg), "--out", str(taken)]) == 2
         assert "config error: cannot create output directory" in capsys.readouterr().err
 
+    def test_unwritable_table_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "spectrum.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, SPECTRUM_DOC)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write the results" in err and "spectrum.csv" in err
+
     def test_success_exits_0(self, tmp_path):
         code, out = run(tmp_path, "spectrum", SPECTRUM_DOC)
         assert code == 0
@@ -501,15 +509,40 @@ class TestOutputBlockDefaults:
 
 
 class TestImports:
+    HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
+    GATE_DOC = {"gate": {"r": 0.3, "p_z": [0.5], "n_max": 12}}
+
     @staticmethod
-    def loaded(module, *prefixes):
-        """The modules under prefixes that a fresh `import module` loads."""
-        code = (f"import sys, {module}; "
-                f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    def fresh(code):
+        """The stdout of code run in a fresh interpreter on this dcelab."""
         src = str(Path(dcelab.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         return out.stdout.strip()
+
+    @classmethod
+    def loaded(cls, module, *prefixes):
+        """The modules under prefixes that a fresh `import module` loads."""
+        return cls.fresh(f"import sys, {module}; "
+                         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+
+    @classmethod
+    def heavy_after(cls, tmp_path, runs):
+        """The HEAVY subpackages loaded after each of runs, (subcommand, doc) pairs
+        run one after another in one fresh interpreter."""
+        argvs = [[sub, "--config", str(write_cfg(tmp_path, doc, f"{i}.yaml")),
+                  "--out", str(tmp_path / str(i))] for i, (sub, doc) in enumerate(runs)]
+        return json.loads(cls.fresh(f"""
+import contextlib, io, json, sys
+from dcelab.cli import main
+after = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{{argv[0]}} failed")
+    after.append(sorted({{".".join(m.split(".")[:2]) for m in sys.modules
+                         if m.startswith({cls.HEAVY!r})}}))
+print(json.dumps(after))"""))
 
     def test_cli_import_leaves_out_scipy_integrate(self):
         assert self.loaded("dcelab.cli", "scipy.integrate") == "[]"
@@ -519,5 +552,39 @@ class TestImports:
         assert self.loaded("dcelab.cli", "scipy.linalg", "scipy.optimize",
                            "scipy.special") == "[]"
 
+    def test_cli_import_loads_no_solver_and_no_scipy_sparse(self):
+        # each runner imports its own solver module when it first calls it
+        assert self.loaded("dcelab.cli", "dcelab", "scipy.sparse") == \
+            "['dcelab', 'dcelab.cli', 'dcelab.config', 'dcelab.output']"
+
     def test_bogoliubov_import_leaves_out_scipy_linalg(self):
         assert self.loaded("dcelab.bogoliubov", "scipy.linalg") == "[]"
+
+    def test_runs_other_than_open_gate_and_spectrum_load_no_heavy_scipy(self, tmp_path):
+        # one interpreter for all: the set after each run is empty only if that run
+        # and every run before it loaded none
+        cavity = {"length": 3.141592653589793, "n_modes": 4}
+        harmonic = {"type": "harmonic", "epsilon": 0.02, "omega": 2.0, "t_end": 4.0}
+        runs = [
+            ("otto", OTTO_DOC),
+            ("bogoliubov", {"cavity": cavity, "trajectory": harmonic,
+                            "bogoliubov": {"n_times": 3}}),
+            ("bogoliubov", {"cavity": cavity,
+                            "trajectory": {"type": "quintic", "epsilon": 0.02, "tau": 4.0},
+                            "bogoliubov": {"n_times": 3}}),
+            ("msa", {"cavity": cavity, "msa": {"omega": 2.0, "tau_max": 0.1,
+                                               "n_samples": 3}}),
+            ("moore", {"cavity": cavity, "trajectory": harmonic,
+                       "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
+            ("crosscheck", TestCrosscheckRun.DOC),
+            ("gate", self.GATE_DOC),
+        ]
+        assert self.heavy_after(tmp_path, runs) == [[]] * len(runs)
+
+    def test_open_gate_run_loads_scipy_sparse(self, tmp_path):
+        doc = {"gate": dict(self.GATE_DOC["gate"], rates={"tau_q": 2.0e5})}
+        assert self.heavy_after(tmp_path, [("gate", doc)]) == [["scipy.sparse"]]
+
+    def test_spectrum_run_loads_scipy_optimize(self, tmp_path):
+        [after] = self.heavy_after(tmp_path, [("spectrum", SPECTRUM_DOC)])
+        assert "scipy.optimize" in after
