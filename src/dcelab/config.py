@@ -4,10 +4,14 @@ A scenario is a mapping of named blocks; each subcommand consumes the
 blocks it needs (cavity + trajectory for the coupled-mode solver, squid
 for the transcendental spectrum, and so on). Validation is deliberately
 unforgiving: unknown blocks and unknown keys inside a block are rejected
-with the offending path, so a typo cannot silently fall back to a default.
-Cheap numeric sanity lives in the schema; everything physical (subluminal
-walls, 0 < eps < 1, truncation leakage) is enforced by the solver
-constructors and surfaces as a physics error, not a config error.
+with the offending path, so a typo cannot silently fall back to a default,
+and so is a key given twice in one mapping. Cheap numeric sanity lives in
+SCHEMA, a Draft 2020-12 JSON Schema document that a small walker in this
+module checks. The walker implements just the keywords SCHEMA uses, since
+importing jsonschema would cost every run about 100 ms.
+Everything physical (subluminal walls, 0 < eps < 1, truncation leakage) is
+enforced by the solver constructors and surfaces as a physics error, not a
+config error.
 
 Units follow the solver modules: natural units (c = hbar = k_B = 1) for
 the cavity blocks, nanoseconds / rad/ns / mK for the gate block.
@@ -21,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 
 __all__ = [
     "ConfigError",
@@ -41,12 +44,31 @@ class ConfigError(Exception):
 
 
 class _ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also accepts YAML 1.2 float forms like 1.0e6.
+    """SafeLoader that also accepts YAML 1.2 float forms like 1.0e6 and
+    rejects duplicate keys.
 
     Stock pyyaml implements YAML 1.1, whose exponent requires a sign, so
     '1.0e6' silently becomes a string and trips the schema. Scientific
     notation is pervasive in these scenarios; accept the modern spelling.
+    Stock pyyaml also keeps the last of two equal keys in a mapping, so
+    `{n_modes: 4, n_modes: 8}` would run with 8 unnoticed.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # '<<' merge keys may be overridden, as YAML intends
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                duplicate = key in seen
+            except TypeError:
+                continue  # unhashable: SafeConstructor reports it
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -208,14 +230,119 @@ SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(SCHEMA)
+
+# The JSON Schema keywords SCHEMA uses, with their Draft 2020-12 meaning and
+# jsonschema's messages. Each takes (instance, keyword value, the schema
+# holding it, path) and yields (path, message) per violation; like
+# jsonschema, a keyword ignores instances of a type it does not constrain.
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _json_path(error):
-    parts = ["$"]
-    for p in error.absolute_path:
-        parts.append(f"[{p}]" if isinstance(p, int) else f".{p}")
-    return "".join(parts)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    # 20.0 is an integer, True is not
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _type(instance, name, schema, path):
+    if not _TYPES[name](instance):
+        yield path, f"{instance!r} is not of type {name!r}"
+
+
+def _properties(instance, properties, schema, path):
+    if isinstance(instance, dict):
+        for key, subschema in properties.items():
+            if key in instance:
+                yield from _schema_errors(instance[key], subschema, (*path, key))
+
+
+def _no_additional_properties(instance, allowed, schema, path):
+    # SCHEMA only ever says `additionalProperties: false`
+    if isinstance(instance, dict):
+        extras = sorted((k for k in instance if k not in schema.get("properties", {})),
+                        key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
+def _required(instance, names, schema, path):
+    if isinstance(instance, dict):
+        for name in names:
+            if name not in instance:
+                yield path, f"{name!r} is a required property"
+
+
+def _enum(instance, values, schema, path):
+    # SCHEMA's enums list strings, for which == is JSON equality
+    if instance not in values:
+        yield path, f"{instance!r} is not one of {values!r}"
+
+
+def _bound(fails, words):
+    def check(instance, limit, schema, path):
+        if _is_number(instance) and fails(instance, limit):
+            yield path, f"{instance!r} is {words} of {limit!r}"
+    return check
+
+
+def _items(instance, subschema, schema, path):
+    if isinstance(instance, list):
+        for i, item in enumerate(instance):
+            yield from _schema_errors(item, subschema, (*path, i))
+
+
+def _min_items(instance, least, schema, path):
+    if isinstance(instance, list) and len(instance) < least:
+        yield path, f"{instance!r} " + ("should be non-empty" if least == 1 else "is too short")
+
+
+def _max_items(instance, most, schema, path):
+    if isinstance(instance, list) and len(instance) > most:
+        yield path, f"{instance!r} is too long"
+
+
+_KEYWORDS = {
+    "$schema": lambda *_: (),  # names the dialect; constrains nothing
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _no_additional_properties,
+    "required": _required,
+    "enum": _enum,
+    "minimum": _bound(lambda x, m: x < m, "less than the minimum"),
+    "exclusiveMinimum": _bound(lambda x, m: x <= m, "less than or equal to the minimum"),
+    "maximum": _bound(lambda x, m: x > m, "greater than the maximum"),
+    "exclusiveMaximum": _bound(lambda x, m: x >= m, "greater than or equal to the maximum"),
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+}
+
+
+def _schema_errors(instance, schema, path=()):
+    """(path, message) of every violation of schema by instance, in jsonschema's
+    order: depth first, keywords in the schema's own order."""
+    for keyword, value in schema.items():
+        yield from _KEYWORDS[keyword](instance, value, schema, path)
+
+
+def _first_error(doc):
+    """The (path, message) that load_config reports for doc, or None if doc is
+    valid: errors sorted by path, ties in the order they were found."""
+    errors = sorted(_schema_errors(doc, SCHEMA), key=lambda e: [str(p) for p in e[0]])
+    return errors[0] if errors else None
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
 def load_config(path):
@@ -239,11 +366,10 @@ def load_config(path):
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping of blocks")
-    errors = sorted(_VALIDATOR.iter_errors(raw),
-                    key=lambda e: [str(p) for p in e.absolute_path])
-    if errors:
-        first = errors[0]
-        raise ConfigError(f"{path}: {_json_path(first)}: {first.message}")
+    first = _first_error(raw)
+    if first is not None:
+        where, message = first
+        raise ConfigError(f"{path}: {_json_path(where)}: {message}")
     return raw
 
 

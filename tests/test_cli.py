@@ -79,6 +79,24 @@ class TestConfigValidation:
         assert cfg["squid"]["b0L"] == 1.0e6
         assert cfg["squid"]["b0R"] == 1.0e6
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("cavity: {n_modes: 4, n_modes: 8, length: 1.0}\n", "n_modes", 1),
+        ("cavity:\n  length: 1.0\n  n_modes: 4\n  n_modes: 8\n", "n_modes", 4),
+        ("squid: {chi0: 0.0, b0L: 1.0, b0R: 1.0, n_max: 2}\ncavity: {length: 1.0, "
+         "n_modes: 4}\nsquid: {chi0: 0.0, b0L: 1.0, b0R: 1.0, n_max: 2}\n", "squid", 3),
+    ], ids=["flow_mapping", "block_mapping", "top_level"])
+    def test_duplicate_key_names_the_key_and_its_line(self, tmp_path, text, key, line):
+        # pyyaml alone would keep the last value and run with it
+        path = tmp_path / "dup.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"line {line}: found duplicate key '{key}'"):
+            load_config(path)
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("cavity:\n  <<: {length: 1.0, n_modes: 4}\n  n_modes: 8\n")
+        assert load_config(path) == {"cavity": {"length": 1.0, "n_modes": 8}}
+
     def test_top_level_must_be_mapping(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
@@ -510,7 +528,9 @@ class TestOutputBlockDefaults:
 
 class TestImports:
     HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
+    SCHEMA_LIBS = ("jsonschema", "referencing", "rpds", "attrs")
     GATE_DOC = {"gate": {"r": 0.3, "p_z": [0.5], "n_max": 12}}
+    OPEN_GATE_DOC = {"gate": dict(GATE_DOC["gate"], rates={"tau_q": 2.0e5})}
 
     @staticmethod
     def fresh(code):
@@ -527,9 +547,9 @@ class TestImports:
                          f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
 
     @classmethod
-    def heavy_after(cls, tmp_path, runs):
-        """The HEAVY subpackages loaded after each of runs, (subcommand, doc) pairs
-        run one after another in one fresh interpreter."""
+    def loaded_after(cls, tmp_path, runs, prefixes=HEAVY):
+        """The prefixes under which modules are loaded after each of runs, (subcommand,
+        doc) pairs run one after another in one fresh interpreter."""
         argvs = [[sub, "--config", str(write_cfg(tmp_path, doc, f"{i}.yaml")),
                   "--out", str(tmp_path / str(i))] for i, (sub, doc) in enumerate(runs)]
         return json.loads(cls.fresh(f"""
@@ -540,9 +560,29 @@ for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         if main(argv) != 0:
             sys.exit(f"{{argv[0]}} failed")
-    after.append(sorted({{".".join(m.split(".")[:2]) for m in sys.modules
-                         if m.startswith({cls.HEAVY!r})}}))
+    after.append(sorted({{p for p in {prefixes!r} for m in sys.modules
+                         if m == p or m.startswith(p + ".")}}))
 print(json.dumps(after))"""))
+
+    @classmethod
+    def light_runs(cls):
+        """A tiny run of each subcommand that needs no heavy scipy subpackage."""
+        cavity = {"length": 3.141592653589793, "n_modes": 4}
+        harmonic = {"type": "harmonic", "epsilon": 0.02, "omega": 2.0, "t_end": 4.0}
+        return [
+            ("otto", OTTO_DOC),
+            ("bogoliubov", {"cavity": cavity, "trajectory": harmonic,
+                            "bogoliubov": {"n_times": 3}}),
+            ("bogoliubov", {"cavity": cavity,
+                            "trajectory": {"type": "quintic", "epsilon": 0.02, "tau": 4.0},
+                            "bogoliubov": {"n_times": 3}}),
+            ("msa", {"cavity": cavity, "msa": {"omega": 2.0, "tau_max": 0.1,
+                                               "n_samples": 3}}),
+            ("moore", {"cavity": cavity, "trajectory": harmonic,
+                       "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
+            ("crosscheck", TestCrosscheckRun.DOC),
+            ("gate", cls.GATE_DOC),
+        ]
 
     def test_cli_import_leaves_out_scipy_integrate(self):
         assert self.loaded("dcelab.cli", "scipy.integrate") == "[]"
@@ -563,28 +603,33 @@ print(json.dumps(after))"""))
     def test_runs_other_than_open_gate_and_spectrum_load_no_heavy_scipy(self, tmp_path):
         # one interpreter for all: the set after each run is empty only if that run
         # and every run before it loaded none
-        cavity = {"length": 3.141592653589793, "n_modes": 4}
-        harmonic = {"type": "harmonic", "epsilon": 0.02, "omega": 2.0, "t_end": 4.0}
-        runs = [
-            ("otto", OTTO_DOC),
-            ("bogoliubov", {"cavity": cavity, "trajectory": harmonic,
-                            "bogoliubov": {"n_times": 3}}),
-            ("bogoliubov", {"cavity": cavity,
-                            "trajectory": {"type": "quintic", "epsilon": 0.02, "tau": 4.0},
-                            "bogoliubov": {"n_times": 3}}),
-            ("msa", {"cavity": cavity, "msa": {"omega": 2.0, "tau_max": 0.1,
-                                               "n_samples": 3}}),
-            ("moore", {"cavity": cavity, "trajectory": harmonic,
-                       "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
-            ("crosscheck", TestCrosscheckRun.DOC),
-            ("gate", self.GATE_DOC),
-        ]
-        assert self.heavy_after(tmp_path, runs) == [[]] * len(runs)
+        runs = self.light_runs()
+        assert self.loaded_after(tmp_path, runs) == [[]] * len(runs)
 
     def test_open_gate_run_loads_scipy_sparse(self, tmp_path):
-        doc = {"gate": dict(self.GATE_DOC["gate"], rates={"tau_q": 2.0e5})}
-        assert self.heavy_after(tmp_path, [("gate", doc)]) == [["scipy.sparse"]]
+        assert self.loaded_after(tmp_path, [("gate", self.OPEN_GATE_DOC)]) == \
+            [["scipy.sparse"]]
 
     def test_spectrum_run_loads_scipy_optimize(self, tmp_path):
-        [after] = self.heavy_after(tmp_path, [("spectrum", SPECTRUM_DOC)])
+        [after] = self.loaded_after(tmp_path, [("spectrum", SPECTRUM_DOC)])
         assert "scipy.optimize" in after
+
+    def test_cli_import_loads_no_schema_library(self):
+        # scenario files are checked by config's own walker over SCHEMA
+        assert self.loaded("dcelab.cli", *self.SCHEMA_LIBS) == "[]"
+
+    def test_no_run_loads_a_schema_library(self, tmp_path):
+        runs = [*self.light_runs(), ("gate", self.OPEN_GATE_DOC), ("spectrum", SPECTRUM_DOC)]
+        assert self.loaded_after(tmp_path, runs, self.SCHEMA_LIBS)[-1] == []
+
+    def test_shipped_config_runs_where_jsonschema_cannot_import(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "otto_efficiency.yaml"
+        argv = ["otto", "--config", str(cfg), "--out", str(tmp_path)]
+        # a None entry in sys.modules makes every import of jsonschema fail;
+        # fresh() raises unless the run exits 0
+        self.fresh(f"""
+import sys
+sys.modules["jsonschema"] = None
+from dcelab.cli import main
+sys.exit(main({argv!r}))""")
+        assert (tmp_path / "otto_cycle.csv").exists()
