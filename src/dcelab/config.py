@@ -43,8 +43,9 @@ class ConfigError(Exception):
     """Scenario file problem: syntax, schema violation, or missing block."""
 
 
-class _ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also accepts YAML 1.2 float forms like 1.0e6 and
+def _scenario_loader(base):
+    """The scenario loader on `base`, yaml.SafeLoader or its libyaml twin
+    yaml.CSafeLoader: it also accepts YAML 1.2 float forms like 1.0e6 and
     rejects duplicate keys.
 
     Stock pyyaml implements YAML 1.1, whose exponent requires a sign, so
@@ -53,34 +54,38 @@ class _ScenarioLoader(yaml.SafeLoader):
     Stock pyyaml also keeps the last of two equal keys in a mapping, so
     `{n_modes: 4, n_modes: 8}` would run with 8 unnoticed.
     """
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # '<<' merge keys may be overridden, as YAML intends
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    duplicate = key in seen
+                except TypeError:
+                    continue  # unhashable: SafeConstructor reports it
+                if duplicate:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # '<<' merge keys may be overridden, as YAML intends
-            key = self.construct_object(key_node, deep=deep)
-            try:
-                duplicate = key in seen
-            except TypeError:
-                continue  # unhashable: SafeConstructor reports it
-            if duplicate:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"""^(?:
+            [-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+]?[0-9]+)?
+            |[-+]?(?:[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)
+            |[-+]?\.[0-9_]+(?:[eE][-+]?[0-9]+)?
+            |[-+]?\.(?:inf|Inf|INF)
+            |\.(?:nan|NaN|NAN)
+            )$""", re.X),
+        list("-+0123456789."))
+    return Loader
 
 
-_ScenarioLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"""^(?:
-        [-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+]?[0-9]+)?
-        |[-+]?(?:[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)
-        |[-+]?\.[0-9_]+(?:[eE][-+]?[0-9]+)?
-        |[-+]?\.(?:inf|Inf|INF)
-        |\.(?:nan|NaN|NAN)
-        )$""", re.X),
-    list("-+0123456789."))
+# libyaml parses a scenario about 4x faster where pyyaml was built with it
+_ScenarioLoader = _scenario_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .cavity import thermal_occupation
-from .magnus import expm_taylor, propagate
+from .magnus import expm_taylor, generic_exponent, propagate
 
 __all__ = [
     "GateParams",
@@ -619,9 +619,8 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
         out[..., 0, 1] = wb
         out[..., 1, 0] = -wb - 4.0 * params.drive_rate * np.sin(params.omega_d * t - params.theta)
         return out
-    A.balance = np.ones(2)
-    S = propagate(A, 0.0, params.t_gate, np.eye(2), rtol / max(1, int(params.t_gate // T)),
-                  wb + 4.0 * params.drive_rate, T)[0]
+    S = propagate(generic_exponent(A, np.ones(2)), 0.0, params.t_gate, np.eye(2),
+                  rtol / max(1, int(params.t_gate // T)), wb + 4.0 * params.drive_rate, T)[0]
     rot = 0.5 * np.exp(1j * wb * params.t_gate)  # rotating-frame a = e^{i wb t} (x + i p) / sqrt 2
     u = rot * ((S[0, 0] + S[1, 1]) + 1j * (S[1, 0] - S[0, 1]))
     v = rot * ((S[0, 0] - S[1, 1]) + 1j * (S[1, 0] + S[0, 1]))

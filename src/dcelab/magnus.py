@@ -9,15 +9,18 @@ rounding; h may be an array that broadcasts against the generators, so
 many steps are formed at once. expm_taylor, the package's one dense
 exponential, takes real or complex stacks with batched products only.
 propagate, the one driver, is a step-doubling product of such steps with
-whole periods taken as powers of one monodromy matrix; the coupled-mode
-field (bogoliubov) and the lab-frame gate branches (gate) both call it.
+whole periods taken as powers of one monodromy matrix. It takes the step
+exponent, not the generator: generic_exponent forms it by magnus6 from
+dense samples of any A (the lab-frame gate branches of gate), and a
+caller that knows the block structure of its generator may form the same
+exponent more cheaply (the coupled-mode field of bogoliubov).
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["GAUSS_NODES", "magnus6", "expm_taylor", "propagate"]
+__all__ = ["GAUSS_NODES", "magnus6", "generic_exponent", "expm_taylor", "propagate"]
 
 GAUSS_NODES = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre on [0, 1]
 
@@ -42,6 +45,20 @@ def magnus6(a1, a2, a3, h):
     c1 = _bracket(b1, b2)
     c2 = _bracket(b1, 2.0 * b3 + c1) / -60.0
     return b1 + b3 / 12.0 + _bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def generic_exponent(A, balance):
+    """The step exponent of dY/dt = A(t) Y for propagate: (t0, h) -> magnus6 of
+    A sampled at the Gauss nodes of each step [t0_j, t0_j + h_j].
+
+    A maps an array of times to real (..., n, n) generators; balance is the
+    diagonal of the similarity applied to each step exponent (_exponentials).
+    """
+    def exponent(t0, h):
+        return magnus6(*np.moveaxis(A(t0[:, None] + h[:, None] * GAUSS_NODES), 1, 0),
+                       h[:, None, None])
+    exponent.balance = np.asarray(balance, dtype=float)
+    return exponent
 
 
 def _degree(norm):
@@ -93,13 +110,15 @@ def expm_taylor(X):
     return E
 
 
-def propagate(A, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
+def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     """Y(t_b) and the list of Y at each sample of dY/dt = A(t) Y, Y(t_a) = Y0.
 
-    A maps an array of times to real (..., n, n) generators; A.balance is
-    the diagonal similarity applied to each step exponent (_exponentials).
-    omega_max, the fastest rotation of the flow, sets the base step grid and
-    rtol the step-doubling tolerance (_propagate); samples are sorted,
+    exponent maps arrays t0, h of step starts and lengths to the real
+    (len(h), n, n) sixth-order Magnus exponents of the steps [t0_j, t0_j +
+    h_j] (generic_exponent forms them from A); exponent.balance is the
+    diagonal similarity applied to each of them (_exponentials). omega_max,
+    the fastest rotation of the flow, sets the base step grid and rtol the
+    step-doubling tolerance (_propagate); samples are sorted,
     distinct times in (t_a, t_b). With a period shorter than the span, the
     fundamental matrix M over one period is checked symplectic to 1e3 * rtol
     and whole periods are its powers, so the cost does not grow with the
@@ -107,7 +126,8 @@ def propagate(A, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     """
     samples = np.asarray(samples, dtype=float)
     if period is None or t_b - t_a <= period:
-        at_edges, sampled = _propagate(A, np.array([t_a, t_b]), Y0, rtol, omega_max, samples)
+        at_edges, sampled = _propagate(exponent, np.array([t_a, t_b]), Y0, rtol, omega_max,
+                                       samples)
         return at_edges[-1], sampled
 
     # periodic generator: propagator over k periods + s is Phi(t_a + s) M^k
@@ -115,7 +135,7 @@ def propagate(A, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     s = (t_b - t_a) - k * period
     edges = np.unique([t_a, t_a + s, t_a + period])
     periods = np.minimum((samples - t_a) // period, k).astype(int)
-    at_edges, Phis = _propagate(A, edges, np.eye(len(Y0)), rtol, omega_max,
+    at_edges, Phis = _propagate(exponent, edges, np.eye(len(Y0)), rtol, omega_max,
                                 samples - periods * period)
     M = at_edges[-1]
     _check_symplectic(M, rtol)
@@ -130,23 +150,22 @@ def propagate(A, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     return Y, sampled
 
 
-def _exponentials(A, t0, h):
+def _exponentials(exponent, t0, h):
     """exp(Omega_j) of the sixth-order Magnus steps [t0_j, t0_j + h_j], one batched exponential.
 
-    Each exponent is exponentiated balanced, as D^-1 exp(D Omega D^-1) D
-    with D = diag(A.balance), which is exact and keeps the Taylor degree
-    low with no squaring on the base grid.
+    Each exponent Omega_j = exponent(t0, h)[j] is exponentiated balanced, as
+    D^-1 exp(D Omega D^-1) D with D = diag(exponent.balance), which is exact
+    and keeps the Taylor degree low with no squaring on the base grid.
     """
-    exponent = magnus6(*np.moveaxis(A(t0[:, None] + h[:, None] * GAUSS_NODES), 1, 0),
-                       h[:, None, None])
-    d = A.balance
-    exponent *= d[:, None] / d
-    E = expm_taylor(exponent)
+    X = exponent(t0, h)
+    d = exponent.balance
+    X *= d[:, None] / d
+    E = expm_taylor(X)
     E *= d / d[:, None]
     return E
 
 
-def _propagate(A, edges, Y0, rtol, omega_max, samples):
+def _propagate(exponent, edges, Y0, rtol, omega_max, samples):
     """Magnus product for dY/dt = A(t) Y from edges[0], with every edge a step boundary.
 
     Each edge interval starts at 10 steps per period of omega_max, and all
@@ -174,7 +193,7 @@ def _propagate(A, edges, Y0, rtol, omega_max, samples):
         keep = set(ends.tolist()) | set(near.tolist())
         Y, kept = Y0, {0: Y0}
         for start in range(0, len(t0), _BATCH):
-            for j, e in enumerate(_exponentials(A, t0[start:start + _BATCH],
+            for j, e in enumerate(_exponentials(exponent, t0[start:start + _BATCH],
                                                 h[start:start + _BATCH]), start + 1):
                 Y = e @ Y
                 if j in keep:
@@ -195,7 +214,7 @@ def _propagate(A, edges, Y0, rtol, omega_max, samples):
     partial = np.flatnonzero(step)
     for start in range(0, len(partial), _BATCH):
         idx = partial[start:start + _BATCH]
-        for i, e in zip(idx, _exponentials(A, times[near[idx]], step[idx])):
+        for i, e in zip(idx, _exponentials(exponent, times[near[idx]], step[idx])):
             sampled[i] = e @ sampled[i]
     return at_edges, sampled
 

@@ -45,6 +45,20 @@ def format_value(v):
     return format(float(v), FLOAT_FMT)
 
 
+def _csv_lines(rows):
+    """The CSV line of each row, as format_value writes it, by one '%': '%s'
+    for the string cells and '%.17g', which formats float(v), for the rest.
+    Each sequence of cell types builds its format string once."""
+    formats = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join("%s" if issubclass(t, str) else "%" + FLOAT_FMT
+                                            for t in types)
+        yield fmt % tuple(row)
+
+
 def _parse_cell(cell):
     try:
         return float(cell)
@@ -66,7 +80,7 @@ def write_table(path, header, rows, fmt="csv"):
     if fmt == "csv":
         out = path.with_suffix(".csv")
         lines = [",".join(header)]
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
+        lines.extend(_csv_lines(rows))
         out.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         out = path.with_suffix(".json")

@@ -67,6 +67,25 @@ def dop853_bogoliubov(spec, traj, rtol):
                                              R=float(traj.position(traj.t_end)), spec=spec))
 
 
+def coupled_mode_generator(traj, N):
+    """The dense A(t) of dY/dt = A Y for Y = (Q; P) at any array of times:
+    [[lam Mhat, I], [-(khat / R)^2, lam Mhat]] with lam = Rdot / R. The
+    package forms its Magnus exponents from these blocks
+    (bogoliubov._exponent); this is their reference."""
+    basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=N))
+    khat, Mhat, eye = np.arange(1, N + 1) * np.pi, basis.M * basis.R0, np.eye(N)
+
+    def A(t):
+        R = traj.position(t)[..., None, None]
+        lam = traj.velocity(t)[..., None, None] / R
+        out = np.zeros(np.shape(t) + (2 * N, 2 * N))
+        out[..., :N, :N] = out[..., N:, N:] = lam * Mhat
+        out[..., :N, N:] = eye
+        out[..., N:, :N] = -((khat / R) ** 2) * eye
+        return out
+    return A
+
+
 def bogoliubov_error(bog, ref):
     """Largest entry error over both Bogoliubov matrices."""
     return max(np.abs(bog.alpha - ref.alpha).max(), np.abs(bog.beta - ref.beta).max())
@@ -295,8 +314,8 @@ class TestMonodromy:
         propagate = magnus._propagate
         dim = 2 * self.SPEC.n_modes
 
-        def corrupted(A, edges, Y0, *args):
-            at_edges, sampled = propagate(A, edges, Y0, *args)
+        def corrupted(exponent, edges, Y0, *args):
+            at_edges, sampled = propagate(exponent, edges, Y0, *args)
             if Y0.shape == (dim, dim):  # the one-period fundamental matrix
                 at_edges[-1, 0, 0] += 1e-4
             return at_edges, sampled
@@ -312,9 +331,9 @@ def step_spans(monkeypatch):
     spans = []
     exponentials = magnus._exponentials
 
-    def spy(A, t0, h):
+    def spy(exponent, t0, h):
         spans.append((float(np.minimum(t0, t0 + h).min()), float(np.maximum(t0, t0 + h).max())))
-        return exponentials(A, t0, h)
+        return exponentials(exponent, t0, h)
     monkeypatch.setattr(magnus, "_exponentials", spy)
     return spans
 
@@ -419,19 +438,26 @@ class TestMagnusAccuracy:
 
 
 class TestBatchedExponential:
-    """magnus.expm_taylor and the balanced step exponentials against scipy.linalg.expm."""
+    """The block-formed step exponents against magnus6 on the dense generator, and
+    magnus.expm_taylor and the balanced step exponentials against scipy.linalg.expm."""
+
+    _t = np.linspace(0.0, 4.0, 21)
+    WALLS = [harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0), quintic_wall(np.pi, 0.2, 3.0),
+             tabulated_wall(_t, np.pi * (1.0 + 0.05 * np.sin(np.pi * _t / 4.0) ** 2))]
 
     @staticmethod
     def steps(N, traj, doublings, count=40):
-        """Generator and real Magnus exponents of `count` steps from traj.t_start
-        on the base grid (10 steps per period of omega_N) refined `doublings` times."""
+        """The package's step exponent and the reference Magnus exponents, magnus6 on
+        the dense generator, of `count` steps from traj.t_start on the base grid (10
+        steps per period of omega_N) refined `doublings` times."""
         basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=N))
-        A = bogoliubov._generator(traj, np.arange(1, N + 1) * np.pi, basis.M * basis.R0)
+        exponent = bogoliubov._exponent(traj, np.arange(1, N + 1) * np.pi, basis.M * basis.R0)
         omega_max = N * np.pi / traj.position(np.linspace(traj.t_start, traj.t_end, 65)).min()
         h = np.full(count, 2.0 * np.pi / omega_max / 10.0 / 2**doublings)
         t0 = traj.t_start + h * np.arange(count)
+        A = coupled_mode_generator(traj, N)
         a1, a2, a3 = np.moveaxis(A(t0[:, None] + h[:, None] * magnus.GAUSS_NODES), 1, 0)
-        return A, t0, h, magnus.magnus6(a1, a2, a3, h[:, None, None])
+        return exponent, t0, h, magnus.magnus6(a1, a2, a3, h[:, None, None])
 
     @staticmethod
     def relative_error(E, ref):
@@ -439,19 +465,29 @@ class TestBatchedExponential:
 
     @pytest.mark.parametrize("N", [4, 8, 12, 16, 20])
     @pytest.mark.parametrize("doublings", [0, 1])
-    @pytest.mark.parametrize("traj", [harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0),
-                                      quintic_wall(np.pi, 0.2, 3.0)],
-                             ids=["harmonic", "quintic"])
+    @pytest.mark.parametrize("traj", WALLS, ids=["harmonic", "quintic", "tabulated"])
+    def test_block_exponent_matches_magnus6(self, N, doublings, traj):
+        exponent, t0, h, X = self.steps(N, traj, doublings)
+        assert self.relative_error(exponent(t0, h), X) <= 1e-14
+        # a sample's partial step may run backwards from its boundary
+        A, back = coupled_mode_generator(traj, N), -0.5 * h
+        nodes = np.moveaxis(A(t0[:, None] + back[:, None] * magnus.GAUSS_NODES), 1, 0)
+        assert self.relative_error(exponent(t0, back),
+                                   magnus.magnus6(*nodes, back[:, None, None])) <= 1e-14
+
+    @pytest.mark.parametrize("N", [4, 8, 12, 16, 20])
+    @pytest.mark.parametrize("doublings", [0, 1])
+    @pytest.mark.parametrize("traj", WALLS[:2], ids=["harmonic", "quintic"])
     def test_step_exponentials_match_expm(self, N, doublings, traj):
-        A, t0, h, X = self.steps(N, traj, doublings)
+        exponent, t0, h, X = self.steps(N, traj, doublings)
         ref = expm(X)
-        E = magnus._exponentials(A, t0, h)
+        E = magnus._exponentials(exponent, t0, h)
         assert self.relative_error(E, ref) <= 1e-13
         # the exponent is Hamiltonian, so its exponential is symplectic
         J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
         assert np.abs(np.swapaxes(E, -2, -1) @ J @ E - J).max() <= 1e-13
         # balancing is what keeps the base grid free of squarings
-        d = A.balance
+        d = exponent.balance
         assert magnus._degree(np.abs(X * (d[:, None] / d)).sum(axis=-2).max())[2] == 0
 
     def test_norm_that_forces_squaring(self):
@@ -491,9 +527,9 @@ class TestSamples:
         sizes = []
         exponentials = magnus._exponentials
 
-        def spy(A, t0, h):
+        def spy(exponent, t0, h):
             sizes.append(len(t0))
-            return exponentials(A, t0, h)
+            return exponentials(exponent, t0, h)
         monkeypatch.setattr(magnus, "_exponentials", spy)
         boundaries = np.pi * np.arange(4.0)
         times = np.sort(np.concatenate([np.linspace(0.0, 12.0, 90), boundaries,

@@ -13,11 +13,12 @@ import yaml
 from dataclasses import fields, replace
 
 import dcelab
+from dcelab import config
 from dcelab.cli import main
 from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
 from dcelab.gate import OpenRates, default_cqed_params
 from dcelab.otto import CycleSpec
-from dcelab.output import read_table, sha256_of_file, write_table
+from dcelab.output import format_value, read_table, sha256_of_file, write_table
 
 
 def write_cfg(tmp_path, doc, name="scenario.yaml"):
@@ -30,6 +31,19 @@ def run(tmp_path, subcommand, doc, *extra):
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     return main([subcommand, "--config", str(cfg), "--out", str(out), *extra]), out
+
+
+# the scenario loader is built on libyaml where pyyaml has it, else on pure Python;
+# the loader tests run on every base this install has
+LOADER_BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def each_loader(monkeypatch):
+    """Yields each loader base, with load_config reading through a loader built on it."""
+    for base in LOADER_BASES:
+        with monkeypatch.context() as m:
+            m.setattr(config, "_ScenarioLoader", config._scenario_loader(base))
+            yield base
 
 
 SPECTRUM_DOC = {"squid": {"chi0": 0.0, "b0L": 1.0e6, "b0R": 1.0e6, "n_max": 4}}
@@ -59,11 +73,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\$\.cavity.*typo_key"):
             load_config(path)
 
-    def test_syntax_error_reports_line(self, tmp_path):
+    def test_syntax_error_reports_line(self, tmp_path, monkeypatch):
         path = tmp_path / "broken.yaml"
         path.write_text("cavity:\n  length: [1.0\n")
-        with pytest.raises(ConfigError, match="line"):
-            load_config(path)
+        for _ in each_loader(monkeypatch):
+            with pytest.raises(ConfigError, match="line"):
+                load_config(path)
 
     def test_wrong_type_names_the_field(self, tmp_path):
         path = write_cfg(tmp_path, {"squid": {"chi0": 0.0, "b0L": "big",
@@ -71,13 +86,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\$\.squid\.b0L"):
             load_config(path)
 
-    def test_unsigned_exponent_floats_parse(self, tmp_path):
+    def test_unsigned_exponent_floats_parse(self, tmp_path, monkeypatch):
         # YAML 1.1 would read 1.0e6 as a string; the loader must not
         path = tmp_path / "exp.yaml"
         path.write_text("squid: {chi0: 0.0, b0L: 1.0e6, b0R: 1e6, n_max: 2}\n")
-        cfg = load_config(path)
-        assert cfg["squid"]["b0L"] == 1.0e6
-        assert cfg["squid"]["b0R"] == 1.0e6
+        for _ in each_loader(monkeypatch):
+            cfg = load_config(path)
+            assert cfg["squid"]["b0L"] == 1.0e6
+            assert cfg["squid"]["b0R"] == 1.0e6
 
     @pytest.mark.parametrize("text, key, line", [
         ("cavity: {n_modes: 4, n_modes: 8, length: 1.0}\n", "n_modes", 1),
@@ -85,28 +101,37 @@ class TestConfigValidation:
         ("squid: {chi0: 0.0, b0L: 1.0, b0R: 1.0, n_max: 2}\ncavity: {length: 1.0, "
          "n_modes: 4}\nsquid: {chi0: 0.0, b0L: 1.0, b0R: 1.0, n_max: 2}\n", "squid", 3),
     ], ids=["flow_mapping", "block_mapping", "top_level"])
-    def test_duplicate_key_names_the_key_and_its_line(self, tmp_path, text, key, line):
+    def test_duplicate_key_names_the_key_and_its_line(self, tmp_path, monkeypatch, text, key,
+                                                      line):
         # pyyaml alone would keep the last value and run with it
         path = tmp_path / "dup.yaml"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=rf"line {line}: found duplicate key '{key}'"):
-            load_config(path)
+        for _ in each_loader(monkeypatch):
+            with pytest.raises(ConfigError, match=rf"line {line}: found duplicate key '{key}'"):
+                load_config(path)
 
-    def test_merge_key_may_be_overridden(self, tmp_path):
+    def test_merge_key_may_be_overridden(self, tmp_path, monkeypatch):
         path = tmp_path / "merge.yaml"
         path.write_text("cavity:\n  <<: {length: 1.0, n_modes: 4}\n  n_modes: 8\n")
-        assert load_config(path) == {"cavity": {"length": 1.0, "n_modes": 8}}
+        for _ in each_loader(monkeypatch):
+            assert load_config(path) == {"cavity": {"length": 1.0, "n_modes": 8}}
 
-    def test_top_level_must_be_mapping(self, tmp_path):
+    def test_top_level_must_be_mapping(self, tmp_path, monkeypatch):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
-        with pytest.raises(ConfigError, match="mapping"):
-            load_config(path)
+        for _ in each_loader(monkeypatch):
+            with pytest.raises(ConfigError, match="mapping"):
+                load_config(path)
 
-    def test_empty_file_is_empty_config(self, tmp_path):
+    def test_empty_file_is_empty_config(self, tmp_path, monkeypatch):
         path = tmp_path / "empty.yaml"
         path.write_text("")
-        assert load_config(path) == {}
+        for _ in each_loader(monkeypatch):
+            assert load_config(path) == {}
+
+    def test_the_loader_uses_libyaml_where_pyyaml_has_it(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(config._ScenarioLoader, base)
 
 
 class TestExitCodes:
@@ -163,8 +188,13 @@ class TestExitCodes:
 class TestTableFormats:
     def test_csv_round_trip_is_bitwise(self, tmp_path):
         rows = [[0.1, 1.0 / 3.0, -0.0], [1e-300, 2.0**-52, 12345.678901234567],
-                [np.pi, -np.e, 6.02214076e23]]
+                [np.pi, -np.e, 6.02214076e23], ["label", 3, np.float64(0.1)],
+                [np.int64(-7), np.float32(0.1), "x-y"], [float("nan"), np.inf, -np.inf],
+                [5e-324, -5e-324, np.float64(np.nan)], [True, 2**60, np.str_("s")]]
         first = write_table(tmp_path / "a", ["x", "y", "z"], rows, "csv")
+        # each row is formatted by one '%'; the bytes are those of format_value per cell
+        assert first.read_text() == "".join(
+            ",".join(format_value(v) for v in row) + "\n" for row in [["x", "y", "z"], *rows])
         header, parsed = read_table(first)
         second = write_table(tmp_path / "b", header, parsed, "csv")
         assert first.read_bytes() == second.read_bytes()

@@ -162,6 +162,15 @@ class TestAgainstJsonschema:
                 assert _first_path(_reference_first(bad)) == (block,), (path.stem, block)
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml is built without libyaml")
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_libyaml_and_pure_python_loaders_read_shipped_configs_alike(path):
+    text = path.read_text()
+    docs = [yaml.load(text, Loader=config._scenario_loader(base))
+            for base in (yaml.SafeLoader, yaml.CSafeLoader)]
+    assert repr(docs[0]) == repr(docs[1])
+
+
 def _subschemas(schema, where="$"):
     """(where, schema) of SCHEMA and of every schema nested in it."""
     yield where, schema

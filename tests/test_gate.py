@@ -779,8 +779,8 @@ class TestLabFrameValidation:
         # |u|^2 - |v|^2 = 1 in one of 0.6 periods
         exact = magnus._exponentials
 
-        def corrupted(A, t0, h):
-            e = exact(A, t0, h)
+        def corrupted(exponent, t0, h):
+            e = exact(exponent, t0, h)
             e[0] *= 1.0 + 1e-6
             return e
         monkeypatch.setattr(magnus, "_exponentials", corrupted)
@@ -817,19 +817,19 @@ class TestLabFrameValidation:
         with pytest.warns(UserWarning, match="detuning"):
             p = GateParams(omega=1.0, omega_q=3.0, chi=0.2, g_d=1.0, eps_d=0.6,
                            t_gate=3.0, theta=0.4, n_max=4)
-        generators = []  # the |0> branch generator, as lab_frame_branch passes it
+        exponents = []  # the |0> branch step exponent, as lab_frame_branch passes it
 
-        def spy(A, *args):
-            generators.append(A)
-            return magnus.propagate(A, *args)
+        def spy(exponent, *args):
+            exponents.append(exponent)
+            return magnus.propagate(exponent, *args)
         monkeypatch.setattr(gate, "propagate", spy)
         lab_frame_branch(p, 0, np.eye(5)[0])
-        (A,) = generators
+        (exponent,) = exponents
 
         def product(n_steps):
             h = np.full(n_steps, p.t_gate / n_steps)
             S = np.eye(2)
-            for e in magnus._exponentials(A, h * np.arange(n_steps), h):
+            for e in magnus._exponentials(exponent, h * np.arange(n_steps), h):
                 S = e @ S
             return S
         ref = product(6400)
