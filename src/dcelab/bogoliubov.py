@@ -28,8 +28,8 @@ magnus.propagate, the Magnus driver the lab-frame gate branches share: a
 product of sixth-order Magnus exponentials (three Gauss nodes per step;
 Blanes, Casas & Ros, BIT 40, 434 (2000)). A is made of I, the diagonal
 -(khat/R)^2 and lam Mhat only, so each step exponent is formed from N x N
-blocks (_exponent): lam and (khat/R)^2 at the three Gauss nodes and the
-constant Mhat give the exponent of magnus.magnus6 with four batched N x N
+blocks by magnus.field_exponent: lam and (khat/R)^2 at the three Gauss
+nodes and the constant Mhat give the exponent with four batched N x N
 products, where the dense brackets take six of 2N x 2N. The exponents of
 a batch of steps are balanced by the fixed symplectic similarity
 D = diag(omega^1/2, omega^-1/2), omega = khat / R at the wall's start,
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavitySpec, ModeBasis, thermal_occupation
-from .magnus import GAUSS_NODES, propagate
+from .magnus import field_exponent, propagate
 from .trajectories import WallTrajectory
 
 __all__ = [
@@ -210,7 +210,13 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
     Y = (Q; P); a declared period is checked against the law, then used."""
     N = spec.n_modes
     basis = ModeBasis.build(spec)
-    exponent = _exponent(traj, np.arange(1, N + 1) * np.pi, basis.M * basis.R0)
+    khat = np.arange(1, N + 1) * np.pi
+
+    def coefficients(t):  # lam = Rdot / R and w = (khat / R)^2 at the Gauss nodes
+        R = traj.position(t)
+        return traj.velocity(t) / R, (khat / R[..., None]) ** 2
+    exponent = field_exponent(coefficients, basis.M * basis.R0,
+                              khat / float(traj.position(traj.t_start)))
     t_a = amps0.t
     omega_max = N * np.pi / traj.position(np.linspace(t_a, t_b, 65)).min()
 
@@ -224,125 +230,6 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
         _check_period(traj, t_a, t_b)
     Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, traj.period, samples)
     return to_amps(float(t_b), Y), [to_amps(t, y) for t, y in zip(samples.tolist(), sampled)]
-
-
-def _exponent(traj, khat, Mhat):
-    """The step exponent (t0, h) -> Omega of dY/dt = A Y for magnus.propagate,
-    formed from the N x N blocks of A = [[lam Mhat, I], [-W, lam Mhat]],
-    W = diag(w), w = (khat / R)^2, lam = Rdot / R.
-
-    magnus.magnus6 combines b1 = h A(node 2), b2 = s (A3 - A1) and b3 =
-    r (A3 - 2 A2 + A1), s = sqrt(15) h / 3, r = 10 h / 3, into Omega = b1
-    + b3 / 12 + [v, u] / 240 with c1 = [b1, b2], c2 = -[b1, 2 b3 + c1] / 60,
-    v = -20 b1 - b3 + c1 and u = b2 + c2. Every b_j is [[a_j Mhat, beta_j
-    I], [-D_j, a_j Mhat]] with D_j diagonal and beta_2 = beta_3 = 0, and
-    every bracket is Hamiltonian, [[P, B], [C, -P^T]] with B and C
-    symmetric, so each is formed from its blocks P, B and C: a bracket of
-    Mhat with a diagonal diag(g) is Mhat * (g_j - g_i), with a symmetric S
-    it is Mhat S + (Mhat S)^T, and diagonals commute. With E = -h D_2,
-    G = [Mhat, a_2 D_1 - a_1 D_2] and K = G - 2 D_3:
-
-        c1 = [[E, 0], [G, -E]],
-        c2 = [[X, Y], [Z, -X]],  X = -(a_1 [Mhat, E] + h K) / 60,
-             Y = h E / 30,  Z = -(2 a_3 [Mhat, D_1] - 2 E D_1 + a_1 [Mhat, K]) / 60,
-        v = [[p Mhat + E, -20 h I], [V, p Mhat - E]],  p = -20 a_1 - a_3,
-             V = G + 20 D_1 + D_3,
-        u = [[F, Y], [H, -F^T]],  F = a_2 Mhat + X,  H = Z - D_2,
-        [v, u] = [[[p Mhat + E, F] - 20 h H - Y V, p [Mhat, Y] + 2 E Y + 40 h X],
-                  [V F + (V F)^T + p [Mhat, H] - E H - H E, ...]],
-
-    four batched N x N products in all (Mhat G, Mhat X, V F, Mhat H). The
-    samples of A are lam and w at the three Gauss nodes of each step.
-
-    exponent.balance is d = (omega^1/2, omega^-1/2) with omega = khat / R at
-    traj.t_start. The similarity D = diag(d) is symplectic and turns the
-    off-diagonal blocks I and -W into omega-sized ones, so the balanced
-    exponent has a 1-norm of order omega_N h instead of omega_N^2 h.
-    """
-    N = len(khat)
-    omega0 = khat / float(traj.position(traj.t_start))
-    # diagonals of a C-contiguous (b, N, N) stack, and of the blocks (1, 2) and
-    # (2, 1) of a (b, 2N, 2N) one, as writable strided slices of its flat rows
-    dg = np.s_[:, ::N + 1]
-    dg12, dg21 = np.s_[:, N:2 * N * N:2 * N + 1], np.s_[:, 2 * N * N::2 * N + 1]
-
-    def gaps(g):  # g_j - g_i for each row of g, so [Mhat, diag(g)] = Mhat * gaps(g)
-        return g[:, None, :] - g[:, :, None]
-
-    def swap(S):
-        return np.swapaxes(S, -2, -1)
-
-    def exponent(t0, h):
-        b = len(h)
-        t = t0[:, None] + h[:, None] * GAUSS_NODES
-        R = traj.position(t)
-        lam = traj.velocity(t) / R
-        w = (khat / R[..., None]) ** 2
-        # b_1, b_2, b_3 as (a_j, diagonal of D_j)
-        s, r = np.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
-        a1, a2 = h * lam[:, 1], s * (lam[:, 2] - lam[:, 0])
-        a3 = r * (lam[:, 2] - 2.0 * lam[:, 1] + lam[:, 0])
-        hv = h[:, None]
-        d1, d2 = hv * w[:, 1], s[:, None] * (w[:, 2] - w[:, 0])
-        d3 = r[:, None] * (w[:, 2] - 2.0 * w[:, 1] + w[:, 0])
-        # the diagonals of E and Y, G = Mhat * gaps(g) and X = Mhat * gaps(x) + h D_3 / 30
-        e = -hv * d2
-        y = hv * e / 30.0
-        g = a2[:, None] * d1 - a1[:, None] * d2
-        x = -(a1[:, None] * e + hv * g) / 60.0
-        p = (-20.0 * a1 - a3)[:, None, None]
-        Dg, Dx = gaps(g), gaps(x)
-        G = Mhat * Dg
-        X = Mhat * Dx
-        X.reshape(b, -1)[dg] = hv * d3 / 30.0
-        MG, MX = Mhat @ G, Mhat @ X
-        # H = Z - D_2 = [Mhat, (a_1 D_3 - a_3 D_1) / 30] - a_1 [Mhat, G] / 60 + E D_1 / 30 - D_2
-        H = Mhat * gaps((a1[:, None] * d3 - a3[:, None] * d1) / 30.0)
-        MG += swap(MG)
-        MG *= a1[:, None, None] / 60.0
-        H -= MG
-        H.reshape(b, -1)[dg] += e * d1 / 30.0 - d2
-        V = G  # G has a zero diagonal and is not needed again
-        V.reshape(b, -1)[dg] = 20.0 * d1 + d3
-        Dx += a2[:, None, None]
-        F = Mhat * Dx  # a_2 Mhat + X
-        F.reshape(b, -1)[dg] = hv * d3 / 30.0
-        VF, MH = V @ F, Mhat @ H
-        out = np.empty((b, 2 * N, 2 * N))
-        o11, o12, o21, o22 = out[:, :N, :N], out[:, :N, N:], out[:, N:, :N], out[:, N:, N:]
-        flat = out.reshape(b, -1)
-        # Omega_21 = C / 240 - D_1 - D_3 / 12, C = T + T^T with T = V F + p Mhat H - E H
-        MH *= p
-        MH += VF
-        MH -= e[:, :, None] * H
-        np.add(MH, swap(MH), out=o21)
-        o21 /= 240.0
-        flat[dg21] -= d1 + d3 / 12.0
-        # Omega_12 = B / 240 + h I, B = [Mhat, p Y + 40 h X] + 2 E Y + 40 h^2 D_3 / 30
-        u = (p[:, :, 0] * y + 40.0 * hv * x) / 240.0
-        np.subtract(u[:, None, :], u[:, :, None], out=o12)
-        o12 *= Mhat
-        flat[dg12] = hv + (4.0 * hv * hv * d3 / 3.0 + 2.0 * e * y) / 240.0
-        # Omega_11 = P / 240 + (a_1 + a_3 / 12) Mhat, where P = p (Mhat X + (Mhat X)^T)
-        # - 20 h H - Mhat * Q - diag(y (20 d_1 + d_3)) and Q_ij = (e_j - e_i)(a_2 + x_j
-        # - x_i) + y_i (g_j - g_i) gathers [E, M], [E, X] and the off-diagonal Y V
-        MX *= p
-        np.add(MX, swap(MX), out=o11)
-        H *= 20.0 * hv[:, :, None]
-        o11 -= H
-        Q = gaps(e)
-        Q *= Dx
-        Dg *= y[:, :, None]
-        Q += Dg
-        Q -= (240.0 * (a1 + a3 / 12.0))[:, None, None]
-        Q *= Mhat
-        o11 -= Q
-        o11 /= 240.0
-        flat[:, ::2 * N + 1][:, :N] -= y * (20.0 * d1 + d3) / 240.0
-        np.negative(swap(o11), out=o22)
-        return out
-    exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
-    return exponent
 
 
 def _check_period(traj, t_a, t_b, samples=16):

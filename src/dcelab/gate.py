@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .cavity import thermal_occupation
-from .magnus import expm_taylor, generic_exponent, propagate
+from .magnus import expm_taylor, field_exponent, propagate
 
 __all__ = [
     "GateParams",
@@ -596,31 +596,32 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     frequency wb (omega_0 or omega_1), comparable with S(r_gate, theta + pi)
     for |1> or the Stark-shifted rotation for |0>. The branch Hamiltonian
     wb a^dag a + f (a + a^dag)^2, f = g_d eps_d sin(omega_d t - theta), moves
-    the quadratures (x, p) by an exact real map S, d/dt (x, p) = [[0, wb],
-    [-wb - 4 f, 0]] (x, p), with no Fock truncation. S is the monodromy
-    matrix M over one drive period T (magnus.propagate) to the power k =
-    floor(t_gate / T), times the remainder. M^k carries up to k times the
-    error of M, so each period is resolved to rtol / max(1, k). In the
-    rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 - 1| > rtol raises
-    RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s + phi)} sinh r
-    and phi = -arg u (principal branch), the state is e^{-i phi/2} S(r,
-    theta_s) R(phi) psi0, the phase being the zero-point part of the rotation;
-    S(r, theta_s) is applied by a truncated-Taylor action on its banded sparse
-    generator, not built as a dense exponential.
+    the quadratures (x, p) by an exact real map S, with no Fock truncation.
+    In the phase s = wb t the map obeys d/ds (x, p) = [[0, 1], [-w, 0]] (x, p)
+    with w = 1 + 4 f / wb: the canonical field of magnus.field_exponent with
+    one mode, lam = 0 and Mhat = 0. S is the monodromy matrix M over one
+    drive period, wb T in s (magnus.propagate), to the power k, the number of
+    whole periods in wb t_gate, times the remainder. M^k carries up to k
+    times the error of M, so each period is resolved to rtol / max(1, k). In
+    the rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 - 1| > rtol
+    raises RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s +
+    phi)} sinh r and phi = -arg u (principal branch), the state is e^{-i
+    phi/2} S(r, theta_s) R(phi) psi0, the phase being the zero-point part of
+    the rotation; S(r, theta_s) is applied by a truncated-Taylor action on
+    its banded sparse generator, not built as a dense exponential.
     """
     from scipy import sparse
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
     wb = params.omega_1 if qubit_level == 1 else params.omega_0
-    T = 2.0 * np.pi / params.omega_d
+    period, span = wb * 2.0 * np.pi / params.omega_d, wb * params.t_gate  # in s = wb t
+    g = 4.0 * params.drive_rate / wb
 
-    def A(t):  # d/dt (x, p) = A (x, p) for the lab-frame quadratures
-        out = np.zeros(np.shape(t) + (2, 2))
-        out[..., 0, 1] = wb
-        out[..., 1, 0] = -wb - 4.0 * params.drive_rate * np.sin(params.omega_d * t - params.theta)
-        return out
-    S = propagate(generic_exponent(A, np.ones(2)), 0.0, params.t_gate, np.eye(2),
-                  rtol / max(1, int(params.t_gate // T)), wb + 4.0 * params.drive_rate, T)[0]
+    def coefficients(s):  # lam = 0 and w = 1 + 4 f / wb at the phases s
+        w = 1.0 + g * np.sin(params.omega_d * (s / wb) - params.theta)
+        return np.zeros_like(s), w[..., None]
+    S = propagate(field_exponent(coefficients, np.zeros((1, 1)), np.ones(1)), 0.0, span,
+                  np.eye(2), rtol / max(1, int(span // period)), 1.0 + g, period)[0]
     rot = 0.5 * np.exp(1j * wb * params.t_gate)  # rotating-frame a = e^{i wb t} (x + i p) / sqrt 2
     u = rot * ((S[0, 0] + S[1, 1]) + 1j * (S[1, 0] - S[0, 1]))
     v = rot * ((S[0, 0] - S[1, 1]) + 1j * (S[1, 0] + S[0, 1]))

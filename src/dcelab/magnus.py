@@ -1,26 +1,26 @@
 """Sixth-order Magnus propagation of a real linear ODE dY/dt = A(t) Y.
 
+The package has one such system, the canonical field A = [[lam Mhat, I],
+[-W, lam Mhat]] with W diagonal: the coupled modes of bogoliubov, and at
+N = 1 with Mhat = 0 the lab-frame quadratures of one gate branch in gate.
 With A sampled at the three Gauss nodes t0 + h * GAUSS_NODES of the step
-[t0, t0 + h], exp(magnus6(...)) maps Y(t0) to Y(t0 + h) up to O(h^7)
-(Blanes, Casas & Ros, BIT 40, 434 (2000)). The exponent stays in the Lie
-algebra of the generator, so a product of such exponentials keeps every
-invariant the exact flow keeps (unit determinant, symplectic form) up to
-rounding; h may be an array that broadcasts against the generators, so
-many steps are formed at once. expm_taylor, the package's one dense
-exponential, takes real or complex stacks with batched products only.
-propagate, the one driver, is a step-doubling product of such steps with
-whole periods taken as powers of one monodromy matrix. It takes the step
-exponent, not the generator: generic_exponent forms it by magnus6 from
-dense samples of any A (the lab-frame gate branches of gate), and a
-caller that knows the block structure of its generator may form the same
-exponent more cheaply (the coupled-mode field of bogoliubov).
+[t0, t0 + h], the exponential of the sixth-order Magnus exponent Omega maps
+Y(t0) to Y(t0 + h) up to O(h^7) (Blanes, Casas & Ros, BIT 40, 434 (2000)).
+field_exponent, the one former of these exponents, builds Omega from the
+N x N blocks of A for many steps at once. Omega stays in the Lie algebra
+of the generator, so a product of such exponentials keeps every invariant
+the exact flow keeps (unit determinant, symplectic form) up to rounding.
+expm_taylor, the package's one dense exponential, takes real or complex
+stacks with batched products only. propagate, the one driver, is a
+step-doubling product of such steps with whole periods taken as powers of
+one monodromy matrix.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["GAUSS_NODES", "magnus6", "generic_exponent", "expm_taylor", "propagate"]
+__all__ = ["GAUSS_NODES", "field_exponent", "expm_taylor", "propagate"]
 
 GAUSS_NODES = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre on [0, 1]
 
@@ -34,30 +34,121 @@ _THETA = {2: 2.58e-8, 4: 3.4e-4, 6: 9.07e-3, 9: 0.0896, 12: 0.3, 16: 0.781,
           20: 1.44, 25: 2.43, 30: 3.54}
 
 
-def _bracket(x, y):
-    return x @ y - y @ x
+def field_exponent(coefficients, Mhat, omega0):
+    """The step exponent (t0, h) -> Omega of propagate for the canonical field
+    dY/dt = A(t) Y, A = [[lam Mhat, I], [-W, lam Mhat]] with W = diag(w),
+    formed from its N x N blocks.
 
+    coefficients maps times t of shape (b, 3), the Gauss nodes t0 + h *
+    GAUSS_NODES of b steps, to lam of shape (b, 3) and w of shape (b, 3, N);
+    Mhat is the constant antisymmetric (N, N) coupling. omega0, of shape
+    (N,), sets exponent.balance = (omega0^1/2, omega0^-1/2): the similarity
+    D = diag(balance) is symplectic and turns the off-diagonal blocks I and
+    -W into omega-sized ones, so with omega0 near sqrt(w) the balanced
+    exponent has a 1-norm of order omega h instead of omega^2 h.
 
-def magnus6(a1, a2, a3, h):
-    """Omega of one step from the matrices A at the three Gauss nodes."""
-    b1, b2 = h * a2, (np.sqrt(15.0) * h / 3.0) * (a3 - a1)
-    b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
-    c1 = _bracket(b1, b2)
-    c2 = _bracket(b1, 2.0 * b3 + c1) / -60.0
-    return b1 + b3 / 12.0 + _bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+    The sixth-order Magnus exponent of a step combines b1 = h A_2, b2 = s
+    (A_3 - A_1) and b3 = r (A_3 - 2 A_2 + A_1), A_j = A(t_j), s = sqrt(15) h
+    / 3, r = 10 h / 3, into Omega = b1 + b3 / 12 + [v, u] / 240 with c1 =
+    [b1, b2], c2 = -[b1, 2 b3 + c1] / 60, v = -20 b1 - b3 + c1 and u = b2 +
+    c2. Every b_j is [[a_j Mhat, beta_j I], [-D_j, a_j Mhat]] with D_j
+    diagonal and beta_2 = beta_3 = 0, and every bracket is Hamiltonian,
+    [[P, B], [C, -P^T]] with B and C symmetric, so each is formed from its
+    blocks P, B and C: a bracket of Mhat with a diagonal diag(g) is Mhat *
+    (g_j - g_i), with a symmetric S it is Mhat S + (Mhat S)^T, and diagonals
+    commute. With E = -h D_2, G = [Mhat, a_2 D_1 - a_1 D_2] and K = G - 2 D_3:
 
+        c1 = [[E, 0], [G, -E]],
+        c2 = [[X, Y], [Z, -X]],  X = -(a_1 [Mhat, E] + h K) / 60,
+             Y = h E / 30,  Z = -(2 a_3 [Mhat, D_1] - 2 E D_1 + a_1 [Mhat, K]) / 60,
+        v = [[p Mhat + E, -20 h I], [V, p Mhat - E]],  p = -20 a_1 - a_3,
+             V = G + 20 D_1 + D_3,
+        u = [[F, Y], [H, -F^T]],  F = a_2 Mhat + X,  H = Z - D_2,
+        [v, u] = [[[p Mhat + E, F] - 20 h H - Y V, p [Mhat, Y] + 2 E Y + 40 h X],
+                  [V F + (V F)^T + p [Mhat, H] - E H - H E, ...]],
 
-def generic_exponent(A, balance):
-    """The step exponent of dY/dt = A(t) Y for propagate: (t0, h) -> magnus6 of
-    A sampled at the Gauss nodes of each step [t0_j, t0_j + h_j].
-
-    A maps an array of times to real (..., n, n) generators; balance is the
-    diagonal of the similarity applied to each step exponent (_exponentials).
+    four batched N x N products in all (Mhat G, Mhat X, V F, Mhat H), where
+    dense brackets take six of 2N x 2N.
     """
+    N = len(omega0)
+    # diagonals of a C-contiguous (b, N, N) stack, and of the blocks (1, 2) and
+    # (2, 1) of a (b, 2N, 2N) one, as writable strided slices of its flat rows
+    dg = np.s_[:, ::N + 1]
+    dg12, dg21 = np.s_[:, N:2 * N * N:2 * N + 1], np.s_[:, 2 * N * N::2 * N + 1]
+
+    def gaps(g):  # g_j - g_i for each row of g, so [Mhat, diag(g)] = Mhat * gaps(g)
+        return g[:, None, :] - g[:, :, None]
+
+    def swap(S):
+        return np.swapaxes(S, -2, -1)
+
     def exponent(t0, h):
-        return magnus6(*np.moveaxis(A(t0[:, None] + h[:, None] * GAUSS_NODES), 1, 0),
-                       h[:, None, None])
-    exponent.balance = np.asarray(balance, dtype=float)
+        b = len(h)
+        lam, w = coefficients(t0[:, None] + h[:, None] * GAUSS_NODES)
+        # b_1, b_2, b_3 as (a_j, diagonal of D_j)
+        s, r = np.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
+        a1, a2 = h * lam[:, 1], s * (lam[:, 2] - lam[:, 0])
+        a3 = r * (lam[:, 2] - 2.0 * lam[:, 1] + lam[:, 0])
+        hv = h[:, None]
+        d1, d2 = hv * w[:, 1], s[:, None] * (w[:, 2] - w[:, 0])
+        d3 = r[:, None] * (w[:, 2] - 2.0 * w[:, 1] + w[:, 0])
+        # the diagonals of E and Y, G = Mhat * gaps(g) and X = Mhat * gaps(x) + h D_3 / 30
+        e = -hv * d2
+        y = hv * e / 30.0
+        g = a2[:, None] * d1 - a1[:, None] * d2
+        x = -(a1[:, None] * e + hv * g) / 60.0
+        p = (-20.0 * a1 - a3)[:, None, None]
+        Dg, Dx = gaps(g), gaps(x)
+        G = Mhat * Dg
+        X = Mhat * Dx
+        X.reshape(b, -1)[dg] = hv * d3 / 30.0
+        MG, MX = Mhat @ G, Mhat @ X
+        # H = Z - D_2 = [Mhat, (a_1 D_3 - a_3 D_1) / 30] - a_1 [Mhat, G] / 60 + E D_1 / 30 - D_2
+        H = Mhat * gaps((a1[:, None] * d3 - a3[:, None] * d1) / 30.0)
+        MG += swap(MG)
+        MG *= a1[:, None, None] / 60.0
+        H -= MG
+        H.reshape(b, -1)[dg] += e * d1 / 30.0 - d2
+        V = G  # G has a zero diagonal and is not needed again
+        V.reshape(b, -1)[dg] = 20.0 * d1 + d3
+        Dx += a2[:, None, None]
+        F = Mhat * Dx  # a_2 Mhat + X
+        F.reshape(b, -1)[dg] = hv * d3 / 30.0
+        VF, MH = V @ F, Mhat @ H
+        out = np.empty((b, 2 * N, 2 * N))
+        o11, o12, o21, o22 = out[:, :N, :N], out[:, :N, N:], out[:, N:, :N], out[:, N:, N:]
+        flat = out.reshape(b, -1)
+        # Omega_21 = C / 240 - D_1 - D_3 / 12, C = T + T^T with T = V F + p Mhat H - E H
+        MH *= p
+        MH += VF
+        MH -= e[:, :, None] * H
+        np.add(MH, swap(MH), out=o21)
+        o21 /= 240.0
+        flat[dg21] -= d1 + d3 / 12.0
+        # Omega_12 = B / 240 + h I, B = [Mhat, p Y + 40 h X] + 2 E Y + 40 h^2 D_3 / 30
+        u = (p[:, :, 0] * y + 40.0 * hv * x) / 240.0
+        np.subtract(u[:, None, :], u[:, :, None], out=o12)
+        o12 *= Mhat
+        flat[dg12] = hv + (4.0 * hv * hv * d3 / 3.0 + 2.0 * e * y) / 240.0
+        # Omega_11 = P / 240 + (a_1 + a_3 / 12) Mhat, where P = p (Mhat X + (Mhat X)^T)
+        # - 20 h H - Mhat * Q - diag(y (20 d_1 + d_3)) and Q_ij = (e_j - e_i)(a_2 + x_j
+        # - x_i) + y_i (g_j - g_i) gathers [E, M], [E, X] and the off-diagonal Y V
+        MX *= p
+        np.add(MX, swap(MX), out=o11)
+        H *= 20.0 * hv[:, :, None]
+        o11 -= H
+        Q = gaps(e)
+        Q *= Dx
+        Dg *= y[:, :, None]
+        Q += Dg
+        Q -= (240.0 * (a1 + a3 / 12.0))[:, None, None]
+        Q *= Mhat
+        o11 -= Q
+        o11 /= 240.0
+        flat[:, ::2 * N + 1][:, :N] -= y * (20.0 * d1 + d3) / 240.0
+        np.negative(swap(o11), out=o22)
+        return out
+    exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
     return exponent
 
 
@@ -115,14 +206,14 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
 
     exponent maps arrays t0, h of step starts and lengths to the real
     (len(h), n, n) sixth-order Magnus exponents of the steps [t0_j, t0_j +
-    h_j] (generic_exponent forms them from A); exponent.balance is the
-    diagonal similarity applied to each of them (_exponentials). omega_max,
-    the fastest rotation of the flow, sets the base step grid and rtol the
-    step-doubling tolerance (_propagate); samples are sorted,
-    distinct times in (t_a, t_b). With a period shorter than the span, the
-    fundamental matrix M over one period is checked symplectic to 1e3 * rtol
-    and whole periods are its powers, so the cost does not grow with the
-    span; a sample is the one-period product at its offset times M^j Y0.
+    h_j] (field_exponent forms them); exponent.balance is the diagonal similarity
+    applied to each of them (_exponentials). omega_max, the fastest rotation
+    of the flow, sets the base step grid and rtol the step-doubling tolerance
+    (_propagate); samples are sorted, distinct times in (t_a, t_b). With a
+    period shorter than the span, the fundamental matrix M over one period is
+    checked symplectic to 1e3 * rtol and whole periods are its powers, so the
+    cost does not grow with the span; a sample is the one-period product at
+    its offset times M^j Y0.
     """
     samples = np.asarray(samples, dtype=float)
     if period is None or t_b - t_a <= period:

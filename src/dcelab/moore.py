@@ -148,7 +148,7 @@ class MooreFunction:
 
 
 def solve_moore(traj: WallTrajectory, t_max, points_per_length=512):
-    """Solve F over [t_start - R0, t_max + max R], tabulated at R0/512 spacing.
+    """Solve F over [t_start - R0, t_max + max R], tabulated at spacing R0 / points_per_length.
 
     Raises if the trajectory is superluminal (the bounce map would fold) or
     if the solved values fail to be strictly increasing.
