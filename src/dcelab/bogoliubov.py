@@ -44,10 +44,17 @@ step-doubling estimate meets it. When the wall declares a period (harmonic
 drives do), whole periods are applied as powers of one monodromy matrix,
 the real 2N x 2N fundamental matrix over one period, so the cost no longer
 grows with the drive length; aperiodic walls are propagated directly.
-Samples follow one rule on either path: the propagator keeps only the
-state at the step boundary nearest each requested time, and every sample
-is one partial Magnus step from there, exponentiated in batches, so the
-memory held does not grow with the number of steps.
+When it also declares reversal points (harmonic walls: the crest and the
+trough, t_start + T/4 and t_start + 3T/4), Rdot / R is odd and (khat / R)^2
+even about each, so the second quarter of each half period is the time
+reversal of the first and the monodromy matrix is assembled from two
+quarter-period products: about half the Magnus steps (magnus._quarters).
+Both declarations are checked against the wall law before they are used.
+Samples follow one rule on every path: the propagator keeps only the
+state at the step boundary nearest each requested time (or its mirror in
+a reflected quarter), and every sample is one partial Magnus step from
+there, exponentiated in batches, so the memory held does not grow with
+the number of steps.
 """
 
 from __future__ import annotations
@@ -207,7 +214,8 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
 def _drive(spec, traj, amps0, t_b, rtol, samples):
     """ModeAmplitudes at t_b and at the sorted, distinct samples in (amps0.t, t_b)
     inside the motion window, propagated as the real block [Re Y, Im Y] of
-    Y = (Q; P); a declared period is checked against the law, then used."""
+    Y = (Q; P); a declared period and reversal points are checked against the
+    law, then used."""
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     khat = np.arange(1, N + 1) * np.pi
@@ -226,27 +234,36 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
 
     Y0 = np.vstack([amps0.Q, amps0.Qdot])
     Y0 = np.hstack([Y0.real, Y0.imag])
-    if traj.period is not None and t_b - t_a > traj.period:
-        _check_period(traj, t_a, t_b)
-    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, traj.period, samples)
+    T = traj.period
+    if T is not None and t_b - t_a > T:
+        # cell midpoints of [t_a, t_b - T]: t + T never rounds past t_b
+        _check_symmetry(traj, "period", T, t_a, t_b - T, lambda t: t + T)
+        for t_r in traj.reversals:  # as the mirror about its first image past t_a + T/4
+            c = t_a + T / 4.0 + (t_r - t_a - T / 4.0) % (T / 2.0)
+            _check_symmetry(traj, "reversals", t_r, c - T / 4.0, c, lambda t: 2.0 * c - t)
+    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, T, samples,
+                           traj.reversals)
     return to_amps(float(t_b), Y), [to_amps(t, y) for t, y in zip(samples.tolist(), sampled)]
 
 
-def _check_period(traj, t_a, t_b, samples=16):
-    """Reject a declared period the law does not have on [t_a, t_b]."""
-    T = traj.period
-    # cell midpoints of [t_a, t_b - T]: t + T never rounds past t_b
-    t = t_a + (t_b - T - t_a) * (np.arange(samples) + 0.5) / samples
-    for name in ("position", "velocity", "acceleration"):
+def _check_symmetry(traj, field, value, a, b, image, samples=16):
+    """Reject a declared symmetry t -> image(t) of the law that fails at the
+    cell midpoints t of [a, b]: the position, velocity and acceleration must
+    match at image(t), the velocity with its sign flipped when image reverses
+    time. field names the WallTrajectory declaration and value its entry."""
+    t = a + (b - a) * (np.arange(samples) + 0.5) / samples
+    there = image(t)
+    sign = np.sign(there[-1] - there[0])  # -1 where image reverses time
+    for name, parity in (("position", 1.0), ("velocity", sign), ("acceleration", 1.0)):
         f = getattr(traj, name)
-        here, there = np.asarray(f(t), dtype=float), np.asarray(f(t + T), dtype=float)
-        scale = max(np.abs(here).max(), np.abs(there).max())
-        gap = np.abs(there - here).max()
+        here, mapped = np.asarray(f(t), dtype=float), parity * np.asarray(f(there), dtype=float)
+        scale = max(np.abs(here).max(), np.abs(mapped).max())
+        gap = np.abs(mapped - here).max()
         if gap > 1e-8 * scale:
             raise ValueError(
-                f"trajectory period {T:g} is not a period of its {name}: "
-                f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
-                "fix or drop WallTrajectory.period")
+                f"trajectory {field} {value:g} is not a symmetry of its {name}: it moves "
+                f"the {name} by up to {gap:.2e} on [{a:g}, {b:g}]; "
+                f"fix or drop WallTrajectory.{field}")
 
 
 def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:

@@ -13,7 +13,12 @@ the exact flow keeps (unit determinant, symplectic form) up to rounding.
 expm_taylor, the package's one dense exponential, takes real or complex
 stacks with batched products only. propagate, the one driver, is a
 step-doubling product of such steps with whole periods taken as powers of
-one monodromy matrix.
+one monodromy matrix. For a canonical field reversible about t_a + T/4 and
+t_a + 3T/4 (lam odd and W even about both, as for a harmonic wall), the
+monodromy matrix and every state within the period are assembled from two
+quarter-period products by reflection (Hairer, Lubich & Wanner, Geometric
+Numerical Integration, ch. V; Magnus & Winkler, Hill's Equation), which
+halves the steps per period.
 """
 
 import math
@@ -201,7 +206,8 @@ def expm_taylor(X):
     return E
 
 
-def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
+def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
+              reversals=()):
     """Y(t_b) and the list of Y at each sample of dY/dt = A(t) Y, Y(t_a) = Y0.
 
     exponent maps arrays t0, h of step starts and lengths to the real
@@ -213,32 +219,121 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     period shorter than the span, the fundamental matrix M over one period is
     checked symplectic to 1e3 * rtol and whole periods are its powers, so the
     cost does not grow with the span; a sample is the one-period product at
-    its offset times M^j Y0.
+    its offset times M^j Y0. The one-period products come from two quarter
+    periods (_quarters) when Y = (Q, P) is a canonical field and one of its
+    reversal points falls on t_a + period / 4 modulo period / 2, else from
+    one product over the period (_period).
     """
     samples = np.asarray(samples, dtype=float)
     if period is None or t_b - t_a <= period:
-        at_edges, sampled = _propagate(exponent, np.array([t_a, t_b]), Y0, rtol, omega_max,
-                                       samples)
+        ((at_edges, sampled),) = _propagate(exponent, [np.array([t_a, t_b])], Y0, rtol,
+                                            omega_max, [samples])
         return at_edges[-1], sampled
 
     # periodic generator: propagator over k periods + s is Phi(t_a + s) M^k
     k = int((t_b - t_a) // period)
     s = (t_b - t_a) - k * period
-    edges = np.unique([t_a, t_a + s, t_a + period])
     periods = np.minimum((samples - t_a) // period, k).astype(int)
-    at_edges, Phis = _propagate(exponent, edges, np.eye(len(Y0)), rtol, omega_max,
-                                samples - periods * period)
-    M = at_edges[-1]
+    one_period = _quarters if _reversible(t_a, period, reversals) else _period
+    M, rest, Phis = one_period(exponent, t_a, period, t_a + s, samples - periods * period,
+                               len(Y0), rtol, omega_max)
     _check_symplectic(M, rtol)
     Y = np.linalg.matrix_power(M, k) @ Y0
     if t_a + s > t_a:
-        Y = at_edges[np.searchsorted(edges[1:], t_a + s)] @ Y
+        Y = rest @ Y
     sampled, MY, power = [], Y0, 0  # MY = M^power Y0
     for p, Phi in zip(periods, Phis):
         while power < p:
             MY, power = M @ MY, power + 1
         sampled.append(Phi @ MY)
     return Y, sampled
+
+
+def _period(exponent, t_a, period, edge, times, n, rtol, omega_max):
+    """(M, Phi(edge), [Phi(t) for t in times]) of the fundamental matrix Phi(t) =
+    Phi(t, t_a), M = Phi(t_a + period), from one Magnus product over the
+    period with the remainder edge, in [t_a, t_a + period), a step boundary;
+    Phi(edge) is read only for edge > t_a."""
+    edges = np.unique([t_a, edge, t_a + period])
+    ((at_edges, Phis),) = _propagate(exponent, [edges], np.eye(n), rtol, omega_max, [times])
+    return at_edges[-1], at_edges[np.searchsorted(edges[1:], edge)], Phis
+
+
+def _reversible(t_a, period, reversals):
+    """Whether a reversal point is t_a + period / 4 modulo period / 2, up to the
+    rounding of the times."""
+    r = np.asarray(reversals, dtype=float)
+    half = period / 2.0
+    phase = (r - t_a - period / 4.0) / half
+    gap = np.abs(phase - np.round(phase)) * half
+    return bool(np.any(gap <= 64.0 * np.finfo(float).eps * (np.abs(r) + abs(t_a) + period)))
+
+
+def _quarters(exponent, t_a, period, edge, times, n, rtol, omega_max):
+    """_period's (M, Phi(edge), [Phi(t) for t in times]) from two quarter-period
+    products, for a canonical field (Q, P) reversible about t_a + T/4 and
+    t_a + 3T/4; Phi(edge) is again read only for edge > t_a.
+
+    The generator A = [[lam Mhat, I], [-W, lam Mhat]] of a wall even about a
+    reversal point t_r has lam = Rdot / R odd and W even about it, so with K =
+    diag(I, -I) (P -> -P) K A(t) K = -A(2 t_r - t) and Phi(t_r + tau, t_r) = K
+    Phi(t_r - tau, t_r) K. Over a half period [c, c + T/2] with t_r = c + T/4
+    and the quarter product V = Phi(t_r, c), that gives Phi(t, c) = K Phi(2 t_r
+    - t, c) K H for t >= t_r, H = K V^-1 K V = Phi(c + T/2, c) (_reflect). The
+    halves c = t_a and c = t_a + T/2 each take one product over the direct
+    quarter [c, t_r], with the mirror of every time past t_r as its sample or
+    edge; the second half's matrices are multiplied on the right by the first
+    half's H, and M = H_2 H_1. The two products are refined together until
+    the step-doubling estimate of M and Phi(edge), the states _period checks,
+    meets rtol (_propagate), so the reflection does not loosen the tolerance.
+    """
+    q = period / 4.0
+    sign = np.repeat([1.0, -1.0], n // 2)
+    K = sign[:, None] * sign  # K X K = K * X
+    segments, locals_, rows, e_at = [], [], [], None
+    for g, c in enumerate((t_a, t_a + 2.0 * q)):
+        r = c + q
+        rows.append(np.flatnonzero((times < t_a + 2.0 * q) == (g == 0)))
+        t = times[rows[g]]
+        locals_.append(np.where(t > r, 2.0 * r - t, t))
+        edges = [c, r]
+        if edge > t_a and (edge < t_a + 2.0 * q) == (g == 0):  # the remainder, or its mirror
+            e_at = g, min(max(2.0 * r - edge if edge > r else edge, c), r)
+            edges.append(e_at[1])
+        segments.append(np.unique(edges))
+
+    def whole(g, t, Phi, H):  # Phi(t, t_a) from Phi(t or its mirror, c_g); H = [H_1, H_2]
+        if t > segments[g][-1]:
+            Phi = (K * Phi) @ H[g]
+        return Phi @ H[0] if g else Phi
+
+    def fold(at):  # H = [H_1, H_2] and the states checked, [Phi(edge), M] or [M]
+        H = [_reflect(a[-1]) @ a[-1] for a in at]
+        checked = [H[1] @ H[0]]
+        if e_at is not None:
+            g, e = e_at
+            state = at[g][np.searchsorted(segments[g][1:], e)] if e > segments[g][0] else np.eye(n)
+            checked.insert(0, whole(g, edge, state, H))
+        return H, np.array(checked)
+
+    products = _propagate(exponent, segments, np.eye(n), rtol, omega_max, locals_,
+                          lambda at: fold(at)[1])
+    H, checked = fold([at for at, _ in products])
+    Phis = [None] * len(times)
+    for g, (_, sampled) in enumerate(products):
+        for i, Phi in zip(rows[g], sampled):
+            Phis[i] = whole(g, times[i], Phi, H)
+    return checked[-1], checked[0], Phis
+
+
+def _reflect(V):
+    """K V^-1 K for a symplectic V in canonical variables (Q, P), K = diag(I, -I).
+
+    With V^-1 = -J V^T J (the J of _check_symplectic) and K J = -J K = S, S =
+    [[0, I], [I, 0]], this is S V^T S: V^T with its blocks swapped, no product.
+    """
+    N = len(V) // 2
+    return np.roll(V.T, (N, N), axis=(0, 1))
 
 
 def _exponentials(exponent, t0, h):
@@ -256,58 +351,71 @@ def _exponentials(exponent, t0, h):
     return E
 
 
-def _propagate(exponent, edges, Y0, rtol, omega_max, samples):
-    """Magnus product for dY/dt = A(t) Y from edges[0], with every edge a step boundary.
+def _propagate(exponent, segments, Y0, rtol, omega_max, samples, checked=np.concatenate):
+    """Magnus products for dY/dt = A(t) Y from Y0 at edges[0] of each array of
+    edges in segments, with every edge a step boundary.
 
     Each edge interval starts at 10 steps per period of omega_max, and all
     step counts double until the estimate |Y_2n - Y_n| / 63 of the error of
-    the finer product (sixth order: halving the step divides the error by
-    64), taken over the states at every edge, is at most rtol * max|Y|.
-    Four doublings without that raise RuntimeError. Steps are exponentiated
-    _BATCH at a time and applied to the state in turn; of the states passed,
-    each stage keeps only those at the edges and at the boundary nearest
-    each time in samples (ties go to the later one). Returns the states at
-    edges[1:] and at the samples, each one partial step from its kept
-    boundary, with the partial steps exponentiated _BATCH at a time.
+    the finer products (sixth order: halving the step divides the error by
+    64), taken over checked(the list of each product's states at its
+    edges[1:]), by default all those states, is at most rtol * max|Y|. Four
+    doublings without that raise RuntimeError. Steps are exponentiated
+    _BATCH at a time and applied to the state in turn (_stage). Returns, per
+    segment, the states at edges[1:] and at each time in its array of
+    samples, each one partial step from the kept boundary nearest it, with
+    the partial steps exponentiated _BATCH at a time.
     """
-    lengths = np.diff(edges)
-    base = np.ceil(10.0 * omega_max * lengths / (2.0 * np.pi)).astype(int)
-    last = None
+    base = [np.ceil(10.0 * omega_max * np.diff(edges) / (2.0 * np.pi)).astype(int)
+            for edges in segments]
+    last, stages = None, []
     for doubling in range(5):
-        counts = base << doubling
-        t0 = np.concatenate([a + d * np.arange(c) / c for a, d, c in zip(edges, lengths, counts)])
-        h = np.repeat(lengths / counts, counts)
-        ends = np.cumsum(counts)  # boundary j, after step j - 1, of each of edges[1:]
-        times = np.append(t0, edges[-1])
-        near = np.clip(np.searchsorted(times, samples), 1, len(t0))
-        near -= samples - times[near - 1] < times[near] - samples
-        keep = set(ends.tolist()) | set(near.tolist())
-        Y, kept = Y0, {0: Y0}
-        for start in range(0, len(t0), _BATCH):
-            for j, e in enumerate(_exponentials(exponent, t0[start:start + _BATCH],
-                                                h[start:start + _BATCH]), start + 1):
-                Y = e @ Y
-                if j in keep:
-                    kept[j] = Y
-        at_edges = np.array([kept[j] for j in ends])
+        stages.clear()  # drop the last stage's states before this one keeps its own
+        stages += [_stage(exponent, edges, counts << doubling, Y0, times)
+                   for edges, counts, times in zip(segments, base, samples)]
+        at = checked([at_edges for at_edges, _, _ in stages])
         if last is not None:
-            estimate = np.abs(at_edges - last).max() / 63.0
-            if estimate <= rtol * np.abs(at_edges).max():
+            estimate = np.abs(at - last).max() / 63.0
+            if estimate <= rtol * np.abs(at).max():
                 break
-        last = at_edges
+        last = at
     else:
+        steps = sum(int(counts.sum()) << doubling for counts in base)
         raise RuntimeError(
             f"Magnus product not converged: step-doubling estimate {estimate:.2e} "
-            f"> rtol {rtol:.1e} * max|Y| at {len(t0)} steps; rtol is below the rounding floor "
+            f"> rtol {rtol:.1e} * max|Y| at {steps} steps; rtol is below the rounding floor "
             "of this generator or it is too rough for the step grid")
-    step = samples - times[near]
-    sampled = [kept[j] for j in near]
-    partial = np.flatnonzero(step)
-    for start in range(0, len(partial), _BATCH):
-        idx = partial[start:start + _BATCH]
-        for i, e in zip(idx, _exponentials(exponent, times[near[idx]], step[idx])):
-            sampled[i] = e @ sampled[i]
-    return at_edges, sampled
+    for (_, start, sampled), times in zip(stages, samples):
+        step = times - start
+        partial = np.flatnonzero(step)
+        for i0 in range(0, len(partial), _BATCH):
+            idx = partial[i0:i0 + _BATCH]
+            for i, e in zip(idx, _exponentials(exponent, start[idx], step[idx])):
+                sampled[i] = e @ sampled[i]
+    return [(at_edges, sampled) for at_edges, _, sampled in stages]
+
+
+def _stage(exponent, edges, counts, Y0, samples):
+    """One Magnus product from Y0 at edges[0], counts[i] equal steps over
+    [edges[i], edges[i + 1]]: the states at edges[1:], and for each sample the
+    step boundary nearest it (ties go to the later one) and the state there.
+    Of the states passed, only those are kept."""
+    lengths = np.diff(edges)
+    t0 = np.concatenate([a + d * np.arange(c) / c for a, d, c in zip(edges, lengths, counts)])
+    h = np.repeat(lengths / counts, counts)
+    ends = np.cumsum(counts)  # boundary j, after step j - 1, of each of edges[1:]
+    times = np.append(t0, edges[-1])
+    near = np.clip(np.searchsorted(times, samples), 1, len(t0))
+    near -= samples - times[near - 1] < times[near] - samples
+    keep = set(ends.tolist()) | set(near.tolist())
+    Y, kept = Y0, {0: Y0}
+    for start in range(0, len(t0), _BATCH):
+        for j, e in enumerate(_exponentials(exponent, t0[start:start + _BATCH],
+                                            h[start:start + _BATCH]), start + 1):
+            Y = e @ Y
+            if j in keep:
+                kept[j] = Y
+    return np.array([kept[j] for j in ends]), times[near], [kept[j] for j in near]
 
 
 def _check_symplectic(M, rtol):

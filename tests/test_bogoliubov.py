@@ -6,7 +6,9 @@ sum is conserved, photon number scales as the square of the drive amplitude,
 retracing the trajectory undoes the production at leading order, and
 resonant rows grow while detuned ones only dephase. Periodic walls are
 propagated with a one-period monodromy matrix; the same wall with its
-period dropped (direct integration) is the reference for that path. The
+period dropped (direct integration) is the reference for that path, and
+with its reversal points dropped (one product over the whole period) the
+reference for the matrix built from two quarter periods. The
 accuracy reference is scipy's DOP853 on the same canonical system.
 """
 
@@ -261,6 +263,32 @@ def monodromy_solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def period_matrices(monkeypatch):
+    """Records every one-period matrix checked."""
+    seen = []
+    check = magnus._check_symplectic
+
+    def spy(*args):
+        seen.append(args[0])
+        return check(*args)
+    monkeypatch.setattr(magnus, "_check_symplectic", spy)
+    return seen
+
+
+@pytest.fixture
+def step_spans(monkeypatch):
+    """Records the time span covered by every batch of Magnus steps."""
+    spans = []
+    exponentials = magnus._exponentials
+
+    def spy(exponent, t0, h):
+        spans.append((float(np.minimum(t0, t0 + h).min()), float(np.maximum(t0, t0 + h).max())))
+        return exponentials(exponent, t0, h)
+    monkeypatch.setattr(magnus, "_exponentials", spy)
+    return spans
+
+
 def _agree(periodic, direct, tol=1e-9):
     npt.assert_allclose(periodic.Q, direct.Q, rtol=0.0, atol=tol)
     npt.assert_allclose(extract_bogoliubov(periodic).beta,
@@ -280,16 +308,44 @@ class TestMonodromy:
         _agree(*self.both(traj))
         assert monodromy_solves == [(16, 16)]
 
-    def test_late_start(self, monodromy_solves):
+    @classmethod
+    def full_steps(cls, step_spans, traj, amps0=None):
+        """The spans of the Magnus step batches of one run without samples, in
+        periods past the start of the drive, sorted."""
+        step_spans.clear()
+        integrate_modes(cls.SPEC, traj, rtol=1e-11, amps0=amps0)
+        t_a = traj.t_start if amps0 is None else amps0.t
+        return np.sort((np.array(step_spans) - t_a) / traj.period, axis=0)
+
+    @staticmethod
+    def in_direct_quarters(spans):
+        """Every span lies in [0, 1/4] or [1/2, 3/4], and both are stepped."""
+        first = spans[:, 1] <= 0.25 + 1e-12
+        assert np.all(first | ((spans[:, 0] >= 0.5 - 1e-12) & (spans[:, 1] <= 0.75 + 1e-12)))
+        assert first.any() and not first.all()
+
+    def test_steps_cover_only_the_direct_quarters(self, monodromy_solves, step_spans):
+        # 3 periods + 0.7: the remainder ends in the fourth quarter, the mirror of the third
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.7 * np.pi)
+        self.in_direct_quarters(self.full_steps(step_spans, traj))
+        assert monodromy_solves == [(16, 16)]
+
+    def test_late_start(self, monodromy_solves, step_spans):
         traj = harmonic_wall(np.pi, 0.02, 2.0, t_end=13.7, t_start=1.3)
         _agree(*self.both(traj))
         assert len(monodromy_solves) == 1
+        # the law starts at t_start, so its quarters move with it
+        self.in_direct_quarters(self.full_steps(step_spans, traj))
 
-    def test_state_starting_mid_window(self, monodromy_solves):
+    def test_state_starting_mid_window(self, monodromy_solves, step_spans):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=15.0)
         half = integrate_modes(self.SPEC, traj, rtol=1e-11, t_final=2.3)
         _agree(*self.both(traj, amps0=half))
         assert len(monodromy_solves) == 1
+        # 2.3 is no quarter of the law's period: the product covers a whole period
+        spans = self.full_steps(step_spans, traj, amps0=half)
+        assert spans[0, 0] == 0.0 and abs(spans[:, 1].max() - 1.0) < 1e-12
+        assert np.all(spans[1:, 0] <= np.maximum.accumulate(spans[:-1, 1]) + 1e-12)
 
     def test_static_tail_past_t_end(self, monodromy_solves):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.0 * np.pi)
@@ -301,6 +357,46 @@ class TestMonodromy:
         a1 = integrate_modes(self.SPEC, fwd, rtol=1e-11)
         _agree(*self.both(reversed_trajectory(fwd), amps0=a1))
         assert len(monodromy_solves) == 2
+
+    def test_reversed_wall_lined_up_with_a_mirrored_point(self, monodromy_solves, step_spans):
+        # a drive ending on a half period mirrors onto a wall whose quarters line up
+        fwd = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.5 * np.pi)
+        a1 = integrate_modes(self.SPEC, fwd, rtol=1e-11)
+        back = reversed_trajectory(fwd)
+        _agree(*self.both(back, amps0=a1))
+        self.in_direct_quarters(self.full_steps(step_spans, back, amps0=a1))
+        assert len(monodromy_solves) == 3
+
+    @pytest.mark.parametrize("N, eps", [(4, 0.01), (16, 0.01), (48, 1e-3)])
+    def test_quarter_and_whole_period_matrices_agree(self, period_matrices, N, eps):
+        traj = harmonic_wall(np.pi, eps, 2.0, t_end=1.3 * np.pi)
+        for wall in (traj, replace(traj, reversals=())):
+            integrate_modes(CavitySpec(length=np.pi, n_modes=N), wall, rtol=1e-10)
+        quarters, whole = period_matrices
+        assert np.abs(quarters - whole).max() <= 1e-10 * np.abs(whole).max()
+
+    def test_quarter_period_matrix_meets_rtol(self, period_matrices):
+        # the reflection multiplies the quarter products' errors, so they are refined
+        # until the assembled M meets rtol; refined each to rtol on its own, M was
+        # 2.2e-9 of max|M| off here
+        traj = harmonic_wall(np.pi, 0.015, 2.5, t_end=20.0)
+        for rtol in (1e-9, 1e-12):
+            integrate_modes(CavitySpec(length=np.pi, n_modes=12), traj, rtol=rtol)
+        M, ref = period_matrices
+        assert np.abs(M - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_snapshots_in_every_quarter(self, monodromy_solves):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0)
+        # inside each quarter and on every quarter boundary, in three periods
+        offsets = traj.period * np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9])
+        T = traj.period
+        times = np.concatenate([offsets[1:], T + offsets, 3.0 * T + offsets[:5]])
+        periodic = mode_snapshots(self.SPEC, traj, times, rtol=1e-11)
+        direct = mode_snapshots(self.SPEC, replace(traj, period=None), times, rtol=1e-11)
+        assert len(monodromy_solves) == 1
+        for p, d in zip(periodic, direct):
+            _agree(p, d)
+            npt.assert_allclose(p.Qdot, d.Qdot, rtol=0.0, atol=1e-8)
 
     def test_snapshots_on_and_off_period_boundaries(self, monodromy_solves):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=11.0)
@@ -321,32 +417,28 @@ class TestMonodromy:
         with pytest.raises(ValueError, match="period"):
             integrate_modes(self.SPEC, bad)
 
+    def test_wrong_declared_reversal_point_rejected(self):
+        good = harmonic_wall(np.pi, 0.01, 2.0, t_end=20.0)
+        bad = replace(good, reversals=(good.reversals[0] + good.period / 16.0,))
+        with pytest.raises(ValueError, match=r"reversals .* not a symmetry of its position.*"
+                                             r"fix or drop WallTrajectory\.reversals"):
+            integrate_modes(self.SPEC, bad)
+
     def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
         propagate = magnus._propagate
         dim = 2 * self.SPEC.n_modes
 
-        def corrupted(exponent, edges, Y0, *args):
-            at_edges, sampled = propagate(exponent, edges, Y0, *args)
-            if Y0.shape == (dim, dim):  # the one-period fundamental matrix
-                at_edges[-1, 0, 0] += 1e-4
-            return at_edges, sampled
+        def corrupted(exponent, segments, Y0, *args):
+            products = propagate(exponent, segments, Y0, *args)
+            if Y0.shape == (dim, dim):  # the one-period or quarter-period fundamental matrices
+                for at_edges, _ in products:
+                    at_edges[-1, 0, 0] += 1e-4
+            return products
         monkeypatch.setattr(magnus, "_propagate", corrupted)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
-        with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
-            integrate_modes(self.SPEC, traj, rtol=1e-9)
-
-
-@pytest.fixture
-def step_spans(monkeypatch):
-    """Records the time span covered by every batch of Magnus steps."""
-    spans = []
-    exponentials = magnus._exponentials
-
-    def spy(exponent, t0, h):
-        spans.append((float(np.minimum(t0, t0 + h).min()), float(np.maximum(t0, t0 + h).max())))
-        return exponentials(exponent, t0, h)
-    monkeypatch.setattr(magnus, "_exponentials", spy)
-    return spans
+        for wall in (traj, replace(traj, reversals=())):  # from quarters, from one period
+            with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
+                integrate_modes(self.SPEC, wall, rtol=1e-9)
 
 
 class TestMotionWindow:
@@ -409,18 +501,11 @@ class TestCanonicalState:
         assert np.array_equal(amps.Q, ref.Q)
         assert np.array_equal(amps.Qdot, ref.Qdot)
 
-    def test_monodromy_matrix_is_symplectic_as_integrated(self, monkeypatch):
-        seen = []
-        check = magnus._check_symplectic
-
-        def spy(*args):
-            seen.append(args[0])
-            return check(*args)
-        monkeypatch.setattr(magnus, "_check_symplectic", spy)
+    def test_monodromy_matrix_is_symplectic_as_integrated(self, period_matrices):
         rtol, N = 1e-10, 12
         integrate_modes(CavitySpec(length=np.pi, n_modes=N),
                         harmonic_wall(np.pi, 0.01, 2.0, t_end=30.0), rtol=rtol)
-        (M,) = seen
+        (M,) = period_matrices
         J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(N))
         assert np.abs(M.T @ J @ M - J).max() <= 1e3 * rtol
 

@@ -826,8 +826,10 @@ class TestLabFrameValidation:
         lab_frame_branch(p, 0, np.eye(5)[0])
         (exponent,) = exponents
 
+        span = p.omega_0 * p.t_gate  # the whole gate in the branch's phase s = omega_0 t
+
         def product(n_steps):
-            h = np.full(n_steps, p.t_gate / n_steps)
+            h = np.full(n_steps, span / n_steps)
             S = np.eye(2)
             for e in magnus._exponentials(exponent, h * np.arange(n_steps), h):
                 S = e @ S
