@@ -1,6 +1,6 @@
 """How close each shipped table sits to the tolerance of its benchmark reference.
 
-    python scripts/reference_margin.py [OUT_ROOT] [--out FILE]
+    python scripts/reference_margin.py OUT_ROOT
 
 ``perfbench.checks.compare_reference`` passes a table when every strided
 value is within REF_RTOL of the reference value plus REF_COL_ATOL of its
@@ -11,22 +11,17 @@ and the figure shows how much of the tolerance a change has used.
 
 OUT_ROOT holds one directory of tables per shipped config, named after the
 config (``configs/<name>.yaml`` -> ``OUT_ROOT/<name>/``), as the CI smoke
-run leaves them. Without it every shipped config is first run once, through
-``python -m dcelab.cli`` on this checkout's ``src/``, into a temporary
-directory. perfbench is only read: its tolerances, its CSV reader and
-``reference.json``. Prints one line per table; ``--out`` also writes them
-as JSON. Exits 1 when a table is missing or its shape or labels differ from
-the reference, which ``compare_reference`` reports as a failure too.
+run leaves them. perfbench is only read: its tolerances, its CSV reader and
+``reference.json``. Prints one line per table. Exits 1 when a table is
+missing or its shape or labels differ from the reference, which
+``compare_reference`` reports as a failure too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +36,6 @@ from perfbench.checks import (  # noqa: E402
     _split,
     read_csv,
 )
-from time_configs import _BLAS_VARS, shipped_configs  # noqa: E402
 
 
 def margin(path, ref):
@@ -71,55 +65,22 @@ def _ratio(gap, tol):
     return float(r.max(initial=0.0))
 
 
-def run_configs(out_root):
-    """Every shipped config's tables under out_root/<name>/, one CLI run each."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **{var: "1" for var in _BLAS_VARS}}
-    for stem, subcommand, path in shipped_configs(ROOT):
-        cmd = [sys.executable, "-m", "dcelab.cli", subcommand, "--config", str(path),
-               "--out", str(out_root / stem)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
-
-
-def report(out_root):
-    """{config: {table: {"values": m, "sums": m} or {"error": why}}} over the reference."""
-    reference = json.loads(REFERENCE_PATH.read_text())
-    result = {}
-    for stem, tables in reference.items():
-        result[stem] = {}
-        for table, ref in tables.items():
-            m = margin(out_root / stem / f"{table}.csv", ref)
-            result[stem][table] = ({"error": m} if isinstance(m, str)
-                                   else {"values": m[0], "sums": m[1]})
-    return result
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out_root", type=Path, nargs="?", default=None, metavar="OUT_ROOT",
-                    help="directory of <config>/ table directories (default: run them)")
-    ap.add_argument("--out", type=Path, default=None, metavar="FILE",
-                    help="write the margins as JSON")
-    args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="reference_margin_") as scratch:
-        out_root = args.out_root
-        if out_root is None:
-            out_root = Path(scratch)
-            run_configs(out_root)
-        result = report(out_root)
+    ap.add_argument("out_root", type=Path, metavar="OUT_ROOT",
+                    help="directory of <config>/ table directories")
+    out_root = ap.parse_args(argv).out_root
     failed = False
     print(f"{'table':42s} {'values':>9s} {'sums':>9s}  (|got - reference| / tolerance)")
-    for stem, tables in result.items():
-        for table, m in tables.items():
+    for stem, tables in json.loads(REFERENCE_PATH.read_text()).items():
+        for table, ref in tables.items():
+            m = margin(out_root / stem / f"{table}.csv", ref)
             name = f"{stem}/{table}"
-            if "error" in m:
+            if isinstance(m, str):
                 failed = True
-                print(f"{name:42s} {m['error']}")
+                print(f"{name:42s} {m}")
             else:
-                print(f"{name:42s} {m['values']:9.3g} {m['sums']:9.3g}")
-    if args.out is not None:
-        args.out.write_text(json.dumps(result, indent=1) + "\n")
+                print(f"{name:42s} {m[0]:9.3g} {m[1]:9.3g}")
     return 1 if failed else 0
 
 

@@ -44,12 +44,15 @@ step-doubling estimate meets it. When the wall declares a period (harmonic
 drives do), whole periods are applied as powers of one monodromy matrix,
 the real 2N x 2N fundamental matrix over one period, so the cost no longer
 grows with the drive length; aperiodic walls are propagated directly.
-When it also declares reversal points (harmonic walls: the crest and the
-trough, t_start + T/4 and t_start + 3T/4), Rdot / R is odd and (khat / R)^2
-even about each, so the second quarter of each half period is the time
-reversal of the first and the monodromy matrix is assembled from two
-quarter-period products: about half the Magnus steps (magnus._quarters).
-Both declarations are checked against the wall law before they are used.
+When the law is also even about the first quarter of the period, t_a +
+T/4 from the start t_a of the propagation (a harmonic wall started at its
+t_start or half a period later: the crest or the trough), Rdot / R is odd
+and (khat / R)^2 even about it and, with the period, about t_a + 3T/4. The
+second quarter of each half period is then the time reversal of the first,
+and the monodromy matrix is assembled from two quarter-period products:
+about half the Magnus steps (magnus._quarters). The period and that
+evenness are both tested against the wall law at 16 points before use; a
+period the law does not have is a ValueError.
 Samples follow one rule on every path: the propagator keeps only the
 state at the step boundary nearest each requested time (or its mirror in
 a reflected quarter), and every sample is one partial Magnus step from
@@ -214,8 +217,8 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
 def _drive(spec, traj, amps0, t_b, rtol, samples):
     """ModeAmplitudes at t_b and at the sorted, distinct samples in (amps0.t, t_b)
     inside the motion window, propagated as the real block [Re Y, Im Y] of
-    Y = (Q; P); a declared period and reversal points are checked against the
-    law, then used."""
+    Y = (Q; P); a declared period is checked against the law, then used, and
+    a periodic law even about t_a + T/4 takes the quarter-period products."""
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     khat = np.arange(1, N + 1) * np.pi
@@ -234,36 +237,38 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
 
     Y0 = np.vstack([amps0.Q, amps0.Qdot])
     Y0 = np.hstack([Y0.real, Y0.imag])
-    T = traj.period
+    T, reversible = traj.period, False
     if T is not None and t_b - t_a > T:
         # cell midpoints of [t_a, t_b - T]: t + T never rounds past t_b
-        _check_symmetry(traj, "period", T, t_a, t_b - T, lambda t: t + T)
-        for t_r in traj.reversals:  # as the mirror about its first image past t_a + T/4
-            c = t_a + T / 4.0 + (t_r - t_a - T / 4.0) % (T / 2.0)
-            _check_symmetry(traj, "reversals", t_r, c - T / 4.0, c, lambda t: 2.0 * c - t)
-    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, T, samples,
-                           traj.reversals)
+        broken = _broken_symmetry(traj, t_a, t_b - T, lambda t: t + T)
+        if broken is not None:
+            name, gap = broken
+            raise ValueError(
+                f"trajectory period {T:g} is not a period of its {name}: "
+                f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
+                "fix or drop WallTrajectory.period")
+        # even about t_a + T/4, and with the period then also about t_a + 3T/4
+        c = t_a + T / 4.0
+        reversible = _broken_symmetry(traj, t_a, c, lambda t: 2.0 * c - t) is None
+    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, T, samples, reversible)
     return to_amps(float(t_b), Y), [to_amps(t, y) for t, y in zip(samples.tolist(), sampled)]
 
 
-def _check_symmetry(traj, field, value, a, b, image, samples=16):
-    """Reject a declared symmetry t -> image(t) of the law that fails at the
-    cell midpoints t of [a, b]: the position, velocity and acceleration must
-    match at image(t), the velocity with its sign flipped when image reverses
-    time. field names the WallTrajectory declaration and value its entry."""
+def _broken_symmetry(traj, a, b, image, samples=16):
+    """The first of the position, velocity and acceleration that the map t ->
+    image(t) does not keep at the cell midpoints t of [a, b], with its largest
+    gap |f(image(t)) - f(t)|, or None when all three agree to 1e-8 of their
+    largest magnitude. Where image reverses time the velocity must flip sign."""
     t = a + (b - a) * (np.arange(samples) + 0.5) / samples
     there = image(t)
     sign = np.sign(there[-1] - there[0])  # -1 where image reverses time
     for name, parity in (("position", 1.0), ("velocity", sign), ("acceleration", 1.0)):
         f = getattr(traj, name)
         here, mapped = np.asarray(f(t), dtype=float), parity * np.asarray(f(there), dtype=float)
-        scale = max(np.abs(here).max(), np.abs(mapped).max())
         gap = np.abs(mapped - here).max()
-        if gap > 1e-8 * scale:
-            raise ValueError(
-                f"trajectory {field} {value:g} is not a symmetry of its {name}: it moves "
-                f"the {name} by up to {gap:.2e} on [{a:g}, {b:g}]; "
-                f"fix or drop WallTrajectory.{field}")
+        if gap > 1e-8 * max(np.abs(here).max(), np.abs(mapped).max()):
+            return name, gap
+    return None
 
 
 def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:

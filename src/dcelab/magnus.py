@@ -207,7 +207,7 @@ def expm_taylor(X):
 
 
 def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
-              reversals=()):
+              reversible=False):
     """Y(t_b) and the list of Y at each sample of dY/dt = A(t) Y, Y(t_a) = Y0.
 
     exponent maps arrays t0, h of step starts and lengths to the real
@@ -220,9 +220,9 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
     checked symplectic to 1e3 * rtol and whole periods are its powers, so the
     cost does not grow with the span; a sample is the one-period product at
     its offset times M^j Y0. The one-period products come from two quarter
-    periods (_quarters) when Y = (Q, P) is a canonical field and one of its
-    reversal points falls on t_a + period / 4 modulo period / 2, else from
-    one product over the period (_period).
+    periods (_quarters) when reversible, i.e. Y = (Q, P) is a canonical field
+    whose generator is reversible about t_a + period / 4 (K A(t) K = -A(2 t_r -
+    t), see _quarters), else from one product over the period (_period).
     """
     samples = np.asarray(samples, dtype=float)
     if period is None or t_b - t_a <= period:
@@ -234,7 +234,7 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
     k = int((t_b - t_a) // period)
     s = (t_b - t_a) - k * period
     periods = np.minimum((samples - t_a) // period, k).astype(int)
-    one_period = _quarters if _reversible(t_a, period, reversals) else _period
+    one_period = _quarters if reversible else _period
     M, rest, Phis = one_period(exponent, t_a, period, t_a + s, samples - periods * period,
                                len(Y0), rtol, omega_max)
     _check_symplectic(M, rtol)
@@ -257,16 +257,6 @@ def _period(exponent, t_a, period, edge, times, n, rtol, omega_max):
     edges = np.unique([t_a, edge, t_a + period])
     ((at_edges, Phis),) = _propagate(exponent, [edges], np.eye(n), rtol, omega_max, [times])
     return at_edges[-1], at_edges[np.searchsorted(edges[1:], edge)], Phis
-
-
-def _reversible(t_a, period, reversals):
-    """Whether a reversal point is t_a + period / 4 modulo period / 2, up to the
-    rounding of the times."""
-    r = np.asarray(reversals, dtype=float)
-    half = period / 2.0
-    phase = (r - t_a - period / 4.0) / half
-    gap = np.abs(phase - np.round(phase)) * half
-    return bool(np.any(gap <= 64.0 * np.finfo(float).eps * (np.abs(r) + abs(t_a) + period)))
 
 
 def _quarters(exponent, t_a, period, edge, times, n, rtol, omega_max):

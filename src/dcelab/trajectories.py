@@ -33,11 +33,7 @@ class WallTrajectory:
 
     period, when set, declares that the law repeats with that period on
     [t_start, t_end]; the coupled-mode solver then propagates whole periods
-    with one monodromy matrix. reversals, read only with a period, declares
-    times t_r about which the law is reversible, R(2 t_r - t) = R(t) and
-    Rdot(2 t_r - t) = -Rdot(t); with the period each stands for every t_r +
-    j period / 2, and the solver then builds the monodromy matrix from two
-    quarter periods. jerk (the third derivative) gives the conformal
+    with one monodromy matrix. jerk (the third derivative) gives the conformal
     solver its exact F''', so it refuses a wall without one. Every factory
     supplies it, except tabulated_wall for splines of degree k < 3.
     """
@@ -50,7 +46,6 @@ class WallTrajectory:
     label: str = "custom"
     period: float | None = None
     jerk: Callable | None = None
-    reversals: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.t_end >= self.t_start:
@@ -63,7 +58,7 @@ class WallTrajectory:
         return float(np.max(np.abs(self.velocity(t)))) if samples else 0.0
 
 
-def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None, reversals=()):
+def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None):
     """WallTrajectory that follows the law (pos, vel, acc, jerk) on [t_start, t_end].
 
     Outside the window the wall rests: the position is clamped to the
@@ -83,7 +78,7 @@ def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None, reversals
 
     traj = WallTrajectory(position, moving(vel), moving(acc), t_start, t_end,
                           label=label, period=period,
-                          jerk=None if jerk is None else moving(jerk), reversals=reversals)
+                          jerk=None if jerk is None else moving(jerk))
     v = traj.max_speed()
     if v >= 1.0:
         raise ValueError(
@@ -108,9 +103,6 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
     The drive switches on/off abruptly (position continuous, velocity
     jumps), which is the standard protocol for resonant photon creation.
     Pick t_end - t_start a multiple of pi/Omega to return the wall to R0.
-    The law is even about the crest and the trough of its first period,
-    t_start + T/4 and t_start + 3T/4 with T = 2 pi / Omega, which the wall
-    declares as its reversal points.
     """
     if R0 <= 0:
         raise ValueError("R0 must be positive")
@@ -119,13 +111,11 @@ def harmonic_wall(R0, eps, Omega, t_end, t_start=0.0):
     if abs(eps) >= 1:
         raise ValueError("|eps| must be < 1")
 
-    T = 2.0 * np.pi / Omega
     return _windowed(lambda t: R0 * (1.0 + eps * np.sin(Omega * (t - t_start))),
                      lambda t: R0 * eps * Omega * np.cos(Omega * (t - t_start)),
                      lambda t: -R0 * eps * Omega**2 * np.sin(Omega * (t - t_start)),
                      lambda t: -R0 * eps * Omega**3 * np.cos(Omega * (t - t_start)),
-                     t_start, t_end, "harmonic", period=T,
-                     reversals=(t_start + T / 4.0, t_start + 3.0 * T / 4.0))
+                     t_start, t_end, "harmonic", period=2.0 * np.pi / Omega)
 
 
 # orders 0 to 3 of the smoothstep 10 s^3 - 15 s^4 + 6 s^5 and of the bump window
@@ -222,8 +212,7 @@ def reversed_trajectory(traj, t_start=None):
     """Time-mirrored copy: runs the same path backwards over a window of equal length.
 
     By default the reversed segment starts where the original ended, so the
-    pair can be integrated back to back. The period carries over, and each
-    reversal point t_r maps to its mirror traj.t_end + t_start - t_r.
+    pair can be integrated back to back.
     """
     if t_start is None:
         t_start = traj.t_end
@@ -234,5 +223,4 @@ def reversed_trajectory(traj, t_start=None):
                      lambda t: traj.acceleration(off - t),
                      None if traj.jerk is None else lambda t: -traj.jerk(off - t),
                      t_start, t_start + (traj.t_end - traj.t_start),
-                     f"{traj.label}-reversed", period=traj.period,
-                     reversals=tuple(sorted(off - r for r in traj.reversals)))
+                     f"{traj.label}-reversed", period=traj.period)

@@ -7,8 +7,8 @@ retracing the trajectory undoes the production at leading order, and
 resonant rows grow while detuned ones only dephase. Periodic walls are
 propagated with a one-period monodromy matrix; the same wall with its
 period dropped (direct integration) is the reference for that path, and
-with its reversal points dropped (one product over the whole period) the
-reference for the matrix built from two quarter periods. The
+the same run with magnus._quarters switched off (one product over the whole
+period) the reference for the matrix built from two quarter periods. The
 accuracy reference is scipy's DOP853 on the same canonical system.
 """
 
@@ -25,6 +25,7 @@ import dcelab.gate as gate
 import dcelab.magnus as magnus
 from dcelab.bogoliubov import (
     ModeAmplitudes,
+    _broken_symmetry,
     extract_bogoliubov,
     initial_amplitudes,
     integrate_modes,
@@ -315,7 +316,7 @@ class TestMonodromy:
         step_spans.clear()
         integrate_modes(cls.SPEC, traj, rtol=1e-11, amps0=amps0)
         t_a = traj.t_start if amps0 is None else amps0.t
-        return np.sort((np.array(step_spans) - t_a) / traj.period, axis=0)
+        return (np.array(sorted(step_spans)) - t_a) / traj.period
 
     @staticmethod
     def in_direct_quarters(spans):
@@ -368,10 +369,13 @@ class TestMonodromy:
         assert len(monodromy_solves) == 3
 
     @pytest.mark.parametrize("N, eps", [(4, 0.01), (16, 0.01), (48, 1e-3)])
-    def test_quarter_and_whole_period_matrices_agree(self, period_matrices, N, eps):
+    def test_quarter_and_whole_period_matrices_agree(self, period_matrices, monkeypatch, N,
+                                                     eps):
         traj = harmonic_wall(np.pi, eps, 2.0, t_end=1.3 * np.pi)
-        for wall in (traj, replace(traj, reversals=())):
-            integrate_modes(CavitySpec(length=np.pi, n_modes=N), wall, rtol=1e-10)
+        spec = CavitySpec(length=np.pi, n_modes=N)
+        integrate_modes(spec, traj, rtol=1e-10)
+        monkeypatch.setattr(magnus, "_quarters", magnus._period)
+        integrate_modes(spec, traj, rtol=1e-10)
         quarters, whole = period_matrices
         assert np.abs(quarters - whole).max() <= 1e-10 * np.abs(whole).max()
 
@@ -417,12 +421,29 @@ class TestMonodromy:
         with pytest.raises(ValueError, match="period"):
             integrate_modes(self.SPEC, bad)
 
-    def test_wrong_declared_reversal_point_rejected(self):
-        good = harmonic_wall(np.pi, 0.01, 2.0, t_end=20.0)
-        bad = replace(good, reversals=(good.reversals[0] + good.period / 16.0,))
-        with pytest.raises(ValueError, match=r"reversals .* not a symmetry of its position.*"
-                                             r"fix or drop WallTrajectory\.reversals"):
-            integrate_modes(self.SPEC, bad)
+    def test_evenness_is_tested_about_the_first_quarter(self):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=20.0, t_start=0.4)
+        T = traj.period
+        for shift, broken in ((0.0, None), (T / 2.0, None), (T / 16.0, "position")):
+            c = traj.t_start + T / 4.0 + shift  # the crest, the trough, neither
+            found = _broken_symmetry(traj, c - T / 4.0, c, lambda t: 2.0 * c - t)
+            assert (found if found is None else found[0]) == broken
+
+    def test_periodic_wall_that_is_not_even_takes_the_whole_period(self, monodromy_solves,
+                                                                   step_spans):
+        # sin x is even and sin 2x odd about x = pi / 2: periodic, but not reversible
+        # about t_start + T/4
+        R0, eps, Om = np.pi, 0.01, 2.0
+        traj = WallTrajectory(
+            lambda t: R0 * (1.0 + eps * (np.sin(Om * t) + 0.5 * np.sin(2.0 * Om * t))),
+            lambda t: R0 * eps * Om * (np.cos(Om * t) + np.cos(2.0 * Om * t)),
+            lambda t: -R0 * eps * Om**2 * (np.sin(Om * t) + 2.0 * np.sin(2.0 * Om * t)),
+            0.0, 11.0, period=2.0 * np.pi / Om)
+        _agree(*self.both(traj))
+        assert len(monodromy_solves) == 1
+        spans = self.full_steps(step_spans, traj)
+        assert spans[0, 0] == 0.0 and abs(spans[:, 1].max() - 1.0) < 1e-12
+        assert np.all(spans[1:, 0] <= np.maximum.accumulate(spans[:-1, 1]) + 1e-12)
 
     def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
         propagate = magnus._propagate
@@ -436,9 +457,11 @@ class TestMonodromy:
             return products
         monkeypatch.setattr(magnus, "_propagate", corrupted)
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
-        for wall in (traj, replace(traj, reversals=())):  # from quarters, from one period
-            with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
-                integrate_modes(self.SPEC, wall, rtol=1e-9)
+        with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
+            integrate_modes(self.SPEC, traj, rtol=1e-9)  # from quarters
+        monkeypatch.setattr(magnus, "_quarters", magnus._period)
+        with pytest.raises(RuntimeError, match="not symplectic.*loosen rtol"):
+            integrate_modes(self.SPEC, traj, rtol=1e-9)  # from one period
 
 
 class TestMotionWindow:

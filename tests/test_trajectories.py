@@ -61,16 +61,6 @@ class TestHarmonicWall:
         assert reversed_trajectory(w).period == w.period
         assert quintic_wall(1.0, 0.1, 2.0).period is None
 
-    def test_declares_its_reversal_points(self):
-        w = harmonic_wall(np.pi, 0.01, 2.5, t_end=9.0, t_start=0.4)
-        T = w.period
-        assert w.reversals == (0.4 + T / 4.0, 0.4 + 3.0 * T / 4.0)
-        tau = np.linspace(0.0, 0.24 * T, 7)  # t_r - T/4 may round below t_start
-        for t_r in w.reversals:
-            npt.assert_allclose(w.position(t_r + tau), w.position(t_r - tau), rtol=1e-14)
-            npt.assert_allclose(w.velocity(t_r + tau), -w.velocity(t_r - tau), atol=1e-14)
-        assert quintic_wall(1.0, 0.1, 2.0).reversals == ()
-
     def test_nonpositive_period_rejected(self):
         w = harmonic_wall(1.0, 0.01, 2.0, t_end=5.0)
         for bad in (0.0, -np.pi):
@@ -133,17 +123,6 @@ class TestReversal:
             npt.assert_allclose(r.velocity(w.t_end + u), -w.velocity(w.t_end - u), rtol=1e-12)
             npt.assert_allclose(r.acceleration(w.t_end + u), w.acceleration(w.t_end - u),
                                 rtol=1e-12)
-
-    def test_reversal_points_mirrored(self):
-        w = harmonic_wall(1.0, 0.03, 2.0, t_end=5.0)
-        for t_start in (None, 7.25):
-            r = reversed_trajectory(w, t_start)
-            mirrored = sorted(w.t_end + r.t_start - t_r for t_r in w.reversals)
-            assert r.reversals == tuple(mirrored)
-            for t_r in r.reversals:
-                u = np.array([0.1, 0.5, 0.7])
-                npt.assert_allclose(r.position(t_r + u), r.position(t_r - u), rtol=1e-14)
-                npt.assert_allclose(r.velocity(t_r + u), -r.velocity(t_r - u), rtol=1e-12)
 
     def test_max_speed_preserved(self):
         w = harmonic_wall(1.0, 0.03, 2.0, t_end=5.0)
