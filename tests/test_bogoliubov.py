@@ -325,6 +325,12 @@ class TestMonodromy:
         assert np.all(first | ((spans[:, 0] >= 0.5 - 1e-12) & (spans[:, 1] <= 0.75 + 1e-12)))
         assert first.any() and not first.all()
 
+    @staticmethod
+    def over_one_period(spans):
+        """The spans run from 0 to 1 without a gap: one product over the period."""
+        assert spans[0, 0] == 0.0 and abs(spans[:, 1].max() - 1.0) < 1e-12
+        assert np.all(spans[1:, 0] <= np.maximum.accumulate(spans[:-1, 1]) + 1e-12)
+
     def test_steps_cover_only_the_direct_quarters(self, monodromy_solves, step_spans):
         # 3 periods + 0.7: the remainder ends in the fourth quarter, the mirror of the third
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.7 * np.pi)
@@ -344,9 +350,7 @@ class TestMonodromy:
         _agree(*self.both(traj, amps0=half))
         assert len(monodromy_solves) == 1
         # 2.3 is no quarter of the law's period: the product covers a whole period
-        spans = self.full_steps(step_spans, traj, amps0=half)
-        assert spans[0, 0] == 0.0 and abs(spans[:, 1].max() - 1.0) < 1e-12
-        assert np.all(spans[1:, 0] <= np.maximum.accumulate(spans[:-1, 1]) + 1e-12)
+        self.over_one_period(self.full_steps(step_spans, traj, amps0=half))
 
     def test_static_tail_past_t_end(self, monodromy_solves):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=3.0 * np.pi)
@@ -427,7 +431,7 @@ class TestMonodromy:
         for shift, broken in ((0.0, None), (T / 2.0, None), (T / 16.0, "position")):
             c = traj.t_start + T / 4.0 + shift  # the crest, the trough, neither
             found = _broken_symmetry(traj, c - T / 4.0, c, lambda t: 2.0 * c - t)
-            assert (found if found is None else found[0]) == broken
+            assert (None if found is None else found[0]) == broken
 
     def test_periodic_wall_that_is_not_even_takes_the_whole_period(self, monodromy_solves,
                                                                    step_spans):
@@ -441,9 +445,7 @@ class TestMonodromy:
             0.0, 11.0, period=2.0 * np.pi / Om)
         _agree(*self.both(traj))
         assert len(monodromy_solves) == 1
-        spans = self.full_steps(step_spans, traj)
-        assert spans[0, 0] == 0.0 and abs(spans[:, 1].max() - 1.0) < 1e-12
-        assert np.all(spans[1:, 0] <= np.maximum.accumulate(spans[:-1, 1]) + 1e-12)
+        self.over_one_period(self.full_steps(step_spans, traj))
 
     def test_non_symplectic_period_matrix_rejected(self, monkeypatch):
         propagate = magnus._propagate
