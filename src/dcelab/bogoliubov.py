@@ -44,15 +44,13 @@ step-doubling estimate meets it. When the wall declares a period (harmonic
 drives do), whole periods are applied as powers of one monodromy matrix,
 the real 2N x 2N fundamental matrix over one period, so the cost no longer
 grows with the drive length; aperiodic walls are propagated directly.
-When the law is also even about the first quarter of the period, t_a +
-T/4 from the start t_a of the propagation (a harmonic wall started at its
-t_start or half a period later: the crest or the trough), Rdot / R is odd
-and (khat / R)^2 even about it and, with the period, about t_a + 3T/4. The
-second quarter of each half period is then the time reversal of the first,
-and the monodromy matrix is assembled from two quarter-period products:
-about half the Magnus steps (magnus._quarters). The period and that
-evenness are both tested against the wall law at 16 points before use; a
-period the law does not have is a ValueError.
+magnus.propagate tests the period, and the symmetry that halves the work,
+on Rdot / R and (khat / R)^2 themselves: a period they do not have is a
+ValueError, and when Rdot / R is odd and (khat / R)^2 even about t_a +
+T/4, a quarter period past the start t_a of the propagation (a harmonic
+wall started at its t_start or half a period later: the crest or the
+trough), the monodromy matrix is assembled from two quarter-period
+products, about half the Magnus steps (magnus._quarters).
 Samples follow one rule on every path: the propagator keeps only the
 state at the step boundary nearest each requested time (or its mirror in
 a reflected quarter), and every sample is one partial Magnus step from
@@ -217,13 +215,12 @@ def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
 def _drive(spec, traj, amps0, t_b, rtol, samples):
     """ModeAmplitudes at t_b and at the sorted, distinct samples in (amps0.t, t_b)
     inside the motion window, propagated as the real block [Re Y, Im Y] of
-    Y = (Q; P); a declared period is checked against the law, then used, and
-    a periodic law even about t_a + T/4 takes the quarter-period products."""
+    Y = (Q; P); a declared period is passed on to magnus.propagate."""
     N = spec.n_modes
     basis = ModeBasis.build(spec)
     khat = np.arange(1, N + 1) * np.pi
 
-    def coefficients(t):  # lam = Rdot / R and w = (khat / R)^2 at the Gauss nodes
+    def coefficients(t):  # lam = Rdot / R and w = (khat / R)^2 at the times t
         R = traj.position(t)
         return traj.velocity(t) / R, (khat / R[..., None]) ** 2
     exponent = field_exponent(coefficients, basis.M * basis.R0,
@@ -237,38 +234,8 @@ def _drive(spec, traj, amps0, t_b, rtol, samples):
 
     Y0 = np.vstack([amps0.Q, amps0.Qdot])
     Y0 = np.hstack([Y0.real, Y0.imag])
-    T, reversible = traj.period, False
-    if T is not None and t_b - t_a > T:
-        # cell midpoints of [t_a, t_b - T]: t + T never rounds past t_b
-        broken = _broken_symmetry(traj, t_a, t_b - T, lambda t: t + T)
-        if broken is not None:
-            name, gap = broken
-            raise ValueError(
-                f"trajectory period {T:g} is not a period of its {name}: "
-                f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
-                "fix or drop WallTrajectory.period")
-        # even about t_a + T/4, and with the period then also about t_a + 3T/4
-        c = t_a + T / 4.0
-        reversible = _broken_symmetry(traj, t_a, c, lambda t: 2.0 * c - t) is None
-    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, T, samples, reversible)
+    Y, sampled = propagate(exponent, t_a, t_b, Y0, rtol, omega_max, traj.period, samples)
     return to_amps(float(t_b), Y), [to_amps(t, y) for t, y in zip(samples.tolist(), sampled)]
-
-
-def _broken_symmetry(traj, a, b, image, samples=16):
-    """The first of the position, velocity and acceleration that the map t ->
-    image(t) does not keep at the cell midpoints t of [a, b], with its largest
-    gap |f(image(t)) - f(t)|, or None when all three agree to 1e-8 of their
-    largest magnitude. Where image reverses time the velocity must flip sign."""
-    t = a + (b - a) * (np.arange(samples) + 0.5) / samples
-    there = image(t)
-    sign = np.sign(there[-1] - there[0])  # -1 where image reverses time
-    for name, parity in (("position", 1.0), ("velocity", sign), ("acceleration", 1.0)):
-        f = getattr(traj, name)
-        here, mapped = np.asarray(f(t), dtype=float), parity * np.asarray(f(there), dtype=float)
-        gap = np.abs(mapped - here).max()
-        if gap > 1e-8 * max(np.abs(here).max(), np.abs(mapped).max()):
-            return name, gap
-    return None
 
 
 def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:

@@ -398,14 +398,9 @@ def simulated_average_fidelity(alpha, beta, params: GateParams):
 def _joint_hamiltonian(params, theta):
     """Rotating-frame generator whose exponential is U(r, theta, phi)."""
     n = params.n_max + 1
-    a = lowering_operator(params.n_max)
-    a2 = a @ a
-    h1 = 0.5j * params.drive_rate * (np.exp(-1j * theta) * a2
-                                     - np.exp(1j * theta) * a2.conj().T)
-    h0 = params.delta_tilde * np.diag(np.arange(n, dtype=float))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, :n] = h0
-    H[n:, n:] = h1
+    H[:n, :n] = params.delta_tilde * np.diag(np.arange(n, dtype=float))
+    H[n:, n:] = 1j * _squeeze_generator(params.drive_rate, theta, params.n_max)
     return H
 
 
@@ -602,9 +597,11 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     one mode, lam = 0 and Mhat = 0. S is the monodromy matrix M over one
     drive period, wb T in s (magnus.propagate), to the power k, the number of
     whole periods in wb t_gate, times the remainder. M^k carries up to k
-    times the error of M, so each period is resolved to rtol / max(1, k). In
-    the rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 - 1| > rtol
-    raises RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s +
+    times the error of M, so each period is resolved to rtol / max(1, k).
+    magnus.propagate builds M from two quarter periods when w is even about
+    wb T / 4, i.e. for theta a multiple of pi, and else from the whole
+    period. In the rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 -
+    1| > rtol raises RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s +
     phi)} sinh r and phi = -arg u (principal branch), the state is e^{-i
     phi/2} S(r, theta_s) R(phi) psi0, the phase being the zero-point part of
     the rotation; S(r, theta_s) is applied by a truncated-Taylor action on

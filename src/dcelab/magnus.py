@@ -13,12 +13,14 @@ the exact flow keeps (unit determinant, symplectic form) up to rounding.
 expm_taylor, the package's one dense exponential, takes real or complex
 stacks with batched products only. propagate, the one driver, is a
 step-doubling product of such steps with whole periods taken as powers of
-one monodromy matrix. For a canonical field reversible about t_a + T/4 and
-t_a + 3T/4 (lam odd and W even about both, as for a harmonic wall), the
-monodromy matrix and every state within the period are assembled from two
-quarter-period products by reflection (Hairer, Lubich & Wanner, Geometric
-Numerical Integration, ch. V; Magnus & Winkler, Hill's Equation), which
-halves the steps per period.
+one monodromy matrix. propagate tests the period on the coefficients lam
+and w the field is built from, and when lam is odd and w even about t_a +
+T/4 (then also about t_a + 3T/4), as for a harmonic wall started at its
+crest or a lab-frame branch driven at a phase theta that is a multiple of
+pi, the field is reversible there: the monodromy matrix and every state
+within the period are assembled from two quarter-period products by
+reflection (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch.
+V; Magnus & Winkler, Hill's Equation), which halves the steps per period.
 """
 
 import math
@@ -44,13 +46,15 @@ def field_exponent(coefficients, Mhat, omega0):
     dY/dt = A(t) Y, A = [[lam Mhat, I], [-W, lam Mhat]] with W = diag(w),
     formed from its N x N blocks.
 
-    coefficients maps times t of shape (b, 3), the Gauss nodes t0 + h *
-    GAUSS_NODES of b steps, to lam of shape (b, 3) and w of shape (b, 3, N);
-    Mhat is the constant antisymmetric (N, N) coupling. omega0, of shape
-    (N,), sets exponent.balance = (omega0^1/2, omega0^-1/2): the similarity
-    D = diag(balance) is symplectic and turns the off-diagonal blocks I and
-    -W into omega-sized ones, so with omega0 near sqrt(w) the balanced
-    exponent has a 1-norm of order omega h instead of omega^2 h.
+    coefficients maps an array of times t, such as the Gauss nodes t0 + h *
+    GAUSS_NODES of b steps of shape (b, 3), to lam of t's shape and w of
+    that shape plus (N,); it is kept as exponent.coefficients, where
+    propagate tests its symmetries. Mhat is the constant antisymmetric (N, N)
+    coupling. omega0, of shape (N,), sets exponent.balance = (omega0^1/2,
+    omega0^-1/2): the similarity D = diag(balance) is symplectic and turns
+    the off-diagonal blocks I and -W into omega-sized ones, so with omega0
+    near sqrt(w) the balanced exponent has a 1-norm of order omega h instead
+    of omega^2 h.
 
     The sixth-order Magnus exponent of a step combines b1 = h A_2, b2 = s
     (A_3 - A_1) and b3 = r (A_3 - 2 A_2 + A_1), A_j = A(t_j), s = sqrt(15) h
@@ -154,6 +158,7 @@ def field_exponent(coefficients, Mhat, omega0):
         np.negative(swap(o11), out=o22)
         return out
     exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
+    exponent.coefficients = coefficients
     return exponent
 
 
@@ -206,23 +211,24 @@ def expm_taylor(X):
     return E
 
 
-def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
-              reversible=False):
+def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     """Y(t_b) and the list of Y at each sample of dY/dt = A(t) Y, Y(t_a) = Y0.
 
     exponent maps arrays t0, h of step starts and lengths to the real
     (len(h), n, n) sixth-order Magnus exponents of the steps [t0_j, t0_j +
-    h_j] (field_exponent forms them); exponent.balance is the diagonal similarity
-    applied to each of them (_exponentials). omega_max, the fastest rotation
-    of the flow, sets the base step grid and rtol the step-doubling tolerance
-    (_propagate); samples are sorted, distinct times in (t_a, t_b). With a
-    period shorter than the span, the fundamental matrix M over one period is
-    checked symplectic to 1e3 * rtol and whole periods are its powers, so the
-    cost does not grow with the span; a sample is the one-period product at
-    its offset times M^j Y0. The one-period products come from two quarter
-    periods (_quarters) when reversible, i.e. Y = (Q, P) is a canonical field
-    whose generator is reversible about t_a + period / 4 (K A(t) K = -A(2 t_r -
-    t), see _quarters), else from one product over the period (_period).
+    h_j]; field_exponent forms them, with exponent.balance, the diagonal
+    similarity applied to each of them (_exponentials), and
+    exponent.coefficients. omega_max, the fastest rotation of the flow, sets
+    the base step grid and rtol the step-doubling tolerance (_propagate);
+    samples are sorted, distinct times in (t_a, t_b). With a period shorter
+    than the span, the fundamental matrix M over one period is checked
+    symplectic to 1e3 * rtol and whole periods are its powers, so the cost
+    does not grow with the span; a sample is the one-period product at its
+    offset times M^j Y0. The coefficients must have the period (else
+    ValueError), and the one-period products come from two quarter periods
+    (_quarters) when lam is odd and w even about t_a + period / 4, so that
+    K A(t) K = -A(2 t_r - t) there, else from one product over the period
+    (_period); both are tested by _broken_symmetry.
     """
     samples = np.asarray(samples, dtype=float)
     if period is None or t_b - t_a <= period:
@@ -230,6 +236,18 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
                                             omega_max, [samples])
         return at_edges[-1], sampled
 
+    coefficients = exponent.coefficients
+    # cell midpoints of [t_a, t_b - period]: t + period never rounds past t_b
+    broken = _broken_symmetry(coefficients, t_a, t_b - period, lambda t: t + period)
+    if broken is not None:
+        name, gap = broken
+        raise ValueError(
+            f"period {period:g} is not a period of the field's coefficient {name}: "
+            f"|f(t + period) - f(t)| reaches {gap:.2e} on [{t_a:g}, {t_b:g}]; "
+            "fix or drop the declared period")
+    # reversible about t_a + T/4, and with the period then also about t_a + 3T/4
+    c = t_a + period / 4.0
+    reversible = _broken_symmetry(coefficients, t_a, c, lambda t: 2.0 * c - t) is None
     # periodic generator: propagator over k periods + s is Phi(t_a + s) M^k
     k = int((t_b - t_a) // period)
     s = (t_b - t_a) - k * period
@@ -249,6 +267,23 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=(),
     return Y, sampled
 
 
+def _broken_symmetry(coefficients, a, b, image, samples=16):
+    """The first of the coefficients lam and w of a canonical field that the
+    map t -> image(t) does not keep at the cell midpoints t of [a, b], with
+    its largest gap |f(image(t)) - f(t)|, or None when both agree to 1e-8 of
+    their largest magnitude. Where image reverses time lam must flip sign."""
+    t = a + (b - a) * (np.arange(samples) + 0.5) / samples
+    there = image(t)
+    sign = np.sign(there[-1] - there[0])  # -1 where image reverses time
+    for name, parity, here, mapped in zip(("lam", "w"), (sign, 1.0), coefficients(t),
+                                          coefficients(there)):
+        mapped = parity * mapped
+        gap = np.abs(mapped - here).max()
+        if gap > 1e-8 * max(np.abs(here).max(), np.abs(mapped).max()):
+            return name, gap
+    return None
+
+
 def _period(exponent, t_a, period, edge, times, n, rtol, omega_max):
     """(M, Phi(edge), [Phi(t) for t in times]) of the fundamental matrix Phi(t) =
     Phi(t, t_a), M = Phi(t_a + period), from one Magnus product over the
@@ -264,9 +299,9 @@ def _quarters(exponent, t_a, period, edge, times, n, rtol, omega_max):
     products, for a canonical field (Q, P) reversible about t_a + T/4 and
     t_a + 3T/4; Phi(edge) is again read only for edge > t_a.
 
-    The generator A = [[lam Mhat, I], [-W, lam Mhat]] of a wall even about a
-    reversal point t_r has lam = Rdot / R odd and W even about it, so with K =
-    diag(I, -I) (P -> -P) K A(t) K = -A(2 t_r - t) and Phi(t_r + tau, t_r) = K
+    When lam is odd and W even about a reversal point t_r (a wall even about
+    it), the generator A = [[lam Mhat, I], [-W, lam Mhat]] obeys, with K =
+    diag(I, -I) (P -> -P), K A(t) K = -A(2 t_r - t), so Phi(t_r + tau, t_r) = K
     Phi(t_r - tau, t_r) K. Over a half period [c, c + T/2] with t_r = c + T/4
     and the quarter product V = Phi(t_r, c), that gives Phi(t, c) = K Phi(2 t_r
     - t, c) K H for t >= t_r, H = K V^-1 K V = Phi(c + T/2, c) (_reflect). The

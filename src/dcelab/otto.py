@@ -91,11 +91,12 @@ class CycleSpec:
 
     beta_A (cold) thermalizes at length L0, beta_C (hot) at L1 = L0(1-eps).
     delta and delta_dot, callables of (t, tau), are given together; both
-    default to the quintic ramp. A PolynomialRamp method given as delta_dot
-    must be delta's rate: it is checked against a central difference of
-    delta at three interior points. Any other delta_dot must integrate to
-    delta(tau) - delta(0) = 1: friction_energy and nonadiabatic_cycle raise
-    ValueError when its transform C(0) is off by more than 1e-6.
+    default to the quintic ramp. delta_dot must be delta's rate: it is
+    checked against a central difference of delta at three interior points.
+    It must also integrate to delta(tau) - delta(0) = 1, which catches a
+    rate that is wrong only between those points: friction_energy and
+    nonadiabatic_cycle raise ValueError when its transform C(0) is off by
+    more than 1e-6.
     """
 
     L0: float
@@ -127,9 +128,9 @@ class CycleSpec:
         if (self.delta is None) != (self.delta_dot is None):
             raise ValueError("give delta and delta_dot together, or neither "
                              "for the quintic ramp")
-        if _ramp_of(self.delta_dot) is not None:
-            # the closed form reads only the ramp's coefficients, never the
-            # values of the method given, so check that it is delta's rate
+        if self.delta_dot is not None:
+            # the closed form of a PolynomialRamp method reads only the ramp's
+            # coefficients, and the quadrature integrates whatever rate it is given
             t, h = self.tau * np.array([0.25, 0.5, 0.75]), 1e-6 * self.tau
             rate = (np.asarray(self.delta(t + h, self.tau), dtype=float)
                     - np.asarray(self.delta(t - h, self.tau), dtype=float)) / (2.0 * h)

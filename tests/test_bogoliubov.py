@@ -25,7 +25,6 @@ import dcelab.gate as gate
 import dcelab.magnus as magnus
 from dcelab.bogoliubov import (
     ModeAmplitudes,
-    _broken_symmetry,
     extract_bogoliubov,
     initial_amplitudes,
     integrate_modes,
@@ -428,10 +427,51 @@ class TestMonodromy:
     def test_evenness_is_tested_about_the_first_quarter(self):
         traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=20.0, t_start=0.4)
         T = traj.period
-        for shift, broken in ((0.0, None), (T / 2.0, None), (T / 16.0, "position")):
+
+        def coefficients(t):  # lam = Rdot / R and w = (khat / R)^2 of two modes
+            R = traj.position(t)
+            return traj.velocity(t) / R, (np.pi * np.arange(1, 3) / R[..., None]) ** 2
+        for shift, broken in ((0.0, None), (T / 2.0, None), (T / 16.0, "lam")):
             c = traj.t_start + T / 4.0 + shift  # the crest, the trough, neither
-            found = _broken_symmetry(traj, c - T / 4.0, c, lambda t: 2.0 * c - t)
+            found = magnus._broken_symmetry(coefficients, c - T / 4.0, c,
+                                            lambda t: 2.0 * c - t)
             assert (None if found is None else found[0]) == broken
+
+    def test_wrong_period_rejected_for_any_field(self):
+        # one mode with lam = 0 and w = 1 + cos(t) / 10: period 2 pi, and no wall built it
+        exponent = magnus.field_exponent(
+            lambda t: (np.zeros_like(t), (1.0 + 0.1 * np.cos(t))[..., None]),
+            np.zeros((1, 1)), np.ones(1))
+        args = (exponent, 0.0, 20.0, np.eye(2), 1e-9, 1.1)
+        Y, _ = magnus.propagate(*args, 2.0 * np.pi)
+        assert np.isfinite(Y).all()
+        with pytest.raises(ValueError, match=r"period 5\.65487 is not a period of the "
+                                             r"field's coefficient w: \|f\(t \+ period\) - "
+                                             r"f\(t\)\| reaches \S+ on \[0, 20\]"):
+            magnus.propagate(*args, 0.9 * 2.0 * np.pi)
+
+    @pytest.mark.parametrize("theta, folds", [(0.0, True), (np.pi, True), (0.7, False)])
+    def test_lab_frame_branch_folds_at_a_crest(self, monkeypatch, step_spans, theta, folds):
+        # w = 1 + 4 f / wb with f ~ sin(omega_d t - theta) is even about a quarter
+        # period past t = 0 exactly when theta is a multiple of pi
+        p = gate.default_cqed_params(theta=theta, n_max=40)
+        vac = np.eye(41)[0]
+        maps = []  # S, the real map of the branch's quadratures
+
+        def spy(*args):
+            maps.append(magnus.propagate(*args))
+            return maps[-1]
+        monkeypatch.setattr(gate, "propagate", spy)
+        gate.lab_frame_branch(p, 1, vac)
+        spans = np.array(sorted(step_spans)) / (p.omega_1 * 2.0 * np.pi / p.omega_d)
+        if not folds:
+            self.over_one_period(spans)
+            return
+        self.in_direct_quarters(spans)
+        monkeypatch.setattr(magnus, "_quarters", magnus._period)
+        gate.lab_frame_branch(p, 1, vac)
+        (quarters, _), (whole, _) = maps
+        assert np.abs(quarters - whole).max() <= 1e-10 * np.abs(whole).max()
 
     def test_periodic_wall_that_is_not_even_takes_the_whole_period(self, monodromy_solves,
                                                                    step_spans):

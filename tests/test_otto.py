@@ -181,6 +181,7 @@ class TestClosedFormTransform:
         spec = base_spec(
             tau=2.0, delta=lambda t, tau: 0.5 - 0.5 * np.cos(np.pi * np.asarray(t) / tau),
             delta_dot=sine_dot)
+        calls.clear()  # the construction's rate check reads delta_dot once
         a = np.array([0.0, 3.0, 50.0])
         C = velocity_transform(spec, a)
         assert len(calls) == a.size
@@ -268,19 +269,23 @@ class TestAdiabaticCycle:
         r = PolynomialRamp([20.0, -10.0])
         with pytest.raises(ValueError, match="delta_dot is not the rate of delta"):
             base_spec(tau=2.0, delta=r.delta, delta_dot=r.delta)
+        with pytest.raises(ValueError, match="delta_dot is not the rate of delta"):
+            # a plain callable, which the quadrature would integrate
+            base_spec(tau=2.0, delta=r.delta, delta_dot=lambda t, tau: r.delta(t, tau))
         with pytest.raises(ValueError, match="delta_dot"):
             base_spec(tau=2.0, delta=r.delta, delta_dot=PolynomialRamp().delta_dot)
         base_spec(tau=2.0, delta=r.delta, delta_dot=r.delta_dot)
 
     def test_plain_pair_must_integrate_to_the_ramp(self):
-        # the quintic itself as its own rate integrates to tau / 2, so
-        # C(0) = 0.5 at tau = 1 where delta(tau) - delta(0) = 1
-        def quintic(t, tau):
-            return quintic_trajectory(t, tau)
-        spec = base_spec(tau=1.0, delta=quintic, delta_dot=quintic)
-        with pytest.raises(ValueError, match=r"C\(0\) = 0\.5 is not 1"):
+        # sin^2(4 pi t / tau) vanishes at the three points of the rate check,
+        # so this pair passes it, but the rate integrates to 1.5, not 1
+        def wrong_rate(t, tau):
+            t = np.asarray(t)
+            return quintic_trajectory_dot(t, tau) + np.sin(4.0 * np.pi * t / tau) ** 2 / tau
+        spec = base_spec(tau=1.0, delta=quintic_trajectory, delta_dot=wrong_rate)
+        with pytest.raises(ValueError, match=r"C\(0\) = 1\.5 is not 1"):
             friction_energy(spec, 2.0)
-        with pytest.raises(ValueError, match=r"C\(0\) = 0\.5 is not 1"):
+        with pytest.raises(ValueError, match=r"C\(0\) = 1\.5 is not 1"):
             nonadiabatic_cycle(spec)
 
 
