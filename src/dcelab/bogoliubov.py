@@ -79,6 +79,9 @@ __all__ = [
     "photon_time_series",
 ]
 
+DEFAULT_RTOL = 1e-9
+
+
 @dataclass
 class ModeAmplitudes:
     """State of the coupled-mode system at time t.
@@ -149,7 +152,7 @@ def _rotated(amps, t):
     return _at_rest(amps.spec, amps.R, t, bog.alpha, bog.beta)
 
 
-def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=1e-9,
+def integrate_modes(spec: CavitySpec, traj: WallTrajectory, rtol=DEFAULT_RTOL,
                     amps0: ModeAmplitudes | None = None, t_final=None, times=None):
     """Evolve the mode amplitudes from amps0.t to t_final.
 
@@ -273,7 +276,7 @@ def photon_spectrum(bog: BogoliubovMatrices, n_in=None):
     return (a2 + b2).T @ n_in + b2.sum(axis=0)
 
 
-def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9):
+def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAULT_RTOL):
     """ModeAmplitudes at each of the sorted times from one propagation.
 
     The field starts in the vacuum at the earlier of times[0] and
@@ -291,7 +294,7 @@ def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9):
                            t_final=float(times[-1]), times=times)[1]
 
 
-def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=1e-9,
+def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAULT_RTOL,
                        beta_temp=None):
     """Sample N_k(t) over `times` (instantaneous-basis occupations).
 

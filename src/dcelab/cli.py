@@ -84,7 +84,8 @@ def _run_bogoliubov(cfg, args):
     tblock = require_block(cfg, "trajectory", "bogoliubov")
     traj = build_trajectory(tblock, cav.length)
     opts = cfg.get("bogoliubov", {})
-    rtol = float(opts.get("rtol", 1e-9))
+    from .bogoliubov import DEFAULT_RTOL
+    rtol = float(opts.get("rtol", DEFAULT_RTOL))
     n_times = int(opts.get("n_times", 81))
     horizon = float(tblock.get("t_end", traj.t_end))
     if horizon <= 0.0:
@@ -136,7 +137,8 @@ def _run_moore(cfg, args):
     traj = build_trajectory(tblock, cav.length)
     block = require_block(cfg, "moore", "moore")
     t_max = float(block["t_max"])
-    ppl = int(block.get("points_per_length", 512))
+    from .moore import DEFAULT_POINTS_PER_LENGTH
+    ppl = int(block.get("points_per_length", DEFAULT_POINTS_PER_LENGTH))
     temperature = float(block.get("temperature", 0.0))
     F = _cli.solve_moore(traj, t_max, points_per_length=ppl)
     z = np.linspace(F.z_min, F.z_max, int(block.get("n_z", 201)))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .bogoliubov import BogoliubovMatrices
 from .cavity import ModeBasis, thermal_image_sum
+from .squid import bisect
 from .trajectories import WallTrajectory
 
 __all__ = [
@@ -42,11 +43,15 @@ __all__ = [
     "bogoliubov_from_moore",
 ]
 
+DEFAULT_POINTS_PER_LENGTH = 512
+
 
 def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
     """Solve t + R(t) = z for each z (vectorized Newton, bisection fallback).
 
-    t + R(t) is strictly increasing for |Rdot| < 1, so the root is unique.
+    t + R(t) is strictly increasing for |Rdot| < 1, so the root is unique,
+    and every z that Newton leaves unconverged goes to one bisection over
+    its bracket [t_lo, z].
     """
     z = np.asarray(z, dtype=float)
     R0 = float(traj.position(t_lo))
@@ -58,12 +63,8 @@ def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
             break
         t = np.maximum(t - f / (1.0 + np.asarray(traj.velocity(t))), t_lo)
     else:
-        from scipy.optimize import brentq
         bad = np.abs(t + np.asarray(traj.position(t)) - z) > tol * scale
-        for i in np.nonzero(np.atleast_1d(bad))[0]:
-            zi = float(z.flat[i])
-            t.flat[i] = brentq(lambda u: u + float(traj.position(u)) - zi,
-                               t_lo, zi, xtol=1e-14)
+        t[bad] = bisect(lambda u: u + np.asarray(traj.position(u)) - z[bad], t_lo, z[bad])
     return t
 
 
@@ -147,7 +148,7 @@ class MooreFunction:
         return plus[0] - minus[0] - 2.0
 
 
-def solve_moore(traj: WallTrajectory, t_max, points_per_length=512):
+def solve_moore(traj: WallTrajectory, t_max, points_per_length=DEFAULT_POINTS_PER_LENGTH):
     """Solve F over [t_start - R0, t_max + max R], tabulated at spacing R0 / points_per_length.
 
     Raises if the trajectory is superluminal (the bounce map would fold) or

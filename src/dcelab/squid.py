@@ -14,7 +14,8 @@ the first into a pure phase condition
                 - arctan((b0R - chi0 kd^2)/kd)  =  m pi,  integer m,
 
 so the spectrum is the set of level crossings of g. Root finding scans
-sin(g), which is bounded and avoids the tangent poles entirely; near the
+sin(g), which is bounded and avoids the tangent poles entirely, and bisects
+every sign change of the scan at once down to adjacent floats; near the
 Dirichlet limit (large b0) the raw tangent form has slopes ~ b0^2 that
 amplify one ulp of kd into large residuals, while g keeps slope O(1).
 
@@ -98,14 +99,12 @@ def _phase(params: SquidCavityParams, kd):
 def solve_spectrum(params: SquidCavityParams, n_max):
     """The n_max lowest positive roots of the boundary pair, increasing.
 
-    Scans sin(g) on a dense kd grid and polishes each sign change with
-    brentq. g - kd is bounded by pi, so (n_max + 2) pi always covers the
+    Scans sin(g) on a dense kd grid and bisects all its sign changes at
+    once. g - kd is bounded by pi, so (n_max + 2) pi always covers the
     requested count; a double root hiding between grid points (tangent
     branch contact) triggers one 4x refinement and then a diagnostic
     RuntimeError rather than silently renumbering the spectrum.
     """
-    from scipy.optimize import brentq
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     kd_lo, kd_hi = 1e-9, (n_max + 2) * np.pi
@@ -115,27 +114,22 @@ def solve_spectrum(params: SquidCavityParams, n_max):
         grid = np.linspace(kd_lo, kd_hi, int(points_per_pi * kd_hi / np.pi) + 1)
         G = np.sin(_phase(params, grid))
         idx = np.nonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)[0]
-        roots = []
-        for i in idx:
-            kd = brentq(lambda u: np.sin(_phase(params, u)), grid[i], grid[i + 1],
-                        xtol=1e-15, rtol=8.9e-16)
-            if kd > 1e-7:  # kd = 0 solves the pair trivially; not a mode
-                roots.append(kd)
-        if len(roots) >= n_max:
+        roots = bisect(lambda u: np.sin(_phase(params, u)), grid[idx], grid[idx + 1])
+        roots = roots[roots > 1e-7]  # kd = 0 solves the pair trivially; not a mode
+        if roots.size >= n_max:
             break
         points_per_pi *= 4
     else:
         raise RuntimeError(
-            f"branch tracking lost roots: found {len(roots)} of {n_max} below "
+            f"branch tracking lost roots: found {roots.size} of {n_max} below "
             f"kd = {kd_hi:.4g} (chi0={params.chi0:.4g}, b0L={params.b0L:.4g}, "
             f"b0R={params.b0R:.4g}); a tangent-branch contact (double root) "
             "is likely at these parameters")
 
-    roots = sorted(roots)[:n_max]
     out = []
-    for kd in roots:
+    for kd in roots[:n_max].tolist():
         phi = float(np.arctan((params.chi0 * kd**2 - params.b0L) / kd))
-        root = SpectrumRoot(kd=float(kd), phi=phi)
+        root = SpectrumRoot(kd=kd, phi=phi)
         r1, r2 = root.residuals(params)
         if max(r1, r2) > 1e-10:
             raise RuntimeError(
@@ -143,6 +137,30 @@ def solve_spectrum(params: SquidCavityParams, n_max):
                 f"(residuals {r1:.2e}, {r2:.2e})")
         out.append(root)
     return out
+
+
+def bisect(f, lo, hi):
+    """One root of the vectorized f in each bracket [lo, hi] of a sign change.
+
+    Halves every bracket at once until its midpoint rounds to an endpoint,
+    then returns whichever of the two adjacent floats has the smaller |f|.
+    Each step keeps the half whose ends differ in sign, so f keeps its sign
+    at every lo and only that sign is carried (a zero of f at lo counts as
+    the sign opposite to f at hi). A zero at a midpoint closes the bracket
+    there, and a NaN there counts as the sign of f at hi, so no value can
+    make the loop spin. f is called on arrays of the brackets' shape.
+    Raises ValueError for a bracket without a sign change (zeros at both
+    ends included) or with a non-finite end or value of f at an end.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    f_lo, f_hi = f(lo), f(hi)
+    if not np.all(np.isfinite([lo, hi, f_lo, f_hi])) or np.any(np.sign(f_lo) == np.sign(f_hi)):
+        raise ValueError("f must change sign in every bracket, with finite ends and values")
+    sign_lo = np.sign(f_lo - f_hi)
+    while np.any(((mid := 0.5 * (lo + hi)) != lo) & (mid != hi)):
+        side = np.sign(f(mid)) * sign_lo  # +1: a root above mid, -1: below, 0: at mid
+        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side > 0.0, hi, mid)
+    return np.where(np.abs(f(hi)) < np.abs(f(lo)), hi, lo)
 
 
 def effective_length(L0, E_lcav, E_J, f, cos_threshold=1e-3):

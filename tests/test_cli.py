@@ -618,7 +618,7 @@ print(json.dumps(after))"""))
         assert self.loaded("dcelab.cli", "scipy.integrate") == "[]"
 
     def test_cli_import_leaves_out_scipy_linalg_optimize_and_special(self):
-        # the one dense exponential is magnus.expm_taylor; brentq is imported where it runs
+        # the one dense exponential is magnus.expm_taylor; the one root finder is squid.bisect
         assert self.loaded("dcelab.cli", "scipy.linalg", "scipy.optimize",
                            "scipy.special") == "[]"
 
@@ -640,9 +640,9 @@ print(json.dumps(after))"""))
         assert self.loaded_after(tmp_path, [("gate", self.OPEN_GATE_DOC)]) == \
             [["scipy.sparse"]]
 
-    def test_spectrum_run_loads_scipy_optimize(self, tmp_path):
-        [after] = self.loaded_after(tmp_path, [("spectrum", SPECTRUM_DOC)])
-        assert "scipy.optimize" in after
+    def test_spectrum_run_loads_no_heavy_scipy(self, tmp_path):
+        # the notch root is found by squid.bisect, not scipy.optimize.brentq
+        assert self.loaded_after(tmp_path, [("spectrum", SPECTRUM_DOC)]) == [[]]
 
     def test_cli_import_loads_no_schema_library(self):
         # scenario files are checked by config's own walker over SCHEMA

@@ -335,18 +335,17 @@ class TestGridEvaluation:
         assert rho == pytest.approx(
             float(energy_density(self.F, 0.3, np.array([1.1]), 7.5)[0]), rel=1e-12)
 
-    def test_brentq_fallback_matches_newton(self, monkeypatch):
-        # one Newton step converges no root, so each one goes to the brentq fallback
-        import scipy.optimize
-
+    def test_bisection_fallback_matches_newton(self, monkeypatch):
+        # one Newton step converges no root, so all of them go to one bisection
         calls = []
-        monkeypatch.setattr(scipy.optimize, "brentq",
-                            lambda *a, **k: calls.append(1) or brentq(*a, **k))
+        real = moore.bisect
+        monkeypatch.setattr(moore, "bisect",
+                            lambda f, lo, hi: calls.append(np.size(hi)) or real(f, lo, hi))
         z = np.linspace(4.0, 14.0, 21)  # bounces while the wall moves (t < 12)
         newton = moore._bounce_times(self.traj, z, self.traj.t_start)
         assert not calls
         fallback = moore._bounce_times(self.traj, z, self.traj.t_start, max_iter=1)
-        assert len(calls) == z.size
+        assert calls == [z.size]
         npt.assert_allclose(fallback, newton, rtol=0.0, atol=1e-13)
 
     def test_grid_descends_once_per_hop_level(self, monkeypatch):

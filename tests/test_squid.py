@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dcelab.squid import (
     SquidCavityParams,
     SpectrumRoot,
+    _phase,
+    bisect,
     solve_spectrum,
     effective_length,
     resonance_frequencies,
@@ -11,8 +14,8 @@ from dcelab.squid import (
 )
 
 # Frozen from an independent per-branch residual scan (pole-free form of the
-# first boundary equation, dense sign scan + brentq); the two methods agree
-# to 2e-15.
+# first boundary equation, dense sign scan + brentq); that scan and
+# solve_spectrum agree to 2e-15.
 GENERIC = SquidCavityParams(chi0=0.3, b0L=2.0, b0R=5.0)
 GENERIC_KD = [
     1.73449399318473,
@@ -107,6 +110,81 @@ class TestSpectrum:
     def test_nmax_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             solve_spectrum(GENERIC, 0)
+
+
+def brentq_spectrum(params, n_max):
+    """The n_max lowest roots from solve_spectrum's scan, each polished by brentq."""
+    g = lambda u: np.sin(_phase(params, u))  # noqa: E731
+    kd_hi = (n_max + 2) * np.pi
+    for points_per_pi in (96, 384):
+        grid = np.linspace(1e-9, kd_hi, int(points_per_pi * kd_hi / np.pi) + 1)
+        G = g(grid)
+        idx = np.nonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)[0]
+        kd = [brentq(g, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16) for i in idx]
+        kd = [k for k in kd if k > 1e-7]
+        if len(kd) >= n_max:
+            return np.array(kd[:n_max])
+    raise RuntimeError("the reference scan lost roots")
+
+
+def _strata(rng):
+    """(params, n_max): perfbench's ramp spectrum strata and a generic one."""
+    log = lambda lo, hi: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))  # noqa: E731
+    u = rng.uniform
+    return {
+        "mirror": (SquidCavityParams(0.0, log(1e5, 1e6), log(1e5, 1e6)), 30),
+        "soft": (SquidCavityParams(u(0.02, 0.05), u(5.0, 20.0), u(5.0, 20.0)), 30),
+        "asym": (SquidCavityParams(u(0.005, 0.015), u(1.0, 3.0), u(50.0, 100.0)), 30),
+        "generic": (SquidCavityParams(u(0.0, 1.0), u(-3.0, 30.0), u(-3.0, 30.0)), 12),
+    }
+
+
+class TestAgainstBrentq:
+    @pytest.mark.parametrize("stratum", ["mirror", "soft", "asym", "generic"])
+    def test_roots_and_residuals_match_brentq(self, stratum):
+        rng = np.random.default_rng(20240)
+        for _ in range(25):
+            params, n_max = _strata(rng)[stratum]
+            roots = solve_spectrum(params, n_max)
+            kd = np.array([r.kd for r in roots])
+            np.testing.assert_allclose(kd, brentq_spectrum(params, n_max),
+                                       rtol=4e-15, atol=0.0)
+            assert max(max(r.residuals(params)) for r in roots) <= 1e-13
+
+
+class TestBisect:
+    def test_empty_brackets_give_an_empty_array(self):
+        out = bisect(lambda u: u - 1.0, np.empty(0), np.empty(0))
+        assert out.shape == (0,)
+
+    def test_zero_at_a_midpoint_is_returned(self):
+        assert bisect(lambda u: u - 0.5, 0.0, 1.0) == 0.5
+        assert bisect(lambda u: -u, -1.0, 1.0) == 0.0
+
+    def test_zero_at_an_end_is_returned(self):
+        np.testing.assert_array_equal(bisect(lambda u: u - 1.0, [1.0, 0.0], [3.0, 1.0]),
+                                      [1.0, 1.0])
+
+    def test_root_to_the_nearest_float(self):
+        root = bisect(lambda u: u * u - 2.0, [1.0], [2.0])
+        assert abs(root[0] - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(ValueError, match="change sign"):
+            bisect(lambda u: u, [1.0, -1.0], [2.0, 1.0])
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.inf)])
+    def test_non_finite_end_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            bisect(lambda u: u - 0.5, lo, hi)
+
+    def test_non_finite_value_at_an_end_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            bisect(lambda u: np.where(u == 1.0, np.nan, u - 0.3), 0.0, 1.0)
+
+    def test_nan_at_a_midpoint_ends_the_search_on_that_side(self):
+        # the NaN at 0.5 counts as the sign of f at hi, so the loop moves on
+        assert bisect(lambda u: np.where(u == 0.5, np.nan, u - 0.3), 0.0, 1.0) == 0.3
 
 
 class TestEffectiveLength:
