@@ -22,11 +22,21 @@ sits at that same angle. (A drive of phase theta_d produces the gate angle
 theta_d + pi in this squeeze convention; all encoding figures of merit are
 independent of the angle.)
 
+The open gate (open_evolve) propagates the Lindblad master equation of
+each gate segment exactly: the generator is constant over the segment, each
+photon-parity sector of rho is advanced in real Hermitian coordinates under
+a sparse real generator built for that sector's rows alone, and the action
+of its exponential is one Chebyshev series with Bessel coefficients, which
+needs about as many sparse products as the generator's 1-norm times the
+segment length, since the coherent drive keeps its spectrum near the
+imaginary axis.
+
 Pure joint states are arrays of shape (2, n_max+1), qubit index first;
 density matrices are square over the flattened index. hbar = 1, time in ns,
 angular frequencies in rad/ns, temperatures in mK.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +77,6 @@ __all__ = [
 ]
 
 _HBAR_OVER_KB = 7.638232  # mK ns (so x = _HBAR_OVER_KB * omega / T)
-_THETA_55 = 9.9  # largest |t A|_1 per step for a degree-55 Taylor step at 2^-53
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -423,22 +432,6 @@ def _collapse_operators(params, rates: OpenRates):
     return ops
 
 
-def _liouvillian(H, ls):
-    """Sparse Lindblad generator acting on the row-major vec(rho).
-
-    With vec(A rho B) = (A (x) B^T) vec(rho) and the effective generator
-    K = -iH - (1/2) sum_k L_k^dag L_k, the master equation reads
-    d vec(rho)/dt = [K (x) I + I (x) K^* + sum_k L_k (x) L_k^*] vec(rho).
-    """
-    from scipy import sparse
-    K = sparse.csr_array(-1j * H - 0.5 * sum(l.conj().T @ l for l in ls))
-    eye = sparse.eye_array(H.shape[0])
-    L = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
-    for l in ls:
-        L = L + sparse.kron(l, l.conj())
-    return L.tocsr()
-
-
 def _hermitian_coordinates(sector):
     """Real coordinates of a Hermitian rho on a symmetric (dim, dim) mask.
 
@@ -466,38 +459,157 @@ def _hermitian_coordinates(sector):
     return T, R
 
 
-def _expm_action(A, b, t):
-    """exp(t A) b for a sparse square A by truncated Taylor steps.
+def _row_nonzeros(op):
+    """The nonzeros of a dense op by row: a function of an array of rows that
+    returns (i, col, value) arrays, the value at op[rows[i], col], row by row."""
+    r, c = np.nonzero(op)
+    indptr, values = np.searchsorted(r, np.arange(len(op) + 1)), op[r, c]
 
-    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Algorithm 3.2:
-    A is shifted by mu = tr(A)/n, and s = ceil(t ||A - mu I||_1 / theta_55)
-    steps of degree at most 55 each stop once two successive terms fall
-    below 2^-53 of the partial sum in the inf-norm. The 1-norm is exact, so
-    no random numbers are drawn. A real A and b give a real result.
+    def take(rows):
+        first, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+        i = np.repeat(np.arange(len(rows)), count)
+        pos = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(i))
+        return i, c[pos], values[pos]
+    return take
+
+
+def _lindblad_terms(H, ls, j, k):
+    """The terms of the rows (j[i], k[i]) of the Lindblad generator on the
+    row-major vec(rho), as arrays (i, m dim + p, value), the value
+    multiplying rho_mp. With K = -iH - (1/2) sum_l L_l^dag L_l,
+
+        (L rho)_jk = sum_m K_jm rho_mk + sum_p conj(K_kp) rho_jp
+                     + sum_l sum_mp (L_l)_jm rho_mp conj((L_l)_kp),
+
+    yielded in that order, jump by jump, as in the sum of Kronecker products
+    K (x) I + I (x) K^* + sum_l L_l (x) L_l^*.
+    """
+    dim = len(H)
+    K = _row_nonzeros(-1j * H - 0.5 * sum(l.conj().T @ l for l in ls))
+    i, m, v = K(j)
+    yield i, m * dim + k[i], v
+    i, p, v = K(k)
+    yield i, j[i] * dim + p, v.conj()
+    if ls:  # the jumps stacked, jump l on rows l dim + j
+        jumps, shift = _row_nonzeros(np.concatenate(ls)), dim * np.arange(len(ls))[:, None]
+        i1, m, v1 = jumps((shift + j).ravel())
+        i2, p, v2 = jumps((shift + k).ravel()[i1])
+        yield i1[i2] % len(j), m[i2] * dim + p, v1[i2] * v2.conj()
+
+
+def _lindblad_rows(H, ls, j, k):
+    """The rows (j[i], k[i]) of the Lindblad generator on the row-major
+    vec(rho): arrays (i, m, p, re, im) of their entries, re + i im at rho_mp
+    in row i, the terms of one entry added in the order of _lindblad_terms."""
+    dim = len(H)
+    i, col, v = (np.concatenate(x) for x in zip(*_lindblad_terms(H, ls, j, k)))
+    keys, entry = np.unique(i * dim * dim + col, return_inverse=True)
+    i, col = np.divmod(keys, dim * dim)
+    # bincount adds the terms of one entry in their order
+    return i, *np.divmod(col, dim), np.bincount(entry, v.real), np.bincount(entry, v.imag)
+
+
+def _sector_generator(H, ls, sector):
+    """Re(R L T) for one parity sector, with L the Lindblad generator on the
+    row-major vec(rho) and T, R the maps of _hermitian_coordinates(sector).
+
+    R reads only the rows (j, k), j <= k, of the sector, so only those rows
+    of L are formed (_lindblad_rows): no Kronecker product, and nothing over
+    all dim^2 rows. The entries at rho_mp and rho_pm of one real coordinate
+    are then added, as the product (R L) T does, so the result equals
+    (R L T).real entry for entry (its explicit zeros left out).
+    """
+    from scipy import sparse
+    j, k = np.nonzero(np.triu(sector))  # x_re of (j, k) for j <= k, x_im for j < k
+    n_re, off = len(j), j < k
+    n = n_re + np.count_nonzero(off)
+    im = np.full(n_re, -1, dtype=np.int32)  # the x_im coordinate of each (j, k), if any
+    im[off] = np.arange(n_re, n)
+    pair = np.full(sector.shape, -1, dtype=np.int32)  # the x_re coordinate of each rho_mp
+    pair[j, k] = pair[k, j] = np.arange(n_re)
+    row, m, p, a, b = _lindblad_rows(H, ls, j, k)
+    q = pair[m, p]
+    keep = q >= 0  # T has no column outside the sector
+    # group the entries of one real coordinate, rho_mp = x_re + i x_im and rho_pm = x_re - i x_im
+    coords, entry = np.unique((row * n_re + q)[keep], return_inverse=True)
+    sign, a, b = np.where(m > p, -1.0, 1.0)[keep], a[keep], b[keep]
+    del m, p, keep  # row and q are rebound to the coordinates next
+    row, q = (x.astype(np.int32) for x in np.divmod(coords, n_re))
+    rows = np.concatenate([row, row, im[row], im[row]])  # x_re rows, then x_im rows
+    cols = np.concatenate([q, im[q], q, im[q]])
+    vals = np.concatenate([np.bincount(entry, w) for w in (a, -sign * b, b, sign * a)])
+    ok = (rows >= 0) & (cols >= 0) & (vals != 0.0)
+    return sparse.csr_array((vals[ok], (rows[ok], cols[ok])), shape=(n, n))
+
+
+def _bessel_j(x, n):
+    """J_0(x), ..., J_n(x) for x > 0 by Miller's backward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} is run down from order n + 20 with J = 1
+    there and 0 above. J is the recurrence's minimal solution, so the error of
+    those start values dies out on the way down; the values are rescaled
+    before they can overflow and normalised by J_0 + 2 sum_k J_2k = 1.
+    """
+    top, x = n + 20, float(x)
+    j = np.zeros(top + 1)
+    a, b = 1.0, 0.0  # J_k and J_{k+1} as k runs down from top
+    j[top] = a
+    for k in range(top, 0, -1):
+        a, b = 2.0 * k / x * a - b, a
+        if abs(a) > 1e150:
+            a, b = a * 1e-150, b * 1e-150
+            j[k:] *= 1e-150
+        j[k - 1] = a
+    j = j[:n + 1]
+    return j / (j[0] + 2.0 * math.fsum(j[2::2]))
+
+
+def _expm_action(A, b, t):
+    """exp(t A) b for a sparse square A by one Chebyshev series.
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with mu = tr(A)/n,
+    rho = t ||A - mu I||_1 and Y = (t / rho)(A - mu I), whose spectrum lies
+    in the unit disc,
+
+        exp(t A) b = e^{t mu} [J_0(rho) u_0 + 2 sum_k J_k(rho) u_k],
+
+    u_0 = b, u_1 = Y b and u_{k+1} = 2 Y u_k + u_{k-1}: the Chebyshev series
+    of e^{rho z} on the segment [-i, i]. When the spectrum of A - mu I lies
+    near the imaginary axis, as for a Lindblad generator dominated by its
+    Hamiltonian part, it takes about rho + O(rho^(1/3)) products. Past
+    k = rho the series stops once two successive terms fall below 2^-53 of
+    the partial sum in the inf-norm; a series still running at 3 rho + 100
+    terms raises RuntimeError. The 1-norm is exact, so no random numbers are
+    drawn, and the recurrence is real, so a real A and b give a real result.
     """
     from scipy import sparse
     n = A.shape[0]
     mu = A.trace() / n
     A = A - mu * sparse.eye_array(n, format="csr")
-    norm = t * abs(A).sum(axis=0).max()
-    if norm == 0.0:  # t = 0 or A a multiple of I
+    rho = t * abs(A).sum(axis=0).max()
+    if rho == 0.0:  # t = 0 or A a multiple of I
         return np.exp(t * mu) * b
-    s = int(np.ceil(norm / _THETA_55))
-    eta = np.exp(t * mu / s)
-    f = np.array(b, dtype=np.result_type(A.dtype, b.dtype))
-    for _ in range(s):
-        c1 = np.abs(b).max()
-        for j in range(55):
-            b = A @ b  # a new array, so b never aliases f below
-            b *= t / (s * (j + 1))
-            c2 = np.abs(b).max()
-            f += b
+    if not np.isfinite(rho):
+        raise ValueError("_expm_action: the generator has a non-finite entry")
+    cap = int(3.0 * rho) + 100
+    J = _bessel_j(rho, cap)
+    Y2 = A * (2.0 * t / rho)  # 2 Y
+    u_prev = np.array(b, dtype=np.result_type(A.dtype, b.dtype))
+    u = 0.5 * (Y2 @ u_prev)
+    f = J[0] * u_prev + 2.0 * J[1] * u
+    c2, term = np.inf, np.empty_like(f)
+    for k in range(2, cap + 1):
+        u_next = Y2 @ u
+        u_next += u_prev
+        u_prev, u = u, u_next
+        f += np.multiply(u, 2.0 * J[k], out=term)
+        if k > rho:
+            c1, c2 = c2, 2.0 * abs(J[k]) * np.abs(u).max()
             if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
-                break
-            c1 = c2
-        f *= eta
-        b = f
-    return f
+                return np.exp(t * mu) * f
+    raise RuntimeError(f"Chebyshev series of exp(t A) b not converged at rho = {rho:.4g}: "
+                       f"its last two terms are {c1:.2e} and {c2:.2e} after {cap} terms, "
+                       f"against a partial sum of {np.abs(f).max():.2e}")
 
 
 def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None):
@@ -514,10 +626,11 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     maps Hermitian matrices to Hermitian matrices, so each sector holding a
     non-zero entry is propagated in the real coordinates x = (Re rho_jk,
     j <= k; Im rho_jk, j < k) of its Hermitian part: with vec(rho) = T x and
-    x = Re(R vec(rho)), the real generator is Re(R L T), and one
-    truncated-Taylor action (Al-Mohy & Higham 2011) with the step count from
-    the exact 1-norm and no random draws advances x. The input is
-    Hermitised first, and the output T x is Hermitian by construction.
+    x = Re(R vec(rho)), the real generator is Re(R L T), assembled for the
+    sector's rows alone (_sector_generator), and one Chebyshev series with
+    Bessel coefficients (_expm_action), whose length follows from the exact
+    1-norm with no random draws, advances x. The input is Hermitised first,
+    and the output T x is Hermitian by construction.
     Trace is monitored to 1e-8 and an eigenvalue below -1e-10 raises, so
     truncation artifacts surface instead of leaking into fidelities.
     """
@@ -529,14 +642,14 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
         raise ValueError("input density matrix must have unit trace")
     vec = (0.5 * (rho + rho.conj().T)).ravel()
     H = _joint_hamiltonian(params, params.theta if theta is None else theta)
-    L = _liouvillian(H, _collapse_operators(params, rates))
+    ls = _collapse_operators(params, rates)
     j = np.arange(dim) % (params.n_max + 1)  # photon number of each row of rho
     odd = (j[:, None] + j[None, :]) % 2 == 1
     out = np.zeros(dim * dim, dtype=complex)
     for sector in (~odd, odd):
         if np.any(vec[sector.ravel()]):
             T, R = _hermitian_coordinates(sector)
-            x = _expm_action((R @ L @ T).real, (R @ vec).real, duration)
+            x = _expm_action(_sector_generator(H, ls, sector), (R @ vec).real, duration)
             out += T @ x
     out = out.reshape(dim, dim)
     tr = np.trace(out).real
@@ -604,8 +717,11 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     1| > rtol raises RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s +
     phi)} sinh r and phi = -arg u (principal branch), the state is e^{-i
     phi/2} S(r, theta_s) R(phi) psi0, the phase being the zero-point part of
-    the rotation; S(r, theta_s) is applied by a truncated-Taylor action on
-    its banded sparse generator, not built as a dense exponential.
+    the rotation; S(r, theta_s) is applied by a Chebyshev series
+    (_expm_action) on its banded sparse generator, not built as a dense
+    exponential. A tolerance that the one-period product cannot meet, rtol
+    / k below its rounding floor, raises RuntimeError naming rtol, k and
+    rtol / k.
     """
     from scipy import sparse
     if qubit_level not in (0, 1):
@@ -617,8 +733,15 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     def coefficients(s):  # lam = 0 and w = 1 + 4 f / wb at the phases s
         w = 1.0 + g * np.sin(params.omega_d * (s / wb) - params.theta)
         return np.zeros_like(s), w[..., None]
-    S = propagate(field_exponent(coefficients, np.zeros((1, 1)), np.ones(1)), 0.0, span,
-                  np.eye(2), rtol / max(1, int(span // period)), 1.0 + g, period)[0]
+    k = int(span // period)
+    try:
+        S = propagate(field_exponent(coefficients, np.zeros((1, 1)), np.ones(1)), 0.0, span,
+                      np.eye(2), rtol / max(1, k), 1.0 + g, period)[0]
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"lab-frame branch cannot reach rtol {rtol:.1e}: it takes its k = {k} whole drive "
+            f"periods as powers of one monodromy matrix, which must then meet rtol / max(1, k)"
+            f" = {rtol / max(1, k):.1e}; loosen rtol. {exc}") from exc
     rot = 0.5 * np.exp(1j * wb * params.t_gate)  # rotating-frame a = e^{i wb t} (x + i p) / sqrt 2
     u = rot * ((S[0, 0] + S[1, 1]) + 1j * (S[1, 0] - S[0, 1]))
     v = rot * ((S[0, 0] - S[1, 1]) + 1j * (S[1, 0] + S[0, 1]))

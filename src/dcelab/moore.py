@@ -51,9 +51,10 @@ def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
 
     t + R(t) is strictly increasing for |Rdot| < 1, so the root is unique,
     and every z that Newton leaves unconverged goes to one bisection over
-    its bracket [t_lo, z].
+    its bracket [t_lo, z]. The result has the shape of z, a 0-d z included.
     """
-    z = np.asarray(z, dtype=float)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=float).ravel()
     R0 = float(traj.position(t_lo))
     t = np.maximum(z - R0, t_lo)
     scale = np.maximum(1.0, np.abs(z))
@@ -65,7 +66,7 @@ def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
     else:
         bad = np.abs(t + np.asarray(traj.position(t)) - z) > tol * scale
         t[bad] = bisect(lambda u: u + np.asarray(traj.position(u)) - z[bad], t_lo, z[bad])
-    return t
+    return t.reshape(shape)
 
 
 @dataclass(frozen=True)

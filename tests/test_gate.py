@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 import dcelab.gate as gate
 import dcelab.magnus as magnus
@@ -42,11 +43,13 @@ from dcelab.gate import (
     thermal_nbar,
 )
 from dcelab.gate import (
+    _bessel_j,
     _collapse_operators,
     _expm_action,
     _hermitian_coordinates,
     _joint_hamiltonian,
-    _liouvillian,
+    _sector_generator,
+    _squeeze_generator,
 )
 
 # Frozen closed-form constants, from independent arithmetic on
@@ -140,6 +143,74 @@ def rotating_frame_product(p, wb, n_steps):
             e = np.concatenate([e[1::2] @ e[:-1:2], e[2 * (len(e) // 2):]])
         prod = e[0] @ prod
     return prod
+
+
+def _liouvillian(H, ls):
+    """Reference for gate._sector_generator: the sparse Lindblad generator
+    acting on the row-major vec(rho), built from Kronecker products.
+
+    With vec(A rho B) = (A (x) B^T) vec(rho) and the effective generator
+    K = -iH - (1/2) sum_k L_k^dag L_k, the master equation reads
+    d vec(rho)/dt = [K (x) I + I (x) K^* + sum_k L_k (x) L_k^*] vec(rho).
+    """
+    K = sparse.csr_array(-1j * H - 0.5 * sum(l.conj().T @ l for l in ls))
+    eye = sparse.eye_array(H.shape[0])
+    L = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
+    for l in ls:
+        L = L + sparse.kron(l, l.conj())
+    return L.tocsr()
+
+
+def _taylor_action(A, b, t):
+    """Reference for gate._expm_action: exp(t A) b by truncated Taylor steps.
+
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Algorithm 3.2:
+    A is shifted by mu = tr(A)/n, and s = ceil(t ||A - mu I||_1 / 9.9) steps
+    of degree at most 55 each stop once two successive terms fall below
+    2^-53 of the partial sum in the inf-norm (9.9 is the largest step norm
+    a degree-55 step resolves to 2^-53).
+    """
+    n = A.shape[0]
+    mu = A.trace() / n
+    A = A - mu * sparse.eye_array(n, format="csr")
+    norm = t * abs(A).sum(axis=0).max()
+    if norm == 0.0:
+        return np.exp(t * mu) * b
+    s = int(np.ceil(norm / 9.9))
+    eta = np.exp(t * mu / s)
+    f = np.array(b, dtype=np.result_type(A.dtype, b.dtype))
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(55):
+            b = A @ b
+            b *= t / (s * (j + 1))
+            c2 = np.abs(b).max()
+            f += b
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+        b = f
+    return f
+
+
+def series_norm(A, t):
+    """rho = t ||A - mu I||_1, mu = tr(A)/n: the argument of the Bessel
+    coefficients of gate._expm_action."""
+    n = A.shape[0]
+    return t * abs(A - A.trace() / n * sparse.eye_array(n)).sum(axis=0).max()
+
+
+class CountingArray(sparse.csr_array):
+    """A CSR matrix that counts its products with vectors; the matrices
+    derived from it (A - mu I, its multiples) count into the same total."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            CountingArray.products += 1
+        return super().__matmul__(other)
 
 
 def branch_state(p, U, psi0):
@@ -655,6 +726,34 @@ class TestHermitianCoordinates:
             assert np.abs(G @ (R @ vec).real - expected).max() < 1e-14 * np.abs(expected).max()
 
 
+class TestSectorGenerator:
+    def test_equals_the_kronecker_liouvillian_entry_for_entry(self):
+        # all five channels at 60 mK, and the gate_open design point at both
+        # gate angles; explicit zeros of the reference are left out
+        p7 = default_cqed_params(n_max=7)
+        p40, _ = design_point_state()
+        cases = [(p7, 0.3), (p40, p40.theta), (p40, p40.theta_tilde)]
+        for p, theta in cases:
+            H = _joint_hamiltonian(p, theta)
+            ls = _collapse_operators(p, OpenRates.typical())
+            L = _liouvillian(H, ls)
+            for sector in parity_sectors(p.n_max):
+                T, R = _hermitian_coordinates(sector)
+                G = _sector_generator(H, ls, sector)
+                expected = (R @ L @ T).real
+                assert G.shape == expected.shape
+                assert (G != expected).nnz == 0
+                assert G.nnz == np.count_nonzero(expected.data)
+
+    def test_open_evolve_forms_no_kronecker_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("open_evolve called scipy.sparse.kron")
+        monkeypatch.setattr(sparse, "kron", refuse)
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        assert abs(np.trace(open_evolve(rho, p, OpenRates.typical(), p.t_gate)) - 1.0) < 1e-8
+
+
 class TestExpmAction:
     def test_real_generator_gives_a_real_result(self):
         p, psi = design_point_state()
@@ -692,6 +791,122 @@ class TestExpmAction:
         b = np.outer(psi.ravel(), psi.ravel().conj()).ravel()
         expected = expm_multiply(p.t_gate * L, b)
         assert np.max(np.abs(_expm_action(L, b, p.t_gate) - expected)) < 1e-13
+
+    def test_matches_dense_expm_with_every_channel_on(self):
+        # thermal relaxation and excitation of both the qubit and the
+        # resonator, and dephasing; both sectors at both gate angles, from
+        # random vectors (the Taylor reference reaches about 5e-13 here)
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=12)
+        ls = _collapse_operators(p, OpenRates.typical())
+        assert len(ls) == 5
+        rng = np.random.default_rng(21)
+        for theta in (p.theta, p.theta_tilde):
+            H = _joint_hamiltonian(p, theta)
+            for sector in parity_sectors(p.n_max):
+                G = _sector_generator(H, ls, sector)
+                b = rng.standard_normal(G.shape[0])
+                expected = expm(p.t_gate * G.toarray()) @ b
+                out = _expm_action(G, b, p.t_gate)
+                assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_agrees_with_the_taylor_action(self):
+        # the gate_open design point in both sectors, and the complex
+        # squeeze generator of the lab-frame branch
+        p, psi = design_point_state()
+        ls = _collapse_operators(p, OpenRates.typical())
+        vec = np.outer(psi.ravel(), psi.ravel().conj()).ravel()
+        for theta in (p.theta, p.theta_tilde):
+            for sector in parity_sectors(p.n_max):
+                G = _sector_generator(_joint_hamiltonian(p, theta), ls, sector)
+                _, R = _hermitian_coordinates(sector)
+                x = (R @ vec).real
+                expected = _taylor_action(G, x, p.t_gate)
+                assert np.abs(_expm_action(G, x, p.t_gate) - expected).max() \
+                    <= 1e-13 * np.abs(expected).max()
+        S = sparse.csr_array(_squeeze_generator(0.5, 0.7, 40))
+        psi0 = psi[1] / np.linalg.norm(psi[1])
+        expected = _taylor_action(S, psi0, 1.0)
+        assert np.abs(_expm_action(S, psi0, 1.0) - expected).max() <= 1e-13
+
+    def test_dissipation_dominated_generator(self):
+        # 1 ns relaxation times over a 67 ns gate: the real parts of the
+        # spectrum reach -600 against an imaginary extent of 54, far from
+        # the axis the series is built on
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=8)
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 8))
+        psi[:, 1] = 0.5 * psi[:, 0]
+        vec = np.outer(psi.ravel(), psi.ravel().conj()).ravel() / np.vdot(psi, psi).real
+        ls = _collapse_operators(p, OpenRates(tau_q=1.0, tau_r=1.0))
+        for sector in parity_sectors(p.n_max):
+            G = _sector_generator(_joint_hamiltonian(p, p.theta), ls, sector)
+            assert series_norm(G, p.t_gate) > 800.0
+            _, R = _hermitian_coordinates(sector)
+            x = (R @ vec).real
+            expected = expm(p.t_gate * G.toarray()) @ x
+            out = _expm_action(G, x, p.t_gate)
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_real_decay_rates(self):
+        # a spectrum on the real axis, 300 e-folds wide: rho = 150
+        rates = np.linspace(0.0, 1.0, 200)
+        A = sparse.csr_array(np.diag(-rates))
+        b = np.random.default_rng(22).standard_normal(200)
+        assert series_norm(A, 300.0) == pytest.approx(150.0)
+        expected = np.exp(-300.0 * rates) * b
+        out = _expm_action(A, b, 300.0)
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_tiny_duration(self):
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=12)
+        G = _sector_generator(_joint_hamiltonian(p, p.theta),
+                              _collapse_operators(p, OpenRates.typical()), parity_sectors(12)[0])
+        b = np.random.default_rng(23).standard_normal(G.shape[0])
+        assert series_norm(G, 1e-6) < 1e-5
+        expected = expm(1e-6 * G.toarray()) @ b
+        assert np.abs(_expm_action(G, b, 1e-6) - expected).max() <= 1e-15 * np.abs(b).max()
+
+    def test_products_per_segment_at_the_gate_open_point(self, monkeypatch):
+        # the series takes about rho + O(rho^(1/3)) products when the
+        # spectrum hugs the imaginary axis (the Taylor steps took 491-1200
+        # for rho = 287-295)
+        segments = []
+        action = gate._expm_action
+
+        def counted(A, b, t):
+            CountingArray.products = 0
+            out = action(CountingArray(A), b, t)
+            segments.append((series_norm(A, t), CountingArray.products))
+            return out
+        monkeypatch.setattr(gate, "_expm_action", counted)
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        for theta in (p.theta, p.theta_tilde):
+            open_evolve(rho, p, OpenRates.typical(), p.t_gate, theta=theta)
+        assert len(segments) == 4  # both sectors at both angles
+        for norm, products in segments:
+            assert 250.0 < norm < 300.0
+            assert products <= 1.3 * norm + 40.0
+
+    def test_unconverged_series_raises(self):
+        A = sparse.csr_array(np.diag([-1.0, 0.0, 1.0]))
+        with pytest.raises(RuntimeError, match=r"rho = 20: .* after 160 terms"):
+            _expm_action(A, np.array([1.0, np.nan, 0.0]), 20.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm_action(sparse.csr_array(np.diag([np.inf, 0.0])), np.ones(2), 1.0)
+
+
+class TestBessel:
+    def test_matches_scipy_below_the_asymptotic_range(self):
+        for x in (1e-6, 0.5, 7.3, 37.0):
+            n = int(3.0 * x) + 100
+            assert np.abs(_bessel_j(x, n) - jv(np.arange(n + 1), x)).max() < 2e-15
+
+    def test_sum_of_squares_at_the_segment_arguments(self):
+        # J_0^2 + 2 sum_k J_k^2 = 1, independent of the normalisation by
+        # J_0 + 2 sum_k J_2k = 1
+        for x in (150.0, 290.7, 901.9):
+            j = _bessel_j(x, int(3.0 * x) + 100)
+            assert abs(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) - 1.0) < 1e-14
 
 
 class TestOpenProtocol:
@@ -808,6 +1023,18 @@ class TestLabFrameValidation:
                 with pytest.raises(RuntimeError, match=rf"step-doubling estimate \S+ > rtol "
                                                        rf"{rtol} \* max\|Y\| at {16 * n0} steps"):
                     lab_frame_branch(p, level, vac, rtol=1e-18)
+
+    def test_small_rtol_error_names_the_callers_tolerance(self):
+        # the 200 ns gate spans k = 2396 drive periods, so rtol 1e-13 asks
+        # 4.2e-17 of the one-period product, below its rounding floor
+        p = default_cqed_params(theta=0.7, n_max=40)
+        k = int(p.t_gate * p.omega_d / (2.0 * np.pi))
+        vac = np.eye(41)[0].astype(complex)
+        message = (rf"cannot reach rtol 1\.0e-13: it takes its k = {k} whole drive periods .*"
+                   rf"rtol / max\(1, k\) = {re.escape(f'{1e-13 / k:.1e}')}; loosen rtol\. "
+                   rf"Magnus product not converged")
+        with pytest.raises(RuntimeError, match=message):
+            lab_frame_branch(p, 1, vac, rtol=1e-13)
 
     def test_magnus_steps_are_sixth_order(self, monkeypatch):
         # a drive comparable with the branch frequency makes A(t) at

@@ -348,6 +348,16 @@ class TestGridEvaluation:
         assert calls == [z.size]
         npt.assert_allclose(fallback, newton, rtol=0.0, atol=1e-13)
 
+    def test_scalar_bounce_time_through_the_bisection(self):
+        # max_iter=0 sends every z to the bisection; a 0-d z keeps its shape
+        z = np.linspace(4.0, 14.0, 5)
+        newton = moore._bounce_times(self.traj, z, self.traj.t_start)
+        for zi, expected in zip(z, newton):
+            for arg in (zi, np.float64(zi), np.array(zi)):
+                t = moore._bounce_times(self.traj, arg, self.traj.t_start, max_iter=0)
+                assert np.shape(t) == ()
+                assert abs(t - expected) <= 1e-13
+
     def test_grid_descends_once_per_hop_level(self, monkeypatch):
         calls = []
         real = moore._bounce_times
