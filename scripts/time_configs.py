@@ -71,9 +71,14 @@ def summary(times):
 
 
 def _commit(tree):
-    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+    """HEAD of tree's git checkout, or None unless tree is that checkout's top
+    directory: an export inside another checkout would report that one's HEAD."""
+    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    top, commit = proc.stdout.splitlines()
+    return commit if Path(top).resolve() == Path(tree).resolve() else None
 
 
 def main(argv=None):

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavitySpec, ModeBasis, thermal_occupation
+from .cavity import CavitySpec, ModeBasis, dirichlet_spectrum, thermal_occupation
 from .magnus import field_exponent, propagate
 from .trajectories import WallTrajectory
 
@@ -128,6 +128,12 @@ def initial_amplitudes(spec: CavitySpec, R0=None, t0=0.0):
     return _at_rest(spec, spec.length if R0 is None else R0, t0, np.eye(N), np.zeros((N, N)))
 
 
+def _omega_at(spec, R):
+    """ModeBasis.omega_at(R) by the same arithmetic, without building the
+    coupling matrix."""
+    return dirichlet_spectrum(spec.n_modes, spec.length) * (spec.length / R)
+
+
 def _at_rest(spec, R, t, alpha, beta):
     """Mode amplitudes at t of the field with Bogoliubov matrices (alpha, beta)
     while the wall rests at R: each mode rotates freely at omega_k(R).
@@ -135,7 +141,7 @@ def _at_rest(spec, R, t, alpha, beta):
     This is the exact solution of the coupled-mode system for a static wall
     and the inverse of extract_bogoliubov; the vacuum is alpha = 1, beta = 0.
     """
-    omega = ModeBasis.build(spec).omega_at(R)[:, None]
+    omega = _omega_at(spec, R)[:, None]
     ph = np.exp(-1j * omega * t)
     pos = alpha.T * ph
     neg = beta.T * np.conj(ph)
@@ -250,7 +256,7 @@ def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:
     which pins the normalization convention.
     """
     spec = amps.spec
-    omega = ModeBasis.build(spec).omega_at(amps.R)
+    omega = _omega_at(spec, amps.R)
     phase = np.exp(1j * omega * amps.t)
     w = np.sqrt(omega / 2.0)
     # Q, Qdot are [k, n]; alpha, beta are [n, k]
@@ -304,7 +310,7 @@ def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAU
     """
     n_in = None
     if beta_temp is not None:
-        n_in = thermal_occupation(beta_temp, ModeBasis.build(spec).omega)
+        n_in = thermal_occupation(beta_temp, dirichlet_spectrum(spec.n_modes, spec.length))
     snaps = mode_snapshots(spec, traj, times, rtol=rtol)
     out = np.empty((len(snaps), spec.n_modes))
     for i, snap in enumerate(snaps):

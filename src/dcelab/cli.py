@@ -26,7 +26,6 @@ import importlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ _SOLVERS = {
     "gate": ("average_fidelity", "open_average_fidelity", "simulated_average_fidelity"),
     "moore": ("bogoliubov_from_moore", "energy_density", "solve_moore"),
     "msa": ("evolve_slow",),
-    "otto": ("nonadiabatic_cycle",),
+    "otto": ("nonadiabatic_cycles",),
     "squid": ("solve_spectrum",),
 }
 _HOME = {name: module for module, names in _SOLVERS.items() for name in names}
@@ -158,10 +157,8 @@ def _run_moore(cfg, args):
 def _run_otto(cfg, args):
     spec, tau = build_otto(require_block(cfg, "otto", "otto"))
     tau = np.sort(np.asarray(tau, dtype=float))
-    results = _map_ordered(lambda t: _cli.nonadiabatic_cycle(replace(spec, tau=float(t))),
-                           tau, args.threads)
-    w1 = np.pi / spec.L0
-    rows = [[float(t * w1), r.eta, r.W, r.Q, r.P] for t, r in zip(tau, results)]
+    res = _cli.nonadiabatic_cycles(spec, tau)
+    rows = np.column_stack([tau * (np.pi / spec.L0), res.eta, res.W, res.Q, res.P]).tolist()
     header = ["tau_omega1", "eta", "W", "Q", "P"]
     return [("otto_cycle", header, rows)], {"n_modes": spec.n_modes}, [], True
 
@@ -271,7 +268,7 @@ def build_parser():
         sp.add_argument("--format", choices=["csv", "json"], default=None,
                         help="table format (default: output.format or csv)")
         sp.add_argument("--threads", type=_threads_type, default=1,
-                        help="worker threads for sweeps (default 1)")
+                        help="worker threads for the gate's p_z sweep (default 1)")
         sp.add_argument("--seed", type=_seed_type, default=0,
                         help="seed recorded in the manifest (default 0)")
     return parser

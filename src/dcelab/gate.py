@@ -158,9 +158,28 @@ class GateParams:
     @cached_property
     def _squeezes(self):
         """S(r_gate, theta) and S(r_gate, theta_tilde): the two dense squeezes of
-        the closed protocol, built once per parameter set."""
-        return tuple(squeeze_operator(self.r_gate, theta, self.n_max)
-                     for theta in (self.theta, self.theta_tilde))
+        the closed protocol, built once per parameter set.
+
+        S(r, theta) = D S(r, 0) D^dag with D = diag(e^{i theta n / 2}) holds
+        exactly in the truncated basis, and S(r, 0) is real and keeps photon
+        parity, so one real exponential of its even and odd blocks (the odd
+        one padded with a zero row and column) serves both angles. Entry
+        (j, k) of S(r, 0) is nonzero only for even j - k = 2m, where D puts
+        the phase e^{i theta m}, taken as a power of e^{i theta} so that a
+        large angle loses no digits to the rounding of theta m.
+        """
+        n, odd = self.n_max + 1, (self.n_max + 1) // 2  # levels, odd levels
+        a2 = np.linalg.matrix_power(lowering_operator(self.n_max), 2)
+        g = 0.5 * self.r_gate * (a2 - a2.T)
+        blocks = np.zeros((2, n - odd, n - odd))
+        blocks[0] = g[0::2, 0::2]
+        blocks[1, :odd, :odd] = g[1::2, 1::2]
+        E = expm_taylor(blocks)
+        S0 = np.zeros((n, n))
+        S0[0::2, 0::2] = E[0]
+        S0[1::2, 1::2] = E[1, :odd, :odd]
+        m = np.subtract.outer(np.arange(n), np.arange(n)) // 2
+        return tuple(np.exp(1j * theta) ** m * S0 for theta in (self.theta, self.theta_tilde))
 
 
 def default_cqed_params(**overrides):
@@ -549,7 +568,12 @@ def _bessel_j(x, n):
     there and 0 above. J is the recurrence's minimal solution, so the error of
     those start values dies out on the way down; the values are rescaled
     before they can overflow and normalised by J_0 + 2 sum_k J_2k = 1.
+    Below x = 1e-8, where a step of 2k/x could overflow on its own, they are
+    the leading term (x/2)^k / k! of the power series, whose next term is
+    (x/2)^2 / (k + 1) < 3e-17 of it.
     """
+    if x < 1e-8:
+        return np.cumprod(np.concatenate([[1.0], 0.5 * x / np.arange(1, n + 1)]))
     top, x = n + 20, float(x)
     j = np.zeros(top + 1)
     a, b = 1.0, 0.0  # J_k and J_{k+1} as k runs down from top

@@ -17,8 +17,15 @@ transform C(a) = int ddelta/dt e^{i a t} dt as a sum of |C|^2 weights.
 friction_energy uses that factorization; friction_kernel exposes the raw
 integrand for cross-checks. The stroke shapes are the delta/delta_dot
 pairs of trajectories.PolynomialRamp, whose wall() the field solvers
-integrate. Their transform has a closed form, taken once per cycle for both
-strokes; any other shape callable goes through Gauss-Legendre quadrature.
+integrate. Their transform has a closed form in x = a tau alone; any other
+shape callable goes through Gauss-Legendre quadrature at each tau.
+
+Sweeps over the stroke duration are one array computation
+(nonadiabatic_cycles): the corner energies, the mode data and both baths'
+weights are built once, a ramp's transform is taken once for every
+(tau, frequency) and serves both strokes, and E_F at every tau is one sum
+of |C|^2 against weights folded by frequency. nonadiabatic_cycle,
+friction_energy and power_curve are such sweeps.
 
 Range of validity: the kernel's phases run at w_k(L0) while the true
 frequencies drift by eps w_k during a stroke. This secular phase error
@@ -32,7 +39,7 @@ beta_C / beta_A < 1 - eps, and the work vanishes exactly where the Otto
 efficiency meets Carnot.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -59,6 +66,7 @@ __all__ = [
     "velocity_transform",
     "adiabatic_cycle",
     "nonadiabatic_cycle",
+    "nonadiabatic_cycles",
     "power_curve",
 ]
 
@@ -161,6 +169,7 @@ class CycleResult:
     them. eta is the exact ratio W/Q (NaN when the cycle degenerates,
     Q = 0); eta_linear is the first-order expansion eps - (E_F^A + E_F^C) /
     Q_Otto. engine is True when the cycle delivers work from absorbed heat.
+    nonadiabatic_cycles returns one whose fields are arrays over its taus.
     """
 
     E_A: float
@@ -180,7 +189,8 @@ _S32, _W32 = 0.5 * (leggauss(32)[0] + 1.0), 0.5 * leggauss(32)[1]  # on [0, 1]
 
 
 def velocity_transform(spec: CycleSpec, a_values):
-    """C(a) = int_0^tau ddelta/dt e^{i a t} dt for each requested frequency.
+    """C(a) = int_0^tau ddelta/dt e^{i a t} dt for each requested frequency,
+    in the shape of a_values.
 
     For a PolynomialRamp's delta_dot, C(a) = int_0^1 g(s) e^{ixs} ds with
     x = a tau and g = p' is exact: integration by parts ends after deg g + 1
@@ -206,14 +216,17 @@ def velocity_transform(spec: CycleSpec, a_values):
         falling = np.cumprod(np.vstack([np.ones(g.size), j - j[:-1, None]]), axis=0)
         x = a_values * tau
         small = np.abs(x) < 8.0
-        out[small] = np.exp(1j * np.outer(x[small], _S32)) @ (_W32 * P.polyval(_S32, g))
+        # summed row by row, not by a BLAS product, so no value depends on
+        # which other frequencies share the call
+        rule = np.exp(1j * np.multiply.outer(x[small], _S32)) * (_W32 * P.polyval(_S32, g))
+        out[small] = rule.sum(axis=-1)
         x = x[~small]
         z = 1j / x
         # g^(k)(0) = k! g_k and g^(k)(1) = sum_j g_j j! / (j - k)!
         G0, G1 = P.polyval(z, np.diag(falling) * g), P.polyval(z, falling @ g)
         out[~small] = z * (G0 - np.exp(1j * x) * G1)
         return out
-    for i, a in enumerate(a_values):
+    for i, a in np.ndenumerate(a_values):
         n_panels = max(4, int(np.ceil(abs(a) * tau / 3.0)))
         edges = np.linspace(0.0, tau, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
@@ -282,49 +295,73 @@ def friction_energy(spec: CycleSpec, beta, check_convergence=False):
     (reporting both partial sums); the thermal factors decay exponentially
     but fast strokes populate modes up to ~1/(w_1 tau).
     """
-    return _friction_energies(spec, [beta], check_convergence)[0]
+    return _friction_energies(spec, np.array([spec.tau]), [beta], check_convergence)[0, 0]
 
 
-def _friction_energies(spec: CycleSpec, betas, check_convergence):
+def _transforms(spec: CycleSpec, taus, a):
+    """velocity_transform at every (tau, a) of a sweep, shape (len(taus), len(a)).
+
+    A PolynomialRamp's C depends on tau only through x = a tau, so one
+    evaluation at tau = 1 for every x serves the whole sweep; any other shape
+    callable takes its quadrature at each tau.
+    """
+    if _ramp_of(spec.shape()[1]) is not None:
+        return velocity_transform(replace(spec, tau=1.0), np.multiply.outer(taus, a))
+    C = [velocity_transform(replace(spec, tau=float(t)), a) for t in taus]
+    return np.reshape(C, (taus.size, a.size))
+
+
+def _friction_energies(spec: CycleSpec, taus, betas, check_convergence):
+    """E_F at each bath in betas and each stroke duration in taus, shape
+    (len(betas), len(taus))."""
     # every frequency of an n-mode sum is m pi / L0 with m = 2k, j + k or
     # |j - k| <= 2n; |C|^2 does not depend on the bath, so all baths share
     # one transform, taken up to m = 4n when the sum is repeated at 2n modes
     n = spec.n_modes
     m = np.arange(2 * (2 * n if check_convergence else n) + 1)
-    C = velocity_transform(spec, m * np.pi / spec.L0)
+    C = _transforms(spec, taus, m * np.pi / spec.L0)
     # C(0) = delta(tau) - delta(0) = 1 for any shape whose delta_dot is delta's rate
-    if abs(C[0] - 1.0) > 1e-6:
-        raise ValueError(f"velocity transform C(0) = {C[0].real:.6g} is not 1: delta_dot "
-                         "does not integrate to delta(tau) - delta(0), so it is not delta's rate")
+    bad = np.abs(C[:, 0] - 1.0) > 1e-6
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"velocity transform C(0) = {C[i, 0].real:.6g} is not 1 at tau = "
+                         f"{taus[i]:.6g}: delta_dot does not integrate to delta(tau) - "
+                         "delta(0), so it is not delta's rate")
     C2 = np.abs(C) ** 2
     modes = _mode_data(spec)
     wide_modes = _mode_data(replace(spec, n_modes=2 * n)) if check_convergence else None
-    out = []
-    for beta in betas:
-        val = _friction_energy(modes, spec.eps, beta, C2)
+    out = np.empty((len(betas), taus.size))
+    for b, beta in enumerate(betas):
+        # summed row by row, so each tau's value is that of a one-tau sweep
+        val = np.sum(C2 * _folded_weights(modes, spec.eps, beta, m.size), axis=1)
         if check_convergence:
-            wide = _friction_energy(wide_modes, spec.eps, beta, C2)
-            if abs(wide - val) > 1e-3 * max(abs(wide), 1e-300):
+            wide = np.sum(C2 * _folded_weights(wide_modes, spec.eps, beta, m.size), axis=1)
+            drift = np.abs(wide - val) > 1e-3 * np.maximum(np.abs(wide), 1e-300)
+            if drift.any():
+                i = np.argmax(drift)
                 raise RuntimeError(
-                    f"friction mode sum not converged: E_F = {val:.6e} at "
-                    f"n_modes = {n}, {wide:.6e} at {2 * n}")
+                    f"friction mode sum not converged at tau = {taus[i]:.6g}: E_F = "
+                    f"{val[i]:.6e} at n_modes = {n}, {wide[i]:.6e} at {2 * n}")
             val = wide
-        out.append(val)
+        out[b] = val
     return out
 
 
-def _friction_energy(modes, eps, beta, C2):
-    """E_F of the n-mode sum in modes from |C(m pi / L0)|^2, m = 0 .. >= 2n."""
+def _folded_weights(modes, eps, beta, size):
+    """w with E_F = sum_m w_m |C(m pi / L0)|^2 for the n-mode sum in modes at
+    the bath beta, m = 0 .. size - 1 (size > 2n).
+
+    Mode k contributes w_k times its squeeze at m = 2k and, for each j != k,
+    its pair term at m = j + k and its scatter term at m = |j - k|; the
+    terms of one m are added in that order by np.bincount.
+    """
     omega, nbar, pref, pair, scatter = _kernel_weights(modes, beta)
-    n = omega.size
-    j = np.arange(1, n + 1)
-    c2_sq = C2[2 * j]
-    c2_sum = C2[j[:, None] + j[None, :]]
-    c2_dif = C2[np.abs(j[:, None] - j[None, :])]
-    off = ~np.eye(n, dtype=bool)
-    per_k = pref * (2.0 * nbar + 1.0) * c2_sq
-    per_k = per_k + np.sum((pair * c2_sum + scatter * c2_dif) * off, axis=0)
-    return 0.25 * eps**2 * np.sum(omega * per_k)
+    j = np.arange(1, omega.size + 1)
+    off = ~np.eye(omega.size, dtype=bool)
+    m = np.concatenate([2 * j, (j[:, None] + j)[off], np.abs(j[:, None] - j)[off]])
+    w = np.concatenate([omega * pref * (2.0 * nbar + 1.0), (pair * omega)[off],
+                        (scatter * omega)[off]])
+    return 0.25 * eps**2 * np.bincount(m, w, minlength=size)
 
 
 def _corner_energies(spec: CycleSpec):
@@ -344,15 +381,28 @@ def _corner_energies(spec: CycleSpec):
     return E_A, E_B, E_C, E_D
 
 
-def _assemble(spec, E_A, E_B, E_C, E_D, Q_otto, ef_total):
+def _cycles(spec: CycleSpec, taus, ef_cold, ef_hot):
+    """CycleResult of arrays over taus, with the friction losses ef_cold
+    deposited into E_B and ef_hot into E_D."""
+    E_A, E_B, E_C, E_D = _corner_energies(spec)
+    Q_otto = E_C - E_B
+    E_B, E_D = E_B + ef_cold, E_D + ef_hot
     W = (E_A - E_B) + (E_C - E_D)
     Q = E_C - E_B
-    eta = W / Q if abs(Q) > 1e-300 else float("nan")
-    eta_lin = spec.eps - ef_total / Q_otto if abs(Q_otto) > 1e-300 else float("nan")
+    eta = np.divide(W, Q, out=np.full(taus.shape, np.nan), where=np.abs(Q) > 1e-300)
+    if abs(Q_otto) > 1e-300:
+        eta_lin = spec.eps - (ef_cold + ef_hot) / Q_otto
+    else:
+        eta_lin = np.full(taus.shape, np.nan)
     return CycleResult(
-        E_A=float(E_A), E_B=float(E_B), E_C=float(E_C), E_D=float(E_D),
-        W=float(W), Q=float(Q), eta=float(eta), eta_linear=float(eta_lin),
-        P=float(W / (2.0 * spec.tau)), engine=bool(W > 0.0 and Q > 0.0))
+        E_A=np.full(taus.shape, E_A), E_B=E_B, E_C=np.full(taus.shape, E_C), E_D=E_D,
+        W=W, Q=Q, eta=eta, eta_linear=eta_lin, P=W / (2.0 * taus),
+        engine=(W > 0.0) & (Q > 0.0))
+
+
+def _one(res):
+    """The cycle of a one-tau CycleResult of arrays, with Python scalars."""
+    return CycleResult(*(getattr(res, f.name).item() for f in fields(CycleResult)))
 
 
 def adiabatic_cycle(spec: CycleSpec) -> CycleResult:
@@ -363,8 +413,7 @@ def adiabatic_cycle(spec: CycleSpec) -> CycleResult:
     the baths; it meets the Carnot bound 1 - beta_C/beta_A precisely at
     beta_C/beta_A = 1 - eps, which is also where W and Q vanish.
     """
-    E_A, E_B, E_C, E_D = _corner_energies(spec)
-    return _assemble(spec, E_A, E_B, E_C, E_D, E_C - E_B, 0.0)
+    return _one(_cycles(spec, np.array([spec.tau]), np.zeros(1), np.zeros(1)))
 
 
 def nonadiabatic_cycle(spec: CycleSpec, check_convergence=False) -> CycleResult:
@@ -375,13 +424,28 @@ def nonadiabatic_cycle(spec: CycleSpec, check_convergence=False) -> CycleResult:
     E_F unchanged, and the L1-vs-L0 base distinction is higher order in
     eps). Heat and work then follow from the corner energies; the exact
     efficiency is always below the adiabatic eps while friction is on.
+    This is nonadiabatic_cycles at the one stroke duration spec.tau.
     """
-    E_A, E_B, E_C, E_D = _corner_energies(spec)
-    Q_otto = E_C - E_B
-    ef_cold, ef_hot = _friction_energies(
-        spec, (spec.beta_A, spec.beta_C), check_convergence)
-    return _assemble(spec, E_A, E_B + ef_cold, E_C, E_D + ef_hot,
-                     Q_otto, ef_cold + ef_hot)
+    return _one(nonadiabatic_cycles(spec, [spec.tau], check_convergence))
+
+
+def nonadiabatic_cycles(spec: CycleSpec, taus, check_convergence=False) -> CycleResult:
+    """nonadiabatic_cycle at each stroke duration of the 1-d grid taus.
+
+    Returns a CycleResult whose fields are arrays over taus; spec.tau is not
+    read. The corner energies, mode data and bath weights do not depend on
+    tau and are built once; a PolynomialRamp's velocity transform is one
+    array evaluation for every (tau, frequency), and each bath's E_F for
+    every tau one sum over the frequency index m of |C|^2 against weights
+    folded by m. Every entry equals the one-tau sweep at its tau bit for
+    bit, so nonadiabatic_cycle and friction_energy are such sweeps.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or np.any(taus <= 0.0):
+        raise ValueError("tau grid must be a 1-d array of positive stroke durations")
+    ef_cold, ef_hot = _friction_energies(spec, taus, (spec.beta_A, spec.beta_C),
+                                         check_convergence)
+    return _cycles(spec, taus, ef_cold, ef_hot)
 
 
 @dataclass(frozen=True)
@@ -406,7 +470,7 @@ class PowerCurve:
 
 
 def power_curve(spec: CycleSpec, tau_grid) -> PowerCurve:
-    """nonadiabatic_cycle swept over stroke durations.
+    """nonadiabatic_cycles over the stroke durations tau_grid.
 
     Slow strokes approach the adiabatic work at vanishing power, P tau ->
     W_Otto / 2; fast strokes are friction dominated with |P| growing like
@@ -414,13 +478,6 @@ def power_curve(spec: CycleSpec, tau_grid) -> PowerCurve:
     unique interior maximum at tau w_1 ~ 1.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid <= 0.0):
-        raise ValueError("tau grid must be positive")
-    res = [nonadiabatic_cycle(replace(spec, tau=float(t))) for t in tau_grid]
-    P = np.array([r.P for r in res])
-    return PowerCurve(
-        tau=tau_grid, P=P,
-        W=np.array([r.W for r in res]),
-        Q=np.array([r.Q for r in res]),
-        eta=np.array([r.eta for r in res]),
-        i_peak=int(np.argmax(P)))
+    res = nonadiabatic_cycles(spec, tau_grid)
+    return PowerCurve(tau=tau_grid, P=res.P, W=res.W, Q=res.Q, eta=res.eta,
+                      i_peak=int(np.argmax(res.P)))

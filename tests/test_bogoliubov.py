@@ -118,6 +118,20 @@ class TestStaticWall:
             npt.assert_allclose(bog.alpha, np.eye(12), atol=1e-13)
             npt.assert_allclose(bog.beta, 0.0, atol=1e-13)
 
+    def test_extraction_reads_the_spectrum_without_a_basis(self, monkeypatch):
+        # omega_k(R) by the arithmetic of ModeBasis.omega_at, without its
+        # coupling matrix
+        R = 0.93 * np.pi
+        expected = ModeBasis.build(SPEC12).omega_at(R)
+
+        def no_basis(spec):
+            raise AssertionError("ModeBasis built")
+        monkeypatch.setattr(ModeBasis, "build", no_basis)
+        amps = initial_amplitudes(SPEC12, R0=R, t0=1.3)
+        bog = extract_bogoliubov(amps)
+        npt.assert_array_equal(bog.omega, expected)
+        npt.assert_allclose(bog.alpha, np.eye(12), atol=1e-13)
+
     def test_no_photons_from_nothing(self):
         amps = integrate_modes(SPEC12, static_wall(np.pi), rtol=1e-11, t_final=5.0)
         n = photon_spectrum(extract_bogoliubov(amps))

@@ -412,15 +412,16 @@ class TestGateRun:
         assert rows[0][1] == 1.0 and rows[-1][1] == 1.0
 
     def test_closed_run_builds_two_squeezes(self, tmp_path, monkeypatch):
-        # one per gate angle, shared by every P_z of the run
+        # one per gate angle, shared by every P_z of the run, both from one
+        # real exponential of the even and odd blocks of S(r, 0)
         import dcelab.gate as gate
         calls = []
         expm_taylor = gate.expm_taylor
         monkeypatch.setattr(gate, "expm_taylor",
-                            lambda a: calls.append(a.shape) or expm_taylor(a))
+                            lambda a: calls.append((a.shape, a.dtype)) or expm_taylor(a))
         doc = {"gate": {"r": 0.5, "p_z": [-1.0, -0.5, 0.0, 0.5, 1.0], "n_max": 40}}
         code, _ = run(tmp_path, "gate", doc)
-        assert code == 0 and calls == [(1, 41, 41)] * 2
+        assert code == 0 and calls == [((2, 21, 21), np.float64)]
 
     def test_rows_sorted_by_polarization(self, tmp_path):
         doc = {"gate": {"r": 0.4, "p_z": [0.5, -0.5, 0.0], "n_max": 40}}

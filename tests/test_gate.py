@@ -368,6 +368,25 @@ class TestControlledSqueeze:
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestClosedSqueezes:
+    def test_both_angles_match_dense_expm_at_the_design_point(self):
+        # D S(r, 0) D^dag from the real parity blocks against the dense
+        # exponential of the complex generator at each gate angle; theta_tilde
+        # is about -37 here, so the phases e^{i theta m} run to m = 80
+        for theta in (0.0, 2.1):
+            p = default_cqed_params(n_max=160, theta=theta)
+            assert p.r_gate == pytest.approx(1.5)
+            for th, S in zip((p.theta, p.theta_tilde), p._squeezes):
+                ref = expm(_squeeze_generator(p.r_gate, th, p.n_max))
+                assert np.abs(S - ref).max() < 2e-14
+
+    def test_odd_truncation(self):
+        # n_max 41: even and odd blocks of equal size, no padding
+        p = default_cqed_params(n_max=41, t_gate=0.5 / 7.5e-3)
+        for th, S in zip((p.theta, p.theta_tilde), p._squeezes):
+            assert np.abs(S - squeeze_operator(p.r_gate, th, 41)).max() < 1e-14
+
+
 class TestEncodingProtocol:
     def test_matches_direct_construction(self):
         # the two routes share only GateParams.theta_tilde: six matrix-product
@@ -900,6 +919,20 @@ class TestBessel:
         for x in (1e-6, 0.5, 7.3, 37.0):
             n = int(3.0 * x) + 100
             assert np.abs(_bessel_j(x, n) - jv(np.arange(n + 1), x)).max() < 2e-15
+
+    def test_tiny_arguments_take_the_power_series(self):
+        # the recurrence's 2k/x would overflow below about 1e-150
+        for x in (1e-300, 1e-200, 1e-120, 1e-9):
+            j = _bessel_j(x, 6)
+            assert np.all(np.isfinite(j)) and j[0] == 1.0
+            assert j[1] == pytest.approx(0.5 * x, rel=1e-15)
+        # continuous across the switch at 1e-8
+        for x in (0.999999e-8, 1e-8):
+            assert np.abs(_bessel_j(x, 6) / jv(np.arange(7), x) - 1.0).max() < 2e-14
+        A = sparse.csr_array(np.array([[0.0, 1.0], [-1.0, 0.5]]))
+        b = np.array([1.0, 2.0])
+        out = _expm_action(A, b, 1e-200)
+        np.testing.assert_array_equal(out, b)
 
     def test_sum_of_squares_at_the_segment_arguments(self):
         # J_0^2 + 2 sum_k J_k^2 = 1, independent of the normalisation by

@@ -1,20 +1,24 @@
 import time
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from scipy.integrate import simpson
 
 import dcelab.otto as otto
 from dcelab.cavity import CavitySpec, dirichlet_spectrum, thermal_occupation
+from dcelab.config import build_otto, load_config
 from dcelab.trajectories import PolynomialRamp, quintic_wall
 from dcelab.bogoliubov import integrate_modes, extract_bogoliubov, photon_spectrum
 from dcelab.otto import (
+    CycleResult,
     CycleSpec,
     adiabatic_cycle,
     friction_energy,
     friction_kernel,
     nonadiabatic_cycle,
+    nonadiabatic_cycles,
     power_curve,
     quintic_trajectory,
     quintic_trajectory_dot,
@@ -218,6 +222,110 @@ class TestOneTransformPerCycle:
         elapsed = time.perf_counter() - start
         assert abs(r.eta - spec.eps) < 1e-8
         assert elapsed < 0.25
+
+
+def shipped_sweep(name):
+    """(CycleSpec, tau grid) of a shipped otto config."""
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
+    return build_otto(load_config(path)["otto"])
+
+
+def assert_rows_are_one_tau_sweeps(spec, taus, check=False):
+    sweep = nonadiabatic_cycles(spec, taus, check)
+    for i, tau in enumerate(taus):
+        one = nonadiabatic_cycle(replace(spec, tau=float(tau)), check)
+        for f in fields(CycleResult):
+            assert getattr(sweep, f.name)[i] == getattr(one, f.name), (f.name, tau)
+    return sweep
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", ["otto_efficiency", "otto_power"])
+    def test_rows_equal_one_tau_calls_on_the_shipped_grids(self, name):
+        spec, taus = shipped_sweep(name)
+        sweep = assert_rows_are_one_tau_sweeps(spec, taus)
+        assert sweep.eta.shape == taus.shape
+
+    def test_rows_equal_one_tau_calls_through_the_quadrature(self, monkeypatch):
+        # a plain callable is not a PolynomialRamp, so it takes the composite
+        # quadrature once per tau
+        calls = []
+        transform = otto.velocity_transform
+
+        def spy(spec, a_values):
+            calls.append(spec.tau)
+            return transform(spec, a_values)
+        monkeypatch.setattr(otto, "velocity_transform", spy)
+        rng = np.random.default_rng(29)
+        d, dd = random_admissible_trajectory(rng)
+        spec = base_spec(n_modes=12, delta=lambda t, tau: d(t, tau),
+                         delta_dot=lambda t, tau: dd(t, tau))
+        taus = np.array([0.4, 1.0, 2.5, 7.0])
+        assert_rows_are_one_tau_sweeps(spec, taus)
+        assert calls[:taus.size] == taus.tolist()
+
+    def test_rows_equal_one_tau_calls_under_the_convergence_check(self):
+        # 30 modes drift by 0.4% at the grid's fastest stroke, 60 converge
+        spec, taus = shipped_sweep("otto_efficiency")
+        assert_rows_are_one_tau_sweeps(replace(spec, n_modes=60), taus[::3], check=True)
+
+    def test_folded_weights_match_the_per_mode_sum(self):
+        # reference: E_F as a sum over modes k of each mode's |C|^2 terms,
+        # the same products added in another order
+        spec = base_spec(tau=0.7, n_modes=30)
+        n = spec.n_modes
+        j = np.arange(1, n + 1)
+        C2 = np.abs(velocity_transform(spec, np.arange(2 * n + 1) * np.pi / spec.L0)) ** 2
+        off = ~np.eye(n, dtype=bool)
+        for beta in (6.0, 0.2):
+            omega, nbar, pref, pair, scatter = otto._kernel_weights(otto._mode_data(spec), beta)
+            per_k = pref * (2.0 * nbar + 1.0) * C2[2 * j] + np.sum(
+                (pair * C2[j[:, None] + j] + scatter * C2[np.abs(j[:, None] - j)]) * off, axis=0)
+            reference = 0.25 * spec.eps**2 * np.sum(omega * per_k)
+            assert friction_energy(spec, beta) == pytest.approx(reference, rel=1e-14)
+
+    def test_power_curve_is_the_sweep(self):
+        spec, taus = shipped_sweep("otto_power")
+        pc = power_curve(spec, taus)
+        sweep = nonadiabatic_cycles(spec, taus)
+        for name in ("P", "W", "Q", "eta"):
+            np.testing.assert_array_equal(getattr(pc, name), getattr(sweep, name))
+        np.testing.assert_array_equal(pc.tau, taus)
+
+    def test_one_transform_per_sweep(self, monkeypatch):
+        calls = []
+        transform = otto.velocity_transform
+
+        def spy(spec, a_values):
+            calls.append(np.shape(a_values))
+            return transform(spec, a_values)
+        monkeypatch.setattr(otto, "velocity_transform", spy)
+        spec, taus = shipped_sweep("otto_efficiency")
+        nonadiabatic_cycles(spec, taus)
+        assert calls == [(taus.size, 2 * spec.n_modes + 1)]
+        calls.clear()
+        nonadiabatic_cycles(replace(spec, n_modes=60), taus, check_convergence=True)
+        assert calls == [(taus.size, 4 * 60 + 1)]
+
+    def test_bad_rate_raises_in_a_sweep(self):
+        # the rate of test_plain_pair_must_integrate_to_the_ramp, at every tau
+        def wrong_rate(t, tau):
+            t = np.asarray(t)
+            return quintic_trajectory_dot(t, tau) + np.sin(4.0 * np.pi * t / tau) ** 2 / tau
+        spec = base_spec(tau=1.0, delta=quintic_trajectory, delta_dot=wrong_rate)
+        with pytest.raises(ValueError, match=r"C\(0\) = 1\.5 is not 1 at tau = 0\.5"):
+            nonadiabatic_cycles(spec, [0.5, 1.0, 2.0])
+
+    def test_unconverged_tau_is_named(self):
+        with pytest.raises(RuntimeError, match="not converged at tau = 0.05"):
+            nonadiabatic_cycles(base_spec(n_modes=10), [3.0, 0.05], check_convergence=True)
+
+    def test_empty_and_bad_grids(self):
+        sweep = nonadiabatic_cycles(base_spec(), [])
+        assert all(getattr(sweep, f.name).shape == (0,) for f in fields(CycleResult))
+        for bad in ([1.0, 0.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="positive"):
+                nonadiabatic_cycles(base_spec(), bad)
 
 
 class TestAdiabaticCycle:
