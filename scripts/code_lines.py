@@ -7,7 +7,9 @@ A line counts when a token other than a comment or a line break starts on it
 or spans it (a multi-line string or expression counts every line it covers),
 unless the line belongs to a docstring: the leading string of a module,
 class or function body, found with ``ast``. Prints a Markdown table of each
-tree's raw line count and code line count; nothing is asserted.
+tree's raw line count and code line count, then one of each file under the
+trees (``src/dcelab/gate.py``), whose rows add up to their tree's; nothing
+is asserted.
 """
 
 from __future__ import annotations
@@ -47,25 +49,30 @@ def code_lines(source):
 
 
 def count(tree):
-    """(raw lines, code lines) summed over the .py files under tree."""
-    raw = code = 0
+    """{path: (raw lines, code lines)} of the .py files under tree, by path."""
+    rows = {}
     for path in sorted(tree.rglob("*.py")):
         source = path.read_text()
-        raw += len(source.splitlines())
-        code += code_lines(source)
-    return raw, code
+        rows[path] = len(source.splitlines()), code_lines(source)
+    return rows
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="*", type=Path, metavar="TREE",
                     default=[ROOT / "src", ROOT / "tests"])
-    trees = ap.parse_args(argv).trees
+    counts = {tree: count(tree) for tree in ap.parse_args(argv).trees}
     print("| tree | lines | code lines |")
     print("| --- | --- | --- |")
-    for tree in trees:
-        raw, code = count(tree)
-        print(f"| {tree.name}/ | {raw} | {code} |")
+    for tree, rows in counts.items():
+        print(f"| {tree.name}/ | {sum(r for r, _ in rows.values())} | "
+              f"{sum(c for _, c in rows.values())} |")
+    print()
+    print("| file | lines | code lines |")
+    print("| --- | --- | --- |")
+    for tree, rows in counts.items():
+        for path, (raw, code) in rows.items():
+            print(f"| {path.relative_to(tree.parent).as_posix()} | {raw} | {code} |")
     return 0
 
 

@@ -22,9 +22,15 @@ sits at that same angle. (A drive of phase theta_d produces the gate angle
 theta_d + pi in this squeeze convention; all encoding figures of merit are
 independent of the angle.)
 
+Every squeeze matrix, of the closed protocol, of squeeze_operator and of
+the lab-frame branches, comes from one former (_squeeze_matrices): one real
+exponential of the even and odd photon-number blocks of S(r, 0), with the
+angle put in by phases.
+
 The open gate (open_evolve) propagates the Lindblad master equation of
 each gate segment exactly: the generator is constant over the segment, each
-photon-parity sector of rho is advanced in real Hermitian coordinates under
+photon-parity sector of rho is advanced in real Hermitian coordinates,
+gathered from and scattered back to the sector's (j, k) index lists, under
 a sparse real generator built for that sector's rows alone, and the action
 of its exponential is one Chebyshev series with Bessel coefficients, which
 needs about as many sparse products as the generator's 1-norm times the
@@ -158,28 +164,8 @@ class GateParams:
     @cached_property
     def _squeezes(self):
         """S(r_gate, theta) and S(r_gate, theta_tilde): the two dense squeezes of
-        the closed protocol, built once per parameter set.
-
-        S(r, theta) = D S(r, 0) D^dag with D = diag(e^{i theta n / 2}) holds
-        exactly in the truncated basis, and S(r, 0) is real and keeps photon
-        parity, so one real exponential of its even and odd blocks (the odd
-        one padded with a zero row and column) serves both angles. Entry
-        (j, k) of S(r, 0) is nonzero only for even j - k = 2m, where D puts
-        the phase e^{i theta m}, taken as a power of e^{i theta} so that a
-        large angle loses no digits to the rounding of theta m.
-        """
-        n, odd = self.n_max + 1, (self.n_max + 1) // 2  # levels, odd levels
-        a2 = np.linalg.matrix_power(lowering_operator(self.n_max), 2)
-        g = 0.5 * self.r_gate * (a2 - a2.T)
-        blocks = np.zeros((2, n - odd, n - odd))
-        blocks[0] = g[0::2, 0::2]
-        blocks[1, :odd, :odd] = g[1::2, 1::2]
-        E = expm_taylor(blocks)
-        S0 = np.zeros((n, n))
-        S0[0::2, 0::2] = E[0]
-        S0[1::2, 1::2] = E[1, :odd, :odd]
-        m = np.subtract.outer(np.arange(n), np.arange(n)) // 2
-        return tuple(np.exp(1j * theta) ** m * S0 for theta in (self.theta, self.theta_tilde))
+        the closed protocol, built once per parameter set."""
+        return _squeeze_matrices(self.r_gate, (self.theta, self.theta_tilde), self.n_max)
 
 
 def default_cqed_params(**overrides):
@@ -195,13 +181,19 @@ def default_cqed_params(**overrides):
 @dataclass(frozen=True)
 class OpenRates:
     """Dissipation channels: qubit relaxation tau_q, resonator damping
-    tau_r, pure qubit dephasing tau_phi (all ns; inf disables a channel)
-    and a common bath temperature in mK feeding thermal occupations."""
+    tau_r, pure qubit dephasing tau_phi (all ns; inf disables a channel, and
+    a lifetime that is not positive raises ValueError) and a common bath
+    temperature in mK feeding thermal occupations."""
 
     tau_q: float = np.inf
     tau_r: float = np.inf
     tau_phi: float = np.inf
     temperature_mK: float = 0.0
+
+    def __post_init__(self):
+        for name, tau in (("tau_q", self.tau_q), ("tau_r", self.tau_r), ("tau_phi", self.tau_phi)):
+            if not tau > 0.0:
+                raise ValueError(f"OpenRates.{name} must be > 0 (inf disables it), got {tau!r}")
 
     @classmethod
     def typical(cls):
@@ -210,8 +202,8 @@ class OpenRates:
 
 def thermal_nbar(omega, temperature_mK):
     """Bose occupation at angular frequency omega (rad/ns) and T (mK)."""
-    if temperature_mK < 0.0:
-        raise ValueError("temperature must be >= 0")
+    if not 0.0 <= temperature_mK < np.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature_mK!r} mK")
     if temperature_mK == 0.0:
         return 0.0
     return thermal_occupation(1.0, _HBAR_OVER_KB * omega / temperature_mK)
@@ -228,9 +220,33 @@ def _squeeze_generator(r, theta, n_max):
     return 0.5 * r * (np.exp(-1j * theta) * a2 - np.exp(1j * theta) * a2.conj().T)
 
 
+def _squeeze_matrices(r, thetas, n_max):
+    """S(r, theta) for each theta in thetas, from one real exponential.
+
+    S(r, theta) = D S(r, 0) D^dag with D = diag(e^{i theta n / 2}) holds
+    exactly in the truncated basis, and S(r, 0) is real and keeps photon
+    parity, so one real exponential of its even and odd blocks (the odd one
+    padded with a zero row and column when n_max is even) serves every
+    angle. Entry (j, k) of S(r, 0) is nonzero only for even j - k = 2m,
+    where D puts the phase e^{i theta m}, taken as a power of e^{i theta} so
+    that a large angle loses no digits to the rounding of theta m.
+    """
+    n, odd = n_max + 1, (n_max + 1) // 2  # levels, odd levels
+    g = _squeeze_generator(r, 0.0, n_max).real
+    blocks = np.zeros((2, n - odd, n - odd))
+    blocks[0] = g[0::2, 0::2]
+    blocks[1, :odd, :odd] = g[1::2, 1::2]
+    E = expm_taylor(blocks)
+    S0 = np.zeros((n, n))
+    S0[0::2, 0::2] = E[0]
+    S0[1::2, 1::2] = E[1, :odd, :odd]
+    m = np.subtract.outer(np.arange(n), np.arange(n)) // 2
+    return tuple(np.exp(1j * theta) ** m * S0 for theta in thetas)
+
+
 def squeeze_operator(r, theta, n_max):
     """Matrix of S(r, theta) = exp[(r/2)(e^{-i th} a^2 - e^{i th} a^dag 2)]."""
-    return expm_taylor(_squeeze_generator(r, theta, n_max)[None])[0]
+    return _squeeze_matrices(r, (theta,), n_max)[0]
 
 
 def rotation_operator(phi, n_max):
@@ -451,33 +467,6 @@ def _collapse_operators(params, rates: OpenRates):
     return ops
 
 
-def _hermitian_coordinates(sector):
-    """Real coordinates of a Hermitian rho on a symmetric (dim, dim) mask.
-
-    x = (Re rho_jk for j <= k, Im rho_jk for j < k) over the masked entries.
-    Returns the sparse maps T, with vec(rho) = T x for the row-major vec of
-    the masked rho, and R, with x = Re(R vec(rho)).
-    """
-    from scipy import sparse
-    dim = sector.shape[0]
-    j, k = np.nonzero(np.triu(sector))  # j <= k: one Re coordinate each
-    off = np.flatnonzero(j < k)  # j < k: one Im coordinate each
-    n_re, n_im = len(j), len(off)
-    re, im = np.arange(n_re), n_re + np.arange(n_im)
-    jk, kj = j * dim + k, k * dim + j
-    # rho_jk = x_re + i x_im and rho_kj = x_re - i x_im
-    T = sparse.csr_array(
-        (np.concatenate([np.ones(n_re + n_im), np.full(n_im, 1j), np.full(n_im, -1j)]),
-         (np.concatenate([jk, kj[off], jk[off], kj[off]]), np.concatenate([re, re[off], im, im]))),
-        shape=(dim * dim, n_re + n_im))
-    # x_re = Re rho_jk and x_im = Re(-i rho_jk)
-    R = sparse.csr_array(
-        (np.concatenate([np.ones(n_re), np.full(n_im, -1j)]),
-         (np.concatenate([re, im]), np.concatenate([jk, jk[off]]))),
-        shape=(n_re + n_im, dim * dim))
-    return T, R
-
-
 def _row_nonzeros(op):
     """The nonzeros of a dense op by row: a function of an array of rows that
     returns (i, col, value) arrays, the value at op[rows[i], col], row by row."""
@@ -528,27 +517,29 @@ def _lindblad_rows(H, ls, j, k):
     return i, *np.divmod(col, dim), np.bincount(entry, v.real), np.bincount(entry, v.imag)
 
 
-def _sector_generator(H, ls, sector):
-    """Re(R L T) for one parity sector, with L the Lindblad generator on the
-    row-major vec(rho) and T, R the maps of _hermitian_coordinates(sector).
+def _sector_generator(H, ls, j, k):
+    """The real generator of one parity sector, as a CSR matrix, on the
+    coordinates x = (Re rho_jk for every i, Im rho_jk where j < k) of a
+    Hermitian rho, (j, k) = (j[i], k[i]) the sector's entries with j <= k.
 
-    R reads only the rows (j, k), j <= k, of the sector, so only those rows
-    of L are formed (_lindblad_rows): no Kronecker product, and nothing over
-    all dim^2 rows. The entries at rho_mp and rho_pm of one real coordinate
-    are then added, as the product (R L) T does, so the result equals
-    (R L T).real entry for entry (its explicit zeros left out).
+    With vec(rho) = T x (rho_jk = x_re + i x_im, rho_kj = x_re - i x_im) and
+    x = Re(R vec(rho)), it is Re(R L T), L the Lindblad generator on the
+    row-major vec(rho). R reads only the rows (j, k) of L, so only those are
+    formed (_lindblad_rows): no Kronecker product, and nothing over all dim^2
+    rows. The entries at rho_mp and rho_pm of one real coordinate are then
+    added, as the product (R L) T does, so the result equals (R L T).real
+    entry for entry (its explicit zeros left out).
     """
     from scipy import sparse
-    j, k = np.nonzero(np.triu(sector))  # x_re of (j, k) for j <= k, x_im for j < k
     n_re, off = len(j), j < k
     n = n_re + np.count_nonzero(off)
     im = np.full(n_re, -1, dtype=np.int32)  # the x_im coordinate of each (j, k), if any
     im[off] = np.arange(n_re, n)
-    pair = np.full(sector.shape, -1, dtype=np.int32)  # the x_re coordinate of each rho_mp
+    pair = np.full(H.shape, -1, dtype=np.int32)  # the x_re coordinate of each rho_mp
     pair[j, k] = pair[k, j] = np.arange(n_re)
     row, m, p, a, b = _lindblad_rows(H, ls, j, k)
     q = pair[m, p]
-    keep = q >= 0  # T has no column outside the sector
+    keep = q >= 0  # rho_mp outside the sector is zero
     # group the entries of one real coordinate, rho_mp = x_re + i x_im and rho_pm = x_re - i x_im
     coords, entry = np.unique((row * n_re + q)[keep], return_inverse=True)
     sign, a, b = np.where(m > p, -1.0, 1.0)[keep], a[keep], b[keep]
@@ -636,6 +627,29 @@ def _expm_action(A, b, t):
                        f"against a partial sum of {np.abs(f).max():.2e}")
 
 
+def _parity_sectors(n_max):
+    """The entries (j, k), j <= k, of the joint density matrix with j + k even
+    and with j + k odd photons: two (j, k) pairs of index arrays, row-major."""
+    photons = np.arange(2 * (n_max + 1)) % (n_max + 1)
+    j, k = np.triu_indices(len(photons))
+    odd = (photons[j] + photons[k]) % 2 == 1
+    return (j[~odd], k[~odd]), (j[odd], k[odd])
+
+
+def _gather(rho, j, k):
+    """The coordinates x = (Re rho_jk for every i, Im rho_jk where j < k)."""
+    z = rho[j, k]
+    return np.concatenate([z.real, z.imag[j < k]])
+
+
+def _scatter(x, j, k, out):
+    """Write the Hermitian matrix of the coordinates x (_gather) into out at
+    the entries (j, k) and (k, j); the diagonal gets x_re exactly."""
+    z = x[:len(j)].astype(complex)
+    z.imag[j < k] = x[len(j):]
+    out[k, j], out[j, k] = z.conj(), z
+
+
 def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None):
     """Lindblad evolution of the joint density matrix for one gate segment.
 
@@ -649,12 +663,14 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     so the entries with j + k even and with j + k odd evolve apart. L also
     maps Hermitian matrices to Hermitian matrices, so each sector holding a
     non-zero entry is propagated in the real coordinates x = (Re rho_jk,
-    j <= k; Im rho_jk, j < k) of its Hermitian part: with vec(rho) = T x and
-    x = Re(R vec(rho)), the real generator is Re(R L T), assembled for the
-    sector's rows alone (_sector_generator), and one Chebyshev series with
-    Bessel coefficients (_expm_action), whose length follows from the exact
-    1-norm with no random draws, advances x. The input is Hermitised first,
-    and the output T x is Hermitian by construction.
+    j <= k; Im rho_jk, j < k) of its Hermitian part, gathered from the
+    sector's (j, k) index lists: the real generator is assembled for those
+    rows alone (_sector_generator), and one Chebyshev series with Bessel
+    coefficients (_expm_action), whose length follows from the exact 1-norm
+    with no random draws, advances x. The input is Hermitised first, and x
+    is scattered back to rho_jk and its conjugate to rho_kj, so the output
+    is Hermitian by construction; a duration of 0 returns the Hermitised
+    input. A negative or non-finite duration raises ValueError.
     Trace is monitored to 1e-8 and an eigenvalue below -1e-10 raises, so
     truncation artifacts surface instead of leaking into fidelities.
     """
@@ -664,18 +680,16 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
         raise ValueError(f"density matrix must have shape {(dim, dim)}")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError("input density matrix must have unit trace")
-    vec = (0.5 * (rho + rho.conj().T)).ravel()
+    if not (np.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
+    rho = 0.5 * (rho + rho.conj().T)
     H = _joint_hamiltonian(params, params.theta if theta is None else theta)
     ls = _collapse_operators(params, rates)
-    j = np.arange(dim) % (params.n_max + 1)  # photon number of each row of rho
-    odd = (j[:, None] + j[None, :]) % 2 == 1
-    out = np.zeros(dim * dim, dtype=complex)
-    for sector in (~odd, odd):
-        if np.any(vec[sector.ravel()]):
-            T, R = _hermitian_coordinates(sector)
-            x = _expm_action(_sector_generator(H, ls, sector), (R @ vec).real, duration)
-            out += T @ x
-    out = out.reshape(dim, dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for j, k in _parity_sectors(params.n_max):
+        if np.any(rho[j, k]):
+            x = _expm_action(_sector_generator(H, ls, j, k), _gather(rho, j, k), duration)
+            _scatter(x, j, k, out)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-8:
         raise RuntimeError(f"trace drifted to {tr:.12f} during open evolution")
@@ -734,20 +748,21 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
     one mode, lam = 0 and Mhat = 0. S is the monodromy matrix M over one
     drive period, wb T in s (magnus.propagate), to the power k, the number of
     whole periods in wb t_gate, times the remainder. M^k carries up to k
-    times the error of M, so each period is resolved to rtol / max(1, k).
+    times the error of M, and the squeeze moves the quadratures of psi0,
+    whose size is sqrt<x^2 + p^2> = sqrt(1 + 2<n>), so an error of S grows
+    on the state by up to that factor: each period is resolved to
+    rtol / (max(1, k) sqrt(1 + 2<n>)), rtol / max(1, k) for the vacuum.
     magnus.propagate builds M from two quarter periods when w is even about
     wb T / 4, i.e. for theta a multiple of pi, and else from the whole
     period. In the rotating frame a(t) = u a + v a^dag, and ||u|^2 - |v|^2 -
     1| > rtol raises RuntimeError. With u = e^{-i phi} cosh r, v = -e^{i(theta_s +
     phi)} sinh r and phi = -arg u (principal branch), the state is e^{-i
     phi/2} S(r, theta_s) R(phi) psi0, the phase being the zero-point part of
-    the rotation; S(r, theta_s) is applied by a Chebyshev series
-    (_expm_action) on its banded sparse generator, not built as a dense
-    exponential. A tolerance that the one-period product cannot meet, rtol
-    / k below its rounding floor, raises RuntimeError naming rtol, k and
-    rtol / k.
+    the rotation; S(r, theta_s) is the dense matrix of squeeze_operator, one
+    real exponential of its parity blocks. A tolerance that the one-period
+    product cannot meet, its share per period below the product's rounding
+    floor, raises RuntimeError naming rtol, k, <n> and that share.
     """
-    from scipy import sparse
     if qubit_level not in (0, 1):
         raise ValueError("qubit_level must be 0 or 1")
     wb = params.omega_1 if qubit_level == 1 else params.omega_0
@@ -758,14 +773,17 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
         w = 1.0 + g * np.sin(params.omega_d * (s / wb) - params.theta)
         return np.zeros_like(s), w[..., None]
     k = int(span // period)
+    weights = np.abs(psi0) ** 2
+    nbar = (np.arange(len(weights)) @ weights) / (weights.sum() or 1.0)  # 0 for psi0 = 0
+    tol = rtol / (max(1, k) * np.sqrt(1.0 + 2.0 * nbar))
     try:
         S = propagate(field_exponent(coefficients, np.zeros((1, 1)), np.ones(1)), 0.0, span,
-                      np.eye(2), rtol / max(1, k), 1.0 + g, period)[0]
+                      np.eye(2), tol, 1.0 + g, period)[0]
     except RuntimeError as exc:
         raise RuntimeError(
-            f"lab-frame branch cannot reach rtol {rtol:.1e}: it takes its k = {k} whole drive "
-            f"periods as powers of one monodromy matrix, which must then meet rtol / max(1, k)"
-            f" = {rtol / max(1, k):.1e}; loosen rtol. {exc}") from exc
+            f"lab-frame branch cannot reach rtol {rtol:.1e}: with its k = {k} whole drive periods "
+            f"and psi0's <n> = {nbar:.3g}, each period must meet rtol / (max(1, k) sqrt(1 + 2<n>))"
+            f" = {tol:.1e}; loosen rtol. {exc}") from exc
     rot = 0.5 * np.exp(1j * wb * params.t_gate)  # rotating-frame a = e^{i wb t} (x + i p) / sqrt 2
     u = rot * ((S[0, 0] + S[1, 1]) + 1j * (S[1, 0] - S[0, 1]))
     v = rot * ((S[0, 0] - S[1, 1]) + 1j * (S[1, 0] + S[0, 1]))
@@ -773,7 +791,5 @@ def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):
         raise RuntimeError(f"lab-frame propagator violates |u|^2 - |v|^2 = 1 by "
                            f"{defect:.2e} > rtol {rtol:.1e}")
     phi = -np.angle(u)
-    squeeze = sparse.csr_array(_squeeze_generator(np.arcsinh(abs(v)), np.angle(-v) - phi,
-                                                  params.n_max))
-    return np.exp(-0.5j * phi) * _expm_action(
-        squeeze, rotation_operator(phi, params.n_max) * psi0, 1.0)
+    squeeze = squeeze_operator(np.arcsinh(abs(v)), np.angle(-v) - phi, params.n_max)
+    return np.exp(-0.5j * phi) * (squeeze @ (rotation_operator(phi, params.n_max) * psi0))

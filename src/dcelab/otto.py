@@ -31,7 +31,13 @@ Range of validity: the kernel's phases run at w_k(L0) while the true
 frequencies drift by eps w_k during a stroke. This secular phase error
 makes the relative gap of E_F to the exact coupled-mode evolution linear in
 eps, with a coefficient of about -7 at w_1 tau = 0.5, -2 at 2, +6 at 10 and
-+32 at 30: E_F is 7% off at tau = 0.5 and eps = 0.01.
++32 at 30: E_F is 7% off at tau = 0.5 and eps = 0.01. The mode sum is
+truncated at n_modes, which fast strokes feel: with the 30 modes of
+configs/otto_power.yaml and configs/otto_efficiency.yaml (eps = 0.01,
+beta_A = 6), E_F at w_1 tau = 0.2 is 5.090e-2, 8% below the 5.539e-2 of 60
+modes (5.586e-2 at 120), and 0.4% below at w_1 tau = 0.5. Only
+check_convergence repeats the sum at twice the truncation, and the CLI does
+not run it, so those tables carry this error.
 
 Conventions: hbar = 1; beta_A is the cold bath attached at full length L0,
 beta_C the hot bath at compressed length L1, so engine operation needs

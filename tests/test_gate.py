@@ -46,10 +46,13 @@ from dcelab.gate import (
     _bessel_j,
     _collapse_operators,
     _expm_action,
-    _hermitian_coordinates,
+    _gather,
     _joint_hamiltonian,
+    _parity_sectors,
+    _scatter,
     _sector_generator,
     _squeeze_generator,
+    _squeeze_matrices,
 )
 
 # Frozen closed-form constants, from independent arithmetic on
@@ -72,14 +75,6 @@ def design_point_state():
     psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 40))
     psi[:, 1] = 0.5 * psi[:, 0]
     return p, psi / np.linalg.norm(psi)
-
-
-def parity_sectors(n_max):
-    """The (dim, dim) masks of the joint-state entries with j + k even and
-    with j + k odd photons."""
-    photons = np.arange(2 * (n_max + 1)) % (n_max + 1)
-    odd = (photons[:, None] + photons[None, :]) % 2 == 1
-    return ~odd, odd
 
 
 def params_for(r, **kw):
@@ -159,6 +154,31 @@ def _liouvillian(H, ls):
     for l in ls:
         L = L + sparse.kron(l, l.conj())
     return L.tocsr()
+
+
+def _hermitian_coordinates(j, k, dim):
+    """Reference for the coordinates of gate.open_evolve: the sparse maps T
+    and R of a Hermitian rho on the entries (j, k), j <= k, of one sector.
+
+    x = (Re rho_jk for every (j, k), Im rho_jk for j < k). T gives
+    vec(rho) = T x for the row-major vec of rho on the sector, and R gives
+    x = Re(R vec(rho)), so the sector's real generator is Re(R L T).
+    """
+    off = np.flatnonzero(j < k)  # j < k: one Im coordinate each
+    n_re, n_im = len(j), len(off)
+    re, im = np.arange(n_re), n_re + np.arange(n_im)
+    jk, kj = j * dim + k, k * dim + j
+    # rho_jk = x_re + i x_im and rho_kj = x_re - i x_im
+    T = sparse.csr_array(
+        (np.concatenate([np.ones(n_re + n_im), np.full(n_im, 1j), np.full(n_im, -1j)]),
+         (np.concatenate([jk, kj[off], jk[off], kj[off]]), np.concatenate([re, re[off], im, im]))),
+        shape=(dim * dim, n_re + n_im))
+    # x_re = Re rho_jk and x_im = Re(-i rho_jk)
+    R = sparse.csr_array(
+        (np.concatenate([np.ones(n_re), np.full(n_im, -1j)]),
+         (np.concatenate([re, im]), np.concatenate([jk, jk[off]]))),
+        shape=(n_re + n_im, dim * dim))
+    return T, R
 
 
 def _taylor_action(A, b, t):
@@ -384,7 +404,20 @@ class TestClosedSqueezes:
         # n_max 41: even and odd blocks of equal size, no padding
         p = default_cqed_params(n_max=41, t_gate=0.5 / 7.5e-3)
         for th, S in zip((p.theta, p.theta_tilde), p._squeezes):
-            assert np.abs(S - squeeze_operator(p.r_gate, th, 41)).max() < 1e-14
+            assert np.abs(S - expm(_squeeze_generator(p.r_gate, th, 41))).max() < 1e-14
+
+    @pytest.mark.parametrize("n_max", [40, 41])
+    def test_former_matches_dense_expm(self, n_max):
+        # the one former of every squeeze, at a plain angle and at the second
+        # gate angle of the default point (about -37), with the odd block
+        # padded (n_max 40) or not (n_max 41)
+        theta_tilde = default_cqed_params().theta_tilde
+        assert -38.0 < theta_tilde < -36.0
+        thetas = (2.1, theta_tilde)
+        for r in (0.5, 1.5):
+            for th, S in zip(thetas, _squeeze_matrices(r, thetas, n_max)):
+                assert np.abs(S - expm(_squeeze_generator(r, th, n_max))).max() < 2e-14
+                assert np.array_equal(S, squeeze_operator(r, th, n_max))
 
 
 class TestEncodingProtocol:
@@ -525,6 +558,17 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_nbar(1.0, -1.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_temperature_that_is_not_finite_rejected(self, temperature):
+        # NaN gave 0 (a 0 K bath), inf failed in the Bose function without
+        # naming the temperature
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            thermal_nbar(1.0, temperature)
+        p, psi = design_point_state()
+        rates = OpenRates(tau_q=2e5, temperature_mK=temperature)
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            open_evolve(np.outer(psi.ravel(), psi.ravel().conj()), p, rates, 1.0)
+
     def test_cold_bath_is_the_cavity_bose_function_without_overflow(self):
         omega = 2 * np.pi * 6.0
         with warnings.catch_warnings():
@@ -533,6 +577,21 @@ class TestThermalOccupation:
                 assert thermal_nbar(omega, T) == 1.0 / np.expm1(7.638232 * omega / T)
             # hbar omega / k_B T = 2880: expm1 alone overflows
             assert thermal_nbar(omega, 0.1) == 0.0
+
+
+class TestOpenRates:
+    @pytest.mark.parametrize("field, value", [("tau_r", 0.0), ("tau_q", -100.0),
+                                              ("tau_q", np.nan), ("tau_phi", -np.inf)])
+    def test_lifetime_that_is_not_positive_rejected(self, field, value):
+        # 0 raised ZeroDivisionError, a negative tau gave NaN rates and NaN
+        # switched the channel off
+        with pytest.raises(ValueError, match=rf"OpenRates\.{field} must be > 0"):
+            OpenRates(**{field: value})
+
+    def test_infinite_lifetime_disables_the_channel(self):
+        p = default_cqed_params(n_max=4)
+        assert _collapse_operators(p, OpenRates()) == []
+        assert len(_collapse_operators(p, OpenRates(tau_q=100.0))) == 1
 
 
 class TestOpenEvolve:
@@ -577,6 +636,21 @@ class TestOpenEvolve:
             open_evolve(2.0 * rho, p, OpenRates(), 1.0)
         with pytest.raises(ValueError, match="shape"):
             open_evolve(np.eye(10) / 10.0, p, OpenRates(), 1.0)
+
+    @pytest.mark.parametrize("duration", [-1.0, -50.0, np.nan, np.inf])
+    def test_invalid_duration_rejected(self, duration):
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        with pytest.raises(ValueError, match=r"duration must be finite and >= 0"):
+            open_evolve(rho, p, OpenRates.typical(), duration)
+
+    def test_zero_duration_returns_the_hermitised_input(self):
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        rho[0, 1] += 1e-3  # an anti-Hermitian part, removed by the Hermitisation
+        rho[1, 0] -= 1e-3
+        out = open_evolve(rho, p, OpenRates.typical(), 0.0)
+        assert np.array_equal(out, 0.5 * (rho + rho.conj().T))
 
     def test_matches_dense_superoperator_exponential(self):
         # Independent reference: the superoperator is assembled column by
@@ -718,18 +792,39 @@ class TestOpenEvolve:
             open_evolve(rho, p, OpenRates(), 1.0)
 
 
+def sector_part(z, j, k):
+    """The Hermitian part of z on the entries (j, k) and (k, j), zero elsewhere."""
+    h = 0.5 * (z + z.conj().T)
+    out = np.zeros_like(h)
+    out[j, k], out[k, j] = h[j, k], h[k, j]
+    return out
+
+
 class TestHermitianCoordinates:
     def test_round_trip_in_each_parity_sector(self):
+        # gather and scatter by index lists agree with the sparse maps T and R
+        # bit for bit, and the round trip returns the sector's entries
         rng = np.random.default_rng(11)
         dim = 2 * (5 + 1)
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for sector in parity_sectors(5):
-            rho = np.where(sector, z + z.conj().T, 0.0)
-            T, R = _hermitian_coordinates(sector)
+        sectors = _parity_sectors(5)
+        # every entry of the upper triangle in exactly one sector, row-major
+        assert sum(len(j) for j, _ in sectors) == dim * (dim + 1) // 2
+        photons = np.arange(dim) % 6
+        for parity, (j, k) in enumerate(sectors):
+            assert np.all(j <= k) and np.all(np.diff(j * dim + k) > 0)
+            assert np.all((photons[j] + photons[k]) % 2 == parity)
+            rho = sector_part(z, j, k)
+            T, R = _hermitian_coordinates(j, k, dim)
             # one real coordinate per complex entry of the sector
-            assert T.shape == (dim * dim, np.count_nonzero(sector)) == R.T.shape
-            x = (R @ rho.ravel()).real
-            assert np.array_equal(T @ x, rho.ravel())
+            assert T.shape == (dim * dim, np.count_nonzero(rho)) == R.T.shape
+            x = _gather(rho, j, k)
+            assert np.array_equal(x, (R @ rho.ravel()).real)
+            out = np.zeros((dim, dim), dtype=complex)
+            _scatter(x, j, k, out)
+            assert np.array_equal(out, rho)
+            assert np.array_equal(out.ravel(), T @ x)
+            assert np.array_equal(out, out.conj().T)
 
     def test_real_generator_matches_the_liouvillian(self):
         p = default_cqed_params(n_max=7)
@@ -737,9 +832,9 @@ class TestHermitianCoordinates:
         rng = np.random.default_rng(12)
         dim = 2 * (p.n_max + 1)
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for sector in parity_sectors(p.n_max):
-            vec = np.where(sector, z + z.conj().T, 0.0).ravel()
-            T, R = _hermitian_coordinates(sector)
+        for j, k in _parity_sectors(p.n_max):
+            vec = sector_part(z, j, k).ravel()
+            T, R = _hermitian_coordinates(j, k, dim)
             G = (R @ L @ T).real
             expected = (R @ (L @ vec)).real
             assert np.abs(G @ (R @ vec).real - expected).max() < 1e-14 * np.abs(expected).max()
@@ -756,9 +851,9 @@ class TestSectorGenerator:
             H = _joint_hamiltonian(p, theta)
             ls = _collapse_operators(p, OpenRates.typical())
             L = _liouvillian(H, ls)
-            for sector in parity_sectors(p.n_max):
-                T, R = _hermitian_coordinates(sector)
-                G = _sector_generator(H, ls, sector)
+            for j, k in _parity_sectors(p.n_max):
+                T, R = _hermitian_coordinates(j, k, H.shape[0])
+                G = _sector_generator(H, ls, j, k)
                 expected = (R @ L @ T).real
                 assert G.shape == expected.shape
                 assert (G != expected).nnz == 0
@@ -778,10 +873,10 @@ class TestExpmAction:
         p, psi = design_point_state()
         L = _liouvillian(_joint_hamiltonian(p, p.theta),
                          _collapse_operators(p, OpenRates.typical()))
-        for sector in parity_sectors(p.n_max):
-            T, R = _hermitian_coordinates(sector)
+        for j, k in _parity_sectors(p.n_max):
+            T, R = _hermitian_coordinates(j, k, psi.size)
             G = (R @ L @ T).real
-            x = (R @ np.outer(psi.ravel(), psi.ravel().conj()).ravel()).real
+            x = _gather(np.outer(psi.ravel(), psi.ravel().conj()), j, k)
             out = _expm_action(G, x, p.t_gate)
             assert out.dtype == np.float64
             embedded = _expm_action(G.astype(complex), x.astype(complex), p.t_gate)
@@ -821,24 +916,23 @@ class TestExpmAction:
         rng = np.random.default_rng(21)
         for theta in (p.theta, p.theta_tilde):
             H = _joint_hamiltonian(p, theta)
-            for sector in parity_sectors(p.n_max):
-                G = _sector_generator(H, ls, sector)
+            for j, k in _parity_sectors(p.n_max):
+                G = _sector_generator(H, ls, j, k)
                 b = rng.standard_normal(G.shape[0])
                 expected = expm(p.t_gate * G.toarray()) @ b
                 out = _expm_action(G, b, p.t_gate)
                 assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_agrees_with_the_taylor_action(self):
-        # the gate_open design point in both sectors, and the complex
-        # squeeze generator of the lab-frame branch
+        # the gate_open design point in both sectors, and a complex squeeze
+        # generator
         p, psi = design_point_state()
         ls = _collapse_operators(p, OpenRates.typical())
-        vec = np.outer(psi.ravel(), psi.ravel().conj()).ravel()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
         for theta in (p.theta, p.theta_tilde):
-            for sector in parity_sectors(p.n_max):
-                G = _sector_generator(_joint_hamiltonian(p, theta), ls, sector)
-                _, R = _hermitian_coordinates(sector)
-                x = (R @ vec).real
+            for j, k in _parity_sectors(p.n_max):
+                G = _sector_generator(_joint_hamiltonian(p, theta), ls, j, k)
+                x = _gather(rho, j, k)
                 expected = _taylor_action(G, x, p.t_gate)
                 assert np.abs(_expm_action(G, x, p.t_gate) - expected).max() \
                     <= 1e-13 * np.abs(expected).max()
@@ -854,13 +948,12 @@ class TestExpmAction:
         p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=8)
         psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 8))
         psi[:, 1] = 0.5 * psi[:, 0]
-        vec = np.outer(psi.ravel(), psi.ravel().conj()).ravel() / np.vdot(psi, psi).real
+        rho = np.outer(psi.ravel(), psi.ravel().conj()) / np.vdot(psi, psi).real
         ls = _collapse_operators(p, OpenRates(tau_q=1.0, tau_r=1.0))
-        for sector in parity_sectors(p.n_max):
-            G = _sector_generator(_joint_hamiltonian(p, p.theta), ls, sector)
+        for j, k in _parity_sectors(p.n_max):
+            G = _sector_generator(_joint_hamiltonian(p, p.theta), ls, j, k)
             assert series_norm(G, p.t_gate) > 800.0
-            _, R = _hermitian_coordinates(sector)
-            x = (R @ vec).real
+            x = _gather(rho, j, k)
             expected = expm(p.t_gate * G.toarray()) @ x
             out = _expm_action(G, x, p.t_gate)
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -878,7 +971,7 @@ class TestExpmAction:
     def test_tiny_duration(self):
         p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=12)
         G = _sector_generator(_joint_hamiltonian(p, p.theta),
-                              _collapse_operators(p, OpenRates.typical()), parity_sectors(12)[0])
+                              _collapse_operators(p, OpenRates.typical()), *_parity_sectors(12)[0])
         b = np.random.default_rng(23).standard_normal(G.shape[0])
         assert series_norm(G, 1e-6) < 1e-5
         expected = expm(1e-6 * G.toarray()) @ b
@@ -1004,9 +1097,9 @@ class TestLabFrameValidation:
             ref = branch_state(p, rotating_frame_product(p, wb, n_steps), vac)
             assert np.abs(lab_frame_branch(p, level, vac) - ref).max() < 1e-10
 
-    def test_sparse_squeeze_matches_the_dense_exponential(self, monkeypatch):
-        # the branch applies S(r, theta_s) by a Taylor action on the banded
-        # generator; the reference exponentiates the same generator densely
+    def test_squeeze_matches_the_dense_exponential(self, monkeypatch):
+        # the branch applies S(r, theta_s) from the real parity blocks of
+        # S(r, 0); the reference exponentiates the complex generator densely
         rng = np.random.default_rng(4)
         for r, n_max in ((0.5, 40), (1.0, 100)):
             p = params_for(r, theta=0.7, n_max=n_max)
@@ -1014,11 +1107,47 @@ class TestLabFrameValidation:
             psi0[:6] = rng.normal(size=6) + 1j * rng.normal(size=6)
             psi0 /= np.linalg.norm(psi0)
             for level in (0, 1):
-                sparse_state = lab_frame_branch(p, level, psi0)
+                state = lab_frame_branch(p, level, psi0)
                 with monkeypatch.context() as m:
-                    m.setattr(gate, "_expm_action", lambda A, b, t: expm(t * A.toarray()) @ b)
+                    m.setattr(gate, "squeeze_operator",
+                              lambda r, th, n_max: expm(_squeeze_generator(r, th, n_max)))
                     dense_state = lab_frame_branch(p, level, psi0)
-                assert np.abs(sparse_state - dense_state).max() < 1e-12
+                assert np.abs(state - dense_state).max() < 1e-12
+
+    @pytest.mark.parametrize("t_gate", [200.0, 0.5 / 7.5e-3])
+    def test_input_over_many_levels_meets_rtol(self, t_gate):
+        # the squeeze moves the state's quadratures, whose size grows with
+        # <n> (20 here), so the per-period tolerance is divided by
+        # sqrt(1 + 2<n>); without it |1> missed rtol 1e-9 by about 2x. The
+        # reference is the whole-span product, at the 200 ns gate and at the
+        # configs/gate_open.yaml gate
+        p = default_cqed_params(theta=0.7, n_max=40, t_gate=t_gate)
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=41) + 1j * rng.normal(size=41)
+        psi0 /= np.linalg.norm(psi0)
+        assert np.sum(np.arange(41) * np.abs(psi0) ** 2) == pytest.approx(20.0, abs=0.1)
+        for level, wb in ((0, p.omega_0), (1, p.omega_1)):
+            n_steps = 64 * int(np.ceil(p.t_gate * (p.omega_d + 2.0 * wb) / (2.0 * np.pi)))
+            ref = branch_state(p, rotating_frame_product(p, wb, n_steps), psi0)
+            assert np.abs(lab_frame_branch(p, level, psi0, rtol=1e-9) - ref).max() < 1e-9
+
+    def test_vacuum_keeps_the_plain_per_period_tolerance(self, monkeypatch):
+        # <n> = 0: each period meets rtol / k exactly, as before the input's
+        # <n> entered; a Fock state |n> asks sqrt(1 + 2n) times less
+        tolerances = []
+
+        def spy(exponent, t_a, t_b, Y0, rtol, *args):
+            tolerances.append(rtol)
+            return magnus.propagate(exponent, t_a, t_b, Y0, rtol, *args)
+        monkeypatch.setattr(gate, "propagate", spy)
+        p = params_for(0.5, theta=0.7, n_max=40)
+        k = int(p.t_gate * p.omega_d / (2.0 * np.pi))
+        for n in (0, 4):
+            lab_frame_branch(p, 1, np.eye(41)[n].astype(complex), rtol=1e-9)
+        assert tolerances == [1e-9 / k, 1e-9 / (k * 3.0)]
+        # a zero input counts as <n> = 0, and is mapped to zero
+        assert not np.any(lab_frame_branch(p, 1, np.zeros(41, dtype=complex), rtol=1e-9))
+        assert tolerances[-1] == 1e-9 / k
 
     def test_corrupted_step_exponential_rejected(self, monkeypatch):
         # a step scaled off the group passes the step-doubling comparison,
@@ -1063,8 +1192,9 @@ class TestLabFrameValidation:
         p = default_cqed_params(theta=0.7, n_max=40)
         k = int(p.t_gate * p.omega_d / (2.0 * np.pi))
         vac = np.eye(41)[0].astype(complex)
-        message = (rf"cannot reach rtol 1\.0e-13: it takes its k = {k} whole drive periods .*"
-                   rf"rtol / max\(1, k\) = {re.escape(f'{1e-13 / k:.1e}')}; loosen rtol\. "
+        message = (rf"cannot reach rtol 1\.0e-13: with its k = {k} whole drive periods and "
+                   rf"psi0's <n> = 0, each period must meet rtol / \(max\(1, k\) "
+                   rf"sqrt\(1 \+ 2<n>\)\) = {re.escape(f'{1e-13 / k:.1e}')}; loosen rtol\. "
                    rf"Magnus product not converged")
         with pytest.raises(RuntimeError, match=message):
             lab_frame_branch(p, 1, vac, rtol=1e-13)

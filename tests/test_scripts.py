@@ -29,3 +29,13 @@ def test_time_configs_records_a_commit_only_for_a_checkout_top(tmp_path):
     assert commit(tmp_path) == git("rev-parse", "HEAD")
     # an untracked export inside the checkout is not that commit
     assert commit(export) is None
+
+
+def test_code_lines_file_rows_add_up_to_their_tree(capsys):
+    load_script("code_lines").main([str(SCRIPTS.parent / "src")])
+    tables = capsys.readouterr().out.split("\n\n")
+    (total,) = [line.split("|")[2:4] for line in tables[0].splitlines()[2:]]
+    files = [line.split("|")[1:4] for line in tables[1].splitlines()[2:]]
+    assert {name.strip() for name, _, _ in files} >= {"src/dcelab/gate.py", "src/dcelab/cli.py"}
+    for column in (0, 1):
+        assert sum(int(row[column + 1]) for row in files) == int(total[column]) > 0
