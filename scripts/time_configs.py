@@ -14,7 +14,10 @@ even i and the after tree first on odd i, so slow drift in the machine
 falls on both sides. BLAS runs on one thread.
 
 Prints, and with ``--out`` writes as JSON, each tree's median and quartiles
-per config, in seconds. A run that exits non-zero stops the script.
+per config, in seconds, and the median minor page faults of its runs: the
+growth of ``getrusage(RUSAGE_CHILDREN).ru_minflt`` across each child, which
+counts first touches of fresh memory. A run that exits non-zero stops the
+script.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,25 +53,31 @@ def shipped_configs(tree):
 
 
 def time_run(tree, subcommand, config, out_dir):
-    """Seconds of one whole `python -m dcelab.cli` process on tree's src/."""
+    """Seconds and minor page faults of one whole `python -m dcelab.cli` process
+    on tree's src/."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            **{var: "1" for var in _BLAS_VARS}}
     cmd = [sys.executable, "-m", "dcelab.cli", subcommand, "--config", str(config),
            "--out", str(out_dir)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} (PYTHONPATH={tree / 'src'}) exited "
                          f"{proc.returncode}: {proc.stderr.strip()}")
-    return seconds
+    return seconds, faults
 
 
-def summary(times):
-    """Median and quartiles (inclusive method) of one config's runs."""
+def summary(runs):
+    """Median and quartiles (inclusive method) of one config's run seconds, and
+    the median of its runs' minor page faults, from (seconds, faults) pairs."""
+    times, faults = (list(column) for column in zip(*runs))
     q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
                       if len(times) > 1 else times * 3)
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": times}
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": times,
+            "minflt_median": statistics.median(faults), "minflt_runs": faults}
 
 
 def _commit(tree):
@@ -118,7 +128,8 @@ def main(argv=None):
     }
     for stem, entry in result["configs"].items():
         cells = [f"{side} {entry[side]['median_s']:.3f} s "
-                 f"[{entry[side]['q1_s']:.3f}, {entry[side]['q3_s']:.3f}]" for side in trees]
+                 f"[{entry[side]['q1_s']:.3f}, {entry[side]['q3_s']:.3f}] "
+                 f"{entry[side]['minflt_median']:.0f} faults" for side in trees]
         print(f"{stem:24s} {entry['subcommand']:10s} " + "  ".join(cells))
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -22,6 +22,7 @@ sampling-based work, none of which feeds the tables below.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 import time
@@ -254,6 +255,7 @@ def _threads_type(text):
 
 
 def build_parser():
+    """A new argument parser with one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="dcelab",
         description="numerical laboratory for cavities with moving boundaries")
@@ -274,8 +276,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser main uses: built on the first call, not at import, and kept
+    for the process. Parsing leaves it unchanged, so every call may share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one subcommand on argv (default sys.argv[1:]) and return its exit
+    code. The argument parser is built once per process, on the first call."""
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)

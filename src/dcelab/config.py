@@ -346,6 +346,30 @@ def _first_error(doc):
     return errors[0] if errors else None
 
 
+# +inf is a lifetime that switches its channel off (gate.OpenRates)
+_INF_ALLOWED = {("gate", "rates", key) for key in ("tau_q", "tau_r", "tau_phi")}
+
+
+def _non_finite(doc, path=()):
+    """(path, value) of the first number in doc, in document order, that is NaN
+    or infinite, or None. +inf passes at the paths in _INF_ALLOWED. The schema
+    cannot say this: NaN fails no comparison, and inf passes every bound
+    without a maximum."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        bad = (isinstance(doc, float) and not np.isfinite(doc)
+               and not (doc > 0.0 and path in _INF_ALLOWED))
+        return (path, doc) if bad else None
+    for key, value in items:
+        found = _non_finite(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def _json_path(path):
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
@@ -355,7 +379,9 @@ def load_config(path):
 
     Returns the raw mapping. Raises ConfigError with a line number for
     YAML syntax problems and with the JSON path of the offending field
-    for schema violations.
+    for schema violations and for a NaN or infinite number (.nan, .inf),
+    except +inf for the gate's rates.tau_q, tau_r and tau_phi, where it
+    switches the channel off.
     """
     try:
         text = Path(path).read_text()
@@ -375,6 +401,10 @@ def load_config(path):
     if first is not None:
         where, message = first
         raise ConfigError(f"{path}: {_json_path(where)}: {message}")
+    bad = _non_finite(raw)
+    if bad is not None:
+        where, value = bad
+        raise ConfigError(f"{path}: {_json_path(where)}: {value!r} is not a finite number")
     return raw
 
 

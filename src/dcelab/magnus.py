@@ -11,7 +11,12 @@ N x N blocks of A for many steps at once. Omega stays in the Lie algebra
 of the generator, so a product of such exponentials keeps every invariant
 the exact flow keeps (unit determinant, symplectic form) up to rounding.
 expm_taylor, the package's one dense exponential, takes real or complex
-stacks with batched products only. propagate, the one driver, is a
+stacks with batched products only, written into a workspace: one flat
+scratch array that each exponent from field_exponent carries for the
+batches of its propagation, so no batch allocates or first-touches its
+own. A stack expm_taylor returns lies in that workspace and is valid until
+the next batch on it, so one exponent serves one thread at a time; callers
+without a workspace get a throwaway one. propagate, the one driver, is a
 step-doubling product of such steps with whole periods taken as powers of
 one monodromy matrix. propagate tests the period on the coefficients lam
 and w the field is built from, and when lam is odd and w even about t_a +
@@ -24,6 +29,7 @@ V; Magnus & Winkler, Hill's Equation), which halves the steps per period.
 """
 
 import math
+import mmap
 
 import numpy as np
 
@@ -40,6 +46,10 @@ _BATCH = 64  # Magnus steps per batched exponential; bounds the memory of one ba
 _THETA = {2: 2.58e-8, 4: 3.4e-4, 6: 9.07e-3, 9: 0.0896, 12: 0.3, 16: 0.781,
           20: 1.44, 25: 2.43, 30: 3.54}
 
+# stacks of X's size in expm_taylor's workspace: the product stack and, at the
+# highest degree, q powers and m // q blocks
+_STACKS = 1 + max(q + m // q for m in _THETA for q in [math.isqrt(m - 1) + 1])
+
 
 def field_exponent(coefficients, Mhat, omega0):
     """The step exponent (t0, h) -> Omega of propagate for the canonical field
@@ -54,7 +64,8 @@ def field_exponent(coefficients, Mhat, omega0):
     omega0^-1/2): the similarity D = diag(balance) is symplectic and turns
     the off-diagonal blocks I and -W into omega-sized ones, so with omega0
     near sqrt(w) the balanced exponent has a 1-norm of order omega h instead
-    of omega^2 h.
+    of omega^2 h. exponent.workspace is the expm_taylor workspace its
+    batches of up to _BATCH steps are exponentiated in (_exponentials).
 
     The sixth-order Magnus exponent of a step combines b1 = h A_2, b2 = s
     (A_3 - A_1) and b3 = r (A_3 - 2 A_2 + A_1), A_j = A(t_j), s = sqrt(15) h
@@ -159,6 +170,7 @@ def field_exponent(coefficients, Mhat, omega0):
         return out
     exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
     exponent.coefficients = coefficients
+    exponent.workspace = _workspace(_BATCH * 4 * N * N)
     return exponent
 
 
@@ -175,7 +187,24 @@ def _degree(norm):
     return best[1]
 
 
-def expm_taylor(X):
+def _workspace(size, dtype=np.float64):
+    """An expm_taylor workspace for stacks of up to `size` entries of dtype.
+
+    It is sized for the highest degree, so it never regrows, and it is a
+    private anonymous memory map of its own: the OS supplies a page when a
+    batch first reaches it and takes every page back when the last view
+    dies. A large np.empty would instead be marked for 2 MiB transparent
+    huge pages by numpy, so a part touched is resident whole, and once freed
+    it would raise malloc's mmap and trim thresholds for every later
+    allocation of the process (3.5 MB more peak RSS on the drive benchmark).
+    """
+    dtype = np.dtype(dtype)
+    count = _STACKS * size
+    space = mmap.mmap(-1, max(count, 1) * dtype.itemsize, access=mmap.ACCESS_COPY)
+    return np.frombuffer(space, dtype, count)
+
+
+def expm_taylor(X, workspace=None):
     """exp of every matrix of a real or complex stack X of shape (b, n, n) by
     one scaling-and-squaring Taylor polynomial.
 
@@ -186,28 +215,49 @@ def expm_taylor(X):
     c_(kq+i) Y^i (i < q, with c_m Y^q added to the last) as one product with
     the coefficient table, and Horner's rule in Y^q; the result is squared
     s times.
+
+    Every array of size b n^2 is a stack of workspace, a flat array of X's
+    dtype from _workspace: first the product stack, which holds |X| while
+    the norm is taken, with the column sums right after it, then the powers
+    and the blocks. The Horner and squaring products alternate
+    between the product stack and the last block, consumed first. Without a
+    workspace, or with one of another dtype or too small for X, a throwaway
+    one is made. The stack returned lies in the workspace and is valid until
+    the next call on it.
     """
-    n = X.shape[-1]
-    norm = float((np.ones(n) @ np.abs(X)).max(initial=0.0))  # column sums
+    b, n = len(X), X.shape[-1]
+    stack = X.size
+    if workspace is None or workspace.dtype != X.dtype or len(workspace) < _STACKS * stack:
+        workspace = _workspace(stack, X.dtype)
+
+    def take(first, count):  # `count` stacks of X's shape, from stack `first` on
+        return workspace[first * stack:(first + count) * stack].reshape((count,) + X.shape)
+    real = workspace.view(X.real.dtype)  # |X| and its column sums are real
+    A = np.abs(X, out=real[:stack].reshape(X.shape))
+    sums = np.matmul(np.ones(n), A, out=real[stack:stack + b * n].reshape(b, n))
+    norm = float(sums.max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError("expm_taylor: the stack has a non-finite entry")
     m, q, s = _degree(norm)
     r = m // q
-    P = np.empty((q,) + X.shape, dtype=X.dtype)  # P[i] = Y^(i + 1)
+    P = take(1, q)  # P[i] = Y^(i + 1)
     np.multiply(X, 0.5 ** s, out=P[0])
     for i in range(1, q):
         np.matmul(P[i - 1], P[0], out=P[i])
     C = np.zeros((r, q + 1))  # C[k, i]: coefficient of Y^i in B_k
     C[:, :q] = [[1.0 / math.factorial(k * q + i) for i in range(q)] for k in range(r)]
     C[-1, q] = 1.0 / math.factorial(m)
-    blocks = (C[:, 1:] @ P.reshape(q, -1)).reshape((r,) + X.shape)
+    blocks = take(1 + q, r)
+    np.matmul(C[:, 1:], P.reshape(q, -1), out=blocks.reshape(r, -1))
     blocks[..., np.arange(n), np.arange(n)] += C[:, :1, None]
-    E = blocks[r - 1]
+    E, spare = blocks[r - 1], take(0, 1)[0]
     for k in range(r - 2, -1, -1):
-        E = E @ P[q - 1]
-        E += blocks[k]
+        np.matmul(E, P[q - 1], out=spare)
+        spare += blocks[k]
+        E, spare = spare, E
     for _ in range(s):
-        E = E @ E
+        np.matmul(E, E, out=spare)
+        E, spare = spare, E
     return E
 
 
@@ -217,8 +267,8 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     exponent maps arrays t0, h of step starts and lengths to the real
     (len(h), n, n) sixth-order Magnus exponents of the steps [t0_j, t0_j +
     h_j]; field_exponent forms them, with exponent.balance, the diagonal
-    similarity applied to each of them (_exponentials), and
-    exponent.coefficients. omega_max, the fastest rotation of the flow, sets
+    similarity applied to each of them (_exponentials), exponent.coefficients
+    and exponent.workspace. omega_max, the fastest rotation of the flow, sets
     the base step grid and rtol the step-doubling tolerance (_propagate);
     samples are sorted, distinct times in (t_a, t_b). With a period shorter
     than the span, the fundamental matrix M over one period is checked
@@ -366,12 +416,14 @@ def _exponentials(exponent, t0, h):
 
     Each exponent Omega_j = exponent(t0, h)[j] is exponentiated balanced, as
     D^-1 exp(D Omega D^-1) D with D = diag(exponent.balance), which is exact
-    and keeps the Taylor degree low with no squaring on the base grid.
+    and keeps the Taylor degree low with no squaring on the base grid. The
+    stack returned lies in exponent.workspace and is valid until the next
+    batch of the exponent.
     """
     X = exponent(t0, h)
     d = exponent.balance
     X *= d[:, None] / d
-    E = expm_taylor(X)
+    E = expm_taylor(X, exponent.workspace)
     E *= d / d[:, None]
     return E
 

@@ -12,7 +12,10 @@ period) the reference for the matrix built from two quarter periods. The
 accuracy reference is scipy's DOP853 on the same canonical system.
 """
 
+import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +100,31 @@ def magnus6(a1, a2, a3, h):
     c1 = bracket(b1, b2)
     c2 = bracket(b1, 2.0 * b3 + c1) / -60.0
     return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def expm_taylor_allocating(X):
+    """magnus.expm_taylor as it was before it took a workspace: the same
+    arithmetic in the same order, with every array allocated per call."""
+    n = X.shape[-1]
+    norm = float((np.ones(n) @ np.abs(X)).max(initial=0.0))
+    m, q, s = magnus._degree(norm)
+    r = m // q
+    P = np.empty((q,) + X.shape, dtype=X.dtype)
+    np.multiply(X, 0.5 ** s, out=P[0])
+    for i in range(1, q):
+        np.matmul(P[i - 1], P[0], out=P[i])
+    C = np.zeros((r, q + 1))
+    C[:, :q] = [[1.0 / math.factorial(k * q + i) for i in range(q)] for k in range(r)]
+    C[-1, q] = 1.0 / math.factorial(m)
+    blocks = (C[:, 1:] @ P.reshape(q, -1)).reshape((r,) + X.shape)
+    blocks[..., np.arange(n), np.arange(n)] += C[:, :1, None]
+    E = blocks[r - 1]
+    for k in range(r - 2, -1, -1):
+        E = E @ P[q - 1]
+        E += blocks[k]
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def bogoliubov_error(bog, ref):
@@ -691,6 +719,67 @@ class TestBatchedExponential:
         assert np.array_equal(magnus.expm_taylor(np.zeros((1, 6, 6))), np.eye(6)[None])
         with pytest.raises(ValueError, match="non-finite"):
             magnus.expm_taylor(np.full((2, 3, 3), np.nan))
+
+
+class TestWorkspace:
+    """expm_taylor through a reused workspace against a fresh call and against
+    the allocating reference, and no buffer shared between propagations."""
+
+    @staticmethod
+    def stack(b, n, norm, dtype, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((b, n, n))
+        if dtype == np.complex128:
+            X = X + 1j * rng.standard_normal((b, n, n))
+        return X * (norm / np.abs(X).sum(axis=-2).max())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    @pytest.mark.parametrize("norm, squared", [(0.5, False), (40.0, True)],
+                             ids=["no_squaring", "squarings"])
+    def test_reused_workspace_matches_fresh_calls(self, dtype, norm, squared):
+        n = 10
+        workspace = magnus._workspace(64 * n * n, dtype)
+        # batch sizes 64 -> 13 -> 64, each with its own norm and so its own degree
+        for seed, (b, scale) in enumerate([(64, 1.0), (13, 0.01), (64, 1.0)]):
+            X = self.stack(b, n, scale * norm, dtype, seed)
+            assert (magnus._degree(scale * norm)[2] > 0) == (squared and scale == 1.0)
+            E = magnus.expm_taylor(X, workspace)
+            assert E.dtype == dtype and E.shape == X.shape
+            assert np.shares_memory(E, workspace)
+            assert np.array_equal(E, magnus.expm_taylor(X))
+            assert np.array_equal(E, expm_taylor_allocating(X))
+
+    def test_workspace_that_cannot_hold_the_stack_is_left_alone(self):
+        X = self.stack(8, 6, 2.0, np.float64, 0)
+        for workspace in (magnus._workspace(4 * 36), magnus._workspace(8 * 36, np.complex128)):
+            before = workspace.copy()
+            E = magnus.expm_taylor(X, workspace)
+            assert not np.shares_memory(E, workspace)
+            assert np.array_equal(E, expm_taylor_allocating(X))
+            assert np.array_equal(workspace, before, equal_nan=True)
+
+    def test_concurrent_propagations_match_serial_runs(self):
+        # four walls, each twice, on four threads; a buffer shared between
+        # propagations would mix their steps
+        t = np.linspace(0.0, 6.0, 25)
+        walls = [harmonic_wall(np.pi, 0.01, 2.0, t_end=9.0), quintic_wall(np.pi, 0.1, 6.0),
+                 tabulated_wall(t, np.pi * (1.0 + 0.05 * np.sin(np.pi * t / 6.0) ** 2)),
+                 harmonic_wall(np.pi, 0.02, 4.0, t_end=5.0)]
+        spec = CavitySpec(length=np.pi, n_modes=10)
+
+        def solve(traj):
+            return integrate_modes(spec, traj, rtol=1e-10)
+        serial = [solve(traj) for traj in walls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(walls)) as pool:
+                futures = [pool.submit(solve, traj) for traj in walls * 2]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial * 2, threaded):
+            assert np.array_equal(a.Q, b.Q) and np.array_equal(a.Qdot, b.Qdot)
 
 
 class TestSamples:

@@ -185,6 +185,92 @@ class TestExitCodes:
         assert (out / "spectrum_manifest.json").exists()
 
 
+class TestNonFiniteNumbers:
+    """YAML .nan and .inf pass every schema bound without a maximum; load_config
+    rejects them by path, except +inf for a gate lifetime, which switches that
+    channel off."""
+
+    NAN = float("nan")
+    CASES = {
+        "cavity": ("bogoliubov", {**STATIC_DOC, "cavity": {"length": NAN, "n_modes": 5}}),
+        "trajectory": ("bogoliubov", {**STATIC_DOC, "trajectory": {
+            "type": "harmonic", "epsilon": NAN, "omega": 2.0, "t_end": 4.0}}),
+        "bogoliubov": ("bogoliubov", {**STATIC_DOC, "bogoliubov": {"beta_temp": NAN}}),
+        "msa": ("msa", {"cavity": {"length": 3.141592653589793, "n_modes": 4},
+                        "msa": {"omega": 2.0, "tau_max": NAN}}),
+        "moore": ("moore", {**STATIC_DOC, "moore": {"t_max": 4.0, "temperature": NAN}}),
+        "squid": ("spectrum", {"squid": {**SPECTRUM_DOC["squid"], "b0L": NAN}}),
+        "otto": ("otto", {"otto": {**OTTO_DOC["otto"], "epsilon": NAN}}),
+        "gate": ("gate", {"gate": {"r": 0.3, "p_z": [0.5], "n_max": 12,
+                                   "rates": {"temperature_mK": NAN}}}),
+        "crosscheck": ("crosscheck", {
+            "cavity": {"length": 3.141592653589793, "n_modes": 4},
+            "trajectory": {"type": "harmonic", "epsilon": 0.01, "omega": 2.0, "t_end": 4.0},
+            "crosscheck": {"beta_factor": NAN}}),
+    }
+
+    @pytest.mark.parametrize("block", list(CASES))
+    def test_nan_in_each_block_exits_2(self, tmp_path, capsys, block):
+        subcommand, doc = self.CASES[block]
+        code, _ = run(tmp_path, subcommand, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"$.{block}." in err
+        assert "nan is not a finite number" in err
+
+    @pytest.mark.parametrize("value, message", [
+        (float("inf"), "inf is not a finite number"),
+        (-float("inf"), "-inf is less than or equal to the minimum of 0"),
+    ], ids=["+inf", "-inf"])
+    def test_infinite_length_exits_2(self, tmp_path, capsys, value, message):
+        doc = {**STATIC_DOC, "cavity": {"length": value, "n_modes": 5}}
+        code, _ = run(tmp_path, "bogoliubov", doc)
+        assert code == 2
+        assert f"$.cavity.length: {message}" in capsys.readouterr().err
+
+    def test_infinite_lifetime_switches_the_channel_off(self, tmp_path):
+        doc = {"gate": {"r": 0.3, "p_z": [0.5], "n_max": 12,
+                        "rates": {"tau_phi": float("inf")}}}
+        assert load_config(write_cfg(tmp_path, doc)) == doc
+        assert run(tmp_path, "gate", doc)[0] == 0
+        assert build_gate(doc["gate"])[2].tau_phi == float("inf")
+
+
+class TestParser:
+    """main builds its parser once per process; reuse must leak nothing between runs."""
+
+    @pytest.mark.parametrize("subcommand, doc, table", [
+        ("bogoliubov", {"cavity": {"length": 3.141592653589793, "n_modes": 4},
+                        "trajectory": {"type": "harmonic", "epsilon": 0.02, "omega": 2.0,
+                                       "t_end": 8.0},
+                        "bogoliubov": {"n_times": 5}}, "occupations.csv"),
+        ("msa", {"cavity": {"length": 3.141592653589793, "n_modes": 4},
+                 "msa": {"omega": 2.0, "n_samples": 5}}, "slow_amplitudes.csv"),
+    ], ids=["bogoliubov", "msa"])
+    def test_two_runs_in_one_process_write_identical_tables(self, tmp_path, subcommand,
+                                                            doc, table):
+        cfg = write_cfg(tmp_path, doc)
+        blobs = []
+        for name in ("first", "second"):
+            assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            blobs.append((tmp_path / name / table).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_bad_thread_count_after_a_good_run_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SPECTRUM_DOC)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(["spectrum", "--config", str(cfg), "--threads", "0"])
+        assert exit_.value.code == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+
+    def test_build_parser_returns_a_new_parser_and_main_keeps_one(self):
+        from dcelab import cli
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+
 class TestTableFormats:
     def test_csv_round_trip_is_bitwise(self, tmp_path):
         rows = [[0.1, 1.0 / 3.0, -0.0], [1e-300, 2.0**-52, 12345.678901234567],

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -39,3 +40,21 @@ def test_code_lines_file_rows_add_up_to_their_tree(capsys):
     assert {name.strip() for name, _, _ in files} >= {"src/dcelab/gate.py", "src/dcelab/cli.py"}
     for column in (0, 1):
         assert sum(int(row[column + 1]) for row in files) == int(total[column]) > 0
+
+
+def test_time_configs_reports_minor_page_faults(tmp_path, capsys):
+    # a tree of one small config on this checkout's src/
+    tree = tmp_path / "tree"
+    (tree / "configs").mkdir(parents=True)
+    (tree / "src").symlink_to(SCRIPTS.parent / "src")
+    (tree / "configs" / "tiny.yaml").write_text(
+        "#   dcelab spectrum --config configs/tiny.yaml\n"
+        "squid: {chi0: 0.0, b0L: 1.0e6, b0R: 1.0e6, n_max: 2}\n")
+    out = tmp_path / "times.json"
+    assert load_script("time_configs").main(["--after", str(tree), "--runs", "2",
+                                             "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["configs"]["tiny"]["after"]
+    # a fresh Python process that imports numpy touches thousands of pages
+    assert len(entry["minflt_runs"]) == 2 and min(entry["minflt_runs"]) > 1000
+    assert entry["minflt_median"] == sum(entry["minflt_runs"]) / 2
+    assert f"{entry['minflt_median']:.0f} faults" in capsys.readouterr().out
