@@ -167,6 +167,12 @@ def _run_otto(cfg, args):
 def _run_gate(cfg, args):
     params, p_z, rates = build_gate(require_block(cfg, "gate", "gate"))
     r = params.r_gate
+    tol = {"n_max": params.n_max, "leak_tol": params.leak_tol}
+    if rates is not None:
+        from .gate import EIGENVALUE_FLOOR, TRACE_TOL, _protocol_generator
+        tol.update(trace_tol=TRACE_TOL, eigenvalue_floor=EIGENVALUE_FLOOR)
+        # built before the sweep and only read by it, so --threads workers share it
+        generator = _protocol_generator(params, rates) if len(p_z) else None
 
     def one(pz):
         a = np.sqrt((1.0 + pz) / 2.0)
@@ -177,13 +183,12 @@ def _run_gate(cfg, args):
             # lossless limit: the open gate coincides with the closed one
             f_open, purity = f_sim, 1.0
         else:
-            f_open, purity = _cli.open_average_fidelity(a, b, params, rates)
+            f_open, purity = _cli.open_average_fidelity(a, b, params, rates, generator)
         return [float(pz), float(f_closed), float(f_sim),
                 float(f_open), float(purity)]
 
     rows = _map_ordered(one, p_z, args.threads)
     header = ["p_z", "fbar_closed", "fbar_simulated", "fbar_open", "purity"]
-    tol = {"n_max": params.n_max, "leak_tol": params.leak_tol}
     return [("gate_fidelity", header, rows)], tol, [], True
 
 

@@ -35,7 +35,11 @@ a sparse real generator built for that sector's rows alone, and the action
 of its exponential is one Chebyshev series with Bessel coefficients, which
 needs about as many sparse products as the generator's 1-norm times the
 segment length, since the coherent drive keeps its spectrum near the
-imaginary axis.
+imaginary axis. The generator is built at drive angle 0, where it is
+sparsest, and the angle put in by the same D = diag(e^{i theta n / 2})
+phases as for the squeezes, on the coordinates before and after the series.
+So the open protocol builds one generator, and one Chebyshev set-up, for
+both of its segments, and a p_z sweep may share them (the CLI does).
 
 Pure joint states are arrays of shape (2, n_max+1), qubit index first;
 density matrices are square over the flattened index. hbar = 1, time in ns,
@@ -46,6 +50,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +88,10 @@ __all__ = [
 ]
 
 _HBAR_OVER_KB = 7.638232  # mK ns (so x = _HBAR_OVER_KB * omega / T)
+# The open gate's checks on each segment's output: |tr rho - 1| above
+# TRACE_TOL or an eigenvalue below EIGENVALUE_FLOOR raises.
+TRACE_TOL = 1e-8
+EIGENVALUE_FLOOR = -1e-10
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -241,7 +250,14 @@ def _squeeze_matrices(r, thetas, n_max):
     S0[0::2, 0::2] = E[0]
     S0[1::2, 1::2] = E[1, :odd, :odd]
     m = np.subtract.outer(np.arange(n), np.arange(n)) // 2
-    return tuple(np.exp(1j * theta) ** m * S0 for theta in thetas)
+    return tuple(_phases(theta, m) * S0 for theta in thetas)
+
+
+def _phases(angle, powers):
+    """e^{i angle p} for each integer p of powers, as integer powers of
+    e^{i angle}, so that a large angle loses no digits to the rounding of
+    angle p."""
+    return np.exp(1j * angle) ** powers
 
 
 def squeeze_operator(r, theta, n_max):
@@ -579,6 +595,60 @@ def _bessel_j(x, n):
     return j / (j[0] + 2.0 * math.fsum(j[2::2]))
 
 
+class _Chebyshev(NamedTuple):
+    """The set-up of the series of exp(t A) for one A and t (_chebyshev_setup):
+    the factor e^{t mu}, the series norm rho, 2 Y and J_0(rho), ..., J_cap(rho)
+    (Y2 and J are None when rho = 0)."""
+
+    scale: complex
+    rho: float
+    Y2: object
+    J: np.ndarray
+
+
+def _chebyshev_setup(A, t):
+    """Everything of _expm_action that does not depend on b, for a sparse
+    square A and a length t: mu, the exact 1-norm rho of t (A - mu I), the
+    scaled 2 Y and the Bessel values, paid once for every vector exp(t A)
+    is applied to (_chebyshev_series). A non-finite rho raises ValueError."""
+    from scipy import sparse
+    n = A.shape[0]
+    mu = A.trace() / n
+    A = A - mu * sparse.eye_array(n, format="csr")
+    rho = t * abs(A).sum(axis=0).max()
+    if rho == 0.0:  # t = 0 or A a multiple of I
+        return _Chebyshev(np.exp(t * mu), 0.0, None, None)
+    if not np.isfinite(rho):
+        raise ValueError("exp(t A): the generator A has a non-finite entry")
+    return _Chebyshev(np.exp(t * mu), rho, A * (2.0 * t / rho),
+                      _bessel_j(rho, int(3.0 * rho) + 100))
+
+
+def _chebyshev_series(c, b):
+    """exp(t A) b from the set-up c = _chebyshev_setup(A, t), which it leaves
+    unchanged, so one set-up may serve several threads at once."""
+    if c.rho == 0.0:
+        return c.scale * b
+    _, rho, Y2, J = c
+    cap = len(J) - 1
+    u_prev = np.array(b, dtype=np.result_type(Y2.dtype, b.dtype))
+    u = 0.5 * (Y2 @ u_prev)
+    f = J[0] * u_prev + 2.0 * J[1] * u
+    c2, term = np.inf, np.empty_like(f)
+    for k in range(2, cap + 1):
+        u_next = Y2 @ u
+        u_next += u_prev
+        u_prev, u = u, u_next
+        f += np.multiply(u, 2.0 * J[k], out=term)
+        if k > rho:
+            c1, c2 = c2, 2.0 * abs(J[k]) * np.abs(u).max()
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                return c.scale * f
+    raise RuntimeError(f"Chebyshev series of exp(t A) b not converged at rho = {rho:.4g}: "
+                       f"its last two terms are {c1:.2e} and {c2:.2e} after {cap} terms, "
+                       f"against a partial sum of {np.abs(f).max():.2e}")
+
+
 def _expm_action(A, b, t):
     """exp(t A) b for a sparse square A by one Chebyshev series.
 
@@ -596,35 +666,11 @@ def _expm_action(A, b, t):
     the partial sum in the inf-norm; a series still running at 3 rho + 100
     terms raises RuntimeError. The 1-norm is exact, so no random numbers are
     drawn, and the recurrence is real, so a real A and b give a real result.
+    At t = 0, or for A a multiple of I, the result is e^{t mu} b exactly.
+    It is _chebyshev_series(_chebyshev_setup(A, t), b): a caller applying
+    one exp(t A) to several vectors makes the set-up once.
     """
-    from scipy import sparse
-    n = A.shape[0]
-    mu = A.trace() / n
-    A = A - mu * sparse.eye_array(n, format="csr")
-    rho = t * abs(A).sum(axis=0).max()
-    if rho == 0.0:  # t = 0 or A a multiple of I
-        return np.exp(t * mu) * b
-    if not np.isfinite(rho):
-        raise ValueError("_expm_action: the generator has a non-finite entry")
-    cap = int(3.0 * rho) + 100
-    J = _bessel_j(rho, cap)
-    Y2 = A * (2.0 * t / rho)  # 2 Y
-    u_prev = np.array(b, dtype=np.result_type(A.dtype, b.dtype))
-    u = 0.5 * (Y2 @ u_prev)
-    f = J[0] * u_prev + 2.0 * J[1] * u
-    c2, term = np.inf, np.empty_like(f)
-    for k in range(2, cap + 1):
-        u_next = Y2 @ u
-        u_next += u_prev
-        u_prev, u = u, u_next
-        f += np.multiply(u, 2.0 * J[k], out=term)
-        if k > rho:
-            c1, c2 = c2, 2.0 * abs(J[k]) * np.abs(u).max()
-            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
-                return np.exp(t * mu) * f
-    raise RuntimeError(f"Chebyshev series of exp(t A) b not converged at rho = {rho:.4g}: "
-                       f"its last two terms are {c1:.2e} and {c2:.2e} after {cap} terms, "
-                       f"against a partial sum of {np.abs(f).max():.2e}")
+    return _chebyshev_series(_chebyshev_setup(A, t), b)
 
 
 def _parity_sectors(n_max):
@@ -636,18 +682,76 @@ def _parity_sectors(n_max):
     return (j[~odd], k[~odd]), (j[odd], k[odd])
 
 
-def _gather(rho, j, k):
-    """The coordinates x = (Re rho_jk for every i, Im rho_jk where j < k)."""
-    z = rho[j, k]
+def _gather(rho, j, k, phase=1.0):
+    """The coordinates x = (Re z for every i, Im z where j < k) of z = phase rho_jk."""
+    z = rho[j, k] * phase
     return np.concatenate([z.real, z.imag[j < k]])
 
 
-def _scatter(x, j, k, out):
-    """Write the Hermitian matrix of the coordinates x (_gather) into out at
-    the entries (j, k) and (k, j); the diagonal gets x_re exactly."""
+def _scatter(x, j, k, out, phase=1.0):
+    """Write the Hermitian matrix whose entry (j, k) is phase (x_re + i x_im),
+    with x the coordinates of _gather, into out at the entries (j, k) and
+    (k, j). On the diagonal the phase must be 1, and it gets x_re exactly."""
     z = x[:len(j)].astype(complex)
     z.imag[j < k] = x[len(j):]
+    z *= phase
     out[k, j], out[j, k] = z.conj(), z
+
+
+class _OpenGenerator(NamedTuple):
+    """The open gate prepared for segments of one duration on some parity
+    sectors (_open_generator): per sector, its (j, k) index lists, the
+    photon differences n_k - n_j of its entries and the Chebyshev set-up of
+    its real generator at drive angle 0. It is only read, so threads may
+    share it."""
+
+    params: GateParams
+    rates: OpenRates
+    duration: float
+    sectors: tuple
+
+
+def _open_generator(params, rates, duration, sectors):
+    """_OpenGenerator for segments of duration on the (j, k) sectors given,
+    from _parity_sectors: one real generator and one set-up each."""
+    H = _joint_hamiltonian(params, 0.0)
+    ls = _collapse_operators(params, rates)
+    photons = np.arange(len(H)) % (params.n_max + 1)
+    prepared = tuple((j, k, photons[k] - photons[j],
+                      _chebyshev_setup(_sector_generator(H, ls, j, k), duration))
+                     for j, k in sectors)
+    return _OpenGenerator(params, rates, duration, prepared)
+
+
+def _open_segment(rho, generator, theta):
+    """exp(duration L(theta)) rho, Hermitised first, for a rho whose entries
+    outside the generator's sectors are zero. An output whose trace is off 1
+    by more than TRACE_TOL, or with an eigenvalue below EIGENVALUE_FLOOR,
+    raises RuntimeError.
+
+    The drive angle enters the generator as L(theta) = V L(0) V^dag, V =
+    I (x) D, D = diag(e^{i theta n / 2}) as for the squeezes: V H(0) V^dag =
+    H(theta), and each jump operator only picks up a phase. So rho_jk is
+    multiplied by e^{-i theta (n_j - n_k) / 2} before the series of L(0) and
+    by its conjugate after, both as powers of e^{i theta / 2} (_phases); an
+    entry with n_j = n_k, the diagonal among them, gets the phase 1.
+    """
+    rho = 0.5 * (rho + rho.conj().T)
+    out = np.zeros_like(rho)
+    for j, k, dn, setup in generator.sectors:
+        if np.any(rho[j, k]):
+            phase = _phases(0.5 * theta, dn)
+            _scatter(_chebyshev_series(setup, _gather(rho, j, k, phase)), j, k, out,
+                     phase.conj())
+    tr = np.trace(out).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise RuntimeError(f"trace drifted to {tr:.12f} during open evolution")
+    low = np.linalg.eigvalsh(out)[0]
+    if low < EIGENVALUE_FLOOR:
+        raise RuntimeError(
+            f"density matrix developed negative eigenvalue {low:.2e}; "
+            "enlarge n_max or check that the input is a valid density matrix")
+    return out
 
 
 def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None):
@@ -665,40 +769,30 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     non-zero entry is propagated in the real coordinates x = (Re rho_jk,
     j <= k; Im rho_jk, j < k) of its Hermitian part, gathered from the
     sector's (j, k) index lists: the real generator is assembled for those
-    rows alone (_sector_generator), and one Chebyshev series with Bessel
+    rows alone at drive angle 0 (_sector_generator), the angle enters as
+    phases on the coordinates, e^{-i theta (n_j - n_k) / 2} before and its
+    conjugate after (_open_segment), and one Chebyshev series with Bessel
     coefficients (_expm_action), whose length follows from the exact 1-norm
     with no random draws, advances x. The input is Hermitised first, and x
     is scattered back to rho_jk and its conjugate to rho_kj, so the output
     is Hermitian by construction; a duration of 0 returns the Hermitised
-    input. A negative or non-finite duration raises ValueError.
-    Trace is monitored to 1e-8 and an eigenvalue below -1e-10 raises, so
-    truncation artifacts surface instead of leaking into fidelities.
+    input, exactly at theta = 0 and to rounding at other angles. A negative
+    or non-finite duration raises ValueError. Trace is monitored to
+    TRACE_TOL and an eigenvalue below EIGENVALUE_FLOOR raises, so truncation
+    artifacts surface instead of leaking into fidelities.
     """
     dim = 2 * (params.n_max + 1)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must have shape {(dim, dim)}")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise ValueError("input density matrix must have unit trace")
     if not (np.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
-    rho = 0.5 * (rho + rho.conj().T)
-    H = _joint_hamiltonian(params, params.theta if theta is None else theta)
-    ls = _collapse_operators(params, rates)
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, k in _parity_sectors(params.n_max):
-        if np.any(rho[j, k]):
-            x = _expm_action(_sector_generator(H, ls, j, k), _gather(rho, j, k), duration)
-            _scatter(x, j, k, out)
-    tr = np.trace(out).real
-    if abs(tr - 1.0) > 1e-8:
-        raise RuntimeError(f"trace drifted to {tr:.12f} during open evolution")
-    low = np.linalg.eigvalsh(out)[0]
-    if low < -1e-10:
-        raise RuntimeError(
-            f"density matrix developed negative eigenvalue {low:.2e}; "
-            "enlarge n_max or check that the input is a valid density matrix")
-    return out
+    sectors = [(j, k) for j, k in _parity_sectors(params.n_max)
+               if np.any(rho[j, k]) or np.any(rho[k, j])]
+    generator = _open_generator(params, rates, duration, sectors)
+    return _open_segment(rho, generator, params.theta if theta is None else theta)
 
 
 def _unitary_sandwich(rho, u_qubit, n):
@@ -706,26 +800,44 @@ def _unitary_sandwich(rho, u_qubit, n):
     return U @ rho @ U.conj().T
 
 
-def open_encoding_protocol(alpha, beta, params: GateParams, rates: OpenRates):
+def _protocol_generator(params, rates):
+    """The _OpenGenerator of the open protocol: segments of t_gate on the
+    even sector alone. The joint vacuum populates only the entry with no
+    photon on either side, which is in the even sector, and neither the
+    qubit gates nor a segment moves an entry to the other sector."""
+    return _open_generator(params, rates, params.t_gate, _parity_sectors(params.n_max)[:1])
+
+
+def open_encoding_protocol(alpha, beta, params: GateParams, rates: OpenRates, generator=None):
     """The six-step encoding with dissipation during both gate segments.
 
     Qubit gates are instantaneous; the controlled-squeeze segments at
     params.theta and GateParams.theta_tilde each evolve under the Lindblad
-    generator for t_gate. Returns the final joint density matrix.
+    generator for t_gate, with the checks of open_evolve. Both segments
+    share one sector generator, built at drive angle 0, and its Chebyshev
+    set-up, the angles entering as phases (_open_segment). Calls on the same
+    params and rates may share them too: generator, if given, is
+    _protocol_generator(params, rates), and one prepared for other params,
+    rates or duration raises ValueError. Returns the final joint density
+    matrix.
     """
+    if generator is None:
+        generator = _protocol_generator(params, rates)
+    elif (generator.params, generator.rates, generator.duration) != (params, rates, params.t_gate):
+        raise ValueError("open gate generator prepared for other params, rates or duration")
     n = params.n_max + 1
     psi = hadamard_qubit(joint_vacuum(alpha, beta, params.n_max)).ravel()
     rho = np.outer(psi, psi.conj())
     for theta in (params.theta, params.theta_tilde):
-        rho = _unitary_sandwich(open_evolve(rho, params, rates, params.t_gate, theta=theta),
-                                _FLIP, n)
+        rho = _unitary_sandwich(_open_segment(rho, generator, theta), _FLIP, n)
     return _unitary_sandwich(rho, _HADAMARD, n)
 
 
-def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates):
-    """(average fidelity, purity) of the dissipative protocol output."""
+def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates, generator=None):
+    """(average fidelity, purity) of the dissipative protocol output;
+    generator as for open_encoding_protocol."""
     n = params.n_max + 1
-    rho = open_encoding_protocol(alpha, beta, params, rates)
+    rho = open_encoding_protocol(alpha, beta, params, rates, generator)
     t_plus, t_minus = _target_states(alpha, beta, params)
     blocks = rho.reshape(2, n, 2, n)
     fbar = 0.0

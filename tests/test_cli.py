@@ -483,6 +483,11 @@ class TestOttoRun:
         assert code == 2
 
 
+# a small open gate: r = 0.3 at n_max 12, typical rates at 60 mK
+OPEN_GATE = {"r": 0.3, "p_z": [0.5], "n_max": 12,
+             "rates": {"tau_q": 2.0e5, "tau_r": 2.0e5, "tau_phi": 1.0e4, "temperature_mK": 60.0}}
+
+
 class TestGateRun:
     def test_closed_form_matches_protocol_columns(self, tmp_path):
         doc = {"gate": {"r": 0.5, "p_z": [-1.0, 0.0, 0.5, 1.0], "n_max": 60}}
@@ -508,6 +513,51 @@ class TestGateRun:
         doc = {"gate": {"r": 0.5, "p_z": [-1.0, -0.5, 0.0, 0.5, 1.0], "n_max": 40}}
         code, _ = run(tmp_path, "gate", doc)
         assert code == 0 and calls == [((2, 21, 21), np.float64)]
+
+    def test_open_run_builds_one_generator_per_populated_sector(self, tmp_path, monkeypatch):
+        # the joint vacuum populates only the even parity sector; its generator
+        # is built once per run and serves both segments of every P_z, and a
+        # five-P_z run writes the rows of five one-P_z runs byte for byte, so
+        # the shared generator carries no state from one P_z to the next
+        import dcelab.gate as gate
+        calls = []
+        sector_generator = gate._sector_generator
+        monkeypatch.setattr(
+            gate, "_sector_generator",
+            lambda H, ls, j, k: calls.append(len(j)) or sector_generator(H, ls, j, k))
+        even = len(gate._parity_sectors(12)[0][0])
+        grid = [-1.0, -0.4, 0.2, 0.7, 1.0]
+
+        def rows(name, p_z):
+            calls.clear()
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "gate", {"gate": dict(OPEN_GATE, p_z=p_z)})
+            assert code == 0 and calls == [even]
+            return (out / "gate_fidelity.csv").read_text().splitlines()[1:]
+        singles = [row for i, pz in enumerate(grid) for row in rows(str(i), [pz])]
+        assert len(singles) == 5 and rows("all", grid) == singles
+
+    def test_empty_grid_with_rates_gives_header_only_csv(self, tmp_path, monkeypatch):
+        import dcelab.gate as gate
+        monkeypatch.setattr(gate, "_sector_generator", lambda *args: pytest.fail("built"))
+        code, out = run(tmp_path, "gate", {"gate": dict(OPEN_GATE, p_z=[])})
+        assert code == 0
+        assert (out / "gate_fidelity.csv").read_text() == \
+            "p_z,fbar_closed,fbar_simulated,fbar_open,purity\n"
+
+    def test_manifest_records_the_open_gate_checks(self, tmp_path):
+        import dcelab.gate as gate
+        for name, doc in (("open", OPEN_GATE), ("closed", {"r": 0.3, "p_z": [0.5], "n_max": 12})):
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "gate", {"gate": doc})
+            assert code == 0
+            tolerances = json.loads((out / "gate_manifest.json").read_text())["tolerances"]
+            checks = {key: tolerances.get(key) for key in ("trace_tol", "eigenvalue_floor")}
+            if name == "open":
+                assert checks == {"trace_tol": gate.TRACE_TOL,
+                                  "eigenvalue_floor": gate.EIGENVALUE_FLOOR}
+            else:
+                assert checks == {"trace_tol": None, "eigenvalue_floor": None}
 
     def test_rows_sorted_by_polarization(self, tmp_path):
         doc = {"gate": {"r": 0.4, "p_z": [0.5, -0.5, 0.0], "n_max": 40}}

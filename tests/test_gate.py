@@ -683,6 +683,25 @@ class TestOpenEvolve:
             out = open_evolve(rho, p, rates, p.t_gate)
             assert np.max(np.abs(out - expected)) < 1e-12
 
+    @pytest.mark.parametrize("theta", [0.7, -10.23, 1.5 * np.pi + 20.0 * np.pi])
+    def test_drive_angle_matches_the_liouvillian_at_that_angle(self, theta):
+        # the angle enters as phases on the coordinates of the theta = 0
+        # generator; the reference is the dense exponential of the
+        # Kronecker Liouvillian built at theta itself. Both parities and
+        # both qubit levels are populated, every channel is on, and -10.23
+        # is gate_open's second gate angle
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=8)
+        rates = OpenRates.typical()
+        psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 8))
+        psi[:, 1] = 0.5 * psi[:, 0]
+        psi[:, 2] = -0.3j * psi[:, 0]
+        psi = psi.ravel() / np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        L = _liouvillian(_joint_hamiltonian(p, theta), _collapse_operators(p, rates))
+        expected = (expm(p.t_gate * L.toarray()) @ rho.ravel()).reshape(rho.shape)
+        out = open_evolve(rho, p, rates, p.t_gate, theta=theta)
+        assert np.abs(out - expected).max() <= 1e-13
+
     def test_independent_of_the_global_random_stream(self):
         # the sparse exponential draws no random numbers (its 1-norm is
         # exact); the --threads byte identity of the gate tables rests on
@@ -893,6 +912,12 @@ class TestExpmAction:
         zero = sparse.csr_array((12, 12), dtype=complex)
         assert np.array_equal(_expm_action(zero, b, 3.0), b)
 
+    def test_multiple_of_the_identity(self):
+        # e^{t mu} b exactly, with no series
+        b = np.random.default_rng(7).standard_normal(12)
+        A = sparse.csr_array(-0.25 * np.eye(12))
+        assert np.array_equal(_expm_action(A, b, 3.0), np.exp(-0.75) * b)
+
     def test_matches_scipy_at_the_gate_open_design_point(self):
         # configs/gate_open.yaml: r = 0.5 at g_d eps_d = 7.5e-3 rad/ns,
         # n_max 40, typical rates at 60 mK; the full vec(rho), both sectors
@@ -982,14 +1007,14 @@ class TestExpmAction:
         # spectrum hugs the imaginary axis (the Taylor steps took 491-1200
         # for rho = 287-295)
         segments = []
-        action = gate._expm_action
+        action = gate._chebyshev_series
 
-        def counted(A, b, t):
+        def counted(c, b):
             CountingArray.products = 0
-            out = action(CountingArray(A), b, t)
-            segments.append((series_norm(A, t), CountingArray.products))
+            out = action(c._replace(Y2=CountingArray(c.Y2)), b)
+            segments.append((c.rho, CountingArray.products))
             return out
-        monkeypatch.setattr(gate, "_expm_action", counted)
+        monkeypatch.setattr(gate, "_chebyshev_series", counted)
         p, psi = design_point_state()
         rho = np.outer(psi.ravel(), psi.ravel().conj())
         for theta in (p.theta, p.theta_tilde):
@@ -1048,6 +1073,35 @@ class TestOpenProtocol:
         gap = f_closed - f_open
         assert 0.004 < gap < 0.011
         assert 0.97 < purity < 0.995
+
+    def test_shared_generator_gives_the_bytes_of_a_fresh_one(self):
+        # one generator, shared read-only by 4 threads switching every 10 us,
+        # gives each P_z the bytes of a call that builds its own
+        p = default_cqed_params(t_gate=0.3 / 7.5e-3, n_max=8)
+        rates = OpenRates.typical()
+        generator = gate._protocol_generator(p, rates)
+        amplitudes = [(np.sqrt((1.0 + pz) / 2.0), np.sqrt((1.0 - pz) / 2.0))
+                      for pz in np.linspace(-1.0, 1.0, 16)]
+        expected = [open_average_fidelity(a, b, p, rates) for a, b in amplitudes]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(open_average_fidelity, a, b, p, rates, generator)
+                           for a, b in amplitudes]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_generator_for_other_parameters_rejected(self):
+        p = default_cqed_params(t_gate=0.3 / 7.5e-3, n_max=8)
+        rates = OpenRates.typical()
+        generator = gate._protocol_generator(p, rates)
+        for other_p, other_rates in [(default_cqed_params(t_gate=0.4 / 7.5e-3, n_max=8), rates),
+                                     (p, OpenRates(tau_phi=1e3))]:
+            with pytest.raises(ValueError, match="prepared for other params"):
+                open_average_fidelity(0.6, 0.8, other_p, other_rates, generator)
 
 
 class TestLabFrameValidation:
