@@ -14,9 +14,9 @@ missing blocks, an output directory that cannot be created or a result
 file that cannot be written), 3 for physics failures (non-convergence,
 superluminal walls, truncation leaks, crosscheck disagreement) with the
 solver's message printed verbatim.
-Identical scenario file and seed give byte-identical CSV output regardless
-of --threads; the seed is recorded in the manifest and only matters for
-sampling-based work, none of which feeds the tables below.
+Identical scenario file and seed give byte-identical CSV output; the seed
+is recorded in the manifest and only matters for sampling-based work, none
+of which feeds the tables below.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import functools
 import importlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,15 +58,6 @@ def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__package__}.{_HOME[name]}"), name)
-
-
-def _map_ordered(fn, items, threads):
-    """Apply fn over items, optionally on a thread pool, preserving order."""
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _run_spectrum(cfg, args):
@@ -171,10 +161,11 @@ def _run_gate(cfg, args):
     if rates is not None:
         from .gate import EIGENVALUE_FLOOR, TRACE_TOL, _protocol_generator
         tol.update(trace_tol=TRACE_TOL, eigenvalue_floor=EIGENVALUE_FLOOR)
-        # built before the sweep and only read by it, so --threads workers share it
+        # built once before the sweep and only read by it, so every p_z shares it
         generator = _protocol_generator(params, rates) if len(p_z) else None
 
-    def one(pz):
+    rows = []
+    for pz in p_z:
         a = np.sqrt((1.0 + pz) / 2.0)
         b = np.sqrt((1.0 - pz) / 2.0)
         f_closed = _cli.average_fidelity(r, pz)
@@ -184,10 +175,8 @@ def _run_gate(cfg, args):
             f_open, purity = f_sim, 1.0
         else:
             f_open, purity = _cli.open_average_fidelity(a, b, params, rates, generator)
-        return [float(pz), float(f_closed), float(f_sim),
-                float(f_open), float(purity)]
-
-    rows = _map_ordered(one, p_z, args.threads)
+        rows.append([float(pz), float(f_closed), float(f_sim),
+                     float(f_open), float(purity)])
     header = ["p_z", "fbar_closed", "fbar_simulated", "fbar_open", "purity"]
     return [("gate_fidelity", header, rows)], tol, [], True
 
@@ -274,8 +263,9 @@ def build_parser():
                         help="output directory (default: output.path or '.')")
         sp.add_argument("--format", choices=["csv", "json"], default=None,
                         help="table format (default: output.format or csv)")
+        # no run uses threads; the flag stays because perfbench/run.py passes it
         sp.add_argument("--threads", type=_threads_type, default=1,
-                        help="worker threads for the gate's p_z sweep (default 1)")
+                        help="accepted and ignored; every run is serial (default 1)")
         sp.add_argument("--seed", type=_seed_type, default=0,
                         help="seed recorded in the manifest (default 0)")
     return parser

@@ -10,8 +10,8 @@ field_exponent, the one former of these exponents, builds Omega from the
 N x N blocks of A for many steps at once. Omega stays in the Lie algebra
 of the generator, so a product of such exponentials keeps every invariant
 the exact flow keeps (unit determinant, symplectic form) up to rounding.
-expm_taylor, the package's one dense exponential, takes real or complex
-stacks with batched products only, written into a workspace: one flat
+expm_taylor, the package's one dense exponential, takes real stacks and
+uses batched products only, written into a workspace: one flat float64
 scratch array that each exponent from field_exponent carries for the
 batches of its propagation, so no batch allocates or first-touches its
 own. A stack expm_taylor returns lies in that workspace and is valid until
@@ -187,8 +187,8 @@ def _degree(norm):
     return best[1]
 
 
-def _workspace(size, dtype=np.float64):
-    """An expm_taylor workspace for stacks of up to `size` entries of dtype.
+def _workspace(size):
+    """An expm_taylor workspace for float64 stacks of up to `size` entries.
 
     It is sized for the highest degree, so it never regrows, and it is a
     private anonymous memory map of its own: the OS supplies a page when a
@@ -198,15 +198,15 @@ def _workspace(size, dtype=np.float64):
     it would raise malloc's mmap and trim thresholds for every later
     allocation of the process (3.5 MB more peak RSS on the drive benchmark).
     """
-    dtype = np.dtype(dtype)
     count = _STACKS * size
-    space = mmap.mmap(-1, max(count, 1) * dtype.itemsize, access=mmap.ACCESS_COPY)
-    return np.frombuffer(space, dtype, count)
+    space = mmap.mmap(-1, max(count, 1) * 8, access=mmap.ACCESS_COPY)
+    return np.frombuffer(space, np.float64, count)
 
 
 def expm_taylor(X, workspace=None):
-    """exp of every matrix of a real or complex stack X of shape (b, n, n) by
-    one scaling-and-squaring Taylor polynomial.
+    """exp of every matrix of a real stack X of shape (b, n, n) by one
+    scaling-and-squaring Taylor polynomial; a stack of another dtype is a
+    TypeError.
 
     One degree m and one squaring count s serve the whole stack, chosen from
     its largest 1-norm, so every slice meets the 2^-53 backward-error bound of
@@ -216,25 +216,25 @@ def expm_taylor(X, workspace=None):
     the coefficient table, and Horner's rule in Y^q; the result is squared
     s times.
 
-    Every array of size b n^2 is a stack of workspace, a flat array of X's
-    dtype from _workspace: first the product stack, which holds |X| while
-    the norm is taken, with the column sums right after it, then the powers
-    and the blocks. The Horner and squaring products alternate
-    between the product stack and the last block, consumed first. Without a
-    workspace, or with one of another dtype or too small for X, a throwaway
-    one is made. The stack returned lies in the workspace and is valid until
-    the next call on it.
+    Every array of size b n^2 is a stack of workspace, a flat float64 array
+    from _workspace: first the product stack, which holds |X| while the norm
+    is taken, with the column sums right after it, then the powers and the
+    blocks. The Horner and squaring products alternate between the product
+    stack and the last block, consumed first. Without a workspace, or with
+    one too small for X, a throwaway one is made. The stack returned lies in
+    the workspace and is valid until the next call on it.
     """
+    if X.dtype != np.float64:
+        raise TypeError(f"expm_taylor takes real float64 stacks, not {X.dtype}")
     b, n = len(X), X.shape[-1]
     stack = X.size
-    if workspace is None or workspace.dtype != X.dtype or len(workspace) < _STACKS * stack:
-        workspace = _workspace(stack, X.dtype)
+    if workspace is None or len(workspace) < _STACKS * stack:
+        workspace = _workspace(stack)
 
     def take(first, count):  # `count` stacks of X's shape, from stack `first` on
         return workspace[first * stack:(first + count) * stack].reshape((count,) + X.shape)
-    real = workspace.view(X.real.dtype)  # |X| and its column sums are real
-    A = np.abs(X, out=real[:stack].reshape(X.shape))
-    sums = np.matmul(np.ones(n), A, out=real[stack:stack + b * n].reshape(b, n))
+    A = np.abs(X, out=take(0, 1)[0])
+    sums = np.matmul(np.ones(n), A, out=workspace[stack:stack + b * n].reshape(b, n))
     norm = float(sums.max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError("expm_taylor: the stack has a non-finite entry")

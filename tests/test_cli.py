@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -466,15 +467,6 @@ class TestOttoRun:
         assert code == 0
         assert (out / "otto_cycle.csv").read_text() == "tau_omega1,eta,W,Q,P\n"
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_cfg(tmp_path, OTTO_DOC)
-        blobs = []
-        for name, threads in (("s", "1"), ("p", "4")):
-            assert main(["otto", "--config", str(cfg), "--out",
-                         str(tmp_path / name), "--threads", threads]) == 0
-            blobs.append((tmp_path / name / "otto_cycle.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_tau_values_and_range_are_exclusive(self, tmp_path):
         doc = {"otto": {"length": 1.0, "epsilon": 0.01, "beta_A": 6.0,
                         "beta_C": 2.0, "tau_values": [1.0],
@@ -578,13 +570,19 @@ class TestGateRun:
         assert 0.97 < pur < 1.0
 
 
-    def test_thread_count_does_not_change_open_gate_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_open_gate_bytes(self, tmp_path, monkeypatch):
+        # --threads is kept for callers that pass it; the p_z sweep is serial,
+        # so a run with --threads 4 starts no thread and writes the bytes of --threads 1
         doc = {"gate": {"r": 0.3, "p_z": [0.2, 0.7], "n_max": 12,
                         "rates": {"tau_q": 2.0e5, "tau_r": 2.0e5,
                                   "tau_phi": 1.0e4, "temperature_mK": 60.0}}}
         cfg = write_cfg(tmp_path, doc)
+
+        def start(thread):
+            raise AssertionError(f"a run started thread {thread.name}")
+        monkeypatch.setattr(threading.Thread, "start", start)
         blobs = []
-        for name, threads in (("s", "1"), ("p", "2")):
+        for name, threads in (("s", "1"), ("p", "4")):
             assert main(["gate", "--config", str(cfg), "--out",
                          str(tmp_path / name), "--threads", threads]) == 0
             blobs.append((tmp_path / name / "gate_fidelity.csv").read_bytes())
@@ -763,6 +761,10 @@ print(json.dumps(after))"""))
         # each runner imports its own solver module when it first calls it
         assert self.loaded("dcelab.cli", "dcelab", "scipy.sparse") == \
             "['dcelab', 'dcelab.cli', 'dcelab.config', 'dcelab.output']"
+
+    def test_cli_import_loads_no_concurrent_module(self):
+        # every run is serial, so no thread pool is imported
+        assert self.loaded("dcelab.cli", "concurrent") == "[]"
 
     def test_bogoliubov_import_leaves_out_scipy_linalg(self):
         assert self.loaded("dcelab.bogoliubov", "scipy.linalg") == "[]"

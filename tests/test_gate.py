@@ -704,8 +704,8 @@ class TestOpenEvolve:
 
     def test_independent_of_the_global_random_stream(self):
         # the sparse exponential draws no random numbers (its 1-norm is
-        # exact); the --threads byte identity of the gate tables rests on
-        # the result not depending on the np.random stream
+        # exact), so the gate tables do not depend on the np.random stream
+        # that anything run before them in the process has advanced
         p = default_cqed_params(n_max=16)
         psi = hadamard_qubit(joint_vacuum(np.sqrt(0.75), 0.5, 16)).ravel()
         rho = np.outer(psi, psi.conj())
