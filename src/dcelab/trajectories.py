@@ -10,7 +10,7 @@ the conformal solver to be well posed; the factories enforce it at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, perm
 from typing import Callable
 
 import numpy as np
@@ -186,25 +186,93 @@ def quintic_wall(L0, eps, tau, t_start=0.0):
     return PolynomialRamp().wall(L0, eps, tau, t_start)
 
 
+def _bspline_values(knots, k, m, x):
+    """Values at x[i] of the k + 1 B-splines of degree k that are nonzero on the knot
+    interval [knots[m[i]], knots[m[i] + 1]), B-spline m[i] - k + r in column r
+    (the Cox-de Boor recursion, as in de Boor's BSPLVB)."""
+    N = np.zeros((x.size, k + 1))
+    N[:, 0] = 1.0
+    for j in range(1, k + 1):
+        saved = 0.0
+        for r in range(j):
+            lo, hi = knots[m + r + 1 - j], knots[m + r + 1]
+            temp = N[:, r] / (hi - lo)
+            N[:, r] = saved + (hi - x) * temp
+            saved = (x - lo) * temp
+        N[:, j] = saved
+    return N
+
+
+def _piecewise(breaks, coeffs):
+    """Evaluator of the polynomial pieces sum_j coeffs[j, i] (t - breaks[i])^j on
+    [breaks[i], breaks[i + 1]), the last piece closed. t is clamped into the table,
+    so far-away times rest at the end values instead of overflowing."""
+    lo, hi, inner = float(breaks[0]), float(breaks[-1]), breaks[1:-1]
+
+    def f(t):
+        t = np.clip(np.asarray(t, dtype=float), lo, hi)
+        i = np.searchsorted(inner, t, side="right")
+        u = t - breaks[i]
+        c = coeffs[:, i]
+        out = c[-1]
+        for cj in c[-2::-1]:  # Horner's rule
+            out = out * u + cj
+        return out
+    return f
+
+
 def tabulated_wall(t, R, k=5):
-    """Spline interpolant through samples (t, R) with analytic spline derivatives.
+    """Interpolating spline of degree k through samples (t, R), with its exact derivatives.
 
-    The table must start and end at rest (the first/last samples are treated
-    as the static values outside the window).
+    The spline is the not-a-knot one of scipy's make_interp_spline (de Boor,
+    A Practical Guide to Splines, XIII(12)): for odd k the interior knots are the
+    samples t[(k+1)//2 : -((k+1)//2)], for even k the midpoints between samples,
+    trimmed by k//2 at each end. Its B-spline coefficients are solved for once and
+    turned into one polynomial per knot interval. The table must start and end at rest
+    (the first/last samples are treated as the static values outside the window).
     """
-    from scipy.interpolate import make_interp_spline
-
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"spline degree k must be an integer >= 1, got {k!r}")
     t = np.asarray(t, dtype=float)
     R = np.asarray(R, dtype=float)
     if t.ndim != 1 or t.size < k + 1 or R.shape != t.shape:
         raise ValueError("need matching 1-D arrays with at least k+1 samples")
+    for name, a in (("times t", t), ("positions R", R)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"tabulated wall: {name} must be finite, got NaN or inf")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
     if np.any(R <= 0):
         raise ValueError("wall positions must be positive")
-    spl = make_interp_spline(t, R, k=k)
-    jerk = spl.derivative(3) if k >= 3 else None  # a quadratic spline has no R'''
-    return _windowed(spl, spl.derivative(1), spl.derivative(2), jerk,
+    k2 = (k + 1) // 2
+    sites = t if k % 2 else (t[1:] + t[:-1]) / 2.0
+    breaks = np.concatenate([t[:1], sites[k2:sites.size - k2], t[-1:]])
+    knots = np.concatenate([np.full(k, t[0]), breaks, np.full(k, t[-1])])
+    m = k + np.arange(breaks.size - 1)  # knots[m[i]] = breaks[i]
+    # collocation: sample i lies on interval p[i], where B-splines p[i] .. p[i] + k are nonzero
+    p = np.searchsorted(breaks[1:-1], t, side="right")
+    A = np.zeros((t.size, t.size))
+    A[np.arange(t.size)[:, None], p[:, None] + np.arange(k + 1)] = _bspline_values(
+        knots, k, m[p], t)
+    c = np.linalg.solve(A, R)
+    # Taylor coefficients s^(j)(breaks[i]) / j!: the j-th derivative is the spline of
+    # degree k - j on the same knots whose coefficients are j scaled differences of c
+    coeffs = np.empty((k + 1, m.size))
+    for j in range(k + 1):
+        d = k - j
+        if j:
+            i = np.arange(j, t.size)
+            c[i] = (d + 1) * (c[i] - c[i - 1]) / (knots[i + d + 1] - knots[i])
+        coeffs[j] = np.einsum("pr,pr->p", _bspline_values(knots, d, m, breaks[:-1]),
+                                 c[m[:, None] - d + np.arange(d + 1)]) / factorial(j)
+
+    def law(order):  # d^order/dt^order u^j = j!/(j - order)! u^(j - order)
+        if order > k:
+            return _piecewise(breaks, np.zeros((1, m.size)))
+        scale = [[float(perm(j, order))] for j in range(order, k + 1)]
+        return _piecewise(breaks, coeffs[order:] * scale)
+
+    return _windowed(law(0), law(1), law(2), law(3) if k >= 3 else None,
                      float(t[0]), float(t[-1]), "tabulated")
 
 

@@ -692,7 +692,8 @@ class TestOutputBlockDefaults:
 
 
 class TestImports:
-    HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
+    HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special",
+             "scipy.interpolate")
     SCHEMA_LIBS = ("jsonschema", "referencing", "rpds", "attrs")
     GATE_DOC = {"gate": {"r": 0.3, "p_z": [0.5], "n_max": 12}}
     OPEN_GATE_DOC = {"gate": dict(GATE_DOC["gate"], rates={"tau_q": 2.0e5})}
@@ -734,6 +735,10 @@ print(json.dumps(after))"""))
         """A tiny run of each subcommand that needs no heavy scipy subpackage."""
         cavity = {"length": 3.141592653589793, "n_modes": 4}
         harmonic = {"type": "harmonic", "epsilon": 0.02, "omega": 2.0, "t_end": 4.0}
+        times = np.linspace(0.0, 4.0, 41)
+        tabulated = {"type": "tabulated", "times": times.tolist(),
+                     "positions": (cavity["length"]
+                                   * (1.0 + 0.02 * np.sin(np.pi * times / 4.0) ** 2)).tolist()}
         return [
             ("otto", OTTO_DOC),
             ("bogoliubov", {"cavity": cavity, "trajectory": harmonic,
@@ -744,6 +749,11 @@ print(json.dumps(after))"""))
             ("msa", {"cavity": cavity, "msa": {"omega": 2.0, "tau_max": 0.1,
                                                "n_samples": 3}}),
             ("moore", {"cavity": cavity, "trajectory": harmonic,
+                       "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
+            ("bogoliubov", {"cavity": cavity, "trajectory": tabulated,
+                            "bogoliubov": {"n_times": 3}}),
+            # the default degree k = 5 supplies the jerk the conformal solver needs
+            ("moore", {"cavity": cavity, "trajectory": tabulated,
                        "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
             ("crosscheck", TestCrosscheckRun.DOC),
             ("gate", cls.GATE_DOC),
@@ -765,6 +775,18 @@ print(json.dumps(after))"""))
     def test_cli_import_loads_no_concurrent_module(self):
         # every run is serial, so no thread pool is imported
         assert self.loaded("dcelab.cli", "concurrent") == "[]"
+
+    def test_tabulated_wall_loads_no_scipy_subpackage(self):
+        # the spline is built and evaluated with numpy alone
+        assert self.fresh("""
+import sys
+import numpy as np
+from dcelab.trajectories import tabulated_wall
+t = np.linspace(0.0, 4.0, 41)
+w = tabulated_wall(t, 1.0 + 0.02 * np.sin(np.pi * t / 4.0) ** 2)
+for law in (w.position, w.velocity, w.acceleration, w.jerk):
+    law(np.linspace(-1.0, 5.0, 13))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))""") == "[]"
 
     def test_bogoliubov_import_leaves_out_scipy_linalg(self):
         assert self.loaded("dcelab.bogoliubov", "scipy.linalg") == "[]"

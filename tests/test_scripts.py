@@ -2,6 +2,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,19 +43,47 @@ def test_code_lines_file_rows_add_up_to_their_tree(capsys):
         assert sum(int(row[column + 1]) for row in files) == int(total[column]) > 0
 
 
-def test_time_configs_reports_minor_page_faults(tmp_path, capsys):
-    # a tree of one small config on this checkout's src/
+def tiny_tree(tmp_path):
+    """A tree of one small config on this checkout's src/."""
     tree = tmp_path / "tree"
     (tree / "configs").mkdir(parents=True)
     (tree / "src").symlink_to(SCRIPTS.parent / "src")
     (tree / "configs" / "tiny.yaml").write_text(
         "#   dcelab spectrum --config configs/tiny.yaml\n"
         "squid: {chi0: 0.0, b0L: 1.0e6, b0R: 1.0e6, n_max: 2}\n")
+    return tree
+
+
+def test_time_configs_reports_minor_page_faults(tmp_path, capsys):
     out = tmp_path / "times.json"
-    assert load_script("time_configs").main(["--after", str(tree), "--runs", "2",
+    assert load_script("time_configs").main(["--after", str(tiny_tree(tmp_path)), "--runs", "2",
                                              "--out", str(out)]) == 0
     entry = json.loads(out.read_text())["configs"]["tiny"]["after"]
     # a fresh Python process that imports numpy touches thousands of pages
     assert len(entry["minflt_runs"]) == 2 and min(entry["minflt_runs"]) > 1000
     assert entry["minflt_median"] == sum(entry["minflt_runs"]) / 2
     assert f"{entry['minflt_median']:.0f} faults" in capsys.readouterr().out
+
+
+def test_time_configs_reads_each_runs_own_peak_rss(tmp_path):
+    out = tmp_path / "times.json"
+    # Run as a script runs, in a small fresh interpreter: a child's ru_maxrss never reads
+    # below the resident set of the process that started it, and this test process holds
+    # more than a tiny run. An earlier child that touches 96 MB raises the peak over all
+    # children, so a figure from getrusage(RUSAGE_CHILDREN) would read at least that much.
+    code = f"""
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", "b = b'x' * (96 << 20)"], check=True)
+assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 96 << 10
+sys.path.insert(0, {str(SCRIPTS)!r})
+import time_configs
+sys.exit(time_configs.main(["--after", {str(tiny_tree(tmp_path))!r}, "--runs", "2",
+                            "--out", {str(out)!r}]))"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(out.read_text())["configs"]["tiny"]["after"]
+    # a fresh process that imports numpy holds some MB, far below the 96 MB child
+    assert len(entry["maxrss_mb_runs"]) == 2
+    assert all(10.0 < mb < 96.0 for mb in entry["maxrss_mb_runs"])
+    assert entry["maxrss_mb_median"] == sum(entry["maxrss_mb_runs"]) / 2
+    assert f"{entry['maxrss_mb_median']:.1f} MB" in proc.stdout

@@ -1,5 +1,7 @@
 """Wall-trajectory construction and calculus checks."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -111,6 +113,71 @@ class TestTabulatedWall:
         tt = np.linspace(0.1, 4.9, 37)
         npt.assert_allclose(w.position(tt), 1.0 + 0.02 * np.sin(2.0 * tt), atol=1e-10)
         npt.assert_allclose(w.velocity(tt), 0.04 * np.cos(2.0 * tt), atol=1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["t", "R"])
+    def test_non_finite_samples_rejected_by_name(self, which, bad):
+        t, R = np.linspace(0.0, 5.0, 11), np.full(11, 1.0)
+        {"t": t, "R": R}[which][4] = bad
+        with pytest.raises(ValueError, match=f"{'times t' if which == 't' else 'positions R'} "
+                                             "must be finite"):
+            tabulated_wall(t, R)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, 3.5, "5"])
+    def test_degree_must_be_an_integer_of_at_least_one(self, k):
+        # k = 0 would be a wall that jumps while reporting zero velocity
+        with pytest.raises(ValueError, match="spline degree k must be an integer >= 1"):
+            tabulated_wall(np.linspace(0.0, 5.0, 11), np.full(11, 1.0), k=k)
+
+
+def _uniform_times():
+    return np.linspace(0.5, 5.5, 41)
+
+
+def _nonuniform_times():
+    return 0.5 + np.cumsum(np.random.default_rng(34).uniform(0.05, 0.3, 24))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("times", [_uniform_times, _nonuniform_times])
+class TestTabulatedWallAgainstScipy:
+    """The numpy spline against scipy.interpolate.make_interp_spline, the not-a-knot
+    interpolant it reproduces, at the rounding level of the coefficient solve."""
+
+    @staticmethod
+    def walls(times, k):
+        from scipy.interpolate import make_interp_spline
+        t = times()
+        R = 1.0 + 0.02 * np.sin(1.3 * t) + 0.005 * np.cos(3.1 * t)
+        return t, R, tabulated_wall(t, R, k), make_interp_spline(t, R, k=k)
+
+    def test_position_and_derivatives_match(self, times, k):
+        t, R, w, spl = self.walls(times, k)
+        tt = np.linspace(t[0], t[-1], 2001)
+        npt.assert_allclose(w.position(tt), spl(tt), rtol=0.0, atol=1e-13 * np.abs(R).max())
+        laws = (w.velocity, w.acceleration, w.jerk)
+        for j in range(1, 4):
+            if j > k:  # the derivative of a degree-k spline beyond order k
+                if laws[j - 1] is not None:
+                    assert np.all(laws[j - 1](tt) == 0.0)
+                continue
+            ref = spl.derivative(j)(tt)
+            npt.assert_allclose(laws[j - 1](tt), ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+        assert (w.jerk is None) == (k < 3)
+
+    def test_passes_through_every_sample(self, times, k):
+        t, R, w, _ = self.walls(times, k)
+        npt.assert_allclose(w.position(t), R, rtol=1e-15, atol=0.0)
+
+    def test_far_times_rest_without_overflow(self, times, k):
+        t, R, w, _ = self.walls(times, k)
+        far = np.array([-1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(w.position(far), w.position(np.array([t[0], t[-1]])))
+            for law in (w.velocity, w.acceleration, w.jerk):
+                if law is not None:
+                    npt.assert_array_equal(law(far), 0.0)
 
 
 class TestReversal:
