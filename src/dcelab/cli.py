@@ -86,10 +86,11 @@ def _run_bogoliubov(cfg, args):
         n_in = _cli.thermal_occupation(float(opts["beta_temp"]),
                                        _cli.ModeBasis.build(cav).omega)
     times = np.linspace(0.0, horizon, n_times)
+    extract, spectrum = _cli.extract_bogoliubov, _cli.photon_spectrum  # once per run
     rows = []
     for t, snap in zip(times, _cli.mode_snapshots(cav, traj, times, rtol=rtol)):
-        bog = _cli.extract_bogoliubov(snap)
-        occ = _cli.photon_spectrum(bog, n_in)
+        bog = extract(snap)
+        occ = spectrum(bog, n_in)
         rows.append([float(t), float(np.abs(bog.beta).max()), *occ.tolist()])
     header = ["t", "beta_max"] + [f"N_{k}" for k in range(1, cav.n_modes + 1)]
     return [("occupations", header, rows)], {"ode_rtol": rtol}, [], True
@@ -127,19 +128,19 @@ def _run_moore(cfg, args):
     traj = build_trajectory(tblock, cav.length)
     block = require_block(cfg, "moore", "moore")
     t_max = float(block["t_max"])
-    from .moore import DEFAULT_POINTS_PER_LENGTH
+    from .moore import DEFAULT_POINTS_PER_LENGTH, _increasing
     ppl = int(block.get("points_per_length", DEFAULT_POINTS_PER_LENGTH))
     temperature = float(block.get("temperature", 0.0))
     F = _cli.solve_moore(traj, t_max, points_per_length=ppl)
     z = np.linspace(F.z_min, F.z_max, int(block.get("n_z", 201)))
-    f_rows = [[float(zi), float(fi)] for zi, fi in zip(z, F(z))]
+    f_rows = np.column_stack([z, _increasing(F(z))]).tolist()
     # rectangular (x, t) grid: keep x inside the cavity at every sampled t
     r_min = float(np.min(traj.position(np.linspace(0.0, t_max, 2048))))
     x = np.linspace(0.0, r_min, int(block.get("n_x", 41)))
     ts = np.linspace(0.0, t_max, int(block.get("n_t", 41)))
     dens = _cli.energy_density(F, temperature, x, ts[:, None])  # [t, x]
-    e_rows = [[float(xi), float(tj), float(di)]
-              for tj, row in zip(ts, dens) for xi, di in zip(x, row)]
+    e_rows = np.column_stack([np.tile(x, len(ts)), np.repeat(ts, len(x)),
+                              dens.ravel()]).tolist()
     tables = [("moore_function", ["z", "F"], f_rows),
               ("energy_density", ["x", "t", "T_tt"], e_rows)]
     return tables, {"points_per_length": ppl}, [], True

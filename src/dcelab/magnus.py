@@ -18,14 +18,18 @@ own. A stack expm_taylor returns lies in that workspace and is valid until
 the next batch on it, so one exponent serves one thread at a time; callers
 without a workspace get a throwaway one. propagate, the one driver, is a
 step-doubling product of such steps with whole periods taken as powers of
-one monodromy matrix. propagate tests the period on the coefficients lam
-and w the field is built from, and when lam is odd and w even about t_a +
-T/4 (then also about t_a + 3T/4), as for a harmonic wall started at its
-crest or a lab-frame branch driven at a phase theta that is a multiple of
-pi, the field is reversible there: the monodromy matrix and every state
-within the period are assembled from two quarter-period products by
-reflection (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch.
-V; Magnus & Winkler, Hill's Equation), which halves the steps per period.
+one monodromy matrix. Its steps are formed and exponentiated in batches of
+at most 64 and at most 2^15 / n^2 steps for n x n step matrices (_batch), so
+each (b, n, n) stack of a batch takes at most 256 KiB (n <= 181) and the
+working memory is bounded per batch, not by N times the batch. propagate
+tests the period on the coefficients lam and w the field is built from, and
+when lam is odd and w even about t_a + T/4 (then also about t_a + 3T/4), as
+for a harmonic wall started at its crest or a lab-frame branch driven at a
+phase theta that is a multiple of pi, the field is reversible there: the
+monodromy matrix and every state within the period are assembled from two
+quarter-period products by reflection (Hairer, Lubich & Wanner, Geometric
+Numerical Integration, ch. V; Magnus & Winkler, Hill's Equation), which
+halves the steps per period.
 """
 
 import math
@@ -37,7 +41,8 @@ __all__ = ["GAUSS_NODES", "field_exponent", "expm_taylor", "propagate"]
 
 GAUSS_NODES = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre on [0, 1]
 
-_BATCH = 64  # Magnus steps per batched exponential; bounds the memory of one batch
+_BATCH = 64  # most Magnus steps per batched exponential
+_BATCH_ENTRIES = 2**15  # float64 entries of one (b, n, n) stack: 256 KiB
 
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1:
 # the largest 1-norm of X at which the degree-m Taylor polynomial of exp(X)
@@ -65,7 +70,9 @@ def field_exponent(coefficients, Mhat, omega0):
     the off-diagonal blocks I and -W into omega-sized ones, so with omega0
     near sqrt(w) the balanced exponent has a 1-norm of order omega h instead
     of omega^2 h. exponent.workspace is the expm_taylor workspace its
-    batches of up to _BATCH steps are exponentiated in (_exponentials).
+    batches of up to _batch(2N) steps are exponentiated in (_exponentials):
+    up to _BATCH steps while N <= 11, fewer above, so that no stack of the
+    workspace or of the exponent's own temporaries exceeds 256 KiB.
 
     The sixth-order Magnus exponent of a step combines b1 = h A_2, b2 = s
     (A_3 - A_1) and b3 = r (A_3 - 2 A_2 + A_1), A_j = A(t_j), s = sqrt(15) h
@@ -170,8 +177,15 @@ def field_exponent(coefficients, Mhat, omega0):
         return out
     exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
     exponent.coefficients = coefficients
-    exponent.workspace = _workspace(_BATCH * 4 * N * N)
+    exponent.workspace = _workspace(_batch(2 * N) * 4 * N * N)
     return exponent
+
+
+def _batch(n):
+    """Magnus steps per batch for n x n step matrices: min(_BATCH, 2^15 // n^2),
+    at least 1, so one (b, n, n) float64 stack takes at most 256 KiB once n^2
+    fits in it, and the working memory of a batch does not grow with n."""
+    return max(1, min(_BATCH, _BATCH_ENTRIES // (n * n)))
 
 
 def _degree(norm):
@@ -438,10 +452,11 @@ def _propagate(exponent, segments, Y0, rtol, omega_max, samples, checked=np.conc
     64), taken over checked(the list of each product's states at its
     edges[1:]), by default all those states, is at most rtol * max|Y|. Four
     doublings without that raise RuntimeError. Steps are exponentiated
-    _BATCH at a time and applied to the state in turn (_stage). Returns, per
-    segment, the states at edges[1:] and at each time in its array of
-    samples, each one partial step from the kept boundary nearest it, with
-    the partial steps exponentiated _BATCH at a time.
+    _batch(n) at a time, n = len(Y0), and applied to the state in turn
+    (_stage), so the working memory is bounded per batch, not by n or the
+    step count. Returns, per segment, the states at edges[1:] and at each
+    time in its array of samples, each one partial step from the kept
+    boundary nearest it, with the partial steps batched the same way.
     """
     base = [np.ceil(10.0 * omega_max * np.diff(edges) / (2.0 * np.pi)).astype(int)
             for edges in segments]
@@ -462,11 +477,12 @@ def _propagate(exponent, segments, Y0, rtol, omega_max, samples, checked=np.conc
             f"Magnus product not converged: step-doubling estimate {estimate:.2e} "
             f"> rtol {rtol:.1e} * max|Y| at {steps} steps; rtol is below the rounding floor "
             "of this generator or it is too rough for the step grid")
+    batch = _batch(len(Y0))
     for (_, start, sampled), times in zip(stages, samples):
         step = times - start
         partial = np.flatnonzero(step)
-        for i0 in range(0, len(partial), _BATCH):
-            idx = partial[i0:i0 + _BATCH]
+        for i0 in range(0, len(partial), batch):
+            idx = partial[i0:i0 + batch]
             for i, e in zip(idx, _exponentials(exponent, start[idx], step[idx])):
                 sampled[i] = e @ sampled[i]
     return [(at_edges, sampled) for at_edges, _, sampled in stages]
@@ -485,10 +501,10 @@ def _stage(exponent, edges, counts, Y0, samples):
     near = np.clip(np.searchsorted(times, samples), 1, len(t0))
     near -= samples - times[near - 1] < times[near] - samples
     keep = set(ends.tolist()) | set(near.tolist())
-    Y, kept = Y0, {0: Y0}
-    for start in range(0, len(t0), _BATCH):
-        for j, e in enumerate(_exponentials(exponent, t0[start:start + _BATCH],
-                                            h[start:start + _BATCH]), start + 1):
+    Y, kept, batch = Y0, {0: Y0}, _batch(len(Y0))
+    for start in range(0, len(t0), batch):
+        for j, e in enumerate(_exponentials(exponent, t0[start:start + batch],
+                                            h[start:start + batch]), start + 1):
             Y = e @ Y
             if j in keep:
                 kept[j] = Y

@@ -23,9 +23,14 @@ F'' and F''' exactly: neither interpolation nor finite differences enter. That
 matters for drives that start or stop with a velocity jump: F' is then only
 piecewise continuous, and a smooth interpolant or a difference stencil rings
 at the kink images. Callers descend both null rays t + x and t - x of all
-their points at once.
+their points at once, and only the points they ask for: solve_moore itself
+descends nothing. Every descent checks that F is finite and F' finite and
+positive at the points it returns, and every caller that evaluates an
+ascending set of arguments checks that F increases strictly along it
+(_increasing); both raise the same RuntimeError.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,11 @@ __all__ = [
 ]
 
 DEFAULT_POINTS_PER_LENGTH = 512
+
+_NOT_INCREASING = "Moore function is not strictly increasing"
+_NO_JERK = ("the exact F''' needs the wall's jerk (third derivative); "
+            "build the wall with a dcelab.trajectories factory")
+_CHUNK_ENTRIES = 2**14  # complex entries of one (nodes, N) overlap temporary: 256 KiB
 
 
 def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
@@ -69,22 +79,35 @@ def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
     return t.reshape(shape)
 
 
+def _increasing(values):
+    """values, F along an ascending set of arguments, checked to increase
+    strictly along it (RuntimeError otherwise)."""
+    if not np.all(np.diff(values) > 0.0):
+        raise RuntimeError(_NOT_INCREASING)
+    return values
+
+
 @dataclass(frozen=True)
 class MooreFunction:
     """Moore function with exact evaluation and derivative accessors.
 
-    The tabulated (z, values) grid records the solved window for export and
-    monotonicity checking; calls do not interpolate it. Below the window F
-    continues analytically as z/R0; above z_max evaluation raises, since the
-    caller only vouched for the trajectory up to the solved horizon.
+    The grid z records the solved window. values, F on that grid, is
+    descended on first read and checked strictly increasing; calls do not
+    interpolate it. Below the window F continues analytically as z/R0; above
+    z_max evaluation raises, since the caller only vouched for the
+    trajectory up to the solved horizon.
     """
 
     z: np.ndarray
-    values: np.ndarray
     R0: float
     traj: WallTrajectory
     z_lin: float = field(repr=False, default=0.0)
     max_depth: int = field(repr=False, default=0)
+
+    @functools.cached_property
+    def values(self):
+        """F on the grid z, descended on first read and kept."""
+        return _increasing(self(self.z))
 
     @property
     def z_min(self):
@@ -95,10 +118,11 @@ class MooreFunction:
         return float(self.z[-1])
 
     def _descend(self, z):
-        """Walk each z down to the static region; returns F, F', F'', F'''."""
+        """Walk each z down to the static region; returns F, F', F'', F''',
+        with F checked finite and F' finite and positive at every z
+        (RuntimeError)."""
         if self.traj.jerk is None:
-            raise ValueError("the exact F''' needs the wall's jerk (third derivative); "
-                             "build the wall with a dcelab.trajectories factory")
+            raise ValueError(_NO_JERK)
         cur = np.array(z, dtype=float, ndmin=1)
         if np.any(cur > self.z_max * (1 + 1e-12) + 1e-9):
             raise ValueError(
@@ -126,6 +150,9 @@ class MooreFunction:
             cur[active] = t - np.asarray(self.traj.position(t))
             hops[active] += 1.0
             active = cur > self.z_lin
+        if not np.all(np.isfinite(cur) & np.isfinite(d1) & (d1 > 0.0)):
+            raise RuntimeError(f"{_NOT_INCREASING}: F is not finite or F' not finite "
+                               "and positive at a point of the descent")
         return 2.0 * hops + cur / self.R0, d1 / self.R0, d2 / self.R0, d3 / self.R0
 
     def _rays(self, t, x):
@@ -150,16 +177,22 @@ class MooreFunction:
 
 
 def solve_moore(traj: WallTrajectory, t_max, points_per_length=DEFAULT_POINTS_PER_LENGTH):
-    """Solve F over [t_start - R0, t_max + max R], tabulated at spacing R0 / points_per_length.
+    """F over [t_start - R0, t_max + max R], with the grid z at spacing R0 /
+    points_per_length.
 
-    Raises if the trajectory is superluminal (the bounce map would fold) or
-    if the solved values fail to be strictly increasing.
+    Raises ValueError if the trajectory is superluminal (the bounce map would
+    fold), if t_max precedes its start or if it has no jerk. Nothing is
+    descended here: F is descended where a caller evaluates it, and values
+    on its first read, each with the RuntimeError of the module docstring
+    if F does not increase strictly there.
     """
     R0 = float(traj.position(traj.t_start))
     if traj.max_speed() >= 1.0:
         raise ValueError("trajectory reaches |Rdot| >= 1; conformal map invalid")
     if t_max < traj.t_start:
         raise ValueError("t_max precedes the trajectory start")
+    if traj.jerk is None:
+        raise ValueError(_NO_JERK)
 
     ts = np.linspace(traj.t_start, max(t_max, traj.t_end), 2049)
     R_all = np.asarray(traj.position(ts))
@@ -171,13 +204,7 @@ def solve_moore(traj: WallTrajectory, t_max, points_per_length=DEFAULT_POINTS_PE
     z_lin = traj.t_start + R0  # largest argument reachable without a bounce
     max_depth = int(np.ceil((z_hi - z_lin) / (2.0 * R_min))) + 2
 
-    fn = MooreFunction(z=z, values=np.empty(0), R0=R0, traj=traj,
-                       z_lin=z_lin, max_depth=max_depth)
-    values = np.asarray(fn(z))
-    if np.any(np.diff(values) <= 0.0):
-        raise RuntimeError("Moore function is not strictly increasing")
-    object.__setattr__(fn, "values", values)
-    return fn
+    return MooreFunction(z=z, R0=R0, traj=traj, z_lin=z_lin, max_depth=max_depth)
 
 
 def moore_modes(F: MooreFunction, n, x, t):
@@ -236,6 +263,15 @@ def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
     on n_quad+1 equally spaced points (n_quad even). The slice must lie in
     a static epoch, except exactly at the drive's end, where the overlap
     against the instantaneous basis matches the mode-integration extraction.
+
+    Both rays of every node come from one descent, checked to increase
+    strictly along x (t + x) and against it (t - x). With u_k = s_k e^{-i
+    w_k t} and s_k real, alpha and beta both follow from the two real-weighted
+    sums sum_x w s_k v_n and sum_x w s_k dt_v_n, summed over chunks of nodes
+    so that each (nodes, N) complex temporary takes at most 256 KiB whatever
+    N and n_quad. e^{-i n pi F} is one complex exponential per node and ray,
+    of F reduced mod 2, raised to n = 1..N by recurrence; so is sin(k pi x /
+    R), as the imaginary part of powers of e^{i pi x / R}.
     """
     traj = F.traj
     if t_slice < traj.t_end and np.asarray(traj.velocity(t_slice)) != 0.0:
@@ -253,21 +289,35 @@ def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
 
     ns = np.arange(1, N + 1)
     (Fp, dFp, _, _), (Fm, dFm, _, _) = F._rays(t_slice, x)
-    pref = 1j / np.sqrt(4.0 * np.pi * ns)[:, None]
-    ep = np.exp(-1j * np.pi * np.outer(ns, Fp))
-    em = np.exp(-1j * np.pi * np.outer(ns, Fm))
-    v = pref * (ep - em)                                   # [n, x]
-    dv = pref * (-1j * np.pi * ns[:, None]) * (dFp * ep - dFm * em)
+    _increasing(Fp)
+    _increasing(Fm[::-1])
+    pref = 1j / np.sqrt(4.0 * np.pi * ns)
+    dpref = pref * (-1j * np.pi * ns)
 
-    phase = np.exp(-1j * omega * t_slice)
-    u = (np.sin(np.outer(ns, np.pi * x / R)) / np.sqrt(np.pi * ns)[:, None]
-         * phase[:, None])                                 # [k, x]
+    def powers(arg):  # e^{-i n pi arg} for n = 1..N, one row per node
+        return np.cumprod(np.broadcast_to(np.exp(-1j * np.pi * arg)[:, None],
+                                          (len(arg), N)), axis=1)
+
+    # B[k, n] = sum_x w s_k v_n and A[k, n] = sum_x w s_k dt_v_n, summed as
+    # real products on the (re, im) pairs of v and dt_v
+    B, A = np.zeros((N, 2 * N)), np.zeros((N, 2 * N))
+    chunk = max(1, _CHUNK_ENTRIES // N)
+    for a in range(0, len(x), chunk):
+        c = slice(a, a + chunk)
+        s = powers(-x[c] / R).imag * (wts[c, None] / np.sqrt(np.pi * ns))  # [x, k]
+        ep, em = powers(np.mod(Fp[c], 2.0)), powers(np.mod(Fm[c], 2.0))
+        v = ep - em                                                # [x, n]
+        v *= pref
+        B += s.T @ v.view(float)
+        ep *= dFp[c, None]
+        em *= dFm[c, None]
+        ep -= em
+        ep *= dpref
+        A += s.T @ ep.view(float)
+    A, B = A.view(complex), B.view(complex)
 
     # (u_k, v_n) = i int u_k* dv_n + w_k int u_k* v_n ; beta with u_k -> u_k*
-    iu_dv = (np.conj(u) * wts) @ dv.T                      # [k, n]
-    iu_v = (np.conj(u) * wts) @ v.T
-    alpha = (1j * iu_dv + omega[:, None] * iu_v).T
-    icu_dv = (u * wts) @ dv.T
-    icu_v = (u * wts) @ v.T
-    beta = (-1j * icu_dv + omega[:, None] * icu_v).T
+    phase = np.exp(-1j * omega * t_slice)[:, None]
+    alpha = (np.conj(phase) * (1j * A + omega[:, None] * B)).T
+    beta = (phase * (-1j * A + omega[:, None] * B)).T
     return BogoliubovMatrices(alpha=alpha, beta=beta, omega=omega, t=float(t_slice))

@@ -126,8 +126,8 @@ def slow_generators(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
 class SlowAmplitudes:
     """Mode-mixing coefficients sampled on a slow-time grid.
 
-    alpha[i] and beta[i] are the N x N matrices at tau[i] (row n = in mode),
-    starting from alpha = I, beta = 0. eps, if given, records the drive
+    alpha[i] and beta[i] are the real N x N matrices at tau[i] (row n = in
+    mode), starting from alpha = I, beta = 0. eps, if given, records the drive
     amplitude so samples can be placed in lab time t = tau / eps.
     """
 
@@ -164,8 +164,9 @@ def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
 
     The generator is constant, so the row block [alpha beta] at tau is
     [I 0] exp(tau K) with K = [[Gs^T, Gc^T], [Gc^T, Gs^T]]; one exp(h K) at
-    the sample spacing h carries each sample to the next. eps is recorded
-    for lab-time bookkeeping only.
+    the sample spacing h carries each sample to the next. Gc and Gs are
+    real, so alpha and beta are real float64 arrays. eps is recorded for
+    lab-time bookkeeping only.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
@@ -176,7 +177,7 @@ def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
 
     taus = np.linspace(0.0, tau_max, n_samples)
     step = expm_taylor(taus[1] * np.block([[Gs.T, Gc.T], [Gc.T, Gs.T]])[None])[0]
-    ab = np.empty((n_samples, N, 2 * N), dtype=complex)
+    ab = np.empty((n_samples, N, 2 * N))
     ab[0] = np.hstack([np.eye(N), np.zeros((N, N))])
     for i in range(1, n_samples):
         ab[i] = ab[i - 1] @ step

@@ -775,6 +775,35 @@ class TestWorkspace:
             assert np.array_equal(a.Q, b.Q) and np.array_equal(a.Qdot, b.Qdot)
 
 
+class TestBatchBytes:
+    """Magnus batches are bounded in bytes: min(64, 2^15 // (2N)^2) steps, so
+    each (b, 2N, 2N) float64 stack takes at most 256 KiB."""
+
+    def test_batch_rule(self):
+        sizes = [magnus._batch(2 * N) for N in (1, 10, 11, 12, 16, 20, 48, 96)]
+        assert sizes == [64, 64, 64, 56, 32, 20, 3, 1]
+
+    def test_every_batch_at_48_modes_within_256_kib(self, monkeypatch):
+        N = 48
+        nbytes = []
+        exponentials = magnus._exponentials
+
+        def spy(exponent, t0, h):
+            E = exponentials(exponent, t0, h)
+            nbytes.append(E.nbytes)
+            return E
+        monkeypatch.setattr(magnus, "_exponentials", spy)
+        traj = quintic_wall(np.pi, 0.05, 2.0)
+        # steps of both _stage and the samples' partial steps
+        mode_snapshots(CavitySpec(length=np.pi, n_modes=N), traj, np.linspace(0.0, 2.0, 9),
+                       rtol=1e-8)
+        assert len(nbytes) > 9 and max(nbytes) <= 2**18
+        exponent = magnus.field_exponent(
+            lambda t: (np.zeros_like(t), np.ones(np.shape(t) + (N,))), np.zeros((N, N)),
+            np.ones(N))
+        assert exponent.workspace.nbytes <= magnus._STACKS * 2**18
+
+
 class TestSamples:
     """Samples take their partial steps in batches, whether or not the drive is periodic."""
 

@@ -359,6 +359,16 @@ class TestBogoliubovRun:
             outs.append((tmp_path / name / "occupations.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_solvers_patched_on_the_cli_are_the_ones_called(self, tmp_path, monkeypatch):
+        # the runner resolves each solver once per run, from dcelab.cli
+        calls = []
+        spectrum = dcelab.cli.photon_spectrum
+        monkeypatch.setattr(dcelab.cli, "photon_spectrum",
+                            lambda bog, n_in: calls.append(bog.t) or spectrum(bog, n_in))
+        code, _ = run(tmp_path, "bogoliubov", STATIC_DOC)
+        assert code == 0
+        assert calls == list(np.linspace(0.0, 4.0, 9))
+
     def test_resonant_drive_populates_the_fundamental(self, tmp_path):
         doc = {"cavity": {"length": 3.141592653589793, "n_modes": 6},
                "trajectory": {"type": "harmonic", "epsilon": 0.02,

@@ -7,11 +7,13 @@ coupled-mode integration are truncation-limited and use the O(eps^2)
 tolerances that the two-method agreement actually supports.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
@@ -19,6 +21,7 @@ from dcelab import moore
 
 from dcelab.bogoliubov import extract_bogoliubov, integrate_modes, photon_spectrum
 from dcelab.cavity import CavitySpec, ModeBasis
+from dcelab.cli import main
 from dcelab.moore import (
     bogoliubov_from_moore,
     energy_density,
@@ -373,3 +376,151 @@ class TestGridEvaluation:
         self.F.deriv(float(self.t.max() + self.x.max()), 1)  # deepest ray alone
         assert levels == len(calls) > 1
         assert levels < 4 * 2 * self.t.size
+
+
+def dense_overlap(F, basis, t_slice, n_quad=4096):
+    """(alpha, beta) of bogoliubov_from_moore as it was before it summed in
+    node chunks: every (N, nodes) array at once, e^{-i n pi F} and sin(k pi x
+    / R) from one exponential or sine per entry, and four complex products."""
+    R = float(F.traj.position(t_slice))
+    N = basis.n_modes
+    omega = basis.omega_at(R)
+    n_quad += n_quad % 2
+    x = np.linspace(0.0, R, n_quad + 1)
+    wts = np.ones(n_quad + 1)
+    wts[1:-1:2] = 4.0
+    wts[2:-1:2] = 2.0
+    wts *= (x[1] - x[0]) / 3.0
+    ns = np.arange(1, N + 1)
+    (Fp, dFp, _, _), (Fm, dFm, _, _) = F._rays(t_slice, x)
+    pref = 1j / np.sqrt(4.0 * np.pi * ns)[:, None]
+    ep = np.exp(-1j * np.pi * np.outer(ns, Fp))
+    em = np.exp(-1j * np.pi * np.outer(ns, Fm))
+    v = pref * (ep - em)
+    dv = pref * (-1j * np.pi * ns[:, None]) * (dFp * ep - dFm * em)
+    phase = np.exp(-1j * omega * t_slice)
+    u = np.sin(np.outer(ns, np.pi * x / R)) / np.sqrt(np.pi * ns)[:, None] * phase[:, None]
+    alpha = (1j * ((np.conj(u) * wts) @ dv.T) + omega[:, None] * ((np.conj(u) * wts) @ v.T)).T
+    beta = (-1j * ((u * wts) @ dv.T) + omega[:, None] * ((u * wts) @ v.T)).T
+    return alpha, beta
+
+
+# (wall, overlap slice): a resonant harmonic drive read at its end, and a quintic
+# ramp read in its static tail
+OVERLAP_WALLS = {
+    "harmonic": (lambda: harmonic_wall(np.pi, 0.05, 2.0, t_end=10.0), 10.0),
+    "quintic": (lambda: quintic_wall(np.pi, 0.2, 2.0), 4.0),
+}
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Records the number of points of every Moore descent."""
+    sizes = []
+    descend = moore.MooreFunction._descend
+
+    def spy(self, z):
+        sizes.append(np.size(z))
+        return descend(self, z)
+    monkeypatch.setattr(moore.MooreFunction, "_descend", spy)
+    return sizes
+
+
+class TestChunkedOverlap:
+    """The overlap sums in node chunks, with powers by recurrence, and matches
+    the dense formula; its memory does not grow with N times the nodes."""
+
+    @pytest.fixture(scope="class", params=sorted(OVERLAP_WALLS))
+    def solved(self, request):
+        wall, t_slice = OVERLAP_WALLS[request.param]
+        return solve_moore(wall(), t_slice), t_slice
+
+    @pytest.mark.parametrize("N", [1, 16, 48])
+    @pytest.mark.parametrize("n_quad", [1026, 4096, 5000])
+    def test_matches_dense_overlap(self, solved, N, n_quad):
+        # 5000 + 1 nodes leave an uneven last chunk at every N
+        F, t_slice = solved
+        basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=N))
+        alpha, beta = dense_overlap(F, basis, t_slice, n_quad)
+        mm = bogoliubov_from_moore(F, basis, t_slice, n_quad)
+        assert np.abs(mm.beta - beta).max() <= 1e-13 * np.abs(beta).max()
+        assert np.abs(mm.alpha - alpha).max() <= 1e-13 * np.abs(alpha).max()
+
+    def test_descends_both_rays_of_every_node_once(self, descents):
+        traj = harmonic_wall(np.pi, 0.01, 2.0, t_end=10.0)
+        F = solve_moore(traj, 10.0)
+        assert descents == []
+        bogoliubov_from_moore(F, ModeBasis.build(CavitySpec(length=np.pi, n_modes=8)), 10.0,
+                              n_quad=1026)
+        assert descents == [2 * 1027]
+
+    def test_memory_is_bounded_per_chunk(self):
+        # the dense formula traced about 85 MB here: eight (48, 16385) complex arrays
+        traj = harmonic_wall(np.pi, 1e-3, 2.0, t_end=300.0)
+        F = solve_moore(traj, 300.0)
+        basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=48))
+        tracemalloc.start()
+        try:
+            bogoliubov_from_moore(F, basis, 300.0, n_quad=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
+class TestDescentOnDemand:
+    def test_solve_moore_descends_nothing(self, descents):
+        F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=20.0), 20.0)
+        assert descents == []
+        assert np.all(np.diff(F.values) > 0)
+        assert descents == [F.z.size]
+        F.values
+        assert descents == [F.z.size]  # read once, then kept
+
+    @staticmethod
+    def nan_bounce(monkeypatch):
+        """Corrupts every descent: the first bounce time of each hop level is NaN."""
+        real = moore._bounce_times
+
+        def corrupted(traj, z, t_lo):
+            t = real(traj, z, t_lo)
+            t.flat[0] = np.nan
+            return t
+        monkeypatch.setattr(moore, "_bounce_times", corrupted)
+
+    @staticmethod
+    def negated(monkeypatch):
+        """Corrupts every descent: F comes back negated, F' and above intact."""
+        real = moore.MooreFunction._descend
+        monkeypatch.setattr(moore.MooreFunction, "_descend",
+                            lambda self, z: (-real(self, z)[0],) + real(self, z)[1:])
+
+    def test_non_finite_derivative_is_refused(self, monkeypatch):
+        F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=6.0), 8.0)
+        self.nan_bounce(monkeypatch)
+        with pytest.raises(RuntimeError, match="not strictly increasing"):
+            F(np.linspace(3.0, 9.0, 7))
+
+    def test_decreasing_values_are_refused(self, monkeypatch):
+        F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=6.0), 8.0)
+        self.negated(monkeypatch)
+        with pytest.raises(RuntimeError, match="not strictly increasing"):
+            F.values
+        basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=4))
+        with pytest.raises(RuntimeError, match="not strictly increasing"):
+            bogoliubov_from_moore(F, basis, 8.0, n_quad=64)
+
+    @pytest.mark.parametrize("corrupt", ["nan_bounce", "negated"])
+    @pytest.mark.parametrize("subcommand", ["moore", "crosscheck"])
+    def test_runners_exit_3(self, tmp_path, monkeypatch, capsys, corrupt, subcommand):
+        doc = {"cavity": {"length": float(np.pi), "n_modes": 4},
+               "trajectory": {"type": "harmonic", "epsilon": 0.01, "omega": 2.0,
+                              "t_end": 6.0},
+               "moore": {"t_max": 8.0, "n_z": 9, "n_x": 5, "n_t": 3}}
+        if subcommand == "crosscheck":
+            del doc["moore"]
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        getattr(self, corrupt)(monkeypatch)
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "not strictly increasing" in capsys.readouterr().err
