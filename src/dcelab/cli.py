@@ -128,10 +128,9 @@ def _run_moore(cfg, args):
     traj = build_trajectory(tblock, cav.length)
     block = require_block(cfg, "moore", "moore")
     t_max = float(block["t_max"])
-    from .moore import DEFAULT_POINTS_PER_LENGTH, _increasing
-    ppl = int(block.get("points_per_length", DEFAULT_POINTS_PER_LENGTH))
+    from .moore import BOUNCE_TOL, _increasing
     temperature = float(block.get("temperature", 0.0))
-    F = _cli.solve_moore(traj, t_max, points_per_length=ppl)
+    F = _cli.solve_moore(traj, t_max)
     z = np.linspace(F.z_min, F.z_max, int(block.get("n_z", 201)))
     f_rows = np.column_stack([z, _increasing(F(z))]).tolist()
     # rectangular (x, t) grid: keep x inside the cavity at every sampled t
@@ -143,7 +142,7 @@ def _run_moore(cfg, args):
                               dens.ravel()]).tolist()
     tables = [("moore_function", ["z", "F"], f_rows),
               ("energy_density", ["x", "t", "T_tt"], e_rows)]
-    return tables, {"points_per_length": ppl}, [], True
+    return tables, {"bounce_tol": BOUNCE_TOL}, [], True
 
 
 def _run_otto(cfg, args):
@@ -193,14 +192,17 @@ def _run_crosscheck(cfg, args):
     beta_factor = float(opts.get("beta_factor", 5.0))
     msa_rel_tol = float(opts.get("msa_rel_tol", 0.05))
     ode_rtol = 1e-10
+    from .moore import BOUNCE_TOL, DEFAULT_N_QUAD as n_quad
+    from .msa import DEFAULT_TOL as resonance_tol
 
     basis = _cli.ModeBasis.build(cav)
     bog = _cli.extract_bogoliubov(_cli.integrate_modes(cav, traj, rtol=ode_rtol, t_final=t_end))
-    mm = _cli.bogoliubov_from_moore(_cli.solve_moore(traj, t_end), basis, t_end)
+    mm = _cli.bogoliubov_from_moore(_cli.solve_moore(traj, t_end), basis, t_end, n_quad=n_quad)
     d_moore = float(np.abs(mm.beta - bog.beta).max())
     bound = beta_factor * eps**2
 
-    sl = _cli.evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end)
+    sl = _cli.evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end,
+                          tol=resonance_tol)
     n, k = np.unravel_index(np.argmax(np.abs(sl.beta_final)), sl.beta_final.shape)
     b_msa = float(abs(sl.beta_final[n, k]))
     if b_msa < 1e-12:
@@ -219,7 +221,8 @@ def _run_crosscheck(cfg, args):
             ["ode_vs_msa_rel_beta", rel, msa_rel_tol]]
     tables = [("crosscheck", ["comparison", "value", "bound"], rows)]
     tol = {"beta_factor": beta_factor, "msa_rel_tol": msa_rel_tol,
-           "ode_rtol": ode_rtol}
+           "ode_rtol": ode_rtol, "bounce_tol": BOUNCE_TOL, "moore_n_quad": n_quad,
+           "resonance_tol": resonance_tol}
     return tables, tol, messages, ok_moore and ok_msa
 
 

@@ -151,6 +151,8 @@ SCHEMA = {
             "required": ["t_max"],
             "properties": {
                 "t_max": _POS_NUM,
+                # accepted for older scenario files and ignored: F is
+                # descended exactly where it is evaluated, on no grid
                 "points_per_length": {"type": "integer", "minimum": 8},
                 "temperature": _NONNEG_NUM,
                 "n_z": {"type": "integer", "minimum": 2},

@@ -607,10 +607,22 @@ class _Chebyshev(NamedTuple):
 
 
 def _chebyshev_setup(A, t):
-    """Everything of _expm_action that does not depend on b, for a sparse
-    square A and a length t: mu, the exact 1-norm rho of t (A - mu I), the
-    scaled 2 Y and the Bessel values, paid once for every vector exp(t A)
-    is applied to (_chebyshev_series). A non-finite rho raises ValueError."""
+    """Everything of the series of exp(t A) b that does not depend on b, for
+    a sparse square A and a length t, paid once for every vector exp(t A) is
+    applied to (_chebyshev_series).
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with mu = tr(A)/n,
+    rho = t ||A - mu I||_1 and Y = (t / rho)(A - mu I), whose spectrum lies
+    in the unit disc,
+
+        exp(t A) b = e^{t mu} [J_0(rho) u_0 + 2 sum_k J_k(rho) u_k],
+
+    u_0 = b, u_1 = Y b and u_{k+1} = 2 Y u_k + u_{k-1}: the Chebyshev series
+    of e^{rho z} on the segment [-i, i]. The set-up is the factor e^{t mu},
+    rho, the scaled 2 Y and J_0(rho), ..., J_cap(rho) with cap = 3 rho + 100,
+    the longest series _chebyshev_series runs. The 1-norm is exact, so no
+    random numbers are drawn. A non-finite rho raises ValueError.
+    """
     from scipy import sparse
     n = A.shape[0]
     mu = A.trace() / n
@@ -626,7 +638,16 @@ def _chebyshev_setup(A, t):
 
 def _chebyshev_series(c, b):
     """exp(t A) b from the set-up c = _chebyshev_setup(A, t), which it leaves
-    unchanged, so one set-up may serve several threads at once."""
+    unchanged, so one set-up may serve several threads at once.
+
+    When the spectrum of A - mu I lies near the imaginary axis, as for a
+    Lindblad generator dominated by its Hamiltonian part, the series takes
+    about rho + O(rho^(1/3)) products. Past k = rho it stops once two
+    successive terms fall below 2^-53 of the partial sum in the inf-norm; a
+    series still running at 3 rho + 100 terms raises RuntimeError. The
+    recurrence is real, so a real A and b give a real result. At t = 0, or
+    for A a multiple of I, the result is e^{t mu} b exactly.
+    """
     if c.rho == 0.0:
         return c.scale * b
     _, rho, Y2, J = c
@@ -647,30 +668,6 @@ def _chebyshev_series(c, b):
     raise RuntimeError(f"Chebyshev series of exp(t A) b not converged at rho = {rho:.4g}: "
                        f"its last two terms are {c1:.2e} and {c2:.2e} after {cap} terms, "
                        f"against a partial sum of {np.abs(f).max():.2e}")
-
-
-def _expm_action(A, b, t):
-    """exp(t A) b for a sparse square A by one Chebyshev series.
-
-    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with mu = tr(A)/n,
-    rho = t ||A - mu I||_1 and Y = (t / rho)(A - mu I), whose spectrum lies
-    in the unit disc,
-
-        exp(t A) b = e^{t mu} [J_0(rho) u_0 + 2 sum_k J_k(rho) u_k],
-
-    u_0 = b, u_1 = Y b and u_{k+1} = 2 Y u_k + u_{k-1}: the Chebyshev series
-    of e^{rho z} on the segment [-i, i]. When the spectrum of A - mu I lies
-    near the imaginary axis, as for a Lindblad generator dominated by its
-    Hamiltonian part, it takes about rho + O(rho^(1/3)) products. Past
-    k = rho the series stops once two successive terms fall below 2^-53 of
-    the partial sum in the inf-norm; a series still running at 3 rho + 100
-    terms raises RuntimeError. The 1-norm is exact, so no random numbers are
-    drawn, and the recurrence is real, so a real A and b give a real result.
-    At t = 0, or for A a multiple of I, the result is e^{t mu} b exactly.
-    It is _chebyshev_series(_chebyshev_setup(A, t), b): a caller applying
-    one exp(t A) to several vectors makes the set-up once.
-    """
-    return _chebyshev_series(_chebyshev_setup(A, t), b)
 
 
 def _parity_sectors(n_max):
@@ -772,14 +769,15 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     rows alone at drive angle 0 (_sector_generator), the angle enters as
     phases on the coordinates, e^{-i theta (n_j - n_k) / 2} before and its
     conjugate after (_open_segment), and one Chebyshev series with Bessel
-    coefficients (_expm_action), whose length follows from the exact 1-norm
-    with no random draws, advances x. The input is Hermitised first, and x
-    is scattered back to rho_jk and its conjugate to rho_kj, so the output
-    is Hermitian by construction; a duration of 0 returns the Hermitised
-    input, exactly at theta = 0 and to rounding at other angles. A negative
-    or non-finite duration raises ValueError. Trace is monitored to
-    TRACE_TOL and an eigenvalue below EIGENVALUE_FLOOR raises, so truncation
-    artifacts surface instead of leaking into fidelities.
+    coefficients (_chebyshev_setup, _chebyshev_series), whose length
+    follows from the exact 1-norm with no random draws, advances x. The
+    input is Hermitised first, and x is scattered back to rho_jk and its
+    conjugate to rho_kj, so the output is Hermitian by construction; a
+    duration of 0 returns the Hermitised input, exactly at theta = 0 and to
+    rounding at other angles. A negative or non-finite duration raises
+    ValueError. Trace is monitored to TRACE_TOL and an eigenvalue below
+    EIGENVALUE_FLOOR raises, so truncation artifacts surface instead of
+    leaking into fidelities.
     """
     dim = 2 * (params.n_max + 1)
     rho = np.asarray(rho, dtype=complex)

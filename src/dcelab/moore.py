@@ -24,14 +24,14 @@ matters for drives that start or stop with a velocity jump: F' is then only
 piecewise continuous, and a smooth interpolant or a difference stencil rings
 at the kink images. Callers descend both null rays t + x and t - x of all
 their points at once, and only the points they ask for: solve_moore itself
-descends nothing. Every descent checks that F is finite and F' finite and
+descends nothing and keeps no grid, only the window [z_min, z_max] it
+vouched for. Every descent checks that F is finite and F' finite and
 positive at the points it returns, and every caller that evaluates an
 ascending set of arguments checks that F increases strictly along it
 (_increasing); both raise the same RuntimeError.
 """
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,9 @@ __all__ = [
     "bogoliubov_from_moore",
 ]
 
-DEFAULT_POINTS_PER_LENGTH = 512
+BOUNCE_TOL = 1e-13  # Newton's stop for t + R(t) = z, relative to max(1, |z|)
+BOUNCE_MAX_ITER = 80  # Newton steps before the bisection fallback
+DEFAULT_N_QUAD = 4096  # Simpson intervals of bogoliubov_from_moore's slice
 
 _NOT_INCREASING = "Moore function is not strictly increasing"
 _NO_JERK = ("the exact F''' needs the wall's jerk (third derivative); "
@@ -56,7 +58,7 @@ _NO_JERK = ("the exact F''' needs the wall's jerk (third derivative); "
 _CHUNK_ENTRIES = 2**14  # complex entries of one (nodes, N) overlap temporary: 256 KiB
 
 
-def _bounce_times(traj, z, t_lo, tol=1e-13, max_iter=80):
+def _bounce_times(traj, z, t_lo, tol=BOUNCE_TOL, max_iter=BOUNCE_MAX_ITER):
     """Solve t + R(t) = z for each z (vectorized Newton, bisection fallback).
 
     t + R(t) is strictly increasing for |Rdot| < 1, so the root is unique,
@@ -91,31 +93,23 @@ def _increasing(values):
 class MooreFunction:
     """Moore function with exact evaluation and derivative accessors.
 
-    The grid z records the solved window. values, F on that grid, is
-    descended on first read and checked strictly increasing; calls do not
-    interpolate it. Below the window F continues analytically as z/R0; above
-    z_max evaluation raises, since the caller only vouched for the
-    trajectory up to the solved horizon.
+    It holds no samples of F: every call descends its own arguments. The
+    window [z_min, z_max] is what solve_moore vouched for. Below it F
+    continues analytically as z/R0; above z_max evaluation raises, since the
+    caller only vouched for the trajectory up to the solved horizon. z_lin
+    is the largest argument reached without a bounce, and max_depth bounds
+    the hops of a descent from z_max.
     """
 
-    z: np.ndarray
     R0: float
     traj: WallTrajectory
-    z_lin: float = field(repr=False, default=0.0)
-    max_depth: int = field(repr=False, default=0)
-
-    @functools.cached_property
-    def values(self):
-        """F on the grid z, descended on first read and kept."""
-        return _increasing(self(self.z))
+    z_max: float
+    z_lin: float
+    max_depth: int
 
     @property
     def z_min(self):
-        return float(self.z[0])
-
-    @property
-    def z_max(self):
-        return float(self.z[-1])
+        return float(self.traj.t_start - self.R0)
 
     def _descend(self, z):
         """Walk each z down to the static region; returns F, F', F'', F''',
@@ -176,15 +170,14 @@ class MooreFunction:
         return plus[0] - minus[0] - 2.0
 
 
-def solve_moore(traj: WallTrajectory, t_max, points_per_length=DEFAULT_POINTS_PER_LENGTH):
-    """F over [t_start - R0, t_max + max R], with the grid z at spacing R0 /
-    points_per_length.
+def solve_moore(traj: WallTrajectory, t_max):
+    """F over the window [t_start - R0, t_max + max R].
 
     Raises ValueError if the trajectory is superluminal (the bounce map would
     fold), if t_max precedes its start or if it has no jerk. Nothing is
-    descended here: F is descended where a caller evaluates it, and values
-    on its first read, each with the RuntimeError of the module docstring
-    if F does not increase strictly there.
+    descended here: F is descended where a caller evaluates it, with the
+    RuntimeError of the module docstring if F does not increase strictly
+    there.
     """
     R0 = float(traj.position(traj.t_start))
     if traj.max_speed() >= 1.0:
@@ -197,14 +190,11 @@ def solve_moore(traj: WallTrajectory, t_max, points_per_length=DEFAULT_POINTS_PE
     ts = np.linspace(traj.t_start, max(t_max, traj.t_end), 2049)
     R_all = np.asarray(traj.position(ts))
     R_max, R_min = float(R_all.max()), float(R_all.min())
-    z_lo = traj.t_start - R0
-    z_hi = t_max + R_max
-    n = int(np.ceil((z_hi - z_lo) * points_per_length / R0)) + 1
-    z = np.linspace(z_lo, z_hi, n)
+    z_max = float(t_max + R_max)
     z_lin = traj.t_start + R0  # largest argument reachable without a bounce
-    max_depth = int(np.ceil((z_hi - z_lin) / (2.0 * R_min))) + 2
+    max_depth = int(np.ceil((z_max - z_lin) / (2.0 * R_min))) + 2
 
-    return MooreFunction(z=z, R0=R0, traj=traj, z_lin=z_lin, max_depth=max_depth)
+    return MooreFunction(R0=R0, traj=traj, z_max=z_max, z_lin=z_lin, max_depth=max_depth)
 
 
 def moore_modes(F: MooreFunction, n, x, t):
@@ -250,7 +240,7 @@ def energy_density(F: MooreFunction, T, x, t):
 
 
 def bogoliubov_from_moore(F: MooreFunction, basis: ModeBasis, t_slice,
-                          n_quad=4096):
+                          n_quad=DEFAULT_N_QUAD):
     """Mode-mixing matrices by Klein-Gordon overlaps on a constant-t slice.
 
     The reference set is the instantaneous basis of the cavity at t_slice:

@@ -460,6 +460,24 @@ class TestMooreRun:
         assert ts == sorted(ts) and len(set(ts)) == 5
         assert [r[0] for r in rows[:7]] == [r[0] for r in rows[7:14]]
 
+    def test_points_per_length_is_accepted_and_ignored(self, tmp_path):
+        doc = {"cavity": {"length": 3.141592653589793, "n_modes": 4},
+               "trajectory": {"type": "harmonic", "epsilon": 0.05,
+                              "omega": 2.0, "t_end": 6.0},
+               "moore": {"t_max": 8.0, "n_z": 33, "n_x": 7, "n_t": 5}}
+        outs = {}
+        for ppl in (None, 8, 4096):
+            if ppl is not None:
+                doc["moore"]["points_per_length"] = ppl
+            (tmp_path / str(ppl)).mkdir()
+            code, outs[ppl] = run(tmp_path / str(ppl), "moore", doc)
+            assert code == 0
+            manifest = json.loads((outs[ppl] / "moore_manifest.json").read_text())
+            assert "points_per_length" not in manifest["tolerances"]
+        for name in ("moore_function.csv", "energy_density.csv"):
+            tables = {(out / name).read_bytes() for out in outs.values()}
+            assert len(tables) == 1, name
+
 
 class TestOttoRun:
     def test_efficiency_approaches_compression_ratio(self, tmp_path):
@@ -664,6 +682,24 @@ class TestCrosscheckRun:
         _, rows = read_table(out / "crosscheck.csv")
         moore_row = [r for r in rows if r[0] == "ode_vs_moore_max_dbeta"][0]
         assert moore_row[2] == 5.0 * 0.01**2
+
+    def test_manifests_record_the_moore_and_slow_flow_settings(self, tmp_path):
+        from dcelab.moore import BOUNCE_TOL, DEFAULT_N_QUAD
+        from dcelab.msa import DEFAULT_TOL
+        (tmp_path / "moore").mkdir()
+        (tmp_path / "crosscheck").mkdir()
+        code, out = run(tmp_path / "moore", "moore",
+                        {**self.DOC, "moore": {"t_max": 10.0, "n_z": 3, "n_x": 3, "n_t": 3}})
+        assert code == 0
+        manifest = json.loads((out / "moore_manifest.json").read_text())
+        assert manifest["tolerances"] == {"bounce_tol": BOUNCE_TOL} == {"bounce_tol": 1e-13}
+        code, out = run(tmp_path / "crosscheck", "crosscheck", self.DOC)
+        assert code == 0
+        tolerances = json.loads((out / "crosscheck_manifest.json").read_text())["tolerances"]
+        assert tolerances["bounce_tol"] == BOUNCE_TOL
+        assert tolerances["moore_n_quad"] == DEFAULT_N_QUAD == 4096
+        assert tolerances["resonance_tol"] == DEFAULT_TOL == 1e-9
+        assert tolerances["ode_rtol"] == 1e-10
 
     def test_unreachable_bounds_exit_3(self, tmp_path, capsys):
         doc = dict(self.DOC)

@@ -5,6 +5,7 @@ tests skip without it. The keyword audit runs everywhere.
 """
 
 import copy
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import yaml
 from dcelab import config
 from dcelab.config import SCHEMA
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 # every block, each valid on its own
 FULL_DOC = {
@@ -201,3 +203,28 @@ class TestWalker:
                 assert sub["type"] in config._TYPES, where
             if "$schema" in sub:
                 assert where == "$", where
+
+
+def _benchmark_scenarios():
+    """(name, mapping) of every seeded scenario the benchmark generates, each
+    workload full and tiny at one seed; perfbench is only read."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import WORKLOADS, generate
+    finally:
+        sys.path.remove(str(ROOT))
+    return [(f"{workload}{'_tiny' if tiny else ''}/{task.name}", task.config)
+            for workload in WORKLOADS for tiny in (False, True)
+            for task in generate(workload, 1234, tiny)
+            if getattr(task, "config", None) is not None]
+
+
+def test_every_benchmark_scenario_loads(tmp_path):
+    # the benchmark still sends keys the solvers ignore (msa.n_steps,
+    # moore.points_per_length); a schema that dropped one would fail it
+    scenarios = _benchmark_scenarios()
+    assert len(scenarios) == 32
+    for name, doc in scenarios:
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert config.load_config(path) == doc, name

@@ -44,8 +44,9 @@ from dcelab.gate import (
 )
 from dcelab.gate import (
     _bessel_j,
+    _chebyshev_series,
+    _chebyshev_setup,
     _collapse_operators,
-    _expm_action,
     _gather,
     _joint_hamiltonian,
     _parity_sectors,
@@ -181,8 +182,14 @@ def _hermitian_coordinates(j, k, dim):
     return T, R
 
 
+def _expm_action(A, b, t):
+    """exp(t A) b for a sparse square A: one set-up and one Chebyshev series
+    of the open gate."""
+    return _chebyshev_series(_chebyshev_setup(A, t), b)
+
+
 def _taylor_action(A, b, t):
-    """Reference for gate._expm_action: exp(t A) b by truncated Taylor steps.
+    """Reference for _expm_action: exp(t A) b by truncated Taylor steps.
 
     Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Algorithm 3.2:
     A is shifted by mu = tr(A)/n, and s = ceil(t ||A - mu I||_1 / 9.9) steps
@@ -216,7 +223,7 @@ def _taylor_action(A, b, t):
 
 def series_norm(A, t):
     """rho = t ||A - mu I||_1, mu = tr(A)/n: the argument of the Bessel
-    coefficients of gate._expm_action."""
+    coefficients of _expm_action."""
     n = A.shape[0]
     return t * abs(A - A.trace() / n * sparse.eye_array(n)).sum(axis=0).max()
 

@@ -96,7 +96,8 @@ class TestDrivenSolution:
 
     def test_values_strictly_increasing(self):
         F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=20.0), 20.0)
-        assert np.all(np.diff(F.values) > 0)
+        z = np.linspace(F.z_min, F.z_max, 4097)  # the whole window
+        assert np.all(np.diff(F(z)) > 0)
 
     def test_third_derivative_at_horizon_edge(self):
         F = solve_moore(quintic_wall(np.pi, 0.05, 2.0), 10.0)
@@ -470,12 +471,8 @@ class TestChunkedOverlap:
 
 class TestDescentOnDemand:
     def test_solve_moore_descends_nothing(self, descents):
-        F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=20.0), 20.0)
+        solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=20.0), 20.0)
         assert descents == []
-        assert np.all(np.diff(F.values) > 0)
-        assert descents == [F.z.size]
-        F.values
-        assert descents == [F.z.size]  # read once, then kept
 
     @staticmethod
     def nan_bounce(monkeypatch):
@@ -505,7 +502,7 @@ class TestDescentOnDemand:
         F = solve_moore(harmonic_wall(np.pi, 0.05, 2.0, t_end=6.0), 8.0)
         self.negated(monkeypatch)
         with pytest.raises(RuntimeError, match="not strictly increasing"):
-            F.values
+            moore._increasing(F(np.linspace(F.z_min, F.z_max, 33)))
         basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=4))
         with pytest.raises(RuntimeError, match="not strictly increasing"):
             bogoliubov_from_moore(F, basis, 8.0, n_quad=64)
