@@ -22,6 +22,12 @@ peak over all children so far. A child's peak never reads below the resident
 set of the process that started it, which the kernel carries across exec, so
 run this as a script (a few MB, below any dcelab run), not inside a larger
 process. A run that exits non-zero stops the script.
+
+With ``--before``, every file a config's last run wrote on the two trees is
+then compared byte for byte, its manifest (paths, times) excepted: the line
+of each config ends in ``tables identical`` or names the files that differ
+(a file only one tree wrote differs too), and ``--out`` records
+``tables_identical`` per config. Differing tables do not change the exit code.
 """
 
 from __future__ import annotations
@@ -88,6 +94,16 @@ def summary(runs):
             "maxrss_mb_median": statistics.median(rss), "maxrss_mb_runs": rss}
 
 
+def differing_tables(subcommand, before, after):
+    """Sorted names of the files in the output directories before and after that
+    differ byte for byte or exist on one side only, the run's manifest excepted."""
+    names = {p.name for d in (before, after) for p in d.iterdir()}
+    names.discard(f"{subcommand}_manifest.json")
+    return sorted(name for name in names
+                  if not ((before / name).is_file() and (after / name).is_file()
+                          and (before / name).read_bytes() == (after / name).read_bytes()))
+
+
 def _commit(tree):
     """HEAD of tree's git checkout, or None unless tree is that checkout's top
     directory: an export inside another checkout would report that one's HEAD."""
@@ -123,6 +139,9 @@ def main(argv=None):
                 for side in sides:
                     out_dir = Path(scratch) / side / stem
                     times[stem][side].append(time_run(trees[side], subcommand, path, out_dir))
+        differing = {stem: differing_tables(subcommand, Path(scratch) / "before" / stem,
+                                            Path(scratch) / "after" / stem)
+                     for stem, subcommand, _ in configs if "before" in trees}
     result = {
         "command": "python scripts/time_configs.py " + " ".join(argv or sys.argv[1:]),
         "environment": {"python": platform.python_version(),
@@ -131,7 +150,9 @@ def main(argv=None):
         "trees": {side: {"path": str(tree), "commit": _commit(tree)}
                   for side, tree in trees.items()},
         "configs": {stem: {"subcommand": subcommand,
-                           **{side: summary(times[stem][side]) for side in trees}}
+                           **{side: summary(times[stem][side]) for side in trees},
+                           **({"tables_identical": not differing[stem]}
+                              if stem in differing else {})}
                     for stem, subcommand, _ in configs},
     }
     for stem, entry in result["configs"].items():
@@ -139,6 +160,9 @@ def main(argv=None):
                  f"[{entry[side]['q1_s']:.3f}, {entry[side]['q3_s']:.3f}] "
                  f"{entry[side]['minflt_median']:.0f} faults "
                  f"{entry[side]['maxrss_mb_median']:.1f} MB" for side in trees]
+        if stem in differing:
+            cells.append("tables differ: " + ", ".join(differing[stem]) if differing[stem]
+                          else "tables identical")
         print(f"{stem:24s} {entry['subcommand']:10s} " + "  ".join(cells))
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=1) + "\n")

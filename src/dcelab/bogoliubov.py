@@ -302,7 +302,9 @@ def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAULT_R
 
 def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAULT_RTOL,
                        beta_temp=None):
-    """Sample N_k(t) over `times` (instantaneous-basis occupations).
+    """(beta_max, N) over `times`: max_nk |beta_nk| and the occupations N_k
+    (instantaneous basis) at each sample, shapes (len(times),) and
+    (len(times), n_modes); the `bogoliubov` runner's table.
 
     Uses one propagation (mode_snapshots); each sample is extracted against the wall
     position at that time. With beta_temp set, the in-state is thermal at
@@ -312,7 +314,10 @@ def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAU
     if beta_temp is not None:
         n_in = thermal_occupation(beta_temp, dirichlet_spectrum(spec.n_modes, spec.length))
     snaps = mode_snapshots(spec, traj, times, rtol=rtol)
-    out = np.empty((len(snaps), spec.n_modes))
+    beta_max = np.empty(len(snaps))
+    N = np.empty((len(snaps), spec.n_modes))
     for i, snap in enumerate(snaps):
-        out[i] = photon_spectrum(extract_bogoliubov(snap), n_in)
-    return out
+        bog = extract_bogoliubov(snap)
+        beta_max[i] = np.abs(bog.beta).max()
+        N[i] = photon_spectrum(bog, n_in)
+    return beta_max, N

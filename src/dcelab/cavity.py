@@ -28,6 +28,11 @@ __all__ = [
 
 # exp() overflow guard; beyond this the occupation underflows float64 anyway
 _EXP_CAP = 700.0
+# thermal_image_sum stops once a term falls below _IMAGE_RTOL of the running
+# total, after at least _IMAGE_MIN_TERMS terms, and fails past _IMAGE_MAX_TERMS
+_IMAGE_RTOL = 1e-18
+_IMAGE_MIN_TERMS = 60
+_IMAGE_MAX_TERMS = 200000
 
 
 @dataclass(frozen=True)
@@ -131,25 +136,25 @@ def static_casimir_energy(length):
     return -np.pi / (24.0 * length)
 
 
-def thermal_image_sum(t_d0, rtol=1e-18, min_terms=60, max_terms=200000):
+def thermal_image_sum(t_d0):
     """Z(T d0) = sum_{n>=1} n pi / (exp(n pi / (T d0)) - 1).
 
     Appears in the finite-temperature energy density. Terms decay like
     exp(-n pi / (T d0)); the sum is accumulated until the next term falls
-    below rtol times the running total. t_d0 = 0 returns 0 exactly.
+    below _IMAGE_RTOL times the running total. t_d0 = 0 returns 0 exactly.
     """
     if t_d0 < 0.0:
         raise ValueError("temperature-length product must be >= 0")
     if t_d0 == 0.0:
         return 0.0
     total = 0.0
-    for n in range(1, max_terms + 1):
+    for n in range(1, _IMAGE_MAX_TERMS + 1):
         x = n * np.pi / t_d0
         if x > _EXP_CAP:
             break
         term = n * np.pi / np.expm1(x)
         total += term
-        if n >= min_terms and term < rtol * total:
+        if n >= _IMAGE_MIN_TERMS and term < _IMAGE_RTOL * total:
             break
     else:
         raise RuntimeError("thermal image sum did not converge")

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, build_cavity, build_gate, build_otto,
+from .config import (ConfigError, _given, build_cavity, build_gate, build_otto,
                      build_squid, build_trajectory, load_config, require_block)
 from .output import RunManifest, sha256_of_file, write_table
 
@@ -41,9 +41,8 @@ __all__ = ["main", "build_parser"]
 # run loads only its own subcommand's solver, and a name bound on dcelab.cli
 # itself, such as a test's monkeypatch, is the one the runner calls.
 _SOLVERS = {
-    "bogoliubov": ("extract_bogoliubov", "integrate_modes", "mode_snapshots",
-                   "photon_spectrum"),
-    "cavity": ("ModeBasis", "thermal_occupation"),
+    "bogoliubov": ("extract_bogoliubov", "integrate_modes", "photon_time_series"),
+    "cavity": ("ModeBasis",),
     "gate": ("average_fidelity", "open_average_fidelity", "simulated_average_fidelity"),
     "moore": ("bogoliubov_from_moore", "energy_density", "solve_moore"),
     "msa": ("evolve_slow",),
@@ -60,16 +59,16 @@ def __getattr__(name):
     return getattr(importlib.import_module(f"{__package__}.{_HOME[name]}"), name)
 
 
-def _run_spectrum(cfg, args):
+def _run_spectrum(cfg):
     params, n_max = build_squid(require_block(cfg, "squid", "spectrum"))
     roots = _cli.solve_spectrum(params, n_max)
     rows = [[float(i + 1), r.kd, r.phi] for i, r in enumerate(roots)]
-    worst = max(max(r.residuals(params)) for r in roots) if roots else 0.0
+    worst = max(max(r.residuals(params)) for r in roots)
     tables = [("spectrum", ["n", "kd", "phi"], rows)]
     return tables, {"max_sine_residual": worst}, [], True
 
 
-def _run_bogoliubov(cfg, args):
+def _run_bogoliubov(cfg):
     cav = build_cavity(require_block(cfg, "cavity", "bogoliubov"))
     tblock = require_block(cfg, "trajectory", "bogoliubov")
     traj = build_trajectory(tblock, cav.length)
@@ -81,22 +80,15 @@ def _run_bogoliubov(cfg, args):
     if horizon <= 0.0:
         raise ConfigError("bogoliubov needs a positive time span; "
                           "set trajectory.t_end")
-    n_in = None
-    if "beta_temp" in opts:
-        n_in = _cli.thermal_occupation(float(opts["beta_temp"]),
-                                       _cli.ModeBasis.build(cav).omega)
     times = np.linspace(0.0, horizon, n_times)
-    extract, spectrum = _cli.extract_bogoliubov, _cli.photon_spectrum  # once per run
-    rows = []
-    for t, snap in zip(times, _cli.mode_snapshots(cav, traj, times, rtol=rtol)):
-        bog = extract(snap)
-        occ = spectrum(bog, n_in)
-        rows.append([float(t), float(np.abs(bog.beta).max()), *occ.tolist()])
+    beta_max, occupations = _cli.photon_time_series(cav, traj, times, rtol=rtol,
+                                                    **_given(opts, beta_temp=float))
+    rows = np.column_stack([times, beta_max, occupations]).tolist()
     header = ["t", "beta_max"] + [f"N_{k}" for k in range(1, cav.n_modes + 1)]
     return [("occupations", header, rows)], {"ode_rtol": rtol}, [], True
 
 
-def _run_msa(cfg, args):
+def _run_msa(cfg):
     cav = build_cavity(require_block(cfg, "cavity", "msa"))
     block = require_block(cfg, "msa", "msa")
     pairs = [tuple(int(v) for v in p) for p in block.get("pairs", [[1, 1]])]
@@ -106,23 +98,17 @@ def _run_msa(cfg, args):
     eps = block.get("epsilon")
     from .msa import DEFAULT_TOL as tol
     sl = _cli.evolve_slow(_cli.ModeBasis.build(cav), float(block["omega"]),
-                          eps=None if eps is None else float(eps),
-                          tau_max=float(block.get("tau_max", 1.0)),
-                          n_samples=int(block.get("n_samples", 101)), tol=tol)
+                          eps=None if eps is None else float(eps), tol=tol,
+                          **_given(block, tau_max=float, n_samples=int))
     header = ["tau"]
     for n, k in pairs:
         header += [f"abs_alpha_{n}_{k}", f"abs_beta_{n}_{k}"]
-    rows = []
-    for i, tau in enumerate(sl.tau):
-        row = [float(tau)]
-        for n, k in pairs:
-            row += [float(abs(sl.alpha[i, n - 1, k - 1])),
-                    float(abs(sl.beta[i, n - 1, k - 1]))]
-        rows.append(row)
+    columns = [np.abs(a[:, n - 1, k - 1]) for n, k in pairs for a in (sl.alpha, sl.beta)]
+    rows = np.column_stack([sl.tau, *columns]).tolist()
     return [("slow_amplitudes", header, rows)], {"resonance_tol": tol}, [], True
 
 
-def _run_moore(cfg, args):
+def _run_moore(cfg):
     cav = build_cavity(require_block(cfg, "cavity", "moore"))
     tblock = require_block(cfg, "trajectory", "moore")
     traj = build_trajectory(tblock, cav.length)
@@ -145,7 +131,7 @@ def _run_moore(cfg, args):
     return tables, {"bounce_tol": BOUNCE_TOL}, [], True
 
 
-def _run_otto(cfg, args):
+def _run_otto(cfg):
     spec, tau = build_otto(require_block(cfg, "otto", "otto"))
     tau = np.sort(np.asarray(tau, dtype=float))
     res = _cli.nonadiabatic_cycles(spec, tau)
@@ -154,7 +140,7 @@ def _run_otto(cfg, args):
     return [("otto_cycle", header, rows)], {"n_modes": spec.n_modes}, [], True
 
 
-def _run_gate(cfg, args):
+def _run_gate(cfg):
     params, p_z, rates = build_gate(require_block(cfg, "gate", "gate"))
     r = params.r_gate
     tol = {"n_max": params.n_max, "leak_tol": params.leak_tol}
@@ -181,7 +167,7 @@ def _run_gate(cfg, args):
     return [("gate_fidelity", header, rows)], tol, [], True
 
 
-def _run_crosscheck(cfg, args):
+def _run_crosscheck(cfg):
     cav = build_cavity(require_block(cfg, "cavity", "crosscheck"))
     tblock = require_block(cfg, "trajectory", "crosscheck")
     if tblock.get("type") != "harmonic":
@@ -296,7 +282,7 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        tables, tolerances, messages, ok = _RUNNERS[args.subcommand][0](cfg, args)
+        tables, tolerances, messages, ok = _RUNNERS[args.subcommand][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

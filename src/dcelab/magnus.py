@@ -331,12 +331,12 @@ def propagate(exponent, t_a, t_b, Y0, rtol, omega_max, period=None, samples=()):
     return Y, sampled
 
 
-def _broken_symmetry(coefficients, a, b, image, samples=16):
+def _broken_symmetry(coefficients, a, b, image):
     """The first of the coefficients lam and w of a canonical field that the
-    map t -> image(t) does not keep at the cell midpoints t of [a, b], with
+    map t -> image(t) does not keep at the 16 cell midpoints t of [a, b], with
     its largest gap |f(image(t)) - f(t)|, or None when both agree to 1e-8 of
     their largest magnitude. Where image reverses time lam must flip sign."""
-    t = a + (b - a) * (np.arange(samples) + 0.5) / samples
+    t = a + (b - a) * (np.arange(16) + 0.5) / 16
     there = image(t)
     sign = np.sign(there[-1] - there[0])  # -1 where image reverses time
     for name, parity, here, mapped in zip(("lam", "w"), (sign, 1.0), coefficients(t),

@@ -104,6 +104,12 @@ def solve_spectrum(params: SquidCavityParams, n_max):
     requested count; a double root hiding between grid points (tangent
     branch contact) triggers one 4x refinement and then a diagnostic
     RuntimeError rather than silently renumbering the spectrum.
+
+    Limitation: only real kd > 0 is scanned. With b0L or b0R < 0 the pair
+    can also have statically unstable modes (imaginary kd); they are dropped
+    without a word, and the first root returned is then not the lowest mode
+    (at chi0, b0L, b0R = 0.1, -0.8, 3 one such mode, kappa d = 0.3046, is
+    missed and the spectrum runner labels the second mode n = 1).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -53,9 +53,9 @@ class WallTrajectory:
         if self.period is not None and not self.period > 0:
             raise ValueError("period must be positive")
 
-    def max_speed(self, samples=4096):
-        t = np.linspace(self.t_start, self.t_end, samples)
-        return float(np.max(np.abs(self.velocity(t)))) if samples else 0.0
+    def max_speed(self):
+        t = np.linspace(self.t_start, self.t_end, 4096)
+        return float(np.max(np.abs(self.velocity(t))))
 
 
 def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None):

@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 
 import dcelab
 from dcelab import config
+from dcelab.cavity import dirichlet_spectrum, thermal_occupation
 from dcelab.cli import main
 from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
 from dcelab.gate import OpenRates, default_cqed_params
@@ -360,14 +361,27 @@ class TestBogoliubovRun:
         assert outs[0] == outs[1]
 
     def test_solvers_patched_on_the_cli_are_the_ones_called(self, tmp_path, monkeypatch):
-        # the runner resolves each solver once per run, from dcelab.cli
+        # the runner resolves its solver from dcelab.cli
         calls = []
-        spectrum = dcelab.cli.photon_spectrum
-        monkeypatch.setattr(dcelab.cli, "photon_spectrum",
-                            lambda bog, n_in: calls.append(bog.t) or spectrum(bog, n_in))
+        series = dcelab.cli.photon_time_series
+        monkeypatch.setattr(dcelab.cli, "photon_time_series",
+                            lambda spec, traj, times, **kw: calls.append(list(times))
+                            or series(spec, traj, times, **kw))
         code, _ = run(tmp_path, "bogoliubov", STATIC_DOC)
         assert code == 0
-        assert calls == list(np.linspace(0.0, 4.0, 9))
+        assert calls == [list(np.linspace(0.0, 4.0, 9))]
+
+    def test_thermal_static_wall_keeps_the_bose_einstein_occupations(self, tmp_path):
+        doc = {**STATIC_DOC, "bogoliubov": {"n_times": 9, "beta_temp": 0.7}}
+        code, out = run(tmp_path, "bogoliubov", doc)
+        assert code == 0
+        _, rows = read_table(out / "occupations.csv")
+        rows = np.array(rows)
+        assert rows.shape == (9, 7)
+        # a static wall creates nothing: the thermal in-state passes through unchanged
+        assert rows[:, 1].max() < 1e-12
+        np.testing.assert_allclose(rows[:, 2:], np.tile(thermal_occupation(
+            0.7, dirichlet_spectrum(5, np.pi)), (9, 1)), rtol=1e-12, atol=0.0)
 
     def test_resonant_drive_populates_the_fundamental(self, tmp_path):
         doc = {"cavity": {"length": 3.141592653589793, "n_modes": 6},
@@ -411,6 +425,16 @@ class TestMsaRun:
         assert code == 0
         assert (out / "slow_amplitudes.csv").read_bytes() == \
             (out_steps / "slow_amplitudes.csv").read_bytes()
+
+    def test_absent_samples_take_the_slow_flows_defaults(self, tmp_path):
+        # evolve_slow owns the defaults: tau_max = 1 and 101 samples
+        doc = {"cavity": {"length": 3.141592653589793, "n_modes": 4},
+               "msa": {"omega": 2.0}}
+        code, out = run(tmp_path, "msa", doc)
+        assert code == 0
+        _, rows = read_table(out / "slow_amplitudes.csv")
+        assert len(rows) == 101
+        assert [r[0] for r in rows] == np.linspace(0.0, 1.0, 101).tolist()
 
     def test_pair_beyond_truncation_exits_2(self, tmp_path):
         doc = {"cavity": {"length": 3.141592653589793, "n_modes": 4},

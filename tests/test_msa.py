@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
+from scipy.special import ellipe, ellipk
 
 from dcelab.bogoliubov import extract_bogoliubov, integrate_modes
 from dcelab.cavity import CavitySpec, ModeBasis
@@ -144,6 +145,37 @@ class TestEvolveSlow:
         a_ex, b_ex = exact_slow_solution(BASIS16, 2.0, 0.7)
         npt.assert_allclose(sl.alpha_final, a_ex, atol=1e-12)
         npt.assert_allclose(sl.beta_final, b_ex, atol=1e-12)
+
+
+class TestPrincipalResonanceClosedForm:
+    """At Omega = 2 omega_1 on L = pi (omega_k = k) the slow flow creates pairs
+    only in mode 1 and scatters mode k to k +- 2; that chain has closed forms
+    (Dodonov & Klimov, PRA 53, 2664 (1996)), independent of the truncation N
+    while the cascade stays below it. With m = kappa^2 = 1 - exp(-4 tau):
+    N_1 = (2/pi^2) K(m) E(m) - 1/2 and sum_k k N_k = sinh(tau)^2 / 4."""
+
+    @pytest.fixture(scope="class")
+    def flow(self):
+        basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=256))
+        sl = evolve_slow(basis, 2.0, tau_max=2.0, n_samples=5)
+        tau = sl.tau[1:]
+        npt.assert_array_equal(tau, [0.5, 1.0, 1.5, 2.0])
+        return tau, (sl.beta[1:] ** 2).sum(axis=1)  # N_k = sum_n beta_nk^2
+
+    def test_fundamental_occupation_is_the_elliptic_closed_form(self, flow):
+        tau, N = flow
+        m = 1.0 - np.exp(-4.0 * tau)
+        npt.assert_allclose(N[:, 0], 2.0 / np.pi**2 * ellipk(m) * ellipe(m) - 0.5,
+                            rtol=1e-13, atol=0.0)
+
+    def test_energy_is_a_quarter_sinh_squared(self, flow):
+        tau, N = flow
+        energy = N @ np.arange(1, N.shape[1] + 1)
+        exact = 0.25 * np.sinh(tau) ** 2
+        npt.assert_allclose(energy[:3], exact[:3], rtol=1e-12, atol=0.0)
+        # by tau = 2 the cascade up the ladder reaches the 256-mode cut and the
+        # truncated chain misses about 1.4e-6 of the energy
+        npt.assert_allclose(energy[3], exact[3], rtol=1e-5, atol=0.0)
 
 
 class TestCrossSolver:

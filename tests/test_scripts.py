@@ -43,9 +43,9 @@ def test_code_lines_file_rows_add_up_to_their_tree(capsys):
         assert sum(int(row[column + 1]) for row in files) == int(total[column]) > 0
 
 
-def tiny_tree(tmp_path):
+def tiny_tree(tmp_path, name="tree"):
     """A tree of one small config on this checkout's src/."""
-    tree = tmp_path / "tree"
+    tree = tmp_path / name
     (tree / "configs").mkdir(parents=True)
     (tree / "src").symlink_to(SCRIPTS.parent / "src")
     (tree / "configs" / "tiny.yaml").write_text(
@@ -87,3 +87,30 @@ sys.exit(time_configs.main(["--after", {str(tiny_tree(tmp_path))!r}, "--runs", "
     assert all(10.0 < mb < 96.0 for mb in entry["maxrss_mb_runs"])
     assert entry["maxrss_mb_median"] == sum(entry["maxrss_mb_runs"]) / 2
     assert f"{entry['maxrss_mb_median']:.1f} MB" in proc.stdout
+
+
+def test_time_configs_compares_the_tables_of_both_trees(tmp_path, capsys):
+    time_configs = load_script("time_configs")
+    after = tiny_tree(tmp_path)
+
+    def compare(before):
+        out = tmp_path / f"{before.name}.json"
+        assert time_configs.main(["--before", str(before), "--after", str(after),
+                                  "--runs", "1", "--out", str(out)]) == 0
+        return json.loads(out.read_text())["configs"]["tiny"], capsys.readouterr().out
+
+    entry, stdout = compare(tiny_tree(tmp_path, "same"))  # the same src/
+    assert entry["tables_identical"] is True
+    assert "tables identical" in stdout
+    # a copied src/ that writes 15 significant digits instead of 17
+    other = tiny_tree(tmp_path, "other")
+    (other / "src").unlink()
+    shutil.copytree(SCRIPTS.parent / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    output = other / "src" / "dcelab" / "output.py"
+    text = output.read_text()
+    assert 'FLOAT_FMT = ".17g"' in text
+    output.write_text(text.replace('FLOAT_FMT = ".17g"', 'FLOAT_FMT = ".15g"'))
+    entry, stdout = compare(other)
+    assert entry["tables_identical"] is False
+    assert "tables differ: spectrum.csv" in stdout
