@@ -65,7 +65,7 @@ def _run_spectrum(cfg):
     rows = [[float(i + 1), r.kd, r.phi] for i, r in enumerate(roots)]
     worst = max(max(r.residuals(params)) for r in roots)
     tables = [("spectrum", ["n", "kd", "phi"], rows)]
-    return tables, {"max_sine_residual": worst}, [], True
+    return tables, {"max_sine_residual": worst}, {}, [], True
 
 
 def _run_bogoliubov(cfg):
@@ -85,7 +85,7 @@ def _run_bogoliubov(cfg):
                                                     **_given(opts, beta_temp=float))
     rows = np.column_stack([times, beta_max, occupations]).tolist()
     header = ["t", "beta_max"] + [f"N_{k}" for k in range(1, cav.n_modes + 1)]
-    return [("occupations", header, rows)], {"ode_rtol": rtol}, [], True
+    return [("occupations", header, rows)], {"ode_rtol": rtol}, {}, [], True
 
 
 def _run_msa(cfg):
@@ -105,7 +105,7 @@ def _run_msa(cfg):
         header += [f"abs_alpha_{n}_{k}", f"abs_beta_{n}_{k}"]
     columns = [np.abs(a[:, n - 1, k - 1]) for n, k in pairs for a in (sl.alpha, sl.beta)]
     rows = np.column_stack([sl.tau, *columns]).tolist()
-    return [("slow_amplitudes", header, rows)], {"resonance_tol": tol}, [], True
+    return [("slow_amplitudes", header, rows)], {"resonance_tol": tol}, {}, [], True
 
 
 def _run_moore(cfg):
@@ -128,7 +128,7 @@ def _run_moore(cfg):
                               dens.ravel()]).tolist()
     tables = [("moore_function", ["z", "F"], f_rows),
               ("energy_density", ["x", "t", "T_tt"], e_rows)]
-    return tables, {"bounce_tol": BOUNCE_TOL}, [], True
+    return tables, {"bounce_tol": BOUNCE_TOL}, {}, [], True
 
 
 def _run_otto(cfg):
@@ -137,34 +137,26 @@ def _run_otto(cfg):
     res = _cli.nonadiabatic_cycles(spec, tau)
     rows = np.column_stack([tau * (np.pi / spec.L0), res.eta, res.W, res.Q, res.P]).tolist()
     header = ["tau_omega1", "eta", "W", "Q", "P"]
-    return [("otto_cycle", header, rows)], {"n_modes": spec.n_modes}, [], True
+    return [("otto_cycle", header, rows)], {"n_modes": spec.n_modes}, {}, [], True
 
 
 def _run_gate(cfg):
     params, p_z, rates = build_gate(require_block(cfg, "gate", "gate"))
-    r = params.r_gate
-    tol = {"n_max": params.n_max, "leak_tol": params.leak_tol}
-    if rates is not None:
-        from .gate import EIGENVALUE_FLOOR, TRACE_TOL, _protocol_generator
+    tol, diagnostics = {"n_max": params.n_max, "leak_tol": params.leak_tol}, {}
+    a, b = np.sqrt((1.0 + p_z) / 2.0), np.sqrt((1.0 - p_z) / 2.0)
+    f_closed = [_cli.average_fidelity(params.r_gate, pz) for pz in p_z]
+    f_sim = [_cli.simulated_average_fidelity(x, y, params) for x, y in zip(a, b)]
+    if rates is None:
+        # lossless limit: the open gate coincides with the closed one
+        f_open, purity = f_sim, np.ones(len(p_z))
+    else:
+        from .gate import EIGENVALUE_FLOOR, TRACE_TOL
         tol.update(trace_tol=TRACE_TOL, eigenvalue_floor=EIGENVALUE_FLOOR)
-        # built once before the sweep and only read by it, so every p_z shares it
-        generator = _protocol_generator(params, rates) if len(p_z) else None
-
-    rows = []
-    for pz in p_z:
-        a = np.sqrt((1.0 + pz) / 2.0)
-        b = np.sqrt((1.0 - pz) / 2.0)
-        f_closed = _cli.average_fidelity(r, pz)
-        f_sim = _cli.simulated_average_fidelity(a, b, params)
-        if rates is None:
-            # lossless limit: the open gate coincides with the closed one
-            f_open, purity = f_sim, 1.0
-        else:
-            f_open, purity = _cli.open_average_fidelity(a, b, params, rates, generator)
-        rows.append([float(pz), float(f_closed), float(f_sim),
-                     float(f_open), float(purity)])
+        # one call for the whole sweep: it propagates three fixed matrices for every p_z
+        f_open, purity = _cli.open_average_fidelity(a, b, params, rates, diagnostics)
+    rows = np.column_stack([p_z, f_closed, f_sim, f_open, purity]).tolist()
     header = ["p_z", "fbar_closed", "fbar_simulated", "fbar_open", "purity"]
-    return [("gate_fidelity", header, rows)], tol, [], True
+    return [("gate_fidelity", header, rows)], tol, diagnostics, [], True
 
 
 def _run_crosscheck(cfg):
@@ -209,9 +201,12 @@ def _run_crosscheck(cfg):
     tol = {"beta_factor": beta_factor, "msa_rel_tol": msa_rel_tol,
            "ode_rtol": ode_rtol, "bounce_tol": BOUNCE_TOL, "moore_n_quad": n_quad,
            "resonance_tol": resonance_tol}
-    return tables, tol, messages, ok_moore and ok_msa
+    return tables, tol, {}, messages, ok_moore and ok_msa
 
 
+# Each runner takes the scenario and returns (tables, tolerances, diagnostics,
+# messages, ok): the tables to write, the two dicts for the manifest, the
+# lines to print and the verdict.
 _RUNNERS = {
     "spectrum": (_run_spectrum, "roots of the SQUID-cavity boundary pair"),
     "bogoliubov": (_run_bogoliubov, "coupled-mode occupations over time"),
@@ -282,7 +277,7 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        tables, tolerances, messages, ok = _RUNNERS[args.subcommand][0](cfg)
+        tables, tolerances, diagnostics, messages, ok = _RUNNERS[args.subcommand][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -295,7 +290,7 @@ def main(argv=None):
         manifest = RunManifest(
             subcommand=args.subcommand, config_path=str(args.config),
             config_sha256=sha256_of_file(args.config), seed=args.seed,
-            tolerances=tolerances, outputs=[w.name for w in written],
+            tolerances=tolerances, diagnostics=diagnostics, outputs=[w.name for w in written],
             wall_clock_s=time.perf_counter() - t0)
         written.append(manifest.write(out_dir / f"{args.subcommand}_manifest.json"))
     except OSError as exc:

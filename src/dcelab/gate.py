@@ -28,18 +28,23 @@ exponential of the even and odd photon-number blocks of S(r, 0), with the
 angle put in by phases.
 
 The open gate (open_evolve) propagates the Lindblad master equation of
-each gate segment exactly: the generator is constant over the segment, each
-photon-parity sector of rho is advanced in real Hermitian coordinates,
-gathered from and scattered back to the sector's (j, k) index lists, under
-a sparse real generator built for that sector's rows alone, and the action
-of its exponential is one Chebyshev series with Bessel coefficients, which
-needs about as many sparse products as the generator's 1-norm times the
-segment length, since the coherent drive keeps its spectrum near the
-imaginary axis. The generator is built at drive angle 0, where it is
-sparsest, and the angle put in by the same D = diag(e^{i theta n / 2})
-phases as for the squeezes, on the coordinates before and after the series.
-So the open protocol builds one generator, and one Chebyshev set-up, for
-both of its segments, and a p_z sweep may share them (the CLI does).
+each gate segment exactly: the generator is constant over the segment, and
+it leaves four blocks of rho invariant, the population entries (one qubit
+level on both sides) and the coherence entries (|0><1| of the qubit) of
+each photon-parity sector. A population block is advanced in real
+Hermitian coordinates, gathered from and scattered back to its (j, k) index
+lists, and a coherence block as its complex entries themselves, each under
+a sparse generator built for that block's rows alone; the action of its
+exponential is one Chebyshev series with Bessel coefficients, which needs
+about as many sparse products as the generator's 1-norm times the segment
+length, since the coherent drive keeps its spectrum near the imaginary
+axis. The generators are built at drive angle 0, where they are sparsest,
+and the angle put in by the same D = diag(e^{i theta n / 2}) phases as for
+the squeezes, on the entries before and after the series. The open
+protocol is linear in its input, and every input is a combination of three
+fixed matrices, so a whole p_z sweep (open_average_fidelity on arrays)
+propagates those three through both segments, in four series, and forms
+each p_z's states from them.
 
 Pure joint states are arrays of shape (2, n_max+1), qubit index first;
 density matrices are square over the flattened index. hbar = 1, time in ns,
@@ -499,7 +504,7 @@ def _row_nonzeros(op):
 
 def _lindblad_terms(H, ls, j, k):
     """The terms of the rows (j[i], k[i]) of the Lindblad generator on the
-    row-major vec(rho), as arrays (i, m dim + p, value), the value
+    row-major vec(rho), as (name, i, m dim + p, value), the value
     multiplying rho_mp. With K = -iH - (1/2) sum_l L_l^dag L_l,
 
         (L rho)_jk = sum_m K_jm rho_mk + sum_p conj(K_kp) rho_jp
@@ -511,22 +516,34 @@ def _lindblad_terms(H, ls, j, k):
     dim = len(H)
     K = _row_nonzeros(-1j * H - 0.5 * sum(l.conj().T @ l for l in ls))
     i, m, v = K(j)
-    yield i, m * dim + k[i], v
+    yield "K rho", i, m * dim + k[i], v
     i, p, v = K(k)
-    yield i, j[i] * dim + p, v.conj()
-    if ls:  # the jumps stacked, jump l on rows l dim + j
-        jumps, shift = _row_nonzeros(np.concatenate(ls)), dim * np.arange(len(ls))[:, None]
-        i1, m, v1 = jumps((shift + j).ravel())
-        i2, p, v2 = jumps((shift + k).ravel()[i1])
-        yield i1[i2] % len(j), m[i2] * dim + p, v1[i2] * v2.conj()
+    yield "rho K^dag", i, j[i] * dim + p, v.conj()
+    for number, l in enumerate(ls):
+        jump = _row_nonzeros(l)
+        i1, m, v1 = jump(j)
+        i2, p, v2 = jump(k[i1])
+        yield f"L_{number} rho L_{number}^dag", i1[i2], m[i2] * dim + p, v1[i2] * v2.conj()
 
 
-def _lindblad_rows(H, ls, j, k):
+def _lindblad_rows(H, ls, j, k, block):
     """The rows (j[i], k[i]) of the Lindblad generator on the row-major
     vec(rho): arrays (i, m, p, re, im) of their entries, re + i im at rho_mp
-    in row i, the terms of one entry added in the order of _lindblad_terms."""
+    in row i, the terms of one entry added in the order of _lindblad_terms.
+    block is a boolean (dim, dim) array, true at the entries rho_mp the rows
+    may read: a term reading any other entry raises RuntimeError naming the
+    term, for the rows would then not form an invariant block."""
     dim = len(H)
-    i, col, v = (np.concatenate(x) for x in zip(*_lindblad_terms(H, ls, j, k)))
+    terms = []
+    for name, i, col, v in _lindblad_terms(H, ls, j, k):
+        if not block.flat[col].all():
+            bad = np.flatnonzero(~block.flat[col])[0]
+            raise RuntimeError(
+                f"open gate block: its row rho[{j[i[bad]]}, {k[i[bad]]}] reads "
+                f"rho[{col[bad] // dim}, {col[bad] % dim}], outside the block, through the "
+                f"term {name}; the block is not invariant under this generator")
+        terms.append((i, col, v))
+    i, col, v = (np.concatenate(x) for x in zip(*terms))
     keys, entry = np.unique(i * dim * dim + col, return_inverse=True)
     i, col = np.divmod(keys, dim * dim)
     # bincount adds the terms of one entry in their order
@@ -534,9 +551,11 @@ def _lindblad_rows(H, ls, j, k):
 
 
 def _sector_generator(H, ls, j, k):
-    """The real generator of one parity sector, as a CSR matrix, on the
-    coordinates x = (Re rho_jk for every i, Im rho_jk where j < k) of a
-    Hermitian rho, (j, k) = (j[i], k[i]) the sector's entries with j <= k.
+    """The real generator of an invariant set of entries of a Hermitian rho,
+    a parity sector or its population block, as a CSR matrix, on the
+    coordinates x = (Re rho_jk for every i, Im rho_jk where j < k), (j, k) =
+    (j[i], k[i]) the entries with j <= k. A row that reads an entry outside
+    the set raises RuntimeError (_lindblad_rows).
 
     With vec(rho) = T x (rho_jk = x_re + i x_im, rho_kj = x_re - i x_im) and
     x = Re(R vec(rho)), it is Re(R L T), L the Lindblad generator on the
@@ -553,19 +572,38 @@ def _sector_generator(H, ls, j, k):
     im[off] = np.arange(n_re, n)
     pair = np.full(H.shape, -1, dtype=np.int32)  # the x_re coordinate of each rho_mp
     pair[j, k] = pair[k, j] = np.arange(n_re)
-    row, m, p, a, b = _lindblad_rows(H, ls, j, k)
-    q = pair[m, p]
-    keep = q >= 0  # rho_mp outside the sector is zero
+    row, m, p, a, b = _lindblad_rows(H, ls, j, k, pair >= 0)
     # group the entries of one real coordinate, rho_mp = x_re + i x_im and rho_pm = x_re - i x_im
-    coords, entry = np.unique((row * n_re + q)[keep], return_inverse=True)
-    sign, a, b = np.where(m > p, -1.0, 1.0)[keep], a[keep], b[keep]
-    del m, p, keep  # row and q are rebound to the coordinates next
+    coords, entry = np.unique(row * n_re + pair[m, p], return_inverse=True)
+    sign = np.where(m > p, -1.0, 1.0)
+    del m, p  # row is rebound to the coordinates next
     row, q = (x.astype(np.int32) for x in np.divmod(coords, n_re))
     rows = np.concatenate([row, row, im[row], im[row]])  # x_re rows, then x_im rows
     cols = np.concatenate([q, im[q], q, im[q]])
     vals = np.concatenate([np.bincount(entry, w) for w in (a, -sign * b, b, sign * a)])
     ok = (rows >= 0) & (cols >= 0) & (vals != 0.0)
     return sparse.csr_array((vals[ok], (rows[ok], cols[ok])), shape=(n, n))
+
+
+def _coherence_generator(H, ls, j, k):
+    """The complex generator of a coherence block, as a CSR matrix, on the
+    entries z_i = rho_jk themselves, (j, k) = (j[i], k[i]) with j < n <= k:
+    the block |0><1| of the qubit in one parity sector, n = n_max + 1.
+
+    H is block-diagonal in the qubit and every jump maps |0><1| entries only
+    to |0><1| entries, so these rows of L read no other entry, and the block
+    needs no Hermitian pairing: its generator is complex-linear, the rows and
+    columns (j, k) of L entry for entry (its explicit zeros left out). A row
+    that reads an entry outside the block, as under a sigma_x jump or a
+    qubit drive, raises RuntimeError naming the term (_lindblad_rows).
+    """
+    from scipy import sparse
+    index = np.full(H.shape, -1, dtype=np.int32)  # the coordinate of each rho_mp
+    index[j, k] = np.arange(len(j))
+    row, m, p, a, b = _lindblad_rows(H, ls, j, k, index >= 0)
+    vals = a + 1j * b
+    ok = vals != 0.0
+    return sparse.csr_array((vals[ok], (row[ok], index[m, p][ok])), shape=(len(j), len(j)))
 
 
 def _bessel_j(x, n):
@@ -637,8 +675,9 @@ def _chebyshev_setup(A, t):
 
 
 def _chebyshev_series(c, b):
-    """exp(t A) b from the set-up c = _chebyshev_setup(A, t), which it leaves
-    unchanged, so one set-up may serve several threads at once.
+    """(exp(t A) b, terms) from the set-up c = _chebyshev_setup(A, t), which
+    it leaves unchanged, so one set-up may serve several threads at once;
+    terms is the number of sparse products the series took.
 
     When the spectrum of A - mu I lies near the imaginary axis, as for a
     Lindblad generator dominated by its Hamiltonian part, the series takes
@@ -646,10 +685,10 @@ def _chebyshev_series(c, b):
     successive terms fall below 2^-53 of the partial sum in the inf-norm; a
     series still running at 3 rho + 100 terms raises RuntimeError. The
     recurrence is real, so a real A and b give a real result. At t = 0, or
-    for A a multiple of I, the result is e^{t mu} b exactly.
+    for A a multiple of I, the result is e^{t mu} b exactly, in 0 terms.
     """
     if c.rho == 0.0:
-        return c.scale * b
+        return c.scale * b, 0
     _, rho, Y2, J = c
     cap = len(J) - 1
     u_prev = np.array(b, dtype=np.result_type(Y2.dtype, b.dtype))
@@ -664,7 +703,7 @@ def _chebyshev_series(c, b):
         if k > rho:
             c1, c2 = c2, 2.0 * abs(J[k]) * np.abs(u).max()
             if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
-                return c.scale * f
+                return c.scale * f, k
     raise RuntimeError(f"Chebyshev series of exp(t A) b not converged at rho = {rho:.4g}: "
                        f"its last two terms are {c1:.2e} and {c2:.2e} after {cap} terms, "
                        f"against a partial sum of {np.abs(f).max():.2e}")
@@ -695,60 +734,105 @@ def _scatter(x, j, k, out, phase=1.0):
     out[k, j], out[j, k] = z.conj(), z
 
 
-class _OpenGenerator(NamedTuple):
-    """The open gate prepared for segments of one duration on some parity
-    sectors (_open_generator): per sector, its (j, k) index lists, the
-    photon differences n_k - n_j of its entries and the Chebyshev set-up of
-    its real generator at drive angle 0. It is only read, so threads may
-    share it."""
+def _qubit_blocks(n_max):
+    """The four invariant blocks of the Lindblad generator, as (name,
+    coherence, j, k): per parity sector of _parity_sectors, its population
+    entries (both indices on one qubit level) and then its coherence entries
+    (j < n <= k, the qubit's |0><1|, n = n_max + 1), row-major."""
+    n, blocks = n_max + 1, []
+    for parity, (j, k) in zip(("even", "odd"), _parity_sectors(n_max)):
+        coherence = (j < n) & (k >= n)
+        blocks += [(f"{parity} population", False, j[~coherence], k[~coherence]),
+                   (f"{parity} coherence", True, j[coherence], k[coherence])]
+    return blocks
 
-    params: GateParams
-    rates: OpenRates
-    duration: float
-    sectors: tuple
+
+class _OpenBlock(NamedTuple):
+    """One invariant block prepared for segments of one duration
+    (_open_generator): its name and kind and (j, k) index lists as from
+    _qubit_blocks, the photon differences n_k - n_j of its entries and the
+    Chebyshev set-up of its complex generator at drive angle 0. It is only
+    read, so threads may share it."""
+
+    name: str
+    coherence: bool
+    j: np.ndarray
+    k: np.ndarray
+    dn: np.ndarray
+    setup: _Chebyshev
 
 
-def _open_generator(params, rates, duration, sectors):
-    """_OpenGenerator for segments of duration on the (j, k) sectors given,
-    from _parity_sectors: one real generator and one set-up each."""
+def _open_generator(params, rates, duration, blocks):
+    """The _OpenBlock of each (name, coherence, j, k) of blocks, for segments
+    of duration. A population block's real generator (_sector_generator) is
+    set up as a complex matrix, so that two Hermitian inputs ride one series
+    as its real and imaginary parts (_open_segment); a coherence block's
+    generator is complex-linear (_coherence_generator)."""
     H = _joint_hamiltonian(params, 0.0)
     ls = _collapse_operators(params, rates)
     photons = np.arange(len(H)) % (params.n_max + 1)
-    prepared = tuple((j, k, photons[k] - photons[j],
-                      _chebyshev_setup(_sector_generator(H, ls, j, k), duration))
-                     for j, k in sectors)
-    return _OpenGenerator(params, rates, duration, prepared)
+    prepared = []
+    for name, coherence, j, k in blocks:
+        G = (_coherence_generator if coherence else _sector_generator)(H, ls, j, k)
+        setup = _chebyshev_setup(G.astype(complex, copy=False), duration)
+        prepared.append(_OpenBlock(name, coherence, j, k, photons[k] - photons[j], setup))
+    return tuple(prepared)
 
 
-def _open_segment(rho, generator, theta):
-    """exp(duration L(theta)) rho, Hermitised first, for a rho whose entries
-    outside the generator's sectors are zero. An output whose trace is off 1
-    by more than TRACE_TOL, or with an eigenvalue below EIGENVALUE_FLOOR,
-    raises RuntimeError.
+def _open_segment(populations, coherence, blocks, theta):
+    """exp(duration L(theta)) of three matrices, unchecked: the pair
+    populations = (P, Q), Hermitian with entries only in population blocks,
+    and coherence, with entries only in coherence blocks (j < n <= k).
+    Entries outside the prepared blocks must be zero. Returns ((P', Q'),
+    coherence', terms), terms the products of each block's series in the
+    order of blocks, 0 for a block whose input is zero and runs no series.
 
-    The drive angle enters the generator as L(theta) = V L(0) V^dag, V =
-    I (x) D, D = diag(e^{i theta n / 2}) as for the squeezes: V H(0) V^dag =
-    H(theta), and each jump operator only picks up a phase. So rho_jk is
-    multiplied by e^{-i theta (n_j - n_k) / 2} before the series of L(0) and
-    by its conjugate after, both as powers of e^{i theta / 2} (_phases); an
-    entry with n_j = n_k, the diagonal among them, gets the phase 1.
+    The generator of a population block's real coordinates x (_gather) is
+    real, so P and Q ride one series as x_P + i x_Q, and its real and
+    imaginary parts are scattered back to P' and Q' (_scatter). The entries
+    of a coherence block are one complex vector. The drive angle enters as
+    L(theta) = V L(0) V^dag, V = I (x) D, D = diag(e^{i theta n / 2}) as for
+    the squeezes: V H(0) V^dag = H(theta), and each jump operator only picks
+    up a phase. So rho_jk is multiplied by e^{-i theta (n_j - n_k) / 2}
+    before the series of L(0) and by its conjugate after, both as powers of
+    e^{i theta / 2} (_phases); an entry with n_j = n_k, the diagonal among
+    them, gets the phase 1.
     """
-    rho = 0.5 * (rho + rho.conj().T)
-    out = np.zeros_like(rho)
-    for j, k, dn, setup in generator.sectors:
-        if np.any(rho[j, k]):
-            phase = _phases(0.5 * theta, dn)
-            _scatter(_chebyshev_series(setup, _gather(rho, j, k, phase)), j, k, out,
-                     phase.conj())
-    tr = np.trace(out).real
+    P, Q = (np.zeros_like(x) for x in populations)
+    C, terms = np.zeros_like(coherence), []
+    for block in blocks:
+        j, k = block.j, block.k
+        phase = _phases(0.5 * theta, block.dn)
+        if block.coherence:
+            z = coherence[j, k] * phase
+        else:
+            z = _gather(populations[0], j, k, phase) + 1j * _gather(populations[1], j, k, phase)
+        if not np.any(z):
+            terms.append(0)
+            continue
+        z, count = _chebyshev_series(block.setup, z)
+        terms.append(count)
+        if block.coherence:
+            C[j, k] = z * phase.conj()
+        else:
+            _scatter(z.real, j, k, P, phase.conj())
+            _scatter(z.imag, j, k, Q, phase.conj())
+    return (P, Q), C, terms
+
+
+def _segment_check(rho):
+    """(|tr rho - 1|, lowest eigenvalue) of a segment's output rho. A trace
+    off 1 by more than TRACE_TOL, or an eigenvalue below EIGENVALUE_FLOOR,
+    raises RuntimeError."""
+    tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise RuntimeError(f"trace drifted to {tr:.12f} during open evolution")
-    low = np.linalg.eigvalsh(out)[0]
+    low = np.linalg.eigvalsh(rho)[0]
     if low < EIGENVALUE_FLOOR:
         raise RuntimeError(
             f"density matrix developed negative eigenvalue {low:.2e}; "
             "enlarge n_max or check that the input is a valid density matrix")
-    return out
+    return abs(tr - 1.0), low
 
 
 def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None):
@@ -761,36 +845,49 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     segment, so rho(duration) = exp(duration L) rho is applied exactly.
     L commutes with rho -> Pi rho Pi, Pi = I (x) (-1)^n (the a^2 terms and
     every jump preserve or flip the photon parity on both sides at once),
-    so the entries with j + k even and with j + k odd evolve apart. L also
-    maps Hermitian matrices to Hermitian matrices, so each sector holding a
-    non-zero entry is propagated in the real coordinates x = (Re rho_jk,
-    j <= k; Im rho_jk, j < k) of its Hermitian part, gathered from the
-    sector's (j, k) index lists: the real generator is assembled for those
-    rows alone at drive angle 0 (_sector_generator), the angle enters as
-    phases on the coordinates, e^{-i theta (n_j - n_k) / 2} before and its
-    conjugate after (_open_segment), and one Chebyshev series with Bessel
-    coefficients (_chebyshev_setup, _chebyshev_series), whose length
-    follows from the exact 1-norm with no random draws, advances x. The
-    input is Hermitised first, and x is scattered back to rho_jk and its
-    conjugate to rho_kj, so the output is Hermitian by construction; a
-    duration of 0 returns the Hermitised input, exactly at theta = 0 and to
-    rounding at other angles. A negative or non-finite duration raises
-    ValueError. Trace is monitored to TRACE_TOL and an eigenvalue below
+    so the entries with j + k even and with j + k odd evolve apart. H is
+    block-diagonal in the qubit, and no jump maps a qubit coherence |0><1|
+    to anything else, so each sector splits again into its populations and
+    its coherences (_qubit_blocks). L maps Hermitian matrices to Hermitian
+    matrices, so each population block holding a non-zero entry is
+    propagated in the real coordinates x = (Re rho_jk, j <= k; Im rho_jk,
+    j < k) of the Hermitian part, gathered from the block's (j, k) index
+    lists, and each coherence block as its complex entries rho_jk, j < n <=
+    k, whose conjugates are rho_kj. Each generator is assembled for its
+    block's rows alone at drive angle 0 (_sector_generator,
+    _coherence_generator), the angle enters as phases on the entries (the
+    block segment _open_segment, which the protocol shares), and one
+    Chebyshev series with Bessel coefficients (_chebyshev_setup,
+    _chebyshev_series), whose length follows from the exact 1-norm with no
+    random draws, advances each block. The input is Hermitised first, and
+    the output is assembled Hermitian by construction; a duration of 0
+    returns the Hermitised input, exactly at theta = 0 and to rounding at
+    other angles. A negative or non-finite duration raises ValueError.
+    Trace is monitored to TRACE_TOL and an eigenvalue below
     EIGENVALUE_FLOOR raises, so truncation artifacts surface instead of
     leaking into fidelities.
     """
-    dim = 2 * (params.n_max + 1)
+    n = params.n_max + 1
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix must have shape {(dim, dim)}")
+    if rho.shape != (2 * n, 2 * n):
+        raise ValueError(f"density matrix must have shape {(2 * n, 2 * n)}")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise ValueError("input density matrix must have unit trace")
     if not (np.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
-    sectors = [(j, k) for j, k in _parity_sectors(params.n_max)
-               if np.any(rho[j, k]) or np.any(rho[k, j])]
-    generator = _open_generator(params, rates, duration, sectors)
-    return _open_segment(rho, generator, params.theta if theta is None else theta)
+    rho = 0.5 * (rho + rho.conj().T)
+    coherence = np.zeros_like(rho)
+    coherence[:n, n:] = rho[:n, n:]
+    populations = rho.copy()
+    populations[:n, n:] = populations[n:, :n] = 0.0
+    blocks = _open_generator(params, rates, duration, [
+        (name, coherence, j, k) for name, coherence, j, k in _qubit_blocks(params.n_max)
+        if np.any(rho[j, k])])
+    (P, _), C, _ = _open_segment((populations, np.zeros_like(rho)), coherence, blocks,
+                                 params.theta if theta is None else theta)
+    out = P + C + C.conj().T
+    _segment_check(out)
+    return out
 
 
 def _unitary_sandwich(rho, u_qubit, n):
@@ -798,51 +895,94 @@ def _unitary_sandwich(rho, u_qubit, n):
     return U @ rho @ U.conj().T
 
 
-def _protocol_generator(params, rates):
-    """The _OpenGenerator of the open protocol: segments of t_gate on the
-    even sector alone. The joint vacuum populates only the entry with no
-    photon on either side, which is in the even sector, and neither the
-    qubit gates nor a segment moves an entry to the other sector."""
-    return _open_generator(params, rates, params.t_gate, _parity_sectors(params.n_max)[:1])
+def _open_protocol(alpha, beta, params, rates, record=None):
+    """The final joint density matrix of the open protocol for each pair of
+    two equal-length sequences alpha and beta, yielded in order, each state
+    checked as by open_evolve after each segment.
+
+    After the first Hadamard every input is rho_0 = c00 E00 + c11 E11 +
+    c01 E01 + conj(c01) E10, E_qq' = |q><q'| (x) |0><0|, and each segment,
+    flip and Hadamard is linear. So the segments propagate the three fixed
+    matrices E00 and E11, as one population series, and E01, as one
+    coherence series, in the even sector alone, which holds all three, and
+    each state after a segment is c00 P + c11 Q + c01 C + (c01 C)^dag from
+    the outputs P, Q, C. The flip carries the coherence E10 part to |0><1|:
+    the second segment's coherence input is Flip C^dag Flip, with the
+    coefficient conj(c01). So a sweep takes four series whatever its length,
+    and a state's bytes do not depend on the other states. An empty sweep
+    builds nothing.
+
+    record, a dict if given, receives under "blocks" each block's series
+    norm rho and its series terms per segment, and, once a state is checked,
+    the worst |tr rho - 1| ("max_trace_error") and the lowest eigenvalue
+    ("min_eigenvalue") over the states and segments checked so far.
+    """
+    n = params.n_max + 1
+    coefficients = []
+    for a, b in zip(alpha, beta):
+        q0, q1 = hadamard_qubit(joint_vacuum(a, b, params.n_max))[:, 0]
+        coefficients.append((abs(q0) ** 2, abs(q1) ** 2, q0 * np.conj(q1)))
+    if not coefficients:
+        return
+    P, Q, C = np.zeros((3, 2 * n, 2 * n), dtype=complex)
+    P[0, 0] = Q[n, n] = C[0, n] = 1.0
+    blocks = _open_generator(params, rates, params.t_gate, _qubit_blocks(params.n_max)[:2])
+    outputs, terms = [], []
+    for theta in (params.theta, params.theta_tilde):
+        (P, Q), C, count = _open_segment((P, Q), C, blocks, theta)
+        outputs.append((P, Q, C))
+        terms.append(count)
+        P, Q, C = (_unitary_sandwich(x, _FLIP, n) for x in (P, Q, C.conj().T))
+    record = {} if record is None else record
+    record["blocks"] = {block.name: {"rho": block.setup.rho, "terms": [t[i] for t in terms]}
+                        for i, block in enumerate(blocks)}
+    worst, lowest = 0.0, np.inf
+    for c00, c11, c01 in coefficients:
+        for P, Q, C in outputs:
+            coherence = c01 * C
+            rho = c00 * P + c11 * Q + coherence + coherence.conj().T
+            drift, low = _segment_check(rho)
+            worst, lowest = max(worst, drift), min(lowest, low)
+            c01 = np.conj(c01)
+        record.update(max_trace_error=worst, min_eigenvalue=lowest)
+        yield _unitary_sandwich(_unitary_sandwich(rho, _FLIP, n), _HADAMARD, n)
 
 
-def open_encoding_protocol(alpha, beta, params: GateParams, rates: OpenRates, generator=None):
+def open_encoding_protocol(alpha, beta, params: GateParams, rates: OpenRates):
     """The six-step encoding with dissipation during both gate segments.
 
     Qubit gates are instantaneous; the controlled-squeeze segments at
     params.theta and GateParams.theta_tilde each evolve under the Lindblad
-    generator for t_gate, with the checks of open_evolve. Both segments
-    share one sector generator, built at drive angle 0, and its Chebyshev
-    set-up, the angles entering as phases (_open_segment). Calls on the same
-    params and rates may share them too: generator, if given, is
-    _protocol_generator(params, rates), and one prepared for other params,
-    rates or duration raises ValueError. Returns the final joint density
-    matrix.
+    generator for t_gate, with the checks of open_evolve on the state after
+    each. Both segments share the block generators of the even sector, built
+    at drive angle 0, and their Chebyshev set-ups, the angles entering as
+    phases, and propagate three fixed matrices whose combination is the
+    input (_open_protocol). Returns the final joint density matrix.
     """
-    if generator is None:
-        generator = _protocol_generator(params, rates)
-    elif (generator.params, generator.rates, generator.duration) != (params, rates, params.t_gate):
-        raise ValueError("open gate generator prepared for other params, rates or duration")
-    n = params.n_max + 1
-    psi = hadamard_qubit(joint_vacuum(alpha, beta, params.n_max)).ravel()
-    rho = np.outer(psi, psi.conj())
-    for theta in (params.theta, params.theta_tilde):
-        rho = _unitary_sandwich(_open_segment(rho, generator, theta), _FLIP, n)
-    return _unitary_sandwich(rho, _HADAMARD, n)
+    rho, = _open_protocol([alpha], [beta], params, rates)
+    return rho
 
 
-def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates, generator=None):
-    """(average fidelity, purity) of the dissipative protocol output;
-    generator as for open_encoding_protocol."""
+def open_average_fidelity(alpha, beta, params: GateParams, rates: OpenRates, diagnostics=None):
+    """(average fidelity, purity) of the dissipative protocol's output: floats
+    for scalar alpha and beta, and arrays, one entry per pair, for
+    equal-length 1-D arrays. A whole sweep shares one propagation of the
+    three fixed matrices of _open_protocol, four Chebyshev series for any
+    number of pairs, and each pair's numbers are the bytes of a call on it
+    alone. diagnostics, a dict if given, receives _open_protocol's record.
+    """
+    scalar = np.ndim(alpha) == np.ndim(beta) == 0
+    alpha, beta = np.atleast_1d(alpha), np.atleast_1d(beta)
+    if alpha.ndim != 1 or alpha.shape != beta.shape:
+        raise ValueError("alpha and beta must be scalars or 1-D arrays of one length")
     n = params.n_max + 1
-    rho = open_encoding_protocol(alpha, beta, params, rates, generator)
-    t_plus, t_minus = _target_states(alpha, beta, params)
-    blocks = rho.reshape(2, n, 2, n)
-    fbar = 0.0
-    for target, q in [(t_plus, 0), (t_minus, 1)]:
-        fbar += np.real(np.vdot(target, blocks[q, :, q, :] @ target))
-    purity = float(np.real(np.trace(rho @ rho)))
-    return float(fbar), purity
+    fbar, purity = np.zeros(len(alpha)), np.zeros(len(alpha))
+    for i, rho in enumerate(_open_protocol(alpha, beta, params, rates, diagnostics)):
+        blocks = rho.reshape(2, n, 2, n)
+        for q, target in enumerate(_target_states(alpha[i], beta[i], params)):
+            fbar[i] += np.real(np.vdot(target, blocks[q, :, q, :] @ target))
+        purity[i] = np.real(np.trace(rho @ rho))
+    return (float(fbar[0]), float(purity[0])) if scalar else (fbar, purity)
 
 
 def lab_frame_branch(params: GateParams, qubit_level, psi0, rtol=1e-10):

@@ -117,6 +117,9 @@ class RunManifest:
     config_sha256: str
     seed: int
     tolerances: dict = field(default_factory=dict)
+    # what the solvers achieved, such as the open gate's series and checks;
+    # empty for a run that records none
+    diagnostics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     versions: dict = field(default_factory=lambda: {

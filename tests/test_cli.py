@@ -559,17 +559,20 @@ class TestGateRun:
         assert code == 0 and calls == [((2, 21, 21), np.float64)]
 
     def test_open_run_builds_one_generator_per_populated_sector(self, tmp_path, monkeypatch):
-        # the joint vacuum populates only the even parity sector; its generator
-        # is built once per run and serves both segments of every P_z, and a
-        # five-P_z run writes the rows of five one-P_z runs byte for byte, so
-        # the shared generator carries no state from one P_z to the next
+        # the joint vacuum populates only the even parity sector; the real
+        # generator of its population block is built once per run and serves
+        # both segments of every P_z, and a five-P_z run writes the rows of
+        # five one-P_z runs byte for byte, so the shared generator carries no
+        # state from one P_z to the next
         import dcelab.gate as gate
         calls = []
         sector_generator = gate._sector_generator
         monkeypatch.setattr(
             gate, "_sector_generator",
             lambda H, ls, j, k: calls.append(len(j)) or sector_generator(H, ls, j, k))
-        even = len(gate._parity_sectors(12)[0][0])
+        name, coherence, j, _ = gate._qubit_blocks(12)[0]
+        assert (name, coherence) == ("even population", False)
+        even = len(j)
         grid = [-1.0, -0.4, 0.2, 0.7, 1.0]
 
         def rows(name, p_z):
@@ -602,6 +605,27 @@ class TestGateRun:
                                   "eigenvalue_floor": gate.EIGENVALUE_FLOOR}
             else:
                 assert checks == {"trace_tol": None, "eigenvalue_floor": None}
+
+    def test_manifest_records_the_open_gate_diagnostics(self, tmp_path):
+        # per block its series norm and terms per segment, and the worst
+        # trace drift and lowest eigenvalue over every state and segment
+        import dcelab.gate as gate
+        for name, doc in (("open", dict(OPEN_GATE, p_z=[0.2, 0.7])),
+                          ("closed", {"r": 0.3, "p_z": [0.5], "n_max": 12})):
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "gate", {"gate": doc})
+            assert code == 0
+            diagnostics = json.loads((out / "gate_manifest.json").read_text())["diagnostics"]
+            if name == "closed":
+                assert diagnostics == {}
+                continue
+            assert set(diagnostics) == {"blocks", "max_trace_error", "min_eigenvalue"}
+            assert list(diagnostics["blocks"]) == ["even population", "even coherence"]
+            for block in diagnostics["blocks"].values():
+                assert set(block) == {"rho", "terms"} and len(block["terms"]) == 2
+                assert all(block["rho"] < terms for terms in block["terms"])
+            assert 0.0 <= diagnostics["max_trace_error"] <= gate.TRACE_TOL
+            assert diagnostics["min_eigenvalue"] >= gate.EIGENVALUE_FLOOR
 
     def test_rows_sorted_by_polarization(self, tmp_path):
         doc = {"gate": {"r": 0.4, "p_z": [0.5, -0.5, 0.0], "n_max": 40}}

@@ -46,10 +46,12 @@ from dcelab.gate import (
     _bessel_j,
     _chebyshev_series,
     _chebyshev_setup,
+    _coherence_generator,
     _collapse_operators,
     _gather,
     _joint_hamiltonian,
     _parity_sectors,
+    _qubit_blocks,
     _scatter,
     _sector_generator,
     _squeeze_generator,
@@ -184,8 +186,8 @@ def _hermitian_coordinates(j, k, dim):
 
 def _expm_action(A, b, t):
     """exp(t A) b for a sparse square A: one set-up and one Chebyshev series
-    of the open gate."""
-    return _chebyshev_series(_chebyshev_setup(A, t), b)
+    of the open gate, its term count dropped."""
+    return _chebyshev_series(_chebyshev_setup(A, t), b)[0]
 
 
 def _taylor_action(A, b, t):
@@ -894,6 +896,94 @@ class TestSectorGenerator:
         assert abs(np.trace(open_evolve(rho, p, OpenRates.typical(), p.t_gate)) - 1.0) < 1e-8
 
 
+def dense_open_protocol(alpha, beta, p, rates):
+    """Reference for open_average_fidelity: (fbar, purity) of the open
+    protocol with each segment the dense exponential (scipy.linalg.expm) of
+    the Kronecker Liouvillian at its gate angle, applied to the whole vec(rho)
+    of each state."""
+    n = p.n_max + 1
+    ls = _collapse_operators(p, rates)
+    segments = [expm(p.t_gate * _liouvillian(_joint_hamiltonian(p, theta), ls).toarray())
+                for theta in (p.theta, p.theta_tilde)]
+    flip = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
+    had = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.eye(n))
+    pair = chi_states(p.r_gate, p.theta_tilde, p.n_max, p.leak_tol)
+    fbar, purity = [], []
+    for a, b in zip(alpha, beta):
+        psi = had @ joint_vacuum(a, b, p.n_max).ravel()
+        rho = np.outer(psi, psi.conj())
+        for E in segments:
+            rho = flip @ (E @ rho.ravel()).reshape(rho.shape) @ flip
+        rho = had @ rho @ had
+        targets = (a * pair.chi_plus + b * pair.chi_minus, a * pair.chi_minus + b * pair.chi_plus)
+        fbar.append(sum(np.vdot(t, rho[q * n:(q + 1) * n, q * n:(q + 1) * n] @ t).real
+                        for q, t in enumerate(targets)))
+        purity.append(np.trace(rho @ rho).real)
+    return np.array(fbar), np.array(purity)
+
+
+class TestQubitBlocks:
+    def test_blocks_split_each_sector_by_qubit(self):
+        n = 6
+        for parity, (j, k) in enumerate(_parity_sectors(n - 1)):
+            (_, pop, jp, kp), (_, coh, jc, kc) = _qubit_blocks(n - 1)[2 * parity:2 * parity + 2]
+            assert (pop, coh) == (False, True)
+            assert np.all((jp < n) == (kp < n)) and np.all((jc < n) & (kc >= n))
+            assert sorted([*zip(jp, kp), *zip(jc, kc)]) == sorted(zip(j, k))
+
+    def test_coherence_generator_equals_the_kronecker_liouvillian_entry_for_entry(self):
+        # the rows and columns j < n <= k of the Kronecker reference, with all
+        # five channels at 60 mK, at n_max 7 and at the gate_open design point
+        # at both gate angles; explicit zeros of the reference are left out
+        p7 = default_cqed_params(n_max=7)
+        p40, _ = design_point_state()
+        for p, theta in [(p7, 0.3), (p40, p40.theta), (p40, p40.theta_tilde)]:
+            H = _joint_hamiltonian(p, theta)
+            ls = _collapse_operators(p, OpenRates.typical())
+            L = _liouvillian(H, ls)
+            for _, coherence, j, k in _qubit_blocks(p.n_max):
+                if coherence:
+                    rows = j * H.shape[0] + k
+                    expected = L[rows][:, rows]
+                    G = _coherence_generator(H, ls, j, k)
+                    assert G.dtype == np.complex128 and G.shape == expected.shape
+                    assert (G != expected).nnz == 0
+                    assert G.nnz == np.count_nonzero(expected.data)
+
+    def test_a_block_that_is_not_invariant_raises_naming_the_term(self):
+        # a sigma_x jump maps rho_10 into the coherence block, and a qubit
+        # drive in H mixes populations and coherences
+        p = default_cqed_params(n_max=6)
+        n = p.n_max + 1
+        H = _joint_hamiltonian(p, 0.0)
+        sigma_x = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
+        (_, _, jp, kp), (_, _, jc, kc) = _qubit_blocks(p.n_max)[:2]
+        with pytest.raises(RuntimeError, match=r"reads rho\[7, 0\], outside the block, "
+                                               r"through the term L_0 rho L_0\^dag"):
+            _coherence_generator(H, [sigma_x], jc, kc)
+        with pytest.raises(RuntimeError, match=r"outside the block, through the term K rho"):
+            _coherence_generator(H + 0.1 * sigma_x, [], jc, kc)
+        with pytest.raises(RuntimeError, match=r"outside the block, through the term K rho"):
+            _sector_generator(H + 0.1 * sigma_x, [], jp, kp)
+        # the whole sector of the real coordinates holds rho_10 too
+        j, k = _parity_sectors(p.n_max)[0]
+        assert _sector_generator(H, [sigma_x], j, k).shape[0] > 0
+
+    @pytest.mark.parametrize("rates, bound", [(OpenRates.typical(), 1e-14),
+                                              (OpenRates(tau_q=1.0, tau_r=1.0), 1e-13)])
+    def test_sweep_matches_the_dense_liouvillian_exponential(self, rates, bound):
+        # the whole protocol of a 5-point sweep against dense expm on vec(rho);
+        # 1 ns lifetimes over a 67 ns gate are the non-normal regime, where
+        # the spectrum reaches far from the axis the series is built on
+        p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=8)
+        p_z = np.linspace(-1.0, 1.0, 5)
+        alpha, beta = np.sqrt((1.0 + p_z) / 2.0), np.sqrt((1.0 - p_z) / 2.0)
+        fbar, purity = open_average_fidelity(alpha, beta, p, rates)
+        ref_fbar, ref_purity = dense_open_protocol(alpha, beta, p, rates)
+        assert np.abs(fbar - ref_fbar).max() <= bound
+        assert np.abs(purity - ref_purity).max() <= bound
+
+
 class TestExpmAction:
     def test_real_generator_gives_a_real_result(self):
         p, psi = design_point_state()
@@ -1012,24 +1102,26 @@ class TestExpmAction:
     def test_products_per_segment_at_the_gate_open_point(self, monkeypatch):
         # the series takes about rho + O(rho^(1/3)) products when the
         # spectrum hugs the imaginary axis (the Taylor steps took 491-1200
-        # for rho = 287-295)
+        # for rho = 287-295 on whole sectors); the coherence blocks' complex
+        # generators have about half the norm of the population blocks'
         segments = []
         action = gate._chebyshev_series
 
         def counted(c, b):
             CountingArray.products = 0
-            out = action(c._replace(Y2=CountingArray(c.Y2)), b)
-            segments.append((c.rho, CountingArray.products))
-            return out
+            out, terms = action(c._replace(Y2=CountingArray(c.Y2)), b)
+            segments.append((c.rho, CountingArray.products, terms))
+            return out, terms
         monkeypatch.setattr(gate, "_chebyshev_series", counted)
         p, psi = design_point_state()
         rho = np.outer(psi.ravel(), psi.ravel().conj())
         for theta in (p.theta, p.theta_tilde):
             open_evolve(rho, p, OpenRates.typical(), p.t_gate, theta=theta)
-        assert len(segments) == 4  # both sectors at both angles
-        for norm, products in segments:
-            assert 250.0 < norm < 300.0
-            assert products <= 1.3 * norm + 40.0
+        # population and coherence blocks of both sectors, at both angles
+        assert len(segments) == 8
+        for number, (norm, products, terms) in enumerate(segments):
+            assert 250.0 < norm < 300.0 if number % 2 == 0 else 140.0 < norm < 170.0
+            assert products == terms <= 1.3 * norm + 40.0
 
     def test_unconverged_series_raises(self):
         A = sparse.csr_array(np.diag([-1.0, 0.0, 1.0]))
@@ -1081,34 +1173,48 @@ class TestOpenProtocol:
         assert 0.004 < gap < 0.011
         assert 0.97 < purity < 0.995
 
-    def test_shared_generator_gives_the_bytes_of_a_fresh_one(self):
-        # one generator, shared read-only by 4 threads switching every 10 us,
-        # gives each P_z the bytes of a call that builds its own
+    def test_array_call_gives_the_bytes_of_scalar_calls(self):
+        # a sweep shares one propagation of three fixed matrices; each pair's
+        # numbers are those of a call on it alone, and scalars give floats
         p = default_cqed_params(t_gate=0.3 / 7.5e-3, n_max=8)
         rates = OpenRates.typical()
-        generator = gate._protocol_generator(p, rates)
-        amplitudes = [(np.sqrt((1.0 + pz) / 2.0), np.sqrt((1.0 - pz) / 2.0))
-                      for pz in np.linspace(-1.0, 1.0, 16)]
-        expected = [open_average_fidelity(a, b, p, rates) for a, b in amplitudes]
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(open_average_fidelity, a, b, p, rates, generator)
-                           for a, b in amplitudes]
-                got = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
+        p_z = np.linspace(-1.0, 1.0, 16)
+        alpha, beta = np.sqrt((1.0 + p_z) / 2.0), np.sqrt((1.0 - p_z) / 2.0)
+        fbar, purity = open_average_fidelity(alpha, beta, p, rates)
+        assert fbar.shape == purity.shape == (16,)
+        scalar = [open_average_fidelity(a, b, p, rates) for a, b in zip(alpha, beta)]
+        assert all(type(x) is float for pair in scalar for x in pair)
+        assert list(zip(fbar.tolist(), purity.tolist())) == scalar
+        empty = open_average_fidelity(np.array([]), np.array([]), p, rates)
+        assert [x.shape for x in empty] == [(0,), (0,)]
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            open_average_fidelity(alpha, beta[:-1], p, rates)
 
-    def test_generator_for_other_parameters_rejected(self):
+    @pytest.mark.parametrize("count", [1, 3, 9])
+    def test_a_sweep_takes_four_series(self, monkeypatch, count):
+        # a population and a coherence series per segment, for any sweep length
+        calls = []
+        action = gate._chebyshev_series
+        monkeypatch.setattr(gate, "_chebyshev_series",
+                            lambda c, b: calls.append(b.dtype) or action(c, b))
         p = default_cqed_params(t_gate=0.3 / 7.5e-3, n_max=8)
-        rates = OpenRates.typical()
-        generator = gate._protocol_generator(p, rates)
-        for other_p, other_rates in [(default_cqed_params(t_gate=0.4 / 7.5e-3, n_max=8), rates),
-                                     (p, OpenRates(tau_phi=1e3))]:
-            with pytest.raises(ValueError, match="prepared for other params"):
-                open_average_fidelity(0.6, 0.8, other_p, other_rates, generator)
+        p_z = np.linspace(-0.9, 0.8, count)
+        open_average_fidelity(np.sqrt((1.0 + p_z) / 2.0), np.sqrt((1.0 - p_z) / 2.0), p,
+                              OpenRates.typical())
+        assert calls == [np.complex128] * 4
+
+    def test_diagnostics_record_the_blocks_and_checks(self):
+        p = default_cqed_params(t_gate=0.3 / 7.5e-3, n_max=8)
+        record = {}
+        open_average_fidelity(np.array([0.6, 0.8]), np.array([0.8, 0.6]), p,
+                              OpenRates.typical(), record)
+        assert set(record) == {"blocks", "max_trace_error", "min_eigenvalue"}
+        assert list(record["blocks"]) == ["even population", "even coherence"]
+        for block in record["blocks"].values():
+            assert block["rho"] > 0.0 and len(block["terms"]) == 2
+            assert all(block["rho"] < terms < 1.3 * block["rho"] + 40 for terms in block["terms"])
+        assert 0.0 <= record["max_trace_error"] <= gate.TRACE_TOL
+        assert gate.EIGENVALUE_FLOOR <= record["min_eigenvalue"] < 1e-3
 
 
 class TestLabFrameValidation:
