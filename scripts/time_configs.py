@@ -27,12 +27,19 @@ With ``--before``, every file a config's last run wrote on the two trees is
 then compared byte for byte, its manifest (paths, times) excepted: the line
 of each config ends in ``tables identical`` or names the files that differ
 (a file only one tree wrote differs too), and ``--out`` records
-``tables_identical`` per config. Differing tables do not change the exit code.
+``tables_identical`` per config. For a differing CSV file both trees wrote
+with one header and row count, the line also gives, per column whose cells
+differ, the largest absolute change and the largest change relative to the
+larger magnitude of the two cells, and ``--out`` records them under
+``table_changes`` (null for a file that cannot be compared so: one side
+only, another header or row count, or a differing cell that is not a
+number). Differing tables do not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import platform
@@ -104,6 +111,41 @@ def differing_tables(subcommand, before, after):
                           and (before / name).read_bytes() == (after / name).read_bytes()))
 
 
+def column_changes(before, after):
+    """{column: {"max_abs": largest absolute change, "max_rel": largest
+    relative change}} over the columns whose cells differ between the CSV
+    files before and after, the relative change of two cells taken against
+    the larger magnitude of the two; None if either file is missing, their
+    headers or row counts differ, or a differing cell is not a number."""
+    if not (before.is_file() and after.is_file()):
+        return None
+    tables = [list(csv.reader(path.read_text().splitlines())) for path in (before, after)]
+    if tables[0][:1] != tables[1][:1] or len(tables[0]) != len(tables[1]):
+        return None
+    changes = {}
+    for row_before, row_after in zip(tables[0][1:], tables[1][1:]):
+        for column, b, a in zip(tables[0][0], row_before, row_after):
+            if a == b:
+                continue
+            try:
+                b, a = float(b), float(a)
+            except ValueError:
+                return None
+            worst = changes.setdefault(column, {"max_abs": 0.0, "max_rel": 0.0})
+            worst["max_abs"] = max(worst["max_abs"], abs(a - b))
+            worst["max_rel"] = max(worst["max_rel"], abs(a - b) / max(abs(a), abs(b)))
+    return changes
+
+
+def _describe(name, changes):
+    """name, followed by the column changes of changes[name] if it has any."""
+    columns = changes.get(name)
+    if not columns:
+        return name
+    return name + " (" + ", ".join(f"{column} max abs {c['max_abs']:.2g} rel {c['max_rel']:.2g}"
+                                   for column, c in columns.items()) + ")"
+
+
 def _commit(tree):
     """HEAD of tree's git checkout, or None unless tree is that checkout's top
     directory: an export inside another checkout would report that one's HEAD."""
@@ -142,6 +184,10 @@ def main(argv=None):
         differing = {stem: differing_tables(subcommand, Path(scratch) / "before" / stem,
                                             Path(scratch) / "after" / stem)
                      for stem, subcommand, _ in configs if "before" in trees}
+        changes = {stem: {name: column_changes(Path(scratch) / "before" / stem / name,
+                                               Path(scratch) / "after" / stem / name)
+                          for name in names if name.endswith(".csv")}
+                   for stem, names in differing.items()}
     result = {
         "command": "python scripts/time_configs.py " + " ".join(argv or sys.argv[1:]),
         "environment": {"python": platform.python_version(),
@@ -151,7 +197,8 @@ def main(argv=None):
                   for side, tree in trees.items()},
         "configs": {stem: {"subcommand": subcommand,
                            **{side: summary(times[stem][side]) for side in trees},
-                           **({"tables_identical": not differing[stem]}
+                           **({"tables_identical": not differing[stem],
+                               "table_changes": changes[stem]}
                               if stem in differing else {})}
                     for stem, subcommand, _ in configs},
     }
@@ -161,8 +208,9 @@ def main(argv=None):
                  f"{entry[side]['minflt_median']:.0f} faults "
                  f"{entry[side]['maxrss_mb_median']:.1f} MB" for side in trees]
         if stem in differing:
-            cells.append("tables differ: " + ", ".join(differing[stem]) if differing[stem]
-                          else "tables identical")
+            cells.append("tables differ: " + ", ".join(_describe(name, changes[stem])
+                                                       for name in differing[stem])
+                          if differing[stem] else "tables identical")
         print(f"{stem:24s} {entry['subcommand']:10s} " + "  ".join(cells))
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=1) + "\n")

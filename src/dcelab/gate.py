@@ -31,20 +31,20 @@ The open gate (open_evolve) propagates the Lindblad master equation of
 each gate segment exactly: the generator is constant over the segment, and
 it leaves four blocks of rho invariant, the population entries (one qubit
 level on both sides) and the coherence entries (|0><1| of the qubit) of
-each photon-parity sector. A population block is advanced in real
-Hermitian coordinates, gathered from and scattered back to its (j, k) index
-lists, and a coherence block as its complex entries themselves, each under
-a sparse generator built for that block's rows alone; the action of its
-exponential is one Chebyshev series with Bessel coefficients, which needs
-about as many sparse products as the generator's 1-norm times the segment
-length, since the coherent drive keeps its spectrum near the imaginary
-axis. The generators are built at drive angle 0, where they are sparsest,
-and the angle put in by the same D = diag(e^{i theta n / 2}) phases as for
-the squeezes, on the entries before and after the series. The open
-protocol is linear in its input, and every input is a combination of three
-fixed matrices, so a whole p_z sweep (open_average_fidelity on arrays)
-propagates those three through both segments, in four series, and forms
-each p_z's states from them.
+each photon-parity sector. The generator is complex-linear, so each block
+is advanced as its complex entries themselves, the population blocks over
+both triangles, under a sparse generator built for that block's rows alone
+(_block_generator); the action of its exponential is one Chebyshev series
+with Bessel coefficients, which needs about as many sparse products as the
+generator's 1-norm times the segment length, since the coherent drive
+keeps its spectrum near the imaginary axis. The generators are built at
+drive angle 0, where they are sparsest, and the angle put in by the same
+D = diag(e^{i theta n / 2}) phases as for the squeezes, on the entries
+before and after the series. The open protocol is linear in its input, and
+every input is a combination of three fixed matrices, so a whole p_z sweep
+(open_average_fidelity on arrays) propagates those three through both
+segments, as one complex matrix in four series, and forms each p_z's
+states from them.
 
 Pure joint states are arrays of shape (2, n_max+1), qubit index first;
 density matrices are square over the flattened index. hbar = 1, time in ns,
@@ -528,8 +528,8 @@ def _lindblad_terms(H, ls, j, k):
 
 def _lindblad_rows(H, ls, j, k, block):
     """The rows (j[i], k[i]) of the Lindblad generator on the row-major
-    vec(rho): arrays (i, m, p, re, im) of their entries, re + i im at rho_mp
-    in row i, the terms of one entry added in the order of _lindblad_terms.
+    vec(rho): arrays (i, m, p, value) of their entries, value at rho_mp in
+    row i, the terms of one entry added in the order of _lindblad_terms.
     block is a boolean (dim, dim) array, true at the entries rho_mp the rows
     may read: a term reading any other entry raises RuntimeError naming the
     term, for the rows would then not form an invariant block."""
@@ -547,63 +547,27 @@ def _lindblad_rows(H, ls, j, k, block):
     keys, entry = np.unique(i * dim * dim + col, return_inverse=True)
     i, col = np.divmod(keys, dim * dim)
     # bincount adds the terms of one entry in their order
-    return i, *np.divmod(col, dim), np.bincount(entry, v.real), np.bincount(entry, v.imag)
+    return i, *np.divmod(col, dim), np.bincount(entry, v.real) + 1j * np.bincount(entry, v.imag)
 
 
-def _sector_generator(H, ls, j, k):
-    """The real generator of an invariant set of entries of a Hermitian rho,
-    a parity sector or its population block, as a CSR matrix, on the
-    coordinates x = (Re rho_jk for every i, Im rho_jk where j < k), (j, k) =
-    (j[i], k[i]) the entries with j <= k. A row that reads an entry outside
-    the set raises RuntimeError (_lindblad_rows).
-
-    With vec(rho) = T x (rho_jk = x_re + i x_im, rho_kj = x_re - i x_im) and
-    x = Re(R vec(rho)), it is Re(R L T), L the Lindblad generator on the
-    row-major vec(rho). R reads only the rows (j, k) of L, so only those are
-    formed (_lindblad_rows): no Kronecker product, and nothing over all dim^2
-    rows. The entries at rho_mp and rho_pm of one real coordinate are then
-    added, as the product (R L) T does, so the result equals (R L T).real
-    entry for entry (its explicit zeros left out).
-    """
-    from scipy import sparse
-    n_re, off = len(j), j < k
-    n = n_re + np.count_nonzero(off)
-    im = np.full(n_re, -1, dtype=np.int32)  # the x_im coordinate of each (j, k), if any
-    im[off] = np.arange(n_re, n)
-    pair = np.full(H.shape, -1, dtype=np.int32)  # the x_re coordinate of each rho_mp
-    pair[j, k] = pair[k, j] = np.arange(n_re)
-    row, m, p, a, b = _lindblad_rows(H, ls, j, k, pair >= 0)
-    # group the entries of one real coordinate, rho_mp = x_re + i x_im and rho_pm = x_re - i x_im
-    coords, entry = np.unique(row * n_re + pair[m, p], return_inverse=True)
-    sign = np.where(m > p, -1.0, 1.0)
-    del m, p  # row is rebound to the coordinates next
-    row, q = (x.astype(np.int32) for x in np.divmod(coords, n_re))
-    rows = np.concatenate([row, row, im[row], im[row]])  # x_re rows, then x_im rows
-    cols = np.concatenate([q, im[q], q, im[q]])
-    vals = np.concatenate([np.bincount(entry, w) for w in (a, -sign * b, b, sign * a)])
-    ok = (rows >= 0) & (cols >= 0) & (vals != 0.0)
-    return sparse.csr_array((vals[ok], (rows[ok], cols[ok])), shape=(n, n))
-
-
-def _coherence_generator(H, ls, j, k):
-    """The complex generator of a coherence block, as a CSR matrix, on the
-    entries z_i = rho_jk themselves, (j, k) = (j[i], k[i]) with j < n <= k:
-    the block |0><1| of the qubit in one parity sector, n = n_max + 1.
-
-    H is block-diagonal in the qubit and every jump maps |0><1| entries only
-    to |0><1| entries, so these rows of L read no other entry, and the block
-    needs no Hermitian pairing: its generator is complex-linear, the rows and
-    columns (j, k) of L entry for entry (its explicit zeros left out). A row
-    that reads an entry outside the block, as under a sigma_x jump or a
-    qubit drive, raises RuntimeError naming the term (_lindblad_rows).
+def _block_generator(H, ls, j, k):
+    """The complex generator of an invariant block of entries of rho, as a
+    CSR matrix, on the entries z_i = rho_jk themselves, (j, k) = (j[i], k[i]):
+    the rows and columns (j, k) of L entry for entry (its explicit zeros left
+    out), L the Lindblad generator on the row-major vec(rho). L is
+    complex-linear, so a block needs no pairing of rho_jk with rho_kj: a
+    population block lists the entries of both triangles. Only the block's
+    rows of L are formed (_lindblad_rows), so no Kronecker product and
+    nothing over all dim^2 rows; a row that reads an entry outside the block,
+    as under a sigma_x jump or a qubit drive, raises RuntimeError naming the
+    term.
     """
     from scipy import sparse
     index = np.full(H.shape, -1, dtype=np.int32)  # the coordinate of each rho_mp
     index[j, k] = np.arange(len(j))
-    row, m, p, a, b = _lindblad_rows(H, ls, j, k, index >= 0)
-    vals = a + 1j * b
-    ok = vals != 0.0
-    return sparse.csr_array((vals[ok], (row[ok], index[m, p][ok])), shape=(len(j), len(j)))
+    row, m, p, v = _lindblad_rows(H, ls, j, k, index >= 0)
+    ok = v != 0.0
+    return sparse.csr_array((v[ok], (row[ok], index[m, p][ok])), shape=(len(j), len(j)))
 
 
 def _bessel_j(x, n):
@@ -676,8 +640,8 @@ def _chebyshev_setup(A, t):
 
 def _chebyshev_series(c, b):
     """(exp(t A) b, terms) from the set-up c = _chebyshev_setup(A, t), which
-    it leaves unchanged, so one set-up may serve several threads at once;
-    terms is the number of sparse products the series took.
+    it leaves unchanged; terms is the number of sparse products the series
+    took.
 
     When the spectrum of A - mu I lies near the imaginary axis, as for a
     Lindblad generator dominated by its Hamiltonian part, the series takes
@@ -709,53 +673,30 @@ def _chebyshev_series(c, b):
                        f"against a partial sum of {np.abs(f).max():.2e}")
 
 
-def _parity_sectors(n_max):
-    """The entries (j, k), j <= k, of the joint density matrix with j + k even
-    and with j + k odd photons: two (j, k) pairs of index arrays, row-major."""
-    photons = np.arange(2 * (n_max + 1)) % (n_max + 1)
-    j, k = np.triu_indices(len(photons))
-    odd = (photons[j] + photons[k]) % 2 == 1
-    return (j[~odd], k[~odd]), (j[odd], k[odd])
-
-
-def _gather(rho, j, k, phase=1.0):
-    """The coordinates x = (Re z for every i, Im z where j < k) of z = phase rho_jk."""
-    z = rho[j, k] * phase
-    return np.concatenate([z.real, z.imag[j < k]])
-
-
-def _scatter(x, j, k, out, phase=1.0):
-    """Write the Hermitian matrix whose entry (j, k) is phase (x_re + i x_im),
-    with x the coordinates of _gather, into out at the entries (j, k) and
-    (k, j). On the diagonal the phase must be 1, and it gets x_re exactly."""
-    z = x[:len(j)].astype(complex)
-    z.imag[j < k] = x[len(j):]
-    z *= phase
-    out[k, j], out[j, k] = z.conj(), z
-
-
 def _qubit_blocks(n_max):
-    """The four invariant blocks of the Lindblad generator, as (name,
-    coherence, j, k): per parity sector of _parity_sectors, its population
-    entries (both indices on one qubit level) and then its coherence entries
-    (j < n <= k, the qubit's |0><1|, n = n_max + 1), row-major."""
+    """The four invariant blocks of the Lindblad generator, as (name, j, k),
+    j and k the row-major index lists of the block's entries rho_jk: per
+    photon-parity sector (n_j + n_k even, then odd), its population entries
+    (both indices on one qubit level, both triangles) and then its coherence
+    entries (j < n <= k, the qubit's |0><1|, n = n_max + 1). Their
+    conjugates, the |1><0| entries, are in no block."""
     n, blocks = n_max + 1, []
-    for parity, (j, k) in zip(("even", "odd"), _parity_sectors(n_max)):
-        coherence = (j < n) & (k >= n)
-        blocks += [(f"{parity} population", False, j[~coherence], k[~coherence]),
-                   (f"{parity} coherence", True, j[coherence], k[coherence])]
+    j, k = np.indices((2 * n, 2 * n)).reshape(2, -1)
+    odd = (j % n + k % n) % 2 == 1
+    kinds = (("population", (j < n) == (k < n)), ("coherence", (j < n) & (k >= n)))
+    for parity, sector in (("even", ~odd), ("odd", odd)):
+        for kind, entries in kinds:
+            blocks.append((f"{parity} {kind}", j[sector & entries], k[sector & entries]))
     return blocks
 
 
 class _OpenBlock(NamedTuple):
     """One invariant block prepared for segments of one duration
-    (_open_generator): its name and kind and (j, k) index lists as from
-    _qubit_blocks, the photon differences n_k - n_j of its entries and the
-    Chebyshev set-up of its complex generator at drive angle 0. It is only
-    read, so threads may share it."""
+    (_open_generator): its name and (j, k) index lists as from _qubit_blocks,
+    the photon differences n_k - n_j of its entries and the Chebyshev set-up
+    of its generator at drive angle 0."""
 
     name: str
-    coherence: bool
     j: np.ndarray
     k: np.ndarray
     dn: np.ndarray
@@ -763,61 +704,41 @@ class _OpenBlock(NamedTuple):
 
 
 def _open_generator(params, rates, duration, blocks):
-    """The _OpenBlock of each (name, coherence, j, k) of blocks, for segments
-    of duration. A population block's real generator (_sector_generator) is
-    set up as a complex matrix, so that two Hermitian inputs ride one series
-    as its real and imaginary parts (_open_segment); a coherence block's
-    generator is complex-linear (_coherence_generator)."""
+    """The _OpenBlock of each (name, j, k) of blocks, for segments of
+    duration, its generator built by _block_generator."""
     H = _joint_hamiltonian(params, 0.0)
     ls = _collapse_operators(params, rates)
     photons = np.arange(len(H)) % (params.n_max + 1)
-    prepared = []
-    for name, coherence, j, k in blocks:
-        G = (_coherence_generator if coherence else _sector_generator)(H, ls, j, k)
-        setup = _chebyshev_setup(G.astype(complex, copy=False), duration)
-        prepared.append(_OpenBlock(name, coherence, j, k, photons[k] - photons[j], setup))
-    return tuple(prepared)
+    return tuple(_OpenBlock(name, j, k, photons[k] - photons[j],
+                            _chebyshev_setup(_block_generator(H, ls, j, k), duration))
+                 for name, j, k in blocks)
 
 
-def _open_segment(populations, coherence, blocks, theta):
-    """exp(duration L(theta)) of three matrices, unchecked: the pair
-    populations = (P, Q), Hermitian with entries only in population blocks,
-    and coherence, with entries only in coherence blocks (j < n <= k).
-    Entries outside the prepared blocks must be zero. Returns ((P', Q'),
-    coherence', terms), terms the products of each block's series in the
-    order of blocks, 0 for a block whose input is zero and runs no series.
+def _open_segment(Z, blocks, theta):
+    """(exp(duration L(theta)) Z on the prepared blocks, terms), unchecked:
+    each block's entries of Z are advanced, and the entries outside every
+    block are not read and are zero in the result. terms are the products
+    of each block's series in the order of blocks, 0 for a block whose
+    entries are zero and runs no series.
 
-    The generator of a population block's real coordinates x (_gather) is
-    real, so P and Q ride one series as x_P + i x_Q, and its real and
-    imaginary parts are scattered back to P' and Q' (_scatter). The entries
-    of a coherence block are one complex vector. The drive angle enters as
-    L(theta) = V L(0) V^dag, V = I (x) D, D = diag(e^{i theta n / 2}) as for
-    the squeezes: V H(0) V^dag = H(theta), and each jump operator only picks
-    up a phase. So rho_jk is multiplied by e^{-i theta (n_j - n_k) / 2}
-    before the series of L(0) and by its conjugate after, both as powers of
+    L is complex-linear, so Z need not be Hermitian, and each block's
+    entries are one complex vector. The drive angle enters as L(theta) =
+    V L(0) V^dag, V = I (x) D, D = diag(e^{i theta n / 2}) as for the
+    squeezes: V H(0) V^dag = H(theta), and each jump operator only picks up
+    a phase. So rho_jk is multiplied by e^{-i theta (n_j - n_k) / 2} before
+    the series of L(0) and by its conjugate after, both as powers of
     e^{i theta / 2} (_phases); an entry with n_j = n_k, the diagonal among
     them, gets the phase 1.
     """
-    P, Q = (np.zeros_like(x) for x in populations)
-    C, terms = np.zeros_like(coherence), []
+    out, terms = np.zeros_like(Z), []
     for block in blocks:
-        j, k = block.j, block.k
         phase = _phases(0.5 * theta, block.dn)
-        if block.coherence:
-            z = coherence[j, k] * phase
-        else:
-            z = _gather(populations[0], j, k, phase) + 1j * _gather(populations[1], j, k, phase)
-        if not np.any(z):
-            terms.append(0)
-            continue
-        z, count = _chebyshev_series(block.setup, z)
+        z, count = Z[block.j, block.k] * phase, 0
+        if np.any(z):
+            z, count = _chebyshev_series(block.setup, z)
+        out[block.j, block.k] = z * phase.conj()
         terms.append(count)
-        if block.coherence:
-            C[j, k] = z * phase.conj()
-        else:
-            _scatter(z.real, j, k, P, phase.conj())
-            _scatter(z.imag, j, k, Q, phase.conj())
-    return (P, Q), C, terms
+    return out, terms
 
 
 def _segment_check(rho):
@@ -848,19 +769,18 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     so the entries with j + k even and with j + k odd evolve apart. H is
     block-diagonal in the qubit, and no jump maps a qubit coherence |0><1|
     to anything else, so each sector splits again into its populations and
-    its coherences (_qubit_blocks). L maps Hermitian matrices to Hermitian
-    matrices, so each population block holding a non-zero entry is
-    propagated in the real coordinates x = (Re rho_jk, j <= k; Im rho_jk,
-    j < k) of the Hermitian part, gathered from the block's (j, k) index
-    lists, and each coherence block as its complex entries rho_jk, j < n <=
-    k, whose conjugates are rho_kj. Each generator is assembled for its
-    block's rows alone at drive angle 0 (_sector_generator,
-    _coherence_generator), the angle enters as phases on the entries (the
-    block segment _open_segment, which the protocol shares), and one
-    Chebyshev series with Bessel coefficients (_chebyshev_setup,
-    _chebyshev_series), whose length follows from the exact 1-norm with no
-    random draws, advances each block. The input is Hermitised first, and
-    the output is assembled Hermitian by construction; a duration of 0
+    its coherences (_qubit_blocks). Each block holding a non-zero entry is
+    propagated as its complex entries rho_jk, the population blocks over
+    both triangles and the coherence blocks over j < n <= k, whose
+    conjugates are the |1><0| entries rho_kj. Each generator is assembled
+    for its block's rows alone at drive angle 0 (_block_generator), the
+    angle enters as phases on the entries (the block segment _open_segment,
+    which the protocol shares), and one Chebyshev series with Bessel
+    coefficients (_chebyshev_setup, _chebyshev_series), whose length
+    follows from the exact 1-norm with no random draws, advances each
+    block. The input is Hermitised first, and the output is assembled
+    Hermitian by construction, its population part Hermitised and its
+    |1><0| part the conjugate of its |0><1| part; a duration of 0
     returns the Hermitised input, exactly at theta = 0 and to rounding at
     other angles. A negative or non-finite duration raises ValueError.
     Trace is monitored to TRACE_TOL and an eigenvalue below
@@ -876,16 +796,11 @@ def open_evolve(rho, params: GateParams, rates: OpenRates, duration, theta=None)
     if not (np.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     rho = 0.5 * (rho + rho.conj().T)
-    coherence = np.zeros_like(rho)
-    coherence[:n, n:] = rho[:n, n:]
-    populations = rho.copy()
-    populations[:n, n:] = populations[n:, :n] = 0.0
     blocks = _open_generator(params, rates, duration, [
-        (name, coherence, j, k) for name, coherence, j, k in _qubit_blocks(params.n_max)
-        if np.any(rho[j, k])])
-    (P, _), C, _ = _open_segment((populations, np.zeros_like(rho)), coherence, blocks,
-                                 params.theta if theta is None else theta)
-    out = P + C + C.conj().T
+        (name, j, k) for name, j, k in _qubit_blocks(params.n_max) if np.any(rho[j, k])])
+    out, _ = _open_segment(rho, blocks, params.theta if theta is None else theta)
+    out[n:, :n] = out[:n, n:].conj().T
+    out = 0.5 * (out + out.conj().T)  # the coherences exactly, the populations Hermitised
     _segment_check(out)
     return out
 
@@ -903,14 +818,17 @@ def _open_protocol(alpha, beta, params, rates, record=None):
     After the first Hadamard every input is rho_0 = c00 E00 + c11 E11 +
     c01 E01 + conj(c01) E10, E_qq' = |q><q'| (x) |0><0|, and each segment,
     flip and Hadamard is linear. So the segments propagate the three fixed
-    matrices E00 and E11, as one population series, and E01, as one
-    coherence series, in the even sector alone, which holds all three, and
-    each state after a segment is c00 P + c11 Q + c01 C + (c01 C)^dag from
-    the outputs P, Q, C. The flip carries the coherence E10 part to |0><1|:
-    the second segment's coherence input is Flip C^dag Flip, with the
-    coefficient conj(c01). So a sweep takes four series whatever its length,
-    and a state's bytes do not depend on the other states. An empty sweep
-    builds nothing.
+    matrices E00, E11 and E01, all in the even sector, as the one matrix
+    Z = E00 + i E11 + E01: a population series and a coherence series. L is
+    complex-linear and maps Hermitian matrices to Hermitian ones, so the
+    population part W of the output is P + i Q, P and Q the images of E00
+    and E11, read back as P = (W + W^dag)/2 and Q = (W - W^dag)/2i, and the
+    |0><1| part is the image C of E01. Each state after a segment is
+    c00 P + c11 Q + c01 C + (c01 C)^dag. The flip carries the E10 part to
+    |0><1|: the second segment's input is Flip (W + C^dag) Flip, its
+    coherence taken with the coefficient conj(c01). So a sweep takes four
+    series whatever its length, and a state's bytes do not depend on the
+    other states. An empty sweep builds nothing.
 
     record, a dict if given, receives under "blocks" each block's series
     norm rho and its series terms per segment, and, once a state is checked,
@@ -924,15 +842,18 @@ def _open_protocol(alpha, beta, params, rates, record=None):
         coefficients.append((abs(q0) ** 2, abs(q1) ** 2, q0 * np.conj(q1)))
     if not coefficients:
         return
-    P, Q, C = np.zeros((3, 2 * n, 2 * n), dtype=complex)
-    P[0, 0] = Q[n, n] = C[0, n] = 1.0
+    Z = np.zeros((2 * n, 2 * n), dtype=complex)
+    Z[0, 0], Z[n, n], Z[0, n] = 1.0, 1j, 1.0
     blocks = _open_generator(params, rates, params.t_gate, _qubit_blocks(params.n_max)[:2])
     outputs, terms = [], []
     for theta in (params.theta, params.theta_tilde):
-        (P, Q), C, count = _open_segment((P, Q), C, blocks, theta)
-        outputs.append((P, Q, C))
+        W, count = _open_segment(Z, blocks, theta)
+        C = np.zeros_like(W)
+        C[:n, n:] = W[:n, n:]
+        W[:n, n:] = 0.0
+        outputs.append((0.5 * (W + W.conj().T), -0.5j * (W - W.conj().T), C))
         terms.append(count)
-        P, Q, C = (_unitary_sandwich(x, _FLIP, n) for x in (P, Q, C.conj().T))
+        Z = _unitary_sandwich(W + C.conj().T, _FLIP, n)
     record = {} if record is None else record
     record["blocks"] = {block.name: {"rho": block.setup.rho, "terms": [t[i] for t in terms]}
                         for i, block in enumerate(blocks)}

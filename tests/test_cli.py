@@ -559,34 +559,34 @@ class TestGateRun:
         assert code == 0 and calls == [((2, 21, 21), np.float64)]
 
     def test_open_run_builds_one_generator_per_populated_sector(self, tmp_path, monkeypatch):
-        # the joint vacuum populates only the even parity sector; the real
-        # generator of its population block is built once per run and serves
-        # both segments of every P_z, and a five-P_z run writes the rows of
-        # five one-P_z runs byte for byte, so the shared generator carries no
-        # state from one P_z to the next
+        # the joint vacuum populates only the even parity sector; the
+        # generators of its population and coherence blocks are built once
+        # per run and serve both segments of every P_z, and a five-P_z run
+        # writes the rows of five one-P_z runs byte for byte, so the shared
+        # generators carry no state from one P_z to the next
         import dcelab.gate as gate
         calls = []
-        sector_generator = gate._sector_generator
+        block_generator = gate._block_generator
         monkeypatch.setattr(
-            gate, "_sector_generator",
-            lambda H, ls, j, k: calls.append(len(j)) or sector_generator(H, ls, j, k))
-        name, coherence, j, _ = gate._qubit_blocks(12)[0]
-        assert (name, coherence) == ("even population", False)
-        even = len(j)
+            gate, "_block_generator",
+            lambda H, ls, j, k: calls.append(len(j)) or block_generator(H, ls, j, k))
+        (population, jp, _), (coherence, jc, _) = gate._qubit_blocks(12)[:2]
+        assert (population, coherence) == ("even population", "even coherence")
+        even = [len(jp), len(jc)]
         grid = [-1.0, -0.4, 0.2, 0.7, 1.0]
 
         def rows(name, p_z):
             calls.clear()
             (tmp_path / name).mkdir()
             code, out = run(tmp_path / name, "gate", {"gate": dict(OPEN_GATE, p_z=p_z)})
-            assert code == 0 and calls == [even]
+            assert code == 0 and calls == even
             return (out / "gate_fidelity.csv").read_text().splitlines()[1:]
         singles = [row for i, pz in enumerate(grid) for row in rows(str(i), [pz])]
         assert len(singles) == 5 and rows("all", grid) == singles
 
     def test_empty_grid_with_rates_gives_header_only_csv(self, tmp_path, monkeypatch):
         import dcelab.gate as gate
-        monkeypatch.setattr(gate, "_sector_generator", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(gate, "_block_generator", lambda *args: pytest.fail("built"))
         code, out = run(tmp_path, "gate", {"gate": dict(OPEN_GATE, p_z=[])})
         assert code == 0
         assert (out / "gate_fidelity.csv").read_text() == \

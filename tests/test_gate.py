@@ -44,16 +44,12 @@ from dcelab.gate import (
 )
 from dcelab.gate import (
     _bessel_j,
+    _block_generator,
     _chebyshev_series,
     _chebyshev_setup,
-    _coherence_generator,
     _collapse_operators,
-    _gather,
     _joint_hamiltonian,
-    _parity_sectors,
     _qubit_blocks,
-    _scatter,
-    _sector_generator,
     _squeeze_generator,
     _squeeze_matrices,
 )
@@ -144,7 +140,7 @@ def rotating_frame_product(p, wb, n_steps):
 
 
 def _liouvillian(H, ls):
-    """Reference for gate._sector_generator: the sparse Lindblad generator
+    """Reference for gate._block_generator: the sparse Lindblad generator
     acting on the row-major vec(rho), built from Kronecker products.
 
     With vec(A rho B) = (A (x) B^T) vec(rho) and the effective generator
@@ -159,9 +155,24 @@ def _liouvillian(H, ls):
     return L.tocsr()
 
 
+def parity_sectors(n_max):
+    """The entries (j, k) of the joint density matrix with j + k even and
+    with j + k odd photons: two (j, k) pairs of index arrays, row-major."""
+    photons = np.arange(2 * (n_max + 1)) % (n_max + 1)
+    j, k = np.indices((len(photons), len(photons))).reshape(2, -1)
+    odd = (photons[j] + photons[k]) % 2 == 1
+    return (j[~odd], k[~odd]), (j[odd], k[odd])
+
+
+def upper_parity_sectors(n_max):
+    """The entries (j, k), j <= k, of each sector of parity_sectors."""
+    return [(j[j <= k], k[j <= k]) for j, k in parity_sectors(n_max)]
+
+
 def _hermitian_coordinates(j, k, dim):
-    """Reference for the coordinates of gate.open_evolve: the sparse maps T
-    and R of a Hermitian rho on the entries (j, k), j <= k, of one sector.
+    """Real coordinates of a Hermitian rho, a reference that tests a real
+    generator against: the sparse maps T and R of a Hermitian rho on the
+    entries (j, k), j <= k, of one sector.
 
     x = (Re rho_jk for every (j, k), Im rho_jk for j < k). T gives
     vec(rho) = T x for the row-major vec of rho on the sector, and R gives
@@ -805,6 +816,39 @@ class TestOpenEvolve:
         assert np.abs(out[:n, n:] - rho01).max() < 1e-12
         assert abs(np.trace(out[:n, :n]) - (1.0 - np.trace(rho11))) < 1e-12
 
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_resonator_damping_matches_the_gaussian_moment_equations(self, qubit):
+        # with damping only, each qubit level's block of |q><q| (x) |0><0|
+        # stays Gaussian, and its moments <n> and <a^2> obey a closed linear
+        # system under H_0 = delta n or H_1 = eps a^2 + conj(eps) a^dag 2,
+        # eps = (i g / 2) e^{-i theta}, and the jumps a and a^dag at rates
+        # kappa (nbar + 1) and kappa nbar:
+        #   d<n>/dt   = 2i eps <a^2> - 2i conj(eps) <a^dag 2> - kappa (<n> - nbar),
+        #   d<a^2>/dt = -2i conj(eps) (2 <n> + 1) - (kappa + 2i delta) <a^2>
+        p, _ = design_point_state()
+        rates = OpenRates(tau_r=50.0, temperature_mK=60.0)
+        n, kappa = p.n_max + 1, 1.0 / rates.tau_r
+        nbar = thermal_nbar(p.omega, rates.temperature_mK)
+        assert nbar > 1e-3
+        eps = 0.5j * p.drive_rate * np.exp(-1j * p.theta) if qubit else 0.0
+        delta = 0.0 if qubit else p.delta_tilde
+        ec = np.conj(eps)
+        # on (<n>, <a^2>, <a^dag 2>, 1), from the vacuum
+        A = np.array([[-kappa, 2j * eps, -2j * ec, kappa * nbar],
+                      [-4j * ec, -kappa - 2j * delta, 0.0, -2j * ec],
+                      [4j * eps, 0.0, -kappa + 2j * delta, 2j * eps],
+                      [0.0, 0.0, 0.0, 0.0]])
+        expected = expm(p.t_gate * A)[:2, 3]
+        rho = np.zeros((2 * n, 2 * n), dtype=complex)
+        rho[qubit * n, qubit * n] = 1.0
+        out = open_evolve(rho, p, rates, p.t_gate)
+        block = out[qubit * n:(qubit + 1) * n, qubit * n:(qubit + 1) * n]
+        a = lowering_operator(p.n_max)
+        moments = np.array([np.trace(a.T @ a @ block), np.trace(a @ a @ block)])
+        assert abs(np.trace(block) - 1.0) < 1e-13
+        # reached: 1.1e-17 (q = 0) and 1.3e-15 (q = 1)
+        assert np.abs(moments - expected).max() < 1e-13
+
     def test_output_is_hermitian_bitwise(self):
         p, psi = design_point_state()
         rho = np.outer(psi.ravel(), psi.ravel().conj())
@@ -829,71 +873,18 @@ def sector_part(z, j, k):
 
 
 class TestHermitianCoordinates:
-    def test_round_trip_in_each_parity_sector(self):
-        # gather and scatter by index lists agree with the sparse maps T and R
-        # bit for bit, and the round trip returns the sector's entries
-        rng = np.random.default_rng(11)
-        dim = 2 * (5 + 1)
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        sectors = _parity_sectors(5)
-        # every entry of the upper triangle in exactly one sector, row-major
-        assert sum(len(j) for j, _ in sectors) == dim * (dim + 1) // 2
-        photons = np.arange(dim) % 6
-        for parity, (j, k) in enumerate(sectors):
-            assert np.all(j <= k) and np.all(np.diff(j * dim + k) > 0)
-            assert np.all((photons[j] + photons[k]) % 2 == parity)
-            rho = sector_part(z, j, k)
-            T, R = _hermitian_coordinates(j, k, dim)
-            # one real coordinate per complex entry of the sector
-            assert T.shape == (dim * dim, np.count_nonzero(rho)) == R.T.shape
-            x = _gather(rho, j, k)
-            assert np.array_equal(x, (R @ rho.ravel()).real)
-            out = np.zeros((dim, dim), dtype=complex)
-            _scatter(x, j, k, out)
-            assert np.array_equal(out, rho)
-            assert np.array_equal(out.ravel(), T @ x)
-            assert np.array_equal(out, out.conj().T)
-
     def test_real_generator_matches_the_liouvillian(self):
         p = default_cqed_params(n_max=7)
         L = _liouvillian(_joint_hamiltonian(p, 0.3), _collapse_operators(p, OpenRates.typical()))
         rng = np.random.default_rng(12)
         dim = 2 * (p.n_max + 1)
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for j, k in _parity_sectors(p.n_max):
+        for j, k in upper_parity_sectors(p.n_max):
             vec = sector_part(z, j, k).ravel()
             T, R = _hermitian_coordinates(j, k, dim)
             G = (R @ L @ T).real
             expected = (R @ (L @ vec)).real
             assert np.abs(G @ (R @ vec).real - expected).max() < 1e-14 * np.abs(expected).max()
-
-
-class TestSectorGenerator:
-    def test_equals_the_kronecker_liouvillian_entry_for_entry(self):
-        # all five channels at 60 mK, and the gate_open design point at both
-        # gate angles; explicit zeros of the reference are left out
-        p7 = default_cqed_params(n_max=7)
-        p40, _ = design_point_state()
-        cases = [(p7, 0.3), (p40, p40.theta), (p40, p40.theta_tilde)]
-        for p, theta in cases:
-            H = _joint_hamiltonian(p, theta)
-            ls = _collapse_operators(p, OpenRates.typical())
-            L = _liouvillian(H, ls)
-            for j, k in _parity_sectors(p.n_max):
-                T, R = _hermitian_coordinates(j, k, H.shape[0])
-                G = _sector_generator(H, ls, j, k)
-                expected = (R @ L @ T).real
-                assert G.shape == expected.shape
-                assert (G != expected).nnz == 0
-                assert G.nnz == np.count_nonzero(expected.data)
-
-    def test_open_evolve_forms_no_kronecker_product(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("open_evolve called scipy.sparse.kron")
-        monkeypatch.setattr(sparse, "kron", refuse)
-        p, psi = design_point_state()
-        rho = np.outer(psi.ravel(), psi.ravel().conj())
-        assert abs(np.trace(open_evolve(rho, p, OpenRates.typical(), p.t_gate)) - 1.0) < 1e-8
 
 
 def dense_open_protocol(alpha, beta, p, rates):
@@ -924,31 +915,36 @@ def dense_open_protocol(alpha, beta, p, rates):
 
 class TestQubitBlocks:
     def test_blocks_split_each_sector_by_qubit(self):
+        # every entry of a sector but its |1><0| ones, in one block, row-major
         n = 6
-        for parity, (j, k) in enumerate(_parity_sectors(n - 1)):
-            (_, pop, jp, kp), (_, coh, jc, kc) = _qubit_blocks(n - 1)[2 * parity:2 * parity + 2]
-            assert (pop, coh) == (False, True)
+        blocks = _qubit_blocks(n - 1)
+        for i, (j, k) in enumerate(parity_sectors(n - 1)):
+            (pop, jp, kp), (coh, jc, kc) = blocks[2 * i:2 * i + 2]
+            parity = ("even", "odd")[i]
+            assert (pop, coh) == (f"{parity} population", f"{parity} coherence")
             assert np.all((jp < n) == (kp < n)) and np.all((jc < n) & (kc >= n))
-            assert sorted([*zip(jp, kp), *zip(jc, kc)]) == sorted(zip(j, k))
+            assert np.all(np.diff(jp * 2 * n + kp) > 0) and np.all(np.diff(jc * 2 * n + kc) > 0)
+            kept = ~((j >= n) & (k < n))
+            assert sorted([*zip(jp, kp), *zip(jc, kc)]) == sorted(zip(j[kept], k[kept]))
 
-    def test_coherence_generator_equals_the_kronecker_liouvillian_entry_for_entry(self):
-        # the rows and columns j < n <= k of the Kronecker reference, with all
-        # five channels at 60 mK, at n_max 7 and at the gate_open design point
-        # at both gate angles; explicit zeros of the reference are left out
+    def test_block_generator_equals_the_kronecker_liouvillian_entry_for_entry(self):
+        # the rows and columns (j, k) of each block of the Kronecker
+        # reference, with all five channels at 60 mK, at n_max 7 and at the
+        # gate_open design point at both gate angles; explicit zeros of the
+        # reference are left out
         p7 = default_cqed_params(n_max=7)
         p40, _ = design_point_state()
         for p, theta in [(p7, 0.3), (p40, p40.theta), (p40, p40.theta_tilde)]:
             H = _joint_hamiltonian(p, theta)
             ls = _collapse_operators(p, OpenRates.typical())
             L = _liouvillian(H, ls)
-            for _, coherence, j, k in _qubit_blocks(p.n_max):
-                if coherence:
-                    rows = j * H.shape[0] + k
-                    expected = L[rows][:, rows]
-                    G = _coherence_generator(H, ls, j, k)
-                    assert G.dtype == np.complex128 and G.shape == expected.shape
-                    assert (G != expected).nnz == 0
-                    assert G.nnz == np.count_nonzero(expected.data)
+            for _, j, k in _qubit_blocks(p.n_max):
+                rows = j * H.shape[0] + k
+                expected = L[rows][:, rows]
+                G = _block_generator(H, ls, j, k)
+                assert G.dtype == np.complex128 and G.shape == expected.shape
+                assert (G != expected).nnz == 0
+                assert G.nnz == np.count_nonzero(expected.data)
 
     def test_a_block_that_is_not_invariant_raises_naming_the_term(self):
         # a sigma_x jump maps rho_10 into the coherence block, and a qubit
@@ -957,17 +953,25 @@ class TestQubitBlocks:
         n = p.n_max + 1
         H = _joint_hamiltonian(p, 0.0)
         sigma_x = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
-        (_, _, jp, kp), (_, _, jc, kc) = _qubit_blocks(p.n_max)[:2]
+        (_, jp, kp), (_, jc, kc) = _qubit_blocks(p.n_max)[:2]
         with pytest.raises(RuntimeError, match=r"reads rho\[7, 0\], outside the block, "
                                                r"through the term L_0 rho L_0\^dag"):
-            _coherence_generator(H, [sigma_x], jc, kc)
+            _block_generator(H, [sigma_x], jc, kc)
         with pytest.raises(RuntimeError, match=r"outside the block, through the term K rho"):
-            _coherence_generator(H + 0.1 * sigma_x, [], jc, kc)
+            _block_generator(H + 0.1 * sigma_x, [], jc, kc)
         with pytest.raises(RuntimeError, match=r"outside the block, through the term K rho"):
-            _sector_generator(H + 0.1 * sigma_x, [], jp, kp)
-        # the whole sector of the real coordinates holds rho_10 too
-        j, k = _parity_sectors(p.n_max)[0]
-        assert _sector_generator(H, [sigma_x], j, k).shape[0] > 0
+            _block_generator(H + 0.1 * sigma_x, [], jp, kp)
+        # the whole sector holds rho_10 too
+        j, k = parity_sectors(p.n_max)[0]
+        assert _block_generator(H, [sigma_x], j, k).shape[0] > 0
+
+    def test_open_evolve_forms_no_kronecker_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("open_evolve called scipy.sparse.kron")
+        monkeypatch.setattr(sparse, "kron", refuse)
+        p, psi = design_point_state()
+        rho = np.outer(psi.ravel(), psi.ravel().conj())
+        assert abs(np.trace(open_evolve(rho, p, OpenRates.typical(), p.t_gate)) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("rates, bound", [(OpenRates.typical(), 1e-14),
                                               (OpenRates(tau_q=1.0, tau_r=1.0), 1e-13)])
@@ -989,10 +993,10 @@ class TestExpmAction:
         p, psi = design_point_state()
         L = _liouvillian(_joint_hamiltonian(p, p.theta),
                          _collapse_operators(p, OpenRates.typical()))
-        for j, k in _parity_sectors(p.n_max):
+        for j, k in upper_parity_sectors(p.n_max):
             T, R = _hermitian_coordinates(j, k, psi.size)
             G = (R @ L @ T).real
-            x = _gather(np.outer(psi.ravel(), psi.ravel().conj()), j, k)
+            x = (R @ np.outer(psi.ravel(), psi.ravel().conj()).ravel()).real
             out = _expm_action(G, x, p.t_gate)
             assert out.dtype == np.float64
             embedded = _expm_action(G.astype(complex), x.astype(complex), p.t_gate)
@@ -1038,9 +1042,9 @@ class TestExpmAction:
         rng = np.random.default_rng(21)
         for theta in (p.theta, p.theta_tilde):
             H = _joint_hamiltonian(p, theta)
-            for j, k in _parity_sectors(p.n_max):
-                G = _sector_generator(H, ls, j, k)
-                b = rng.standard_normal(G.shape[0])
+            for j, k in parity_sectors(p.n_max):
+                G = _block_generator(H, ls, j, k)
+                b = np.array([1.0, 1j]) @ rng.standard_normal((2, G.shape[0]))
                 expected = expm(p.t_gate * G.toarray()) @ b
                 out = _expm_action(G, b, p.t_gate)
                 assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -1052,9 +1056,9 @@ class TestExpmAction:
         ls = _collapse_operators(p, OpenRates.typical())
         rho = np.outer(psi.ravel(), psi.ravel().conj())
         for theta in (p.theta, p.theta_tilde):
-            for j, k in _parity_sectors(p.n_max):
-                G = _sector_generator(_joint_hamiltonian(p, theta), ls, j, k)
-                x = _gather(rho, j, k)
+            for j, k in parity_sectors(p.n_max):
+                G = _block_generator(_joint_hamiltonian(p, theta), ls, j, k)
+                x = rho[j, k]
                 expected = _taylor_action(G, x, p.t_gate)
                 assert np.abs(_expm_action(G, x, p.t_gate) - expected).max() \
                     <= 1e-13 * np.abs(expected).max()
@@ -1072,10 +1076,10 @@ class TestExpmAction:
         psi[:, 1] = 0.5 * psi[:, 0]
         rho = np.outer(psi.ravel(), psi.ravel().conj()) / np.vdot(psi, psi).real
         ls = _collapse_operators(p, OpenRates(tau_q=1.0, tau_r=1.0))
-        for j, k in _parity_sectors(p.n_max):
-            G = _sector_generator(_joint_hamiltonian(p, p.theta), ls, j, k)
+        for j, k in parity_sectors(p.n_max):
+            G = _block_generator(_joint_hamiltonian(p, p.theta), ls, j, k)
             assert series_norm(G, p.t_gate) > 800.0
-            x = _gather(rho, j, k)
+            x = rho[j, k]
             expected = expm(p.t_gate * G.toarray()) @ x
             out = _expm_action(G, x, p.t_gate)
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -1092,9 +1096,9 @@ class TestExpmAction:
 
     def test_tiny_duration(self):
         p = default_cqed_params(t_gate=0.5 / 7.5e-3, n_max=12)
-        G = _sector_generator(_joint_hamiltonian(p, p.theta),
-                              _collapse_operators(p, OpenRates.typical()), *_parity_sectors(12)[0])
-        b = np.random.default_rng(23).standard_normal(G.shape[0])
+        G = _block_generator(_joint_hamiltonian(p, p.theta),
+                             _collapse_operators(p, OpenRates.typical()), *parity_sectors(12)[0])
+        b = np.array([1.0, 1j]) @ np.random.default_rng(23).standard_normal((2, G.shape[0]))
         assert series_norm(G, 1e-6) < 1e-5
         expected = expm(1e-6 * G.toarray()) @ b
         assert np.abs(_expm_action(G, b, 1e-6) - expected).max() <= 1e-15 * np.abs(b).max()

@@ -177,6 +177,21 @@ class TestPrincipalResonanceClosedForm:
         # truncated chain misses about 1.4e-6 of the energy
         npt.assert_allclose(energy[3], exact[3], rtol=1e-5, atol=0.0)
 
+    def test_coupled_mode_ode_meets_the_fundamental_closed_form(self):
+        # the harmonic wall at eps = 1e-3, sliced after whole drive periods
+        # at tau = eps t near 1 and 2; the ODE sits +1.61e-5 and +1.12e-5
+        # (relative) above the closed form, the slow flow's own finite-eps
+        # correction (Moore's N_1 shows the same gap), while truncating at
+        # N = 24 puts tau = 2 off by -7.4e-4
+        eps, t = 1e-3, np.array([318.0, 637.0]) * np.pi
+        spec = CavitySpec(length=np.pi, n_modes=48)
+        final, (middle,) = integrate_modes(spec, harmonic_wall(np.pi, eps, 2.0, t[1]),
+                                           rtol=1e-10, times=t[:1])
+        N1 = [(abs(extract_bogoliubov(amps).beta[:, 0]) ** 2).sum() for amps in (middle, final)]
+        m = 1.0 - np.exp(-4.0 * eps * t)
+        gap = np.array(N1) / (2.0 / np.pi**2 * ellipk(m) * ellipe(m) - 0.5) - 1.0
+        assert np.all((0.0 < gap) & (gap < 2e-5))
+
 
 class TestCrossSolver:
     def test_degenerate_resonance_matches_full_ode(self):

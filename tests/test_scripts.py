@@ -100,7 +100,7 @@ def test_time_configs_compares_the_tables_of_both_trees(tmp_path, capsys):
         return json.loads(out.read_text())["configs"]["tiny"], capsys.readouterr().out
 
     entry, stdout = compare(tiny_tree(tmp_path, "same"))  # the same src/
-    assert entry["tables_identical"] is True
+    assert entry["tables_identical"] is True and entry["table_changes"] == {}
     assert "tables identical" in stdout
     # a copied src/ that writes 15 significant digits instead of 17
     other = tiny_tree(tmp_path, "other")
@@ -113,4 +113,10 @@ def test_time_configs_compares_the_tables_of_both_trees(tmp_path, capsys):
     output.write_text(text.replace('FLOAT_FMT = ".17g"', 'FLOAT_FMT = ".15g"'))
     entry, stdout = compare(other)
     assert entry["tables_identical"] is False
-    assert "tables differ: spectrum.csv" in stdout
+    assert "tables differ: spectrum.csv (" in stdout
+    # rounding to 15 significant digits moves a cell by at most 5e-15 of it
+    changes = entry["table_changes"]["spectrum.csv"]
+    assert changes and all(0.0 < c["max_abs"] and 0.0 < c["max_rel"] <= 5e-15
+                           for c in changes.values())
+    for column, c in changes.items():
+        assert f"{column} max abs {c['max_abs']:.2g} rel {c['max_rel']:.2g}" in stdout
