@@ -255,14 +255,21 @@ def extract_bogoliubov(amps: ModeAmplitudes) -> BogoliubovMatrices:
     static wall and unperturbed data this returns alpha = identity, beta = 0,
     which pins the normalization convention.
     """
-    spec = amps.spec
-    omega = _omega_at(spec, amps.R)
-    phase = np.exp(1j * omega * amps.t)
+    omega = _omega_at(amps.spec, amps.R)
+    alpha, beta = _project(amps.Q, amps.Qdot, omega, amps.t)
+    return BogoliubovMatrices(alpha=alpha, beta=beta, omega=omega, t=amps.t)
+
+
+def _project(Q, Qdot, omega, t):
+    """(alpha, beta) of amplitudes Q, Qdot [..., k, n] at frequencies omega
+    [..., k] and times t [...], C-contiguous [..., n, k]: extract_bogoliubov's
+    arithmetic over any leading axes."""
+    phase = np.exp(1j * omega * np.expand_dims(t, -1))
     w = np.sqrt(omega / 2.0)
     # Q, Qdot are [k, n]; alpha, beta are [n, k]
-    a = (w[:, None] * (amps.Q + 1j * amps.Qdot / omega[:, None])) * phase[:, None]
-    b = (w[:, None] * (amps.Q - 1j * amps.Qdot / omega[:, None])) * np.conj(phase)[:, None]
-    return BogoliubovMatrices(alpha=a.T.copy(), beta=b.T.copy(), omega=omega, t=amps.t)
+    a = (w[..., None] * (Q + 1j * Qdot / omega[..., None])) * phase[..., None]
+    b = (w[..., None] * (Q - 1j * Qdot / omega[..., None])) * np.conj(phase)[..., None]
+    return np.swapaxes(a, -2, -1).copy(), np.swapaxes(b, -2, -1).copy()
 
 
 def photon_spectrum(bog: BogoliubovMatrices, n_in=None):
@@ -272,14 +279,20 @@ def photon_spectrum(bog: BogoliubovMatrices, n_in=None):
     vacuum input reduces to the column sums of |beta|^2. (The in index is
     summed: out operators collect a beta amplitude from every in-mode.)
     """
-    a2 = np.abs(bog.alpha) ** 2
-    b2 = np.abs(bog.beta) ** 2
     if n_in is None:
-        n_in = np.zeros(a2.shape[0])
+        n_in = np.zeros(len(bog.alpha))
     n_in = np.asarray(n_in, dtype=float)
-    if n_in.shape != (a2.shape[0],):
+    if n_in.shape != (len(bog.alpha),):
         raise ValueError("n_in must have one occupation per mode")
-    return (a2 + b2).T @ n_in + b2.sum(axis=0)
+    return _occupations(bog.alpha, bog.beta, n_in)
+
+
+def _occupations(alpha, beta, n_in):
+    """photon_spectrum's N_k^out of C-contiguous alpha, beta [..., n, k] over
+    any leading axes."""
+    a2 = np.abs(alpha) ** 2
+    b2 = np.abs(beta) ** 2
+    return np.swapaxes(a2 + b2, -2, -1) @ n_in + b2.sum(axis=-2)
 
 
 def mode_snapshots(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAULT_RTOL):
@@ -308,16 +321,24 @@ def photon_time_series(spec: CavitySpec, traj: WallTrajectory, times, rtol=DEFAU
 
     Uses one propagation (mode_snapshots); each sample is extracted against the wall
     position at that time. With beta_temp set, the in-state is thermal at
-    that inverse temperature.
+    that inverse temperature. The samples are extracted together, by the
+    arithmetic of extract_bogoliubov and photon_spectrum over a leading
+    sample axis, in chunks whose (samples, N, N) complex stacks take at most
+    256 KiB.
     """
-    n_in = None
+    N = spec.n_modes
+    n_in = np.zeros(N)
     if beta_temp is not None:
-        n_in = thermal_occupation(beta_temp, dirichlet_spectrum(spec.n_modes, spec.length))
+        n_in = thermal_occupation(beta_temp, dirichlet_spectrum(N, spec.length))
     snaps = mode_snapshots(spec, traj, times, rtol=rtol)
     beta_max = np.empty(len(snaps))
-    N = np.empty((len(snaps), spec.n_modes))
-    for i, snap in enumerate(snaps):
-        bog = extract_bogoliubov(snap)
-        beta_max[i] = np.abs(bog.beta).max()
-        N[i] = photon_spectrum(bog, n_in)
-    return beta_max, N
+    occupations = np.empty((len(snaps), N))
+    chunk = max(1, 2**14 // (N * N))
+    for i in range(0, len(snaps), chunk):
+        part = snaps[i:i + chunk]
+        omega = _omega_at(spec, np.array([s.R for s in part])[:, None])
+        alpha, beta = _project(np.array([s.Q for s in part]), np.array([s.Qdot for s in part]),
+                               omega, np.array([s.t for s in part]))
+        beta_max[i:i + chunk] = np.abs(beta).max(axis=(-2, -1))
+        occupations[i:i + chunk] = _occupations(alpha, beta, n_in)
+    return beta_max, occupations

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import (ConfigError, _given, build_cavity, build_gate, build_otto,
                      build_squid, build_trajectory, load_config, require_block)
-from .output import RunManifest, sha256_of_file, write_table
+from .output import RunManifest, write_table
 
 __all__ = ["main", "build_parser"]
 
@@ -289,7 +289,7 @@ def main(argv=None):
                    for name, header, rows in tables]
         manifest = RunManifest(
             subcommand=args.subcommand, config_path=str(args.config),
-            config_sha256=sha256_of_file(args.config), seed=args.seed,
+            config_sha256=cfg.sha256, seed=args.seed,
             tolerances=tolerances, diagnostics=diagnostics, outputs=[w.name for w in written],
             wall_clock_s=time.perf_counter() - t0)
         written.append(manifest.write(out_dir / f"{args.subcommand}_manifest.json"))

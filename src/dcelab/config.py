@@ -19,6 +19,7 @@ the cavity blocks, nanoseconds / rad/ns / mK for the gate block.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,7 @@ import yaml
 __all__ = [
     "ConfigError",
     "SCHEMA",
+    "Scenario",
     "load_config",
     "require_block",
     "build_cavity",
@@ -376,21 +378,31 @@ def _json_path(path):
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
+class Scenario(dict):
+    """The raw mapping of a validated scenario file, with sha256: the hex
+    digest of the bytes it was parsed from, which the run manifest records."""
+
+    def __init__(self, raw, sha256):
+        super().__init__(raw)
+        self.sha256 = sha256
+
+
 def load_config(path):
     """Parse one scenario file and validate it against SCHEMA.
 
-    Returns the raw mapping. Raises ConfigError with a line number for
+    The file is read once, as bytes, and the Scenario returned, the raw
+    mapping, carries the digest of those bytes. Raises ConfigError with a line number for
     YAML syntax problems and with the JSON path of the offending field
     for schema violations and for a NaN or infinite number (.nan, .inf),
     except +inf for the gate's rates.tau_q, tau_r and tau_phi, where it
     switches the channel off.
     """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = yaml.load(text, Loader=_ScenarioLoader)
+        raw = yaml.load(data, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "unknown line"
@@ -407,7 +419,7 @@ def load_config(path):
     if bad is not None:
         where, value = bad
         raise ConfigError(f"{path}: {_json_path(where)}: {value!r} is not a finite number")
-    return raw
+    return Scenario(raw, hashlib.sha256(data).hexdigest())
 
 
 def require_block(cfg, name, subcommand):

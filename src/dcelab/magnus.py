@@ -13,15 +13,20 @@ the exact flow keeps (unit determinant, symplectic form) up to rounding.
 expm_taylor, the package's one dense exponential, takes real stacks and
 uses batched products only, written into a workspace: one flat float64
 scratch array that each exponent from field_exponent carries for the
-batches of its propagation, so no batch allocates or first-touches its
-own. A stack expm_taylor returns lies in that workspace and is valid until
-the next batch on it, so one exponent serves one thread at a time; callers
-without a workspace get a throwaway one. propagate, the one driver, is a
-step-doubling product of such steps with whole periods taken as powers of
-one monodromy matrix. Its steps are formed and exponentiated in batches of
-at most 64 and at most 2^15 / n^2 steps for n x n step matrices (_batch), so
-each (b, n, n) stack of a batch takes at most 256 KiB (n <= 181) and the
-working memory is bounded per batch, not by N times the batch. propagate
+batches of its propagation. The exponent forms each batch's Omega in the
+same memory map: its temporaries in the workspace's stacks 1 onward, dead
+before expm_taylor writes there, and Omega in one stack past the
+workspace, so no batch allocates or first-touches a stack of its own. A
+stack an exponent or expm_taylor returns lies in that memory and is valid
+until the next batch on it, so one exponent serves one thread at a time;
+callers without a workspace get a throwaway one. propagate, the one
+driver, is a step-doubling product of such steps with whole periods taken
+as powers of one monodromy matrix. Its steps are formed and exponentiated
+in batches of at most 64 and at most 2^15 / n^2 steps for n x n step
+matrices (_batch), each batch's step starts and lengths computed from the
+edges and step counts, so each (b, n, n) stack of a batch takes at most
+256 KiB (n <= 181) and the working memory is bounded per batch, not by N
+times the batch or by the number of steps. propagate
 tests the period on the coefficients lam and w the field is built from, and
 when lam is odd and w even about t_a + T/4 (then also about t_a + 3T/4), as
 for a harmonic wall started at its crest or a lab-frame branch driven at a
@@ -32,6 +37,7 @@ Numerical Integration, ch. V; Magnus & Winkler, Hill's Equation), which
 halves the steps per period.
 """
 
+import functools
 import math
 import mmap
 
@@ -72,7 +78,13 @@ def field_exponent(coefficients, Mhat, omega0):
     of omega^2 h. exponent.workspace is the expm_taylor workspace its
     batches of up to _batch(2N) steps are exponentiated in (_exponentials):
     up to _BATCH steps while N <= 11, fewer above, so that no stack of the
-    workspace or of the exponent's own temporaries exceeds 256 KiB.
+    workspace or of the exponent's own temporaries exceeds 256 KiB. It is
+    mapped once per exponent together with one more (b, 2N, 2N) stack, past
+    its _STACKS, that holds Omega; Omega's ten (b, N, N) temporaries lie in
+    the workspace's stacks 1 onward, which hold only dead data until
+    expm_taylor has read Omega, so a batch allocates no stack. The Omega
+    returned is valid until the next call; a call of more than _batch(2N)
+    steps forms it in a map of its own.
 
     The sixth-order Magnus exponent of a step combines b1 = h A_2, b2 = s
     (A_3 - A_1) and b3 = r (A_3 - 2 A_2 + A_1), A_j = A(t_j), s = sqrt(15) h
@@ -103,14 +115,26 @@ def field_exponent(coefficients, Mhat, omega0):
     dg = np.s_[:, ::N + 1]
     dg12, dg21 = np.s_[:, N:2 * N * N:2 * N + 1], np.s_[:, 2 * N * N::2 * N + 1]
 
-    def gaps(g):  # g_j - g_i for each row of g, so [Mhat, diag(g)] = Mhat * gaps(g)
-        return g[:, None, :] - g[:, :, None]
+    def gaps(g, out):  # g_j - g_i for each row of g, so [Mhat, diag(g)] = Mhat * gaps(g)
+        return np.subtract(g[:, None, :], g[:, :, None], out=out)
 
     def swap(S):
         return np.swapaxes(S, -2, -1)
 
+    batch = _batch(2 * N)
+    size = batch * 4 * N * N  # entries of one (batch, 2N, 2N) stack
+    memory = _mapped((_STACKS + 1) * size)
+
     def exponent(t0, h):
         b = len(h)
+        stack = 4 * N * N * b
+        # the workspace's stacks 1 onward hold the temporaries, dead once expm_taylor has
+        # read Omega, and the stack past the workspace holds Omega; a call of more than
+        # `batch` steps maps its own
+        space = memory if b <= batch else _mapped((_STACKS + 1) * stack)
+        out = space[len(space) - stack:].reshape(b, 2 * N, 2 * N)
+        Dg, Dx, G, X, MG, MX, H, F, VF, MH = space[stack:stack + 10 * b * N * N].reshape(
+            10, b, N, N)
         lam, w = coefficients(t0[:, None] + h[:, None] * GAUSS_NODES)
         # b_1, b_2, b_3 as (a_j, diagonal of D_j)
         s, r = np.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
@@ -125,59 +149,67 @@ def field_exponent(coefficients, Mhat, omega0):
         g = a2[:, None] * d1 - a1[:, None] * d2
         x = -(a1[:, None] * e + hv * g) / 60.0
         p = (-20.0 * a1 - a3)[:, None, None]
-        Dg, Dx = gaps(g), gaps(x)
-        G = Mhat * Dg
-        X = Mhat * Dx
+        gaps(g, Dg)
+        gaps(x, Dx)
+        np.multiply(Mhat, Dg, out=G)
+        np.multiply(Mhat, Dx, out=X)
         X.reshape(b, -1)[dg] = hv * d3 / 30.0
-        MG, MX = Mhat @ G, Mhat @ X
+        np.matmul(Mhat, G, out=MG)
+        np.matmul(Mhat, X, out=MX)
         # H = Z - D_2 = [Mhat, (a_1 D_3 - a_3 D_1) / 30] - a_1 [Mhat, G] / 60 + E D_1 / 30 - D_2
-        H = Mhat * gaps((a1[:, None] * d3 - a3[:, None] * d1) / 30.0)
-        MG += swap(MG)
-        MG *= a1[:, None, None] / 60.0
-        H -= MG
+        gaps((a1[:, None] * d3 - a3[:, None] * d1) / 30.0, H)
+        H *= Mhat
+        S = np.add(MG, swap(MG), out=X)  # X is not needed again
+        S *= a1[:, None, None] / 60.0
+        H -= S
         H.reshape(b, -1)[dg] += e * d1 / 30.0 - d2
         V = G  # G has a zero diagonal and is not needed again
         V.reshape(b, -1)[dg] = 20.0 * d1 + d3
         Dx += a2[:, None, None]
-        F = Mhat * Dx  # a_2 Mhat + X
+        np.multiply(Mhat, Dx, out=F)  # a_2 Mhat + X
         F.reshape(b, -1)[dg] = hv * d3 / 30.0
-        VF, MH = V @ F, Mhat @ H
-        out = np.empty((b, 2 * N, 2 * N))
+        np.matmul(V, F, out=VF)
+        np.matmul(Mhat, H, out=MH)
+        # each block is formed in a contiguous slot and copied into Omega once, since
+        # numpy buffers every operation on a strided block
         o11, o12, o21, o22 = out[:, :N, :N], out[:, :N, N:], out[:, N:, :N], out[:, N:, N:]
         flat = out.reshape(b, -1)
         # Omega_21 = C / 240 - D_1 - D_3 / 12, C = T + T^T with T = V F + p Mhat H - E H
         MH *= p
         MH += VF
-        MH -= e[:, :, None] * H
-        np.add(MH, swap(MH), out=o21)
-        o21 /= 240.0
+        MH -= np.multiply(e[:, :, None], H, out=F)
+        C = np.add(MH, swap(MH), out=VF)
+        C /= 240.0
+        o21[...] = C
         flat[dg21] -= d1 + d3 / 12.0
         # Omega_12 = B / 240 + h I, B = [Mhat, p Y + 40 h X] + 2 E Y + 40 h^2 D_3 / 30
         u = (p[:, :, 0] * y + 40.0 * hv * x) / 240.0
-        np.subtract(u[:, None, :], u[:, :, None], out=o12)
-        o12 *= Mhat
+        U = np.subtract(u[:, None, :], u[:, :, None], out=F)
+        U *= Mhat
+        o12[...] = U
         flat[dg12] = hv + (4.0 * hv * hv * d3 / 3.0 + 2.0 * e * y) / 240.0
         # Omega_11 = P / 240 + (a_1 + a_3 / 12) Mhat, where P = p (Mhat X + (Mhat X)^T)
         # - 20 h H - Mhat * Q - diag(y (20 d_1 + d_3)) and Q_ij = (e_j - e_i)(a_2 + x_j
         # - x_i) + y_i (g_j - g_i) gathers [E, M], [E, X] and the off-diagonal Y V
         MX *= p
-        np.add(MX, swap(MX), out=o11)
+        P = np.add(MX, swap(MX), out=MG)
         H *= 20.0 * hv[:, :, None]
-        o11 -= H
-        Q = gaps(e)
+        P -= H
+        Q = gaps(e, VF)
         Q *= Dx
         Dg *= y[:, :, None]
         Q += Dg
         Q -= (240.0 * (a1 + a3 / 12.0))[:, None, None]
         Q *= Mhat
-        o11 -= Q
-        o11 /= 240.0
-        flat[:, ::2 * N + 1][:, :N] -= y * (20.0 * d1 + d3) / 240.0
-        np.negative(swap(o11), out=o22)
+        P -= Q
+        P /= 240.0
+        P.reshape(b, -1)[dg] -= y * (20.0 * d1 + d3) / 240.0
+        o11[...] = P
+        np.negative(swap(P), out=o22)
         return out
     exponent.balance = np.concatenate([np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
     exponent.coefficients = coefficients
-    exponent.workspace = _workspace(_batch(2 * N) * 4 * N * N)
+    exponent.workspace = memory[:_STACKS * size]
     return exponent
 
 
@@ -202,19 +234,35 @@ def _degree(norm):
 
 
 def _workspace(size):
-    """An expm_taylor workspace for float64 stacks of up to `size` entries.
+    """An expm_taylor workspace for float64 stacks of up to `size` entries:
+    _STACKS such stacks, sized for the highest degree so that it never
+    regrows, in a memory map of their own (_mapped)."""
+    return _mapped(_STACKS * size)
 
-    It is sized for the highest degree, so it never regrows, and it is a
-    private anonymous memory map of its own: the OS supplies a page when a
-    batch first reaches it and takes every page back when the last view
-    dies. A large np.empty would instead be marked for 2 MiB transparent
-    huge pages by numpy, so a part touched is resident whole, and once freed
-    it would raise malloc's mmap and trim thresholds for every later
-    allocation of the process (3.5 MB more peak RSS on the drive benchmark).
+
+def _mapped(count):
+    """A flat float64 array of `count` entries in a private anonymous memory
+    map of its own: the OS supplies a page when a batch first reaches it and
+    takes every page back when the last view dies. A large np.empty would
+    instead be marked for 2 MiB transparent huge pages by numpy, so a part
+    touched is resident whole, and once freed it would raise malloc's mmap
+    and trim thresholds for every later allocation of the process (3.5 MB
+    more peak RSS on the drive benchmark).
     """
-    count = _STACKS * size
     space = mmap.mmap(-1, max(count, 1) * 8, access=mmap.ACCESS_COPY)
     return np.frombuffer(space, np.float64, count)
+
+
+@functools.cache
+def _table(m, q):
+    """The Paterson-Stockmeyer coefficient table of degree m and block size q,
+    read-only: C[k, i] is the coefficient of Y^i in the block B_k, i <= q."""
+    r = m // q
+    C = np.zeros((r, q + 1))
+    C[:, :q] = [[1.0 / math.factorial(k * q + i) for i in range(q)] for k in range(r)]
+    C[-1, q] = 1.0 / math.factorial(m)
+    C.flags.writeable = False
+    return C
 
 
 def expm_taylor(X, workspace=None):
@@ -233,10 +281,12 @@ def expm_taylor(X, workspace=None):
     Every array of size b n^2 is a stack of workspace, a flat float64 array
     from _workspace: first the product stack, which holds |X| while the norm
     is taken, with the column sums right after it, then the powers and the
-    blocks. The Horner and squaring products alternate between the product
-    stack and the last block, consumed first. Without a workspace, or with
-    one too small for X, a throwaway one is made. The stack returned lies in
-    the workspace and is valid until the next call on it.
+    blocks, their identity terms added on a strided view of the diagonals
+    from a coefficient table built once per degree (_table). The Horner and
+    squaring products alternate between the product stack and the last
+    block, consumed first. Without a workspace, or with one too small for X,
+    a throwaway one is made. The stack returned lies in the workspace and is
+    valid until the next call on it.
     """
     if X.dtype != np.float64:
         raise TypeError(f"expm_taylor takes real float64 stacks, not {X.dtype}")
@@ -258,12 +308,10 @@ def expm_taylor(X, workspace=None):
     np.multiply(X, 0.5 ** s, out=P[0])
     for i in range(1, q):
         np.matmul(P[i - 1], P[0], out=P[i])
-    C = np.zeros((r, q + 1))  # C[k, i]: coefficient of Y^i in B_k
-    C[:, :q] = [[1.0 / math.factorial(k * q + i) for i in range(q)] for k in range(r)]
-    C[-1, q] = 1.0 / math.factorial(m)
+    C = _table(m, q)
     blocks = take(1 + q, r)
     np.matmul(C[:, 1:], P.reshape(q, -1), out=blocks.reshape(r, -1))
-    blocks[..., np.arange(n), np.arange(n)] += C[:, :1, None]
+    blocks.reshape(r, b, n * n)[..., ::n + 1] += C[:, :1, None]  # the identity's coefficients
     E, spare = blocks[r - 1], take(0, 1)[0]
     for k in range(r - 2, -1, -1):
         np.matmul(E, P[q - 1], out=spare)
@@ -493,22 +541,38 @@ def _stage(exponent, edges, counts, Y0, samples):
     [edges[i], edges[i + 1]]: the states at edges[1:], and for each sample the
     step boundary nearest it (ties go to the later one) and the state there.
     Of the states passed, only those are kept."""
-    lengths = np.diff(edges)
-    t0 = np.concatenate([a + d * np.arange(c) / c for a, d, c in zip(edges, lengths, counts)])
-    h = np.repeat(lengths / counts, counts)
     ends = np.cumsum(counts)  # boundary j, after step j - 1, of each of edges[1:]
-    times = np.append(t0, edges[-1])
-    near = np.clip(np.searchsorted(times, samples), 1, len(t0))
-    near -= samples - times[near - 1] < times[near] - samples
+    steps = int(ends[-1])
+    # the first step, length and step count of each edge's interval; the last edge's
+    # is empty, so that boundary `steps` lies at edges[-1]
+    first, length, count = (np.append(ends - counts, steps), np.append(np.diff(edges), 0.0),
+                            np.append(counts, 1))
+
+    def grid(j):  # start t0 and length h of the steps j, boundary j's time first
+        i = np.searchsorted(ends, j, side="right")
+        return edges[i] + length[i] * (j - first[i]) / count[i], length[i] / count[i]
+
+    # the boundary nearest each sample, from the count of boundaries before it that
+    # np.searchsorted on all their times would give: estimated in the sample's
+    # interval, where rounding puts it at most one boundary off, and corrected
+    near = np.zeros(len(samples), dtype=int)
+    if len(samples):
+        i = np.searchsorted(edges[1:-1], samples, side="right")
+        k = np.ceil((samples - edges[i]) / length[i] * count[i])
+        near = first[i] + np.clip(k, 0, count[i]).astype(int)
+        near += grid(near)[0] < samples
+        near -= (near > 0) & (grid(np.maximum(near - 1, 0))[0] >= samples)
+        near = np.clip(near, 1, steps)
+        near -= samples - grid(near - 1)[0] < grid(near)[0] - samples
     keep = set(ends.tolist()) | set(near.tolist())
     Y, kept, batch = Y0, {0: Y0}, _batch(len(Y0))
-    for start in range(0, len(t0), batch):
-        for j, e in enumerate(_exponentials(exponent, t0[start:start + batch],
-                                            h[start:start + batch]), start + 1):
+    for start in range(0, steps, batch):
+        t0, h = grid(np.arange(start, min(start + batch, steps)))
+        for j, e in enumerate(_exponentials(exponent, t0, h), start + 1):
             Y = e @ Y
             if j in keep:
                 kept[j] = Y
-    return np.array([kept[j] for j in ends]), times[near], [kept[j] for j in near]
+    return np.array([kept[j] for j in ends]), grid(near)[0], [kept[j] for j in near]
 
 
 def _check_symplectic(M, rtol):

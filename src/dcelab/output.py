@@ -14,7 +14,6 @@ to the exact inputs that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import time
@@ -32,7 +31,6 @@ __all__ = [
     "write_table",
     "read_table",
     "RunManifest",
-    "sha256_of_file",
 ]
 
 FLOAT_FMT = ".17g"
@@ -102,10 +100,6 @@ def read_table(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return header, [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
-
-
-def sha256_of_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from dcelab.cli import main
 from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
 from dcelab.gate import OpenRates, default_cqed_params
 from dcelab.otto import CycleSpec
-from dcelab.output import format_value, read_table, sha256_of_file, write_table
+from dcelab.output import format_value, read_table, write_table
 
 
 def write_cfg(tmp_path, doc, name="scenario.yaml"):
@@ -315,7 +316,6 @@ class TestTableFormats:
             warnings.simplefilter("always")
             read_table(csv)
             read_table(js)
-            sha256_of_file(csv)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -337,6 +337,29 @@ class TestSpectrumRun:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["tolerances"]["max_sine_residual"] < 1e-10
         assert set(manifest["versions"]) == {"dcelab", "numpy", "scipy", "python"}
+
+    def test_manifest_hashes_the_bytes_that_were_parsed(self, tmp_path, monkeypatch):
+        # the scenario changes on disk after it is first opened: every later open
+        # finds a comment appended, so a run that read the file twice would record
+        # the digest of a document that never ran
+        path = write_cfg(tmp_path, SPECTRUM_DOC)
+        parsed = path.read_bytes()
+        opens = []
+        path_open = Path.open
+
+        def edited(self, *args, **kwargs):
+            if self == path:
+                opens.append(args)
+                if len(opens) > 1:
+                    with path_open(self, "ab") as f:
+                        f.write(b"# edited\n")
+            return path_open(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", edited)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "spectrum_manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert len(opens) == 1
 
 
 class TestBogoliubovRun:
