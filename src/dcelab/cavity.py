@@ -1,8 +1,8 @@
 """Instantaneous Dirichlet modes of a 1D cavity and derived static quantities.
 
 The basis functions psi_j(x, R) = sqrt(2/R) sin(j pi x / R) diagonalize the
-field in a cavity of instantaneous length R. All couplings below have exact
-closed forms; the test suite re-derives them by quadrature.
+field in a cavity of instantaneous length R. The coupling M has an exact
+closed form; the test suite holds it to entries found by quadrature.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ __all__ = [
     "CavitySpec",
     "ModeBasis",
     "dirichlet_spectrum",
-    "mode_function",
-    "mode_function_dR",
     "coupling_M",
-    "coupling_S",
     "dimensionless_coupling",
     "domega_dR",
     "thermal_occupation",
@@ -56,19 +53,6 @@ def dirichlet_spectrum(n_modes, length):
     return np.arange(1, n_modes + 1) * np.pi / length
 
 
-def mode_function(j, x, R):
-    """psi_j(x, R) = sqrt(2/R) sin(j pi x / R); orthonormal on [0, R]."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(2.0 / R) * np.sin(j * np.pi * x / R)
-
-
-def mode_function_dR(j, x, R):
-    """Partial derivative of psi_j with respect to the wall position R."""
-    x = np.asarray(x, dtype=float)
-    u = j * np.pi * x / R
-    return np.sqrt(2.0 / R) * (-0.5 * np.sin(u) / R - u * np.cos(u) / R)
-
-
 def coupling_M(n_modes, R):
     """Intermode coupling M_kj = <psi_j, d_R psi_k>.
 
@@ -85,16 +69,6 @@ def coupling_M(n_modes, R):
             0.0,
         )
     return M
-
-
-def coupling_S(n_modes, R):
-    """Second-order coupling S_kj = sum_l M_lk M_lj over the truncated basis.
-
-    Equals (M^T M)_kj; symmetric. The sum is intentionally truncated at
-    n_modes so the coupled-mode system stays self-consistent.
-    """
-    M = coupling_M(n_modes, R)
-    return M.T @ M
 
 
 def dimensionless_coupling(n_modes):

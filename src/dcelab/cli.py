@@ -36,6 +36,9 @@ from .output import RunManifest, write_table
 
 __all__ = ["main", "build_parser"]
 
+# rtol of the crosscheck's coupled-mode run; its manifest records it as ode_rtol
+CROSSCHECK_ODE_RTOL = 1e-10
+
 # The solver names the runners call, by defining module. They are attributes
 # of this module that import their module on first use (__getattr__), so a
 # run loads only its own subcommand's solver, and a name bound on dcelab.cli
@@ -98,7 +101,7 @@ def _run_msa(cfg):
     eps = block.get("epsilon")
     from .msa import DEFAULT_TOL as tol
     sl = _cli.evolve_slow(_cli.ModeBasis.build(cav), float(block["omega"]),
-                          eps=None if eps is None else float(eps), tol=tol,
+                          eps=None if eps is None else float(eps),
                           **_given(block, tau_max=float, n_samples=int))
     header = ["tau"]
     for n, k in pairs:
@@ -169,18 +172,17 @@ def _run_crosscheck(cfg):
     opts = cfg.get("crosscheck", {})
     beta_factor = float(opts.get("beta_factor", 5.0))
     msa_rel_tol = float(opts.get("msa_rel_tol", 0.05))
-    ode_rtol = 1e-10
     from .moore import BOUNCE_TOL, DEFAULT_N_QUAD as n_quad
     from .msa import DEFAULT_TOL as resonance_tol
 
     basis = _cli.ModeBasis.build(cav)
-    bog = _cli.extract_bogoliubov(_cli.integrate_modes(cav, traj, rtol=ode_rtol, t_final=t_end))
+    bog = _cli.extract_bogoliubov(_cli.integrate_modes(cav, traj, rtol=CROSSCHECK_ODE_RTOL,
+                                                        t_final=t_end))
     mm = _cli.bogoliubov_from_moore(_cli.solve_moore(traj, t_end), basis, t_end, n_quad=n_quad)
     d_moore = float(np.abs(mm.beta - bog.beta).max())
     bound = beta_factor * eps**2
 
-    sl = _cli.evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end,
-                          tol=resonance_tol)
+    sl = _cli.evolve_slow(basis, float(tblock["omega"]), eps=eps, tau_max=eps * t_end)
     n, k = np.unravel_index(np.argmax(np.abs(sl.beta_final)), sl.beta_final.shape)
     b_msa = float(abs(sl.beta_final[n, k]))
     if b_msa < 1e-12:
@@ -199,7 +201,7 @@ def _run_crosscheck(cfg):
             ["ode_vs_msa_rel_beta", rel, msa_rel_tol]]
     tables = [("crosscheck", ["comparison", "value", "bound"], rows)]
     tol = {"beta_factor": beta_factor, "msa_rel_tol": msa_rel_tol,
-           "ode_rtol": ode_rtol, "bounce_tol": BOUNCE_TOL, "moore_n_quad": n_quad,
+           "ode_rtol": CROSSCHECK_ODE_RTOL, "bounce_tol": BOUNCE_TOL, "moore_n_quad": n_quad,
            "resonance_tol": resonance_tol}
     return tables, tol, {}, messages, ok_moore and ok_msa
 

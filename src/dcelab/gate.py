@@ -66,7 +66,6 @@ __all__ = [
     "GateParams",
     "OpenRates",
     "EncodedPair",
-    "Measurement",
     "default_cqed_params",
     "lowering_operator",
     "squeeze_operator",
@@ -76,13 +75,10 @@ __all__ = [
     "joint_vacuum",
     "hadamard_qubit",
     "flip_qubit",
-    "controlled_squeeze",
     "encoding_protocol",
     "encoded_target",
     "qubit_probabilities",
     "conditional_resonator",
-    "measure_qubit",
-    "parity_measurement",
     "average_fidelity",
     "simulated_average_fidelity",
     "thermal_nbar",
@@ -343,13 +339,9 @@ def flip_qubit(state):
     return state[::-1]
 
 
-def controlled_squeeze(state, r, theta, phi):
-    """U(r, theta, phi): squeeze the |1> branch, rotate the |0> branch."""
-    return _controlled(state, squeeze_operator(r, theta, state.shape[1] - 1), phi)
-
-
 def _controlled(state, S, phi):
-    """controlled_squeeze with the squeeze matrix S given."""
+    """U(r, theta, phi) with its squeeze matrix S = S(r, theta) given: squeeze
+    the |1> branch by S, rotate the |0> branch by phi."""
     out = np.empty_like(state)
     out[0] = rotation_operator(phi, state.shape[1] - 1) * state[0]
     out[1] = S @ state[1]
@@ -399,40 +391,6 @@ def conditional_resonator(state, outcome):
     if norm == 0.0:
         raise ValueError("outcome has zero probability")
     return branch / norm
-
-
-@dataclass(frozen=True)
-class Measurement:
-    outcome: int
-    probability: float
-    resonator: np.ndarray
-
-
-def measure_qubit(state, rng=None):
-    """Sample a sigma_z readout and collapse the resonator accordingly."""
-    p_plus, p_minus = qubit_probabilities(state)
-    if rng is None:
-        rng = np.random.default_rng()
-    plus = rng.random() < p_plus
-    outcome = +1 if plus else -1
-    return Measurement(
-        outcome=outcome,
-        probability=p_plus if plus else p_minus,
-        resonator=conditional_resonator(state, outcome))
-
-
-def parity_measurement(state_or_rho):
-    """(p_even, p_odd) of the photon number, for a Fock vector or matrix."""
-    x = np.asarray(state_or_rho)
-    if x.ndim == 1:
-        probs = np.abs(x) ** 2
-    elif x.ndim == 2 and x.shape[0] == x.shape[1]:
-        probs = np.real(np.diag(x))
-    else:
-        raise ValueError("expected a Fock vector or a square density matrix")
-    p_even = float(np.sum(probs[0::2]))
-    p_odd = float(np.sum(probs[1::2]))
-    return p_even, p_odd
 
 
 def average_fidelity(r, P_z):

@@ -43,7 +43,6 @@ from .trajectories import WallTrajectory
 __all__ = [
     "MooreFunction",
     "solve_moore",
-    "moore_modes",
     "energy_density",
     "bogoliubov_from_moore",
 ]
@@ -195,20 +194,6 @@ def solve_moore(traj: WallTrajectory, t_max):
     max_depth = int(np.ceil((z_max - z_lin) / (2.0 * R_min))) + 2
 
     return MooreFunction(R0=R0, traj=traj, z_max=z_max, z_lin=z_lin, max_depth=max_depth)
-
-
-def moore_modes(F: MooreFunction, n, x, t):
-    """Mode n of the moving cavity, i/sqrt(4 pi n) [e^{-i n pi F(t+x)} - e^{-i n pi F(t-x)}].
-
-    Vanishes at x = 0 identically and at x = R(t) by the defining relation.
-    Reduces to sin(n pi x / R0) e^{-i w_n t} / sqrt(n pi) while the wall is
-    static.
-    """
-    if n < 1:
-        raise ValueError("mode index starts at 1")
-    plus, minus = F._rays(t, x)
-    pref = 1j / np.sqrt(4.0 * np.pi * n)
-    return pref * (np.exp(-1j * n * np.pi * plus[0]) - np.exp(-1j * n * np.pi * minus[0]))
 
 
 def _density_profile(ray, const):

@@ -5,7 +5,7 @@ limit a naive expansion to eps*Omega*t << 1.  Introducing the slow time
 tau = eps*t and keeping only the O(eps) terms whose frequency-matching
 conditions fire (Omega equal to 2 w_k, w_k + w_j, or |w_k - w_j|) reduces the
 coupled mode equations to a linear, constant-coefficient system in tau.  This
-module classifies the active channels and solves that system exactly with a
+module selects the active channels and solves that system exactly with a
 matrix exponential.
 
 With amplitudes normalised as Q_k = (alpha_k e^{-i w_k t} + beta_k e^{+i w_k t})
@@ -28,7 +28,6 @@ drive conserves sum_k |alpha_nk|^2 while creating no photons.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,11 +35,7 @@ from .cavity import ModeBasis
 from .magnus import expm_taylor
 
 __all__ = [
-    "ResonanceKind",
-    "Resonance",
-    "ResonanceReport",
     "SlowAmplitudes",
-    "classify_resonances",
     "slow_generators",
     "evolve_slow",
 ]
@@ -48,73 +43,21 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-class ResonanceKind(Enum):
-    DEGENERATE = "degenerate_2wk"
-    SUM = "sum_wk_wj"
-    DIFFERENCE = "difference_scatter"
+def slow_generators(basis: ModeBasis, Omega):
+    """Constant generators (Gc, Gs) of the slow flow; see module docstring.
 
-
-@dataclass(frozen=True)
-class Resonance:
-    """One matched drive condition; mode indices are 1-based."""
-
-    kind: ResonanceKind
-    modes: tuple
-    Omega: float
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    Omega: float
-    tol: float
-    entries: tuple
-
-    def of_kind(self, kind):
-        return tuple(r for r in self.entries if r.kind is kind)
-
-    @property
-    def creates_photons(self):
-        """True if any degenerate or sum channel is active."""
-        return any(r.kind is not ResonanceKind.DIFFERENCE for r in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def _channels(w, Omega, tol):
-    """Matching masks (deg, pair, lo, hi) for Omega = 2 w_k, Omega = w_k + w_j,
-    w_j = w_k - Omega and w_j = w_k + Omega, each to within tol * w_1."""
-    cut = tol * w[0]
-    deg = np.abs(Omega - 2.0 * w) < cut
-    pair = np.abs(Omega - (w[:, None] + w[None, :])) < cut
-    lo = np.abs(w[None, :] - (w[:, None] - Omega)) < cut
-    hi = np.abs(w[None, :] - (w[:, None] + Omega)) < cut
-    return deg, pair, lo, hi
-
-
-def classify_resonances(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
-    """Test every mode and mode pair against the three matching conditions.
-
-    Matching is |Omega - target| < tol * w_1; the spectra handled here are
-    rational multiples of w_1, so tol only guards float rounding.
+    A channel is active where its matching condition holds to within
+    DEFAULT_TOL * w_1. The spectra handled here are rational multiples of
+    w_1, so the tolerance only guards float rounding.
     """
-    if Omega <= 0:
-        raise ValueError("Omega must be positive")
-    deg, pair, _, hi = _channels(basis.omega, Omega, tol)
-    entries = [Resonance(ResonanceKind.DEGENERATE, (int(k) + 1,), Omega)
-               for k in np.flatnonzero(deg)]
-    entries += [Resonance(kind, (int(k) + 1, int(j) + 1), Omega)
-                for kind, mask in ((ResonanceKind.SUM, pair), (ResonanceKind.DIFFERENCE, hi))
-                for k, j in np.argwhere(np.triu(mask, 1))]
-    return ResonanceReport(Omega=float(Omega), tol=float(tol), entries=tuple(entries))
-
-
-def slow_generators(basis: ModeBasis, Omega, tol=DEFAULT_TOL):
-    """Constant generators (Gc, Gs) of the slow flow; see module docstring."""
     w = basis.omega
     mhat = basis.M * basis.spec.length
     K = (0.5 * Omega) * mhat / np.sqrt(np.outer(w, w))
-    deg, pair, lo, hi = _channels(w, Omega, tol)
+    cut = DEFAULT_TOL * w[0]
+    deg = np.abs(Omega - 2.0 * w) < cut  # Omega = 2 w_k
+    pair = np.abs(Omega - (w[:, None] + w[None, :])) < cut  # Omega = w_k + w_j
+    lo = np.abs(w[None, :] - (w[:, None] - Omega)) < cut  # w_j = w_k - Omega
+    hi = np.abs(w[None, :] - (w[:, None] + Omega)) < cut  # w_j = w_k + Omega
     Gc = np.diag(np.where(deg, -0.5 * w, 0.0))
     Gc += np.where(pair, K * (0.5 * Omega - w[None, :]), 0.0)
     Gs = np.where(lo, K * (w[None, :] + 0.5 * Omega), 0.0) \
@@ -139,10 +82,6 @@ class SlowAmplitudes:
     eps: float | None = None
 
     @property
-    def alpha_final(self):
-        return self.alpha[-1]
-
-    @property
     def beta_final(self):
         return self.beta[-1]
 
@@ -158,8 +97,7 @@ class SlowAmplitudes:
         return (a2 - b2).sum(axis=1) - 1.0
 
 
-def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
-                tol=DEFAULT_TOL):
+def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101):
     """Solve the slow system on linspace(0, tau_max, n_samples) from alpha=I, beta=0.
 
     The generator is constant, so the row block [alpha beta] at tau is
@@ -172,7 +110,7 @@ def evolve_slow(basis: ModeBasis, Omega, eps=None, tau_max=1.0, n_samples=101,
         raise ValueError("tau_max must be positive")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 to span [0, tau_max], got {n_samples}")
-    Gc, Gs = slow_generators(basis, Omega, tol=tol)
+    Gc, Gs = slow_generators(basis, Omega)
     N = basis.omega.size
 
     taus = np.linspace(0.0, tau_max, n_samples)

@@ -82,14 +82,14 @@ quintic_trajectory = _QUINTIC.delta
 quintic_trajectory_dot = _QUINTIC.delta_dot
 
 
-def random_admissible_trajectory(rng, amplitude=1.0, order=2):
+def random_admissible_trajectory(rng, order=2):
     """Random shape meeting all endpoint constraints of the friction theory.
 
     A PolynomialRamp whose bump q has order + 1 coefficients drawn uniformly
-    from 64 * [-amplitude, amplitude]. Returns its (delta, delta_dot) pair
-    of callables of (t, tau), whose velocity transform is the closed form.
+    from [-64, 64]. Returns its (delta, delta_dot) pair of callables of
+    (t, tau), whose velocity transform is the closed form.
     """
-    ramp = PolynomialRamp(rng.uniform(-amplitude, amplitude, size=order + 1) * 64.0)
+    ramp = PolynomialRamp(rng.uniform(-1.0, 1.0, size=order + 1) * 64.0)
     return ramp.delta, ramp.delta_dot
 
 

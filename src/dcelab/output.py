@@ -18,7 +18,6 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy
@@ -27,26 +26,17 @@ from . import __version__
 
 __all__ = [
     "FLOAT_FMT",
-    "format_value",
     "write_table",
-    "read_table",
     "RunManifest",
 ]
 
 FLOAT_FMT = ".17g"
 
 
-def format_value(v):
-    """One CSV cell: floats via FLOAT_FMT, strings verbatim."""
-    if isinstance(v, str):
-        return v
-    return format(float(v), FLOAT_FMT)
-
-
 def _csv_lines(rows):
-    """The CSV line of each row, as format_value writes it, by one '%': '%s'
-    for the string cells and '%.17g', which formats float(v), for the rest.
-    Each sequence of cell types builds its format string once."""
+    """The CSV line of each row, by one '%': '%s' for the string cells, written
+    verbatim, and '%.17g', which formats float(v), for the rest. Each sequence
+    of cell types builds its format string once."""
     formats = {}
     for row in rows:
         types = tuple(map(type, row))
@@ -55,13 +45,6 @@ def _csv_lines(rows):
             fmt = formats[types] = ",".join("%s" if issubclass(t, str) else "%" + FLOAT_FMT
                                             for t in types)
         yield fmt % tuple(row)
-
-
-def _parse_cell(cell):
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def write_table(path, header, rows, fmt="csv"):
@@ -89,17 +72,6 @@ def write_table(path, header, rows, fmt="csv"):
     else:
         raise ValueError(f"unknown output format '{fmt}'")
     return out
-
-
-def read_table(path):
-    """(header, rows) back from a CSV or JSON table written by write_table."""
-    path = Path(path)
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        return list(payload["columns"]), [list(r) for r in payload["rows"]]
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return header, [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
 
 
 @dataclass

@@ -34,8 +34,6 @@ __all__ = [
     "SpectrumRoot",
     "solve_spectrum",
     "effective_length",
-    "resonance_frequencies",
-    "equidistant_spectrum",
 ]
 
 
@@ -46,8 +44,8 @@ class SquidCavityParams:
     chi0 is the junction-to-cavity capacitance ratio 2 C_J / (C_0 d); b0L,
     b0R are the scaled Josephson energies V_0 cos(f_0) of the two ends (an
     ideal mirror is b0 -> infinity, an open end b0 = 0; negative values are
-    legal since cos f_0 can change sign). d is the cavity length used to
-    convert kd to physical wavenumbers.
+    legal since cos f_0 can change sign). d is the cavity length; the
+    spectrum is solved and reported in kd, so no result depends on it.
     """
 
     chi0: float
@@ -68,9 +66,6 @@ class SpectrumRoot:
 
     kd: float
     phi: float
-
-    def wavenumber(self, params: SquidCavityParams):
-        return self.kd / params.d
 
     def residuals(self, params: SquidCavityParams):
         """Scale-invariant residuals of the two defining equations.
@@ -190,39 +185,3 @@ def effective_length(L0, E_lcav, E_J, f, cos_threshold=1e-3):
             "near the flux frustration point")
     L = L0 * (1.0 + E_lcav / (2.0 * E_J * c))
     return float(L) if L.ndim == 0 else L
-
-
-def resonance_frequencies(roots, kinds=None, d=1.0, tol=1e-9):
-    """Parametric drive frequencies supported by a spectrum.
-
-    Enumerates 2 k_n (degenerate), k_n + k_m (pair creation) and |k_n - k_m|
-    (scattering) for the supplied roots, deduplicated within tol and sorted.
-    kinds selects a subset of those three names. With d = 1 the values are
-    in kd units (Omega * d).
-    """
-    k = np.array([r.kd for r in roots], dtype=float) / d
-    i, j = np.triu_indices(k.size, 1)
-    lines = {"degenerate": 2.0 * k, "sum": k[i] + k[j], "difference": np.abs(k[j] - k[i])}
-    kinds = lines if kinds is None else kinds
-    unknown = sorted(set(kinds) - set(lines))
-    if unknown:
-        raise ValueError(f"unknown resonance kinds {unknown}; choose from {list(lines)}")
-    vals = np.sort(np.concatenate([np.empty(0)] + [lines[kind] for kind in kinds]))
-    keep = np.ones(vals.size, dtype=bool)
-    keep[1:] = np.diff(vals) > tol * np.max(vals, initial=1.0)
-    return vals[keep]
-
-
-def equidistant_spectrum(roots, tol=1e-9):
-    """True when consecutive level spacings agree to relative tol.
-
-    Equidistant spectra (the Dirichlet limit) let resonantly created photons
-    cascade up the mode ladder; a generic SQUID spectrum detunes the ladder
-    and traps the growth in few modes.
-    """
-    k = np.array([r.kd for r in roots], dtype=float)
-    if k.size < 3:
-        return True
-    gaps = np.diff(k)
-    mean = gaps.mean()
-    return bool(np.all(np.abs(gaps - mean) <= tol * abs(mean)))

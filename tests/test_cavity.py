@@ -14,12 +14,9 @@ from dcelab.cavity import (
     CavitySpec,
     ModeBasis,
     coupling_M,
-    coupling_S,
     dimensionless_coupling,
     dirichlet_spectrum,
     domega_dR,
-    mode_function,
-    mode_function_dR,
     static_casimir_energy,
     thermal_image_sum,
     thermal_occupation,
@@ -39,28 +36,6 @@ class TestSpectrum:
             CavitySpec(length=-1.0, n_modes=3)
         with pytest.raises(ValueError):
             CavitySpec(length=1.0, n_modes=0)
-
-
-class TestModeFunctions:
-    def test_dirichlet_boundaries(self):
-        R = 1.7
-        x = np.array([0.0, R])
-        for j in (1, 2, 5):
-            npt.assert_allclose(mode_function(j, x, R), 0.0, atol=1e-12)
-
-    def test_orthonormality(self):
-        R = 2.3
-        x = np.linspace(0.0, R, 20001)
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                g = np.trapezoid(mode_function(j, x, R) * mode_function(k, x, R), x)
-                npt.assert_allclose(g, 1.0 if j == k else 0.0, atol=1e-8)
-
-    def test_dR_matches_finite_difference(self):
-        R, h = 1.3, 1e-6
-        x = np.linspace(0.05, 0.9 * R, 7)
-        fd = (mode_function(3, x, R + h) - mode_function(3, x, R - h)) / (2 * h)
-        npt.assert_allclose(mode_function_dR(3, x, R), fd, rtol=1e-7)
 
 
 class TestCouplingMatrices:
@@ -87,13 +62,6 @@ class TestCouplingMatrices:
 
     def test_dimensionless_coupling(self):
         npt.assert_allclose(dimensionless_coupling(6), coupling_M(6, 1.0), rtol=0, atol=0)
-
-    def test_S_is_gram_matrix(self):
-        M = coupling_M(9, 1.1)
-        S = coupling_S(9, 1.1)
-        npt.assert_allclose(S, M.T @ M, rtol=1e-14)
-        npt.assert_allclose(S, S.T, atol=1e-14)
-        assert np.linalg.eigvalsh(S).min() > -1e-12
 
     def test_domega_dR(self):
         w = dirichlet_spectrum(4, 2.0)

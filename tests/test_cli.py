@@ -1,11 +1,9 @@
-import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,7 @@ from dcelab.cli import main
 from dcelab.config import ConfigError, build_gate, build_otto, build_squid, load_config
 from dcelab.gate import OpenRates, default_cqed_params
 from dcelab.otto import CycleSpec
-from dcelab.output import format_value, read_table, write_table
+from dcelab.output import FLOAT_FMT, write_table
 
 
 def write_cfg(tmp_path, doc, name="scenario.yaml"):
@@ -34,6 +32,23 @@ def run(tmp_path, subcommand, doc, *extra):
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     return main([subcommand, "--config", str(cfg), "--out", str(out), *extra]), out
+
+
+def _parse_cell(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def read_table(path):
+    """(header, rows) back from a CSV or JSON table written by write_table."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        return list(payload["columns"]), [list(r) for r in payload["rows"]]
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return header, [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
 
 
 # the scenario loader is built on libyaml where pyyaml has it, else on pure Python;
@@ -281,9 +296,11 @@ class TestTableFormats:
                 [np.int64(-7), np.float32(0.1), "x-y"], [float("nan"), np.inf, -np.inf],
                 [5e-324, -5e-324, np.float64(np.nan)], [True, 2**60, np.str_("s")]]
         first = write_table(tmp_path / "a", ["x", "y", "z"], rows, "csv")
-        # each row is formatted by one '%'; the bytes are those of format_value per cell
+        # each row is formatted by one '%'; the bytes are those of each cell formatted
+        # alone, floats by FLOAT_FMT and strings verbatim
         assert first.read_text() == "".join(
-            ",".join(format_value(v) for v in row) + "\n" for row in [["x", "y", "z"], *rows])
+            ",".join(v if isinstance(v, str) else format(float(v), FLOAT_FMT) for v in row) + "\n"
+            for row in [["x", "y", "z"], *rows])
         header, parsed = read_table(first)
         second = write_table(tmp_path / "b", header, parsed, "csv")
         assert first.read_bytes() == second.read_bytes()
@@ -308,16 +325,6 @@ class TestTableFormats:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             write_table(tmp_path / "bad", ["a"], [], "xml")
-
-    def test_reading_closes_every_file(self, tmp_path):
-        csv = write_table(tmp_path / "t", ["a"], [[1.0]], "csv")
-        js = write_table(tmp_path / "t", ["a"], [[1.0]], "json")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            read_table(csv)
-            read_table(js)
-            gc.collect()
-        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSpectrumRun:

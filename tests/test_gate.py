@@ -22,7 +22,6 @@ from dcelab.gate import (
     average_fidelity,
     chi_states,
     conditional_resonator,
-    controlled_squeeze,
     default_cqed_params,
     encoded_target,
     encoding_protocol,
@@ -31,10 +30,8 @@ from dcelab.gate import (
     joint_vacuum,
     lab_frame_branch,
     lowering_operator,
-    measure_qubit,
     open_average_fidelity,
     open_evolve,
-    parity_measurement,
     qubit_probabilities,
     rotation_operator,
     simulated_average_fidelity,
@@ -48,6 +45,7 @@ from dcelab.gate import (
     _chebyshev_series,
     _chebyshev_setup,
     _collapse_operators,
+    _controlled,
     _joint_hamiltonian,
     _qubit_blocks,
     _squeeze_generator,
@@ -351,36 +349,17 @@ class TestChiStates:
 
     def test_photon_loss_flips_parity(self):
         pair = chi_states(1.5, 0.3, 200)
-        assert parity_measurement(pair.chi_plus)[0] == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(np.abs(pair.chi_plus[0::2]) ** 2) == pytest.approx(1.0, abs=1e-9)
         lost = lowering_operator(200) @ pair.chi_plus
-        lost /= np.linalg.norm(lost)
-        p_even, p_odd = parity_measurement(lost)
-        assert p_odd == pytest.approx(1.0, abs=1e-12)
-        assert p_even == 0.0
-
-
-class TestParityMeasurement:
-    def test_vacuum_even(self):
-        vac = np.zeros(10)
-        vac[0] = 1.0
-        assert parity_measurement(vac) == (1.0, 0.0)
-
-    def test_density_matrix_input(self):
-        psi = squeeze_state(0.8, 0.0, 60)
-        rho = np.outer(psi, psi.conj())
-        p_even, p_odd = parity_measurement(rho)
-        assert p_even == pytest.approx(1.0, abs=1e-9)
-        assert p_even + p_odd == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="Fock vector"):
-            parity_measurement(np.zeros((2, 3)))
+        probs = np.abs(lost / np.linalg.norm(lost)) ** 2
+        assert probs[1::2].sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs[0::2].sum() == 0.0
 
 
 class TestControlledSqueeze:
     def test_branch_selection(self):
         psi = joint_vacuum(0.0, 1.0, 120)
-        out = controlled_squeeze(psi, 1.0, 0.4, 2.0)
+        out = _controlled(psi, squeeze_operator(1.0, 0.4, 120), 2.0)
         assert np.allclose(out[0], 0.0)
         diff = np.abs(out[1] - squeeze_state(1.0, 0.4, 120))
         assert np.max(diff[:61]) < 1e-10  # interior; ladder edge is expm-soft
@@ -390,21 +369,22 @@ class TestControlledSqueeze:
     def test_rotation_branch_number_conserving(self):
         psi = np.zeros((2, 41), dtype=complex)
         psi[0, :5] = np.sqrt([0.1, 0.2, 0.3, 0.25, 0.15])
-        out = controlled_squeeze(psi, 1.0, 0.0, 1.7)
+        out = _controlled(psi, squeeze_operator(1.0, 0.0, 40), 1.7)
         assert np.allclose(np.abs(out[0]) ** 2, np.abs(psi[0]) ** 2, atol=1e-14)
 
     def test_commutes_with_qubit_projection(self):
         psi = joint_vacuum(0.6, 0.8, 60)
         psi[0, 2] = 0.3
         psi /= np.linalg.norm(psi)
-        out = controlled_squeeze(psi, 0.7, 0.2, 0.9)
-        proj_then = controlled_squeeze(psi * np.array([[1.0], [0.0]]), 0.7, 0.2, 0.9)
+        S = squeeze_operator(0.7, 0.2, 60)
+        out = _controlled(psi, S, 0.9)
+        proj_then = _controlled(psi * np.array([[1.0], [0.0]]), S, 0.9)
         assert np.allclose(out[0], proj_then[0], atol=1e-14)
         assert np.allclose(proj_then[1], 0.0)
 
     def test_unitary(self):
         psi = joint_vacuum(0.6, 0.8, 120)
-        out = controlled_squeeze(psi, 1.3, 0.2, 0.9)
+        out = _controlled(psi, squeeze_operator(1.3, 0.2, 120), 0.9)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -495,23 +475,14 @@ class TestMeasurement:
         expect = 0.5 * (1.0 + 0.4 / np.sqrt(np.cosh(3.0)))
         assert p_plus == pytest.approx(expect, abs=1e-6)
 
-    def test_sampling_statistics(self):
-        psi = encoding_protocol(1.0, 0.0, default_cqed_params(n_max=120))
-        p_plus, _ = qubit_probabilities(psi)
-        rng = np.random.default_rng(42)
-        shots = 100_000
-        hits = sum(measure_qubit(psi, rng).outcome == +1 for _ in range(shots))
-        sigma = np.sqrt(p_plus * (1.0 - p_plus) / shots)
-        assert abs(hits / shots - p_plus) < 3.0 * sigma
-
-    def test_collapse_is_normalized_and_consistent(self):
+    @pytest.mark.parametrize("outcome", [+1, -1])
+    def test_collapse_is_normalized_and_consistent(self, outcome):
         psi = encoding_protocol(0.6, 0.8, default_cqed_params())
-        m = measure_qubit(psi, np.random.default_rng(3))
-        assert m.outcome in (+1, -1)
-        assert np.linalg.norm(m.resonator) == pytest.approx(1.0, abs=1e-12)
-        p_plus, p_minus = qubit_probabilities(psi)
-        assert m.probability == pytest.approx(
-            p_plus if m.outcome == +1 else p_minus, abs=1e-12)
+        resonator = conditional_resonator(psi, outcome)
+        assert np.linalg.norm(resonator) == pytest.approx(1.0, abs=1e-12)
+        p = qubit_probabilities(psi)[0 if outcome == +1 else 1]
+        branch = psi[0 if outcome == +1 else 1]
+        np.testing.assert_allclose(np.sqrt(p) * resonator, branch, rtol=0.0, atol=1e-14)
 
     def test_zero_probability_branch_rejected(self):
         with pytest.raises(ValueError, match="zero probability"):
@@ -621,7 +592,7 @@ class TestOpenEvolve:
         psi = hadamard_qubit(psi)
         rho = np.outer(psi.ravel(), psi.ravel().conj())
         out = open_evolve(rho, p, OpenRates(), p.t_gate)
-        closed = controlled_squeeze(psi, p.r_gate, p.theta, p.phi_gate).ravel()
+        closed = _controlled(psi, squeeze_operator(p.r_gate, p.theta, p.n_max), p.phi_gate).ravel()
         fidelity = np.real(np.vdot(closed, out @ closed))
         assert fidelity == pytest.approx(1.0, abs=1e-6)
 
@@ -794,7 +765,7 @@ class TestOpenEvolve:
         n = p.n_max + 1
         rates = OpenRates(tau_phi=100.0)
         out = open_evolve(np.outer(psi.ravel(), psi.ravel().conj()), p, rates, p.t_gate)
-        closed = controlled_squeeze(psi, p.r_gate, p.theta, p.phi_gate).ravel()
+        closed = _controlled(psi, squeeze_operator(p.r_gate, p.theta, p.n_max), p.phi_gate).ravel()
         expected = np.outer(closed, closed.conj())
         expected[:n, n:] *= np.exp(-p.t_gate / rates.tau_phi)
         expected[n:, :n] *= np.exp(-p.t_gate / rates.tau_phi)

@@ -25,7 +25,6 @@ from dcelab.cli import main
 from dcelab.moore import (
     bogoliubov_from_moore,
     energy_density,
-    moore_modes,
     solve_moore,
 )
 from dcelab.trajectories import (
@@ -123,11 +122,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_moore(harmonic_wall(np.pi, 0.01, 2.0, t_end=5.0, t_start=0.0), -1.0)
 
-    def test_mode_index_starts_at_one(self):
-        F = solve_moore(static_wall(1.0), 5.0)
-        with pytest.raises(ValueError):
-            moore_modes(F, 0, 0.5, 1.0)
-
     def test_negative_temperature_rejected(self):
         F = solve_moore(static_wall(1.0), 5.0)
         with pytest.raises(ValueError):
@@ -139,27 +133,6 @@ class TestValidation:
         basis = ModeBasis.build(CavitySpec(length=np.pi, n_modes=8))
         with pytest.raises(ValueError, match="static"):
             bogoliubov_from_moore(F, basis, 5.0)
-
-
-class TestModeFunctions:
-    def test_dirichlet_conditions_while_driven(self):
-        traj = harmonic_wall(np.pi, 0.05, 2.0, t_end=20.0)
-        F = solve_moore(traj, 20.0)
-        for t in (3.0, 7.7, 14.2):
-            R = float(traj.position(t))
-            for n in (1, 2, 5):
-                assert abs(moore_modes(F, n, 0.0, t)) < 1e-12
-                assert abs(moore_modes(F, n, R, t)) < 1e-12
-
-    def test_static_epoch_reduces_to_standing_waves(self):
-        R0 = 2.0
-        F = solve_moore(static_wall(R0), 10.0)
-        x = np.linspace(0.0, R0, 33)
-        t = 4.3
-        for n in (1, 3):
-            w = n * np.pi / R0
-            expect = np.sin(w * x) * np.exp(-1j * w * t) / np.sqrt(np.pi * n)
-            npt.assert_allclose(moore_modes(F, n, x, t), expect, atol=1e-12)
 
 
 class TestEnergyDensity:

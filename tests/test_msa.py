@@ -1,4 +1,4 @@
-"""Slow-time evolution checks: resonance bookkeeping, generator structure,
+"""Slow-time evolution checks: active channels, generator structure,
 agreement with an exact matrix-exponential solution, and cross-validation
 against the full coupled-mode integration."""
 
@@ -11,12 +11,7 @@ from scipy.special import ellipe, ellipk
 from dcelab.bogoliubov import extract_bogoliubov, integrate_modes
 from dcelab.cavity import CavitySpec, ModeBasis
 from dcelab.moore import bogoliubov_from_moore, solve_moore
-from dcelab.msa import (
-    ResonanceKind,
-    classify_resonances,
-    evolve_slow,
-    slow_generators,
-)
+from dcelab.msa import evolve_slow, slow_generators
 from dcelab.trajectories import harmonic_wall
 
 
@@ -33,45 +28,6 @@ def exact_slow_solution(basis, Omega, tau):
     return AB[:, :N], AB[:, N:]
 
 
-class TestClassification:
-    def test_degenerate_drive(self):
-        rep = classify_resonances(BASIS16, 2.0)
-        deg = rep.of_kind(ResonanceKind.DEGENERATE)
-        assert [r.modes for r in deg] == [(1,)]
-        assert not rep.of_kind(ResonanceKind.SUM)
-        assert rep.creates_photons
-
-    def test_sum_drive(self):
-        rep = classify_resonances(BASIS16, 3.0)
-        assert [r.modes for r in rep.of_kind(ResonanceKind.SUM)] == [(1, 2)]
-        diffs = [r.modes for r in rep.of_kind(ResonanceKind.DIFFERENCE)]
-        assert (1, 4) in diffs and (2, 5) in diffs
-
-    def test_detuned_drive_empty(self):
-        assert len(classify_resonances(BASIS16, 2.5)) == 0
-
-    def test_difference_only_drive(self):
-        rep = classify_resonances(BASIS16, 1.0)
-        assert not rep.creates_photons
-        assert (1, 2) in [r.modes for r in rep.of_kind(ResonanceKind.DIFFERENCE)]
-
-    @pytest.mark.parametrize("m", range(1, 65))
-    def test_entries_match_the_generator_patterns(self, m):
-        Omega = 0.5 * m * BASIS16.omega[0]
-        rep = classify_resonances(BASIS16, Omega)
-        Gc, Gs = slow_generators(BASIS16, Omega)
-        assert all(type(k) is int for r in rep.entries for k in r.modes)
-        assert [r.modes for r in rep.of_kind(ResonanceKind.DEGENERATE)] == \
-            [(k + 1,) for k in np.flatnonzero(np.diag(Gc))]
-        for kind, G in ((ResonanceKind.SUM, Gc), (ResonanceKind.DIFFERENCE, Gs)):
-            assert [r.modes for r in rep.of_kind(kind)] == \
-                [(k + 1, j + 1) for k, j in np.argwhere(np.triu(G, 1))]
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(ValueError):
-            classify_resonances(BASIS16, 0.0)
-
-
 class TestGenerators:
     @pytest.mark.parametrize("Omega", [1.0, 2.0, 3.0, 4.0])
     def test_symmetry_structure(self, Omega):
@@ -83,6 +39,49 @@ class TestGenerators:
         Gc, Gs = slow_generators(BASIS16, 2.5)
         assert np.all(Gc == 0.0) and np.all(Gs == 0.0)
 
+    def test_degenerate_drive(self):
+        # 2 w_1 drives mode 1 alone and pairs no two modes
+        Gc, _ = slow_generators(BASIS16, 2.0)
+        assert np.flatnonzero(np.diag(Gc)).tolist() == [0]
+        assert not np.triu(Gc, 1).any()
+
+    def test_sum_drive(self):
+        # 3 w_1 pairs modes (1, 2) and scatters (1, 4), (2, 5), ...
+        Gc, Gs = slow_generators(BASIS16, 3.0)
+        assert np.argwhere(np.triu(Gc, 1)).tolist() == [[0, 1]]
+        assert {(0, 3), (1, 4)} <= set(map(tuple, np.argwhere(np.triu(Gs, 1)).tolist()))
+
+    def test_difference_only_drive(self):
+        # w_1 only scatters and creates nothing
+        Gc, Gs = slow_generators(BASIS16, 1.0)
+        assert not Gc.any() and Gs[0, 1] != 0.0
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_entries_follow_the_matching_conditions(self, m):
+        # w_k = k here, so Omega = m/2 meets 2 w_k, w_k + w_j or |w_k - w_j| exactly
+        # when m = 4k, 2(k + j) or 2|k - j|; each active entry is the module
+        # docstring's closed form with mhat_kj = (-1)^(k+j) 2 j k / (j^2 - k^2)
+        Omega = 0.5 * m
+        Gc, Gs = slow_generators(BASIS16, Omega)
+        Gc_ref, Gs_ref = np.zeros((16, 16)), np.zeros((16, 16))
+        for k in range(1, 17):
+            if m == 4 * k:
+                Gc_ref[k - 1, k - 1] = -0.5 * k
+            for j in range(1, 17):
+                if j == k:
+                    continue
+                K = Omega * (-1) ** (k + j) * j * k / ((j * j - k * k) * np.sqrt(j * k))
+                if m == 2 * (k + j):
+                    Gc_ref[k - 1, j - 1] = K * (0.5 * Omega - j)
+                if m == 2 * (k - j):
+                    Gs_ref[k - 1, j - 1] = K * (j + 0.5 * Omega)
+                if m == 2 * (j - k):
+                    Gs_ref[k - 1, j - 1] = K * (j - 0.5 * Omega)
+        npt.assert_array_equal(Gc != 0.0, Gc_ref != 0.0)
+        npt.assert_array_equal(Gs != 0.0, Gs_ref != 0.0)
+        npt.assert_allclose(Gc, Gc_ref, rtol=1e-13, atol=0.0)
+        npt.assert_allclose(Gs, Gs_ref, rtol=1e-13, atol=0.0)
+
     def test_degenerate_diagonal_entry(self):
         Gc, _ = slow_generators(BASIS16, 2.0)
         npt.assert_allclose(Gc[0, 0], -0.5 * BASIS16.omega[0], rtol=1e-14)
@@ -92,12 +91,12 @@ class TestEvolveSlow:
     def test_matches_matrix_exponential(self):
         sl = evolve_slow(BASIS16, 2.0, tau_max=0.5)
         a_ex, b_ex = exact_slow_solution(BASIS16, 2.0, 0.5)
-        npt.assert_allclose(sl.alpha_final, a_ex, atol=1e-9)
+        npt.assert_allclose(sl.alpha[-1], a_ex, atol=1e-9)
         npt.assert_allclose(sl.beta_final, b_ex, atol=1e-9)
 
     def test_no_resonance_is_identity(self):
         sl = evolve_slow(BASIS16, 2.5, tau_max=2.0)
-        npt.assert_allclose(sl.alpha_final, np.eye(16), atol=1e-14)
+        npt.assert_allclose(sl.alpha[-1], np.eye(16), atol=1e-14)
         npt.assert_allclose(sl.beta_final, 0.0, atol=1e-14)
 
     def test_symplectic_identity_preserved(self):
@@ -108,15 +107,15 @@ class TestEvolveSlow:
         # doubling the initial data doubles the solution (linear flow)
         sl = evolve_slow(BASIS16, 2.0, tau_max=0.3)
         a_ex, b_ex = exact_slow_solution(BASIS16, 2.0, 0.3)
-        big = np.vstack([np.hstack([sl.alpha_final, sl.beta_final])])
+        big = np.vstack([np.hstack([sl.alpha[-1], sl.beta_final])])
         npt.assert_allclose(2.0 * np.hstack([a_ex, b_ex]), 2.0 * big[0:16], atol=1e-9)
 
     def test_difference_drive_scatters_without_creation(self):
         sl = evolve_slow(BASIS16, 1.0, tau_max=0.5)
         npt.assert_allclose(sl.beta_final, 0.0, atol=1e-14)
         # photons redistribute: off-diagonal alpha appears, row norm conserved
-        assert abs(sl.alpha_final[0, 1]) > 0.1
-        npt.assert_allclose((np.abs(sl.alpha_final) ** 2).sum(axis=1), 1.0, atol=1e-10)
+        assert abs(sl.alpha[-1, 0, 1]) > 0.1
+        npt.assert_allclose((np.abs(sl.alpha[-1]) ** 2).sum(axis=1), 1.0, atol=1e-10)
 
     def test_growth_rate_fit_single_mode(self):
         # fit d ln|beta_11|/dtau numerically for the one-mode system; the
@@ -138,13 +137,18 @@ class TestEvolveSlow:
         with pytest.raises(ValueError, match="n_samples"):
             evolve_slow(BASIS16, 2.0, tau_max=0.5, n_samples=n_samples)
 
+    @pytest.mark.parametrize("tau_max", [0.0, -0.5])
+    def test_nonpositive_span_rejected(self, tau_max):
+        with pytest.raises(ValueError, match="tau_max must be positive"):
+            evolve_slow(BASIS16, 2.0, tau_max=tau_max)
+
     def test_sample_grid_is_exactly_the_requested_linspace(self):
         sl = evolve_slow(BASIS16, 2.0, tau_max=0.7, n_samples=1500)
         assert sl.alpha.shape == (1500, 16, 16) and sl.beta.shape == (1500, 16, 16)
         npt.assert_array_equal(sl.tau, np.linspace(0.0, 0.7, 1500))
         assert sl.tau[-1] == 0.7
         a_ex, b_ex = exact_slow_solution(BASIS16, 2.0, 0.7)
-        npt.assert_allclose(sl.alpha_final, a_ex, atol=1e-12)
+        npt.assert_allclose(sl.alpha[-1], a_ex, atol=1e-12)
         npt.assert_allclose(sl.beta_final, b_ex, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import ast
+import functools
 import importlib.util
 import json
 import shutil
@@ -8,6 +10,18 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = SCRIPTS.parent
+
+# The public names of src/dcelab that no shipped run, acceptance test, perfbench/ file
+# or scripts/ file reaches, each kept for its reason.
+KEPT = {
+    "gate.open_evolve": "the tests' dense-superoperator and Gaussian-moment references "
+                        "enter the open segment through it",
+    "otto.friction_kernel": "the raw friction integrand, for the Otto stroke's crosscheck",
+    "squid.effective_length": "the paper's mapping of a flux-driven SQUID onto a moving mirror",
+    "trajectories.reversed_trajectory": "the backward leg of the round-trip tests of "
+                                        "three test files, built on the private _windowed",
+}
 
 
 def load_script(name):
@@ -120,3 +134,43 @@ def test_time_configs_compares_the_tables_of_both_trees(tmp_path, capsys):
                            for c in changes.values())
     for column, c in changes.items():
         assert f"{column} max abs {c['max_abs']:.2g} rel {c['max_rel']:.2g}" in stdout
+
+
+def _loads(tree):
+    """{name: nodes} of every bare name, attribute and imported name that tree loads."""
+    loads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.setdefault(node.id, []).append(node)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            loads.setdefault(getattr(node, "attr", None) or node.name, []).append(node)
+    return loads
+
+
+@functools.cache
+def _reach():
+    """(trees, loads) of src/, tests/test_acceptance.py, perfbench/ and scripts/."""
+    reach = [*ROOT.glob("src/**/*.py"), ROOT / "tests" / "test_acceptance.py",
+             *ROOT.glob("perfbench/*.py"), *SCRIPTS.glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in reach}
+    return trees, {path: _loads(tree) for path, tree in trees.items()}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in (ROOT / "src" / "dcelab").glob("*.py") if path.stem != "__init__"))
+def test_every_public_name_is_reached_or_kept_for_a_reason(module):
+    # a reference is an AST load outside the name's own definition, not a string
+    trees, loads = _reach()
+    path = ROOT / "src" / "dcelab" / f"{module}.py"
+    body = trees[path].body
+    public = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    defs = {node.name: node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unreached = set()
+    for name in (public[0] if public else []):
+        own = {id(node) for node in ast.walk(defs[name])} if name in defs else set()
+        if not any(id(node) not in own or where != path
+                   for where, names in loads.items() for node in names.get(name, [])):
+            unreached.add(f"{module}.{name}")
+    assert unreached == {name for name in KEPT if name.startswith(f"{module}.")}

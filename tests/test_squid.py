@@ -4,13 +4,10 @@ from scipy.optimize import brentq
 
 from dcelab.squid import (
     SquidCavityParams,
-    SpectrumRoot,
     _phase,
     bisect,
     solve_spectrum,
     effective_length,
-    resonance_frequencies,
-    equidistant_spectrum,
 )
 
 # Frozen from an independent per-branch residual scan (pole-free form of the
@@ -28,6 +25,18 @@ GENERIC_KD = [
 CHI_DOMINANT = SquidCavityParams(chi0=2.0, b0L=1.0, b0R=1.0)
 CHI_DOMINANT_LOW = [0.63028633432377, 1.17562026142736]
 
+
+# Equal level spacings (the open-end and ideal-mirror limits) let resonantly created
+# photons cascade up the mode ladder; a finite Josephson energy or junction
+# capacitance detunes the ladder and keeps the growth in few modes.
+LADDERS = {
+    "open": (SquidCavityParams(chi0=0.0, b0L=0.0, b0R=0.0), True),
+    "dirichlet": (SquidCavityParams(chi0=0.0, b0L=1e6, b0R=1e6), True),
+    "generic": (GENERIC, False),
+    "chi_dominant": (CHI_DOMINANT, False),
+    "soft": (SquidCavityParams(chi0=0.03, b0L=10.0, b0R=10.0), False),
+    "symmetric_b0": (SquidCavityParams(chi0=0.0, b0L=5.0, b0R=5.0), False),
+}
 
 class TestParams:
     def test_negative_chi0_rejected(self):
@@ -102,15 +111,18 @@ class TestSpectrum:
         k1 = np.array([r.kd for r in solve_spectrum(p1, 6)])
         assert np.max(np.abs(k1 - k0)) < 0.5 * db
 
-    def test_wavenumber_uses_cavity_length(self):
-        p = SquidCavityParams(chi0=0.0, b0L=0.0, b0R=0.0, d=2.5)
-        r = solve_spectrum(p, 1)[0]
-        assert r.wavenumber(p) == pytest.approx(np.pi / 2.5, rel=1e-12)
-
     def test_nmax_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             solve_spectrum(GENERIC, 0)
 
+
+class TestLadder:
+    @pytest.mark.parametrize("name", LADDERS)
+    def test_spacing_is_uniform_only_in_the_ideal_limits(self, name):
+        params, uniform = LADDERS[name]
+        gaps = np.diff([r.kd for r in solve_spectrum(params, 8)])
+        spread = np.max(np.abs(gaps - gaps.mean())) / gaps.mean()
+        assert spread <= 1e-9 if uniform else spread > 1e-2
 
 def brentq_spectrum(params, n_max):
     """The n_max lowest roots from solve_spectrum's scan, each polished by brentq."""
@@ -211,55 +223,3 @@ class TestEffectiveLength:
     def test_nonpositive_ej_raises(self):
         with pytest.raises(ValueError, match="E_J"):
             effective_length(1.0, 0.1, 0.0, 0.0)
-
-
-class TestResonances:
-    def test_dirichlet_pair(self):
-        roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(2 * np.pi, 0.0)]
-        freqs = resonance_frequencies(roots)
-        assert np.allclose(freqs, [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi])
-
-    def test_single_root(self):
-        freqs = resonance_frequencies([SpectrumRoot(np.pi, 0.0)])
-        assert np.allclose(freqs, [2 * np.pi])
-
-    def test_kind_filter(self):
-        roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(2 * np.pi, 0.0)]
-        deg = resonance_frequencies(roots, kinds=("degenerate",))
-        assert np.allclose(deg, [2 * np.pi, 4 * np.pi])
-        dif = resonance_frequencies(roots, kinds=("difference",))
-        assert np.allclose(dif, [np.pi])
-
-    def test_no_line_of_the_requested_kind(self):
-        # one root has no pair, so it has no sum or difference line
-        freqs = resonance_frequencies([SpectrumRoot(np.pi, 0.0)], kinds=("sum",))
-        assert freqs.shape == (0,)
-        assert resonance_frequencies([]).shape == (0,)
-
-    def test_unknown_kind_rejected(self):
-        roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(2 * np.pi, 0.0)]
-        with pytest.raises(ValueError, match="unknown resonance kinds"):
-            resonance_frequencies(roots, kinds=("degenerate", "sums"))
-
-    def test_coincident_lines_deduplicated(self):
-        # roots {pi, 3pi}: 2k = {2pi, 6pi}, sum = 4pi, diff = 2pi (coincides)
-        roots = [SpectrumRoot(np.pi, 0.0), SpectrumRoot(3 * np.pi, 0.0)]
-        freqs = resonance_frequencies(roots)
-        assert np.allclose(freqs, [2 * np.pi, 4 * np.pi, 6 * np.pi])
-
-    def test_physical_units(self):
-        roots = [SpectrumRoot(np.pi, 0.0)]
-        freqs = resonance_frequencies(roots, d=2.0)
-        assert np.allclose(freqs, [np.pi])
-
-
-class TestEquidistance:
-    def test_dirichlet_limit_is_equidistant(self):
-        p = SquidCavityParams(chi0=0.0, b0L=1e6, b0R=1e6)
-        assert equidistant_spectrum(solve_spectrum(p, 8))
-
-    def test_generic_spectrum_is_not(self):
-        assert not equidistant_spectrum(solve_spectrum(GENERIC, 8))
-
-    def test_chi0_detunes_the_ladder(self):
-        assert not equidistant_spectrum(solve_spectrum(CHI_DOMINANT, 8))

@@ -79,6 +79,19 @@ class TestHarmonicWall:
         with pytest.raises(ValueError):
             harmonic_wall(10.0, 0.5, 1.0, t_end=10.0)  # eps*Om*R0 = 5 > 1
 
+    @pytest.mark.parametrize("R0, eps, Omega, match", [
+        (0.0, 0.01, 2.0, "R0 must be positive"),
+        (1.0, 0.01, 0.0, "Omega must be positive"),
+        (1.0, -1.0, 0.5, r"\|eps\| must be < 1"),
+    ])
+    def test_invalid_parameters_rejected(self, R0, eps, Omega, match):
+        with pytest.raises(ValueError, match=match):
+            harmonic_wall(R0, eps, Omega, t_end=5.0)
+
+    def test_window_must_not_end_before_it_starts(self):
+        with pytest.raises(ValueError, match="t_end must be >= t_start"):
+            harmonic_wall(1.0, 0.01, 2.0, t_end=1.0, t_start=2.0)
+
 
 class TestQuinticWall:
     def test_ramp_endpoints(self):
@@ -104,6 +117,15 @@ class TestQuinticWall:
             npt.assert_allclose(w.acceleration(t), central_diff(w.velocity, t),
                                 rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("L0, eps, tau, match", [
+        (-1.0, 0.1, 2.0, "L0 must be positive"),
+        (1.0, 0.1, 0.0, "tau must be positive"),
+        (1.0, 1.0, 2.0, r"\|eps\| must be < 1"),
+    ])
+    def test_invalid_parameters_rejected(self, L0, eps, tau, match):
+        with pytest.raises(ValueError, match=match):
+            quintic_wall(L0, eps, tau)
+
 
 class TestTabulatedWall:
     def test_reproduces_smooth_samples(self):
@@ -128,6 +150,18 @@ class TestTabulatedWall:
         # k = 0 would be a wall that jumps while reporting zero velocity
         with pytest.raises(ValueError, match="spline degree k must be an integer >= 1"):
             tabulated_wall(np.linspace(0.0, 5.0, 11), np.full(11, 1.0), k=k)
+
+    @pytest.mark.parametrize("t, R, match", [
+        (np.linspace(0.0, 5.0, 11), np.full(10, 1.0), "matching 1-D arrays"),
+        (np.linspace(0.0, 5.0, 5), np.full(5, 1.0), "at least k\\+1 samples"),
+        (np.zeros((2, 11)), np.ones((2, 11)), "matching 1-D arrays"),
+        (np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0]), np.full(6, 1.0), "strictly increasing"),
+        (np.linspace(0.0, 5.0, 11), np.r_[np.full(10, 1.0), 0.0], "positions must be positive"),
+    ], ids=["unequal_lengths", "too_few_samples", "two_dimensional", "repeated_time",
+            "wall_at_zero"])
+    def test_malformed_tables_rejected(self, t, R, match):
+        with pytest.raises(ValueError, match=match):
+            tabulated_wall(t, R)
 
 
 def _uniform_times():
