@@ -170,6 +170,8 @@ SCHEMA = {
                 "chi0": _NONNEG_NUM,
                 "b0L": {"type": "number"},
                 "b0R": {"type": "number"},
+                # accepted for older scenario files and ignored: the
+                # spectrum is solved in kd, so the cavity length is no input
                 "d": _POS_NUM,
                 "n_max": _POS_INT,
             },
@@ -470,7 +472,7 @@ def build_trajectory(block, length):
 def build_squid(block):
     from .squid import SquidCavityParams
     params = SquidCavityParams(chi0=float(block["chi0"]), b0L=float(block["b0L"]),
-                               b0R=float(block["b0R"]), **_given(block, d=float))
+                               b0R=float(block["b0R"]))
     return params, int(block["n_max"])
 
 

@@ -8,11 +8,12 @@ cross-check of the coupled-mode integration: no mode truncation enters until
 the final overlap integrals.
 
 F is evaluated backwards along characteristics: for z beyond the static
-region, the unique bounce time t with t + R(t) = z (unique because |Rdot| < 1)
-maps z to the two-units-lower argument t - R(t). The recursion terminates
-because each step decreases z by 2 R(t) >= 2 min(R) > 0. The backstep map
-b(z) = t(z) - R(t(z)) has closed-form derivatives in the wall's velocity,
-acceleration and jerk,
+region, the unique bounce time t with t + R(t) = z (unique because every
+WallTrajectory is subluminal, |Rdot| < 1) maps z to the two-units-lower
+argument t - R(t). The recursion terminates because each step decreases z
+by 2 R(t) >= 2 min(R) > 0. The backstep map b(z) = t(z) - R(t(z)) has
+closed-form derivatives in the wall's velocity, acceleration and jerk, all
+of which every WallTrajectory carries,
 
     b' = (1 - Rdot)/(1 + Rdot),    b'' = -2 Rddot/(1 + Rdot)^3,
     b''' = -2 Rdddot/(1 + Rdot)^4 + 6 Rddot^2/(1 + Rdot)^5,
@@ -52,8 +53,6 @@ BOUNCE_MAX_ITER = 80  # Newton steps before the bisection fallback
 DEFAULT_N_QUAD = 4096  # Simpson intervals of bogoliubov_from_moore's slice
 
 _NOT_INCREASING = "Moore function is not strictly increasing"
-_NO_JERK = ("the exact F''' needs the wall's jerk (third derivative); "
-            "build the wall with a dcelab.trajectories factory")
 _CHUNK_ENTRIES = 2**14  # complex entries of one (nodes, N) overlap temporary: 256 KiB
 
 
@@ -114,8 +113,6 @@ class MooreFunction:
         """Walk each z down to the static region; returns F, F', F'', F''',
         with F checked finite and F' finite and positive at every z
         (RuntimeError)."""
-        if self.traj.jerk is None:
-            raise ValueError(_NO_JERK)
         cur = np.array(z, dtype=float, ndmin=1)
         if np.any(cur > self.z_max * (1 + 1e-12) + 1e-9):
             raise ValueError(
@@ -172,19 +169,15 @@ class MooreFunction:
 def solve_moore(traj: WallTrajectory, t_max):
     """F over the window [t_start - R0, t_max + max R].
 
-    Raises ValueError if the trajectory is superluminal (the bounce map would
-    fold), if t_max precedes its start or if it has no jerk. Nothing is
-    descended here: F is descended where a caller evaluates it, with the
+    Raises ValueError if t_max precedes the trajectory's start; the wall is
+    subluminal and carries its jerk by WallTrajectory's own contract. Nothing
+    is descended here: F is descended where a caller evaluates it, with the
     RuntimeError of the module docstring if F does not increase strictly
     there.
     """
     R0 = float(traj.position(traj.t_start))
-    if traj.max_speed() >= 1.0:
-        raise ValueError("trajectory reaches |Rdot| >= 1; conformal map invalid")
     if t_max < traj.t_start:
         raise ValueError("t_max precedes the trajectory start")
-    if traj.jerk is None:
-        raise ValueError(_NO_JERK)
 
     ts = np.linspace(traj.t_start, max(t_max, traj.t_end), 2049)
     R_all = np.asarray(traj.position(ts))

@@ -44,20 +44,17 @@ class SquidCavityParams:
     chi0 is the junction-to-cavity capacitance ratio 2 C_J / (C_0 d); b0L,
     b0R are the scaled Josephson energies V_0 cos(f_0) of the two ends (an
     ideal mirror is b0 -> infinity, an open end b0 = 0; negative values are
-    legal since cos f_0 can change sign). d is the cavity length; the
-    spectrum is solved and reported in kd, so no result depends on it.
+    legal since cos f_0 can change sign). The spectrum is solved and
+    reported in kd, with d the cavity length, so d is no parameter.
     """
 
     chi0: float
     b0L: float
     b0R: float
-    d: float = 1.0
 
     def __post_init__(self):
         if self.chi0 < 0.0:
             raise ValueError("chi0 must be >= 0")
-        if self.d <= 0.0:
-            raise ValueError("cavity length d must be > 0")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Trajectories are static outside [t_start, t_end]: every factory states only
 its law on that window, and one constructor clamps the position and zeroes
 every derivative outside it, so solvers can treat any time outside the
-window as a wall at rest. Velocities must stay subluminal (|Rdot| < 1) for
-the conformal solver to be well posed; the factories enforce it at construction.
+window as a wall at rest. WallTrajectory owns the wall contract: every wall
+carries all four laws, the jerk included, and one whose speed reaches
+|Rdot| >= 1 is a ValueError at construction, so the conformal solver, which
+needs both, is well posed for every wall there is.
 """
 
 from __future__ import annotations
@@ -31,27 +33,32 @@ __all__ = [
 class WallTrajectory:
     """Wall position and its first three derivatives as vectorized callables.
 
+    jerk (the third derivative) gives the conformal solver its exact F'''.
     period, when set, declares that the law repeats with that period on
     [t_start, t_end]; the coupled-mode solver then propagates whole periods
-    with one monodromy matrix. jerk (the third derivative) gives the conformal
-    solver its exact F''', so it refuses a wall without one. Every factory
-    supplies it, except tabulated_wall for splines of degree k < 3.
+    with one monodromy matrix. Construction raises ValueError for a window
+    that ends before it starts, a period that is not positive, and a speed
+    |Rdot| >= 1 at any of max_speed's samples (a superluminal wall).
     """
 
     position: Callable
     velocity: Callable
     acceleration: Callable
+    jerk: Callable
     t_start: float
     t_end: float
     label: str = "custom"
     period: float | None = None
-    jerk: Callable | None = None
 
     def __post_init__(self):
         if not self.t_end >= self.t_start:
             raise ValueError("t_end must be >= t_start")
         if self.period is not None and not self.period > 0:
             raise ValueError("period must be positive")
+        v = self.max_speed()
+        if v >= 1.0:
+            raise ValueError(
+                f"{self.label} wall: speed reaches |Rdot| = {v:.3g} >= 1 (superluminal)")
 
     def max_speed(self):
         t = np.linspace(self.t_start, self.t_end, 4096)
@@ -61,29 +68,28 @@ class WallTrajectory:
 def _windowed(pos, vel, acc, jerk, t_start, t_end, label, period=None):
     """WallTrajectory that follows the law (pos, vel, acc, jerk) on [t_start, t_end].
 
-    Outside the window the wall rests: the position is clamped to the
-    window and every derivative is zero. Both edges belong to the window
-    and report the moving side, so an ODE integrating up to an edge sees
-    the moving law. Superluminal laws are rejected.
+    Every law is evaluated at the time clamped into the window, so no law
+    sees a time outside it: outside, the position rests at its end value
+    and every derivative is zero. Both edges belong to the window and
+    report the moving side, so an ODE integrating up to an edge sees the
+    moving law.
     """
 
+    def clamped(t):  # two ufuncs cost less than one np.clip
+        return np.minimum(np.maximum(t, t_start), t_end)
+
     def position(t):
-        return pos(np.clip(np.asarray(t, dtype=float), t_start, t_end))
+        return pos(clamped(np.asarray(t, dtype=float)))
 
     def moving(f):
         def g(t):
             t = np.asarray(t, dtype=float)
-            return np.where((t >= t_start) & (t <= t_end), f(t), 0.0)
+            inside = clamped(t)
+            return np.where(inside == t, f(inside), 0.0)
         return g
 
-    traj = WallTrajectory(position, moving(vel), moving(acc), t_start, t_end,
-                          label=label, period=period,
-                          jerk=None if jerk is None else moving(jerk))
-    v = traj.max_speed()
-    if v >= 1.0:
-        raise ValueError(
-            f"{label} wall: speed reaches |Rdot| = {v:.3g} >= 1 (superluminal)")
-    return traj
+    return WallTrajectory(position, moving(vel), moving(acc), moving(jerk), t_start, t_end,
+                          label=label, period=period)
 
 
 def static_wall(R0):
@@ -205,12 +211,11 @@ def _bspline_values(knots, k, m, x):
 
 def _piecewise(breaks, coeffs):
     """Evaluator of the polynomial pieces sum_j coeffs[j, i] (t - breaks[i])^j on
-    [breaks[i], breaks[i + 1]), the last piece closed. t is clamped into the table,
-    so far-away times rest at the end values instead of overflowing."""
-    lo, hi, inner = float(breaks[0]), float(breaks[-1]), breaks[1:-1]
+    [breaks[i], breaks[i + 1]), the last piece closed, for t in [breaks[0], breaks[-1]],
+    where _windowed clamps every time."""
+    inner = breaks[1:-1]
 
     def f(t):
-        t = np.clip(np.asarray(t, dtype=float), lo, hi)
         i = np.searchsorted(inner, t, side="right")
         u = t - breaks[i]
         c = coeffs[:, i]
@@ -221,22 +226,20 @@ def _piecewise(breaks, coeffs):
     return f
 
 
-def tabulated_wall(t, R, k=5):
-    """Interpolating spline of degree k through samples (t, R), with its exact derivatives.
+def tabulated_wall(t, R):
+    """Quintic interpolating spline through samples (t, R), with its exact derivatives.
 
-    The spline is the not-a-knot one of scipy's make_interp_spline (de Boor,
-    A Practical Guide to Splines, XIII(12)): for odd k the interior knots are the
-    samples t[(k+1)//2 : -((k+1)//2)], for even k the midpoints between samples,
-    trimmed by k//2 at each end. Its B-spline coefficients are solved for once and
-    turned into one polynomial per knot interval. The table must start and end at rest
-    (the first/last samples are treated as the static values outside the window).
+    The spline is the not-a-knot one of scipy's make_interp_spline at k = 5 (de Boor,
+    A Practical Guide to Splines, XIII(12)): its interior knots are the samples
+    t[3:-3]. Its B-spline coefficients are solved for once and turned into one
+    polynomial per knot interval. The table must start and end at rest (the
+    first/last samples are treated as the static values outside the window).
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"spline degree k must be an integer >= 1, got {k!r}")
+    k = 5
     t = np.asarray(t, dtype=float)
     R = np.asarray(R, dtype=float)
     if t.ndim != 1 or t.size < k + 1 or R.shape != t.shape:
-        raise ValueError("need matching 1-D arrays with at least k+1 samples")
+        raise ValueError(f"need matching 1-D arrays with at least {k + 1} samples")
     for name, a in (("times t", t), ("positions R", R)):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"tabulated wall: {name} must be finite, got NaN or inf")
@@ -244,9 +247,7 @@ def tabulated_wall(t, R, k=5):
         raise ValueError("times must be strictly increasing")
     if np.any(R <= 0):
         raise ValueError("wall positions must be positive")
-    k2 = (k + 1) // 2
-    sites = t if k % 2 else (t[1:] + t[:-1]) / 2.0
-    breaks = np.concatenate([t[:1], sites[k2:sites.size - k2], t[-1:]])
+    breaks = np.concatenate([t[:1], t[3:-3], t[-1:]])
     knots = np.concatenate([np.full(k, t[0]), breaks, np.full(k, t[-1])])
     m = k + np.arange(breaks.size - 1)  # knots[m[i]] = breaks[i]
     # collocation: sample i lies on interval p[i], where B-splines p[i] .. p[i] + k are nonzero
@@ -267,13 +268,10 @@ def tabulated_wall(t, R, k=5):
                                  c[m[:, None] - d + np.arange(d + 1)]) / factorial(j)
 
     def law(order):  # d^order/dt^order u^j = j!/(j - order)! u^(j - order)
-        if order > k:
-            return _piecewise(breaks, np.zeros((1, m.size)))
         scale = [[float(perm(j, order))] for j in range(order, k + 1)]
         return _piecewise(breaks, coeffs[order:] * scale)
 
-    return _windowed(law(0), law(1), law(2), law(3) if k >= 3 else None,
-                     float(t[0]), float(t[-1]), "tabulated")
+    return _windowed(law(0), law(1), law(2), law(3), float(t[0]), float(t[-1]), "tabulated")
 
 
 def reversed_trajectory(traj, t_start=None):
@@ -289,6 +287,6 @@ def reversed_trajectory(traj, t_start=None):
     return _windowed(lambda t: traj.position(off - t),
                      lambda t: -traj.velocity(off - t),
                      lambda t: traj.acceleration(off - t),
-                     None if traj.jerk is None else lambda t: -traj.jerk(off - t),
+                     lambda t: -traj.jerk(off - t),
                      t_start, t_start + (traj.t_end - traj.t_start),
                      f"{traj.label}-reversed", period=traj.period)

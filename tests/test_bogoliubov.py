@@ -484,7 +484,7 @@ class TestMonodromy:
     def test_wrong_declared_period_rejected(self):
         Omega = 2.0
         good = harmonic_wall(np.pi, 0.01, Omega, t_end=20.0)
-        bad = WallTrajectory(good.position, good.velocity, good.acceleration,
+        bad = WallTrajectory(good.position, good.velocity, good.acceleration, good.jerk,
                              good.t_start, good.t_end, period=0.9 * 2.0 * np.pi / Omega)
         with pytest.raises(ValueError, match="period"):
             integrate_modes(self.SPEC, bad)
@@ -547,6 +547,7 @@ class TestMonodromy:
             lambda t: R0 * (1.0 + eps * (np.sin(Om * t) + 0.5 * np.sin(2.0 * Om * t))),
             lambda t: R0 * eps * Om * (np.cos(Om * t) + np.cos(2.0 * Om * t)),
             lambda t: -R0 * eps * Om**2 * (np.sin(Om * t) + 2.0 * np.sin(2.0 * Om * t)),
+            lambda t: -R0 * eps * Om**3 * (np.cos(Om * t) + 4.0 * np.cos(2.0 * Om * t)),
             0.0, 11.0, period=2.0 * np.pi / Om)
         _agree(*self.both(traj))
         assert len(monodromy_solves) == 1

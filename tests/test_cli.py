@@ -104,6 +104,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\$\.squid\.b0L"):
             load_config(path)
 
+    def test_ignored_cavity_length_must_still_be_positive(self, tmp_path):
+        path = write_cfg(tmp_path, {"squid": {**SPECTRUM_DOC["squid"], "d": 0.0}})
+        with pytest.raises(ConfigError, match=r"\$\.squid\.d"):
+            load_config(path)
+
     def test_unsigned_exponent_floats_parse(self, tmp_path, monkeypatch):
         # YAML 1.1 would read 1.0e6 as a string; the loader must not
         path = tmp_path / "exp.yaml"
@@ -344,6 +349,17 @@ class TestSpectrumRun:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["tolerances"]["max_sine_residual"] < 1e-10
         assert set(manifest["versions"]) == {"dcelab", "numpy", "scipy", "python"}
+
+    def test_cavity_length_is_accepted_and_ignored(self, tmp_path):
+        # squid.d is kept for older scenario files; the spectrum is solved in kd
+        with_d = {"squid": {**SPECTRUM_DOC["squid"], "d": 2.5}}
+        tables = []
+        for name, doc in (("without", SPECTRUM_DOC), ("with", with_d)):
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "spectrum", doc)
+            assert code == 0
+            tables.append((out / "spectrum.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_manifest_hashes_the_bytes_that_were_parsed(self, tmp_path, monkeypatch):
         # the scenario changes on disk after it is first opened: every later open
@@ -735,9 +751,11 @@ class TestBuilders:
         assert spec.n_modes == default.n_modes
         assert spec.include_casimir == default.include_casimir
 
-    def test_squid_length_defaults_to_one(self):
-        params, n_max = build_squid(SPECTRUM_DOC["squid"])
-        assert params.d == 1.0 and n_max == 4
+
+    def test_squid_builder_ignores_the_cavity_length(self):
+        plain = build_squid(SPECTRUM_DOC["squid"])
+        assert build_squid({**SPECTRUM_DOC["squid"], "d": 2.5}) == plain
+        assert plain[1] == 4
 
 
 class TestCrosscheckRun:
@@ -876,7 +894,7 @@ print(json.dumps(after))"""))
                        "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
             ("bogoliubov", {"cavity": cavity, "trajectory": tabulated,
                             "bogoliubov": {"n_times": 3}}),
-            # the default degree k = 5 supplies the jerk the conformal solver needs
+            # the quintic spline's jerk gives the conformal solver its exact F'''
             ("moore", {"cavity": cavity, "trajectory": tabulated,
                        "moore": {"t_max": 4.0, "n_z": 3, "n_x": 3, "n_t": 3}}),
             ("crosscheck", TestCrosscheckRun.DOC),

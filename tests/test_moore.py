@@ -8,7 +8,6 @@ tolerances that the two-method agreement actually supports.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +28,6 @@ from dcelab.moore import (
 )
 from dcelab.trajectories import (
     PolynomialRamp,
-    WallTrajectory,
     harmonic_wall,
     quintic_wall,
     reversed_trajectory,
@@ -282,15 +280,6 @@ class TestExactThirdDerivative:
         exact = F.deriv(z, 3)
         assert np.count_nonzero(np.abs(exact) > 1e-3) >= 20  # the drive bends F
         npt.assert_allclose(exact, _richardson_third_derivative(F, z), rtol=1e-7)
-
-    def test_wall_without_jerk_is_refused(self):
-        w = harmonic_wall(np.pi, 0.01, 2.0, t_end=5.0)
-        bare = WallTrajectory(w.position, w.velocity, w.acceleration, w.t_start, w.t_end)
-        with pytest.raises(ValueError, match="jerk"):
-            solve_moore(bare, 8.0)
-        F = replace(solve_moore(w, 8.0), traj=bare)
-        with pytest.raises(ValueError, match="jerk"):
-            energy_density(F, 0.0, 0.5, 6.0)
 
 
 class TestGridEvaluation:

@@ -43,10 +43,6 @@ class TestParams:
         with pytest.raises(ValueError, match="chi0"):
             SquidCavityParams(chi0=-0.1, b0L=0.0, b0R=0.0)
 
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError, match="d must be"):
-            SquidCavityParams(chi0=0.0, b0L=1.0, b0R=1.0, d=0.0)
-
     def test_negative_b0_allowed(self):
         SquidCavityParams(chi0=0.1, b0L=-0.8, b0R=3.0)
 

@@ -1,5 +1,6 @@
 """Wall-trajectory construction and calculus checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -67,7 +68,8 @@ class TestHarmonicWall:
         w = harmonic_wall(1.0, 0.01, 2.0, t_end=5.0)
         for bad in (0.0, -np.pi):
             with pytest.raises(ValueError, match="period"):
-                WallTrajectory(w.position, w.velocity, w.acceleration, 0.0, 5.0, period=bad)
+                WallTrajectory(w.position, w.velocity, w.acceleration, w.jerk, 0.0, 5.0,
+                               period=bad)
 
     def test_derivatives_consistent(self):
         w = harmonic_wall(1.3, 0.04, 2.7, t_end=9.0)
@@ -145,15 +147,9 @@ class TestTabulatedWall:
                                              "must be finite"):
             tabulated_wall(t, R)
 
-    @pytest.mark.parametrize("k", [0, -1, 2.0, 3.5, "5"])
-    def test_degree_must_be_an_integer_of_at_least_one(self, k):
-        # k = 0 would be a wall that jumps while reporting zero velocity
-        with pytest.raises(ValueError, match="spline degree k must be an integer >= 1"):
-            tabulated_wall(np.linspace(0.0, 5.0, 11), np.full(11, 1.0), k=k)
-
     @pytest.mark.parametrize("t, R, match", [
         (np.linspace(0.0, 5.0, 11), np.full(10, 1.0), "matching 1-D arrays"),
-        (np.linspace(0.0, 5.0, 5), np.full(5, 1.0), "at least k\\+1 samples"),
+        (np.linspace(0.0, 5.0, 5), np.full(5, 1.0), "at least 6 samples"),
         (np.zeros((2, 11)), np.ones((2, 11)), "matching 1-D arrays"),
         (np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0]), np.full(6, 1.0), "strictly increasing"),
         (np.linspace(0.0, 5.0, 11), np.r_[np.full(10, 1.0), 0.0], "positions must be positive"),
@@ -172,46 +168,58 @@ def _nonuniform_times():
     return 0.5 + np.cumsum(np.random.default_rng(34).uniform(0.05, 0.3, 24))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("times", [_uniform_times, _nonuniform_times])
+def _fewest_times():
+    # six samples: t[3:-3] is empty, so the spline is one quintic polynomial
+    return np.linspace(0.5, 3.0, 6)
+
+
+def _one_interior_knot_times():
+    return np.array([0.5, 0.8, 1.4, 1.9, 2.1, 2.9, 3.3])
+
+
+def _two_interior_knot_times():
+    return np.array([0.5, 0.7, 1.3, 1.6, 2.4, 2.8, 3.1, 3.9])
+
+
+def _long_uniform_times():
+    return np.linspace(0.5, 40.5, 401)
+
+
+@pytest.mark.parametrize("times", [_uniform_times, _nonuniform_times, _fewest_times,
+                                   _one_interior_knot_times, _two_interior_knot_times,
+                                   _long_uniform_times])
 class TestTabulatedWallAgainstScipy:
-    """The numpy spline against scipy.interpolate.make_interp_spline, the not-a-knot
-    interpolant it reproduces, at the rounding level of the coefficient solve."""
+    """The numpy spline against scipy.interpolate.make_interp_spline at k = 5, the
+    quintic not-a-knot interpolant it reproduces, at the rounding level of the
+    coefficient solve."""
 
     @staticmethod
-    def walls(times, k):
+    def walls(times):
         from scipy.interpolate import make_interp_spline
         t = times()
         R = 1.0 + 0.02 * np.sin(1.3 * t) + 0.005 * np.cos(3.1 * t)
-        return t, R, tabulated_wall(t, R, k), make_interp_spline(t, R, k=k)
+        return t, R, tabulated_wall(t, R), make_interp_spline(t, R, k=5)
 
-    def test_position_and_derivatives_match(self, times, k):
-        t, R, w, spl = self.walls(times, k)
+    def test_position_and_derivatives_match(self, times):
+        t, R, w, spl = self.walls(times)
         tt = np.linspace(t[0], t[-1], 2001)
         npt.assert_allclose(w.position(tt), spl(tt), rtol=0.0, atol=1e-13 * np.abs(R).max())
-        laws = (w.velocity, w.acceleration, w.jerk)
-        for j in range(1, 4):
-            if j > k:  # the derivative of a degree-k spline beyond order k
-                if laws[j - 1] is not None:
-                    assert np.all(laws[j - 1](tt) == 0.0)
-                continue
+        for j, law in enumerate((w.velocity, w.acceleration, w.jerk), start=1):
             ref = spl.derivative(j)(tt)
-            npt.assert_allclose(laws[j - 1](tt), ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
-        assert (w.jerk is None) == (k < 3)
+            npt.assert_allclose(law(tt), ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
-    def test_passes_through_every_sample(self, times, k):
-        t, R, w, _ = self.walls(times, k)
+    def test_passes_through_every_sample(self, times):
+        t, R, w, _ = self.walls(times)
         npt.assert_allclose(w.position(t), R, rtol=1e-15, atol=0.0)
 
-    def test_far_times_rest_without_overflow(self, times, k):
-        t, R, w, _ = self.walls(times, k)
+    def test_far_times_rest_without_overflow(self, times):
+        t, R, w, _ = self.walls(times)
         far = np.array([-1e200, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             npt.assert_array_equal(w.position(far), w.position(np.array([t[0], t[-1]])))
             for law in (w.velocity, w.acceleration, w.jerk):
-                if law is not None:
-                    npt.assert_array_equal(law(far), 0.0)
+                npt.assert_array_equal(law(far), 0.0)
 
 
 class TestReversal:
@@ -257,6 +265,15 @@ class TestMotionWindow:
             assert np.all(w.velocity(t) == 0.0) and np.all(w.acceleration(t) == 0.0)
             assert w.velocity(float(t[-1])) == 0.0
 
+    def test_far_times_rest_without_overflow(self, name):
+        w = FACTORIES[name]()
+        far = np.array([-1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(w.position(far), w.position(np.array([w.t_start, w.t_end])))
+            for law in (w.velocity, w.acceleration, w.jerk):
+                npt.assert_array_equal(law(far), 0.0)
+
     def test_edges_take_the_moving_side(self, name):
         w = FACTORIES[name]()
         h = 1e-7 * (w.t_end - w.t_start)
@@ -292,10 +309,44 @@ class TestJerk:
                 assert w.jerk(edge) != 0.0  # the law's value, not the resting zero
 
 
-def test_quadratic_spline_wall_has_no_jerk():
-    # k = 2 still builds a wall for the coupled-mode solver; only the
-    # conformal solver, which needs R''', refuses it
-    w = tabulated_wall(np.linspace(0.0, 5.0, 11), 1.0 + 0.01 * np.sin(np.linspace(0.0, 5.0, 11)),
-                       k=2)
-    assert w.jerk is None
-    assert np.isfinite(w.acceleration(1.0))
+class TestWallContract:
+    """WallTrajectory itself, not a factory, requires the jerk and a subluminal speed."""
+
+    def test_superluminal_wall_rejected_at_construction(self):
+        w = harmonic_wall(1.0, 0.01, 2.0, t_end=5.0)
+        with pytest.raises(ValueError, match=r"\|Rdot\| = 1\.5 >= 1"):
+            WallTrajectory(w.position, lambda t: 1.5 * np.cos(t), w.acceleration, w.jerk,
+                           0.0, 5.0)
+
+    def test_jerk_is_required(self):
+        w = harmonic_wall(1.0, 0.01, 2.0, t_end=5.0)
+        with pytest.raises(TypeError, match="jerk"):
+            WallTrajectory(w.position, w.velocity, w.acceleration, t_start=0.0, t_end=5.0)
+
+    def test_replace_keeps_the_jerk_and_checks_the_speed(self):
+        w = quintic_wall(2.0, 0.3, 1.7)
+        traced = dataclasses.replace(w, velocity=lambda t: w.velocity(t))
+        assert traced.jerk is w.jerk
+        with pytest.raises(ValueError, match=r"\|Rdot\|"):
+            dataclasses.replace(w, velocity=lambda t: 2.0 * np.ones_like(t))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+class TestFactoryContract:
+    """Every factory's wall keeps the contract under dataclasses.replace, the way a
+    tracer wraps one law and leaves the rest."""
+
+    def test_replace_keeps_every_other_field(self, name):
+        w = FACTORIES[name]()
+        traced = dataclasses.replace(w, velocity=lambda t: w.velocity(t))
+        for field in dataclasses.fields(w):
+            if field.name != "velocity":
+                assert getattr(traced, field.name) is getattr(w, field.name), field.name
+        t = np.linspace(w.t_start - 1.0, w.t_end + 1.0, 51)
+        npt.assert_array_equal(traced.velocity(t), w.velocity(t))
+
+    def test_light_speed_is_rejected(self, name):
+        # |Rdot| = 1 exactly is already superluminal: the check is >= 1
+        w = FACTORIES[name]()
+        with pytest.raises(ValueError, match=rf"{w.label} wall: .*\|Rdot\| = 1 >= 1"):
+            dataclasses.replace(w, velocity=lambda t: np.ones_like(np.asarray(t, dtype=float)))
